@@ -21,7 +21,7 @@ from . import __version__
 from .cycle_lp import (
     cycle_gradients,
     interpolation_residuals,
-    lp_feasible,
+    lp_check,
     lp_margin,
 )
 from .hb_engine import (
@@ -373,15 +373,16 @@ def _cmd_cycle_demo(args) -> int:
 def _cmd_lp_check(args) -> int:
     c = FunctionClass(args.mu, args.L)
     p = HbParams(args.gamma, args.beta)
-    cert = lp_feasible(p, c, args.K)
+    margin, cert = lp_check(p, c, args.K)
     out = {"gamma": args.gamma, "beta": args.beta, "K": args.K,
-           "margin": lp_margin(p, c, args.K), "feasible": cert is not None}
+           "margin": margin, "feasible": cert is not None}
     if cert is not None:
         grads = cycle_gradients(cert.points, p)
         res = interpolation_residuals(cert.points, grads,
                                       np.zeros(args.K), c)
         out["nu"] = cert.nu
-        out["max_residual"] = float(res.max())
+        # The diagonal is identically zero; the pairs are the constraints.
+        out["max_residual"] = float(res[~np.eye(args.K, dtype=bool)].max())
     _emit_json(out)
     return 0
 

@@ -86,38 +86,18 @@ class LiftMatrix:
     m: np.ndarray  # (k, k) symmetric
 
 
-def _gradient_stencil(k: int, i: int, p: HbParams) -> np.ndarray:
-    """Coefficients of g_i over the cycle points (K-periodic indices)."""
-    u = np.zeros(k)
-    u[i % k] = (1.0 + p.beta) / p.gamma
-    u[(i + 1) % k] -= 1.0 / p.gamma
-    u[(i - 1) % k] -= p.beta / p.gamma
-    return u
+def _gradient_stencils(k: int, p: HbParams) -> np.ndarray:
+    """Row i: coefficients of g_i over the cycle points (K-periodic indices).
 
-
-def _lift_matrix(k: int, i: int, j: int, p: HbParams, c: FunctionClass) -> np.ndarray:
-    e = np.eye(k)
-    ui = _gradient_stencil(k, i, p)
-    uj = _gradient_stencil(k, j, p)
-    v = e[i] - e[j]
-    w = ui - uj
-    z = (e[i] - ui / c.ell) - (e[j] - uj / c.ell)
-    m = 0.5 * (np.outer(uj, v) + np.outer(v, uj))
-    m += np.outer(w, w) / (2.0 * c.ell)
-    m += np.outer(z, z) * c.mu / (2.0 * (1.0 - c.kappa))
-    return m
-
-
-def direct_lift_rhs(points: np.ndarray, p: HbParams, c: FunctionClass,
-                    i: int, j: int = 0) -> float:
-    """Interpolation right-hand side evaluated directly on a point sequence.
-
-    Independent of the Gram lifting; used to validate the lift matrices.
+    The stencil of g_i is the stencil of g_0 shifted by i, so the rows form
+    a circulant matrix.
     """
-    pts = np.asarray(points, dtype=float)
-    grads = cycle_gradients(pts, p)
-    res = interpolation_residuals(pts, grads, np.zeros(len(pts)), c)
-    return float(res[i, j])
+    u0 = np.zeros(k)
+    u0[0] = (1.0 + p.beta) / p.gamma
+    u0[1 % k] -= 1.0 / p.gamma
+    u0[-1] -= p.beta / p.gamma
+    idx = np.arange(k)
+    return u0[(idx[None, :] - idx[:, None]) % k]
 
 
 def lift_matrices(p: HbParams, c: FunctionClass, k: int) -> list[LiftMatrix]:
@@ -133,20 +113,33 @@ def lift_matrices(p: HbParams, c: FunctionClass, k: int) -> list[LiftMatrix]:
         raise ValueError("lift matrices need mu < ell")
     if k < 2:
         raise ValueError(f"period must be >= 2, got {k}")
-    mats = [LiftMatrix(i, k, _lift_matrix(k, i, 0, p, c)) for i in range(1, k)]
+    # With u_i the stencil of g_i, v = e_i - e_0, w = u_i - u_0 and
+    # z = v - w/L, the residual of the pair (i, 0) is
+    # <u_0, v>_G + ||w||_G^2 / 2L + mu ||z||_G^2 / (2(1-kappa)) = <G, Y^T C Y>
+    # with Y the rows (u_0, v, w, z); one batched product builds all K-1.
+    stencils = _gradient_stencils(k, p)
+    u0 = stencils[0]
+    e = np.eye(k)
+    v = e[1:] - e[0]
+    w = stencils[1:] - u0
+    z = (e[1:] - stencils[1:] / c.ell) - (e[0] - u0 / c.ell)
+    y = np.stack([np.broadcast_to(u0, v.shape), v, w, z], axis=1)
+    coef = np.diag([0.0, 0.0, 1.0 / (2.0 * c.ell), c.mu / (2.0 * (1.0 - c.kappa))])
+    coef[0, 1] = coef[1, 0] = 0.5
+    lifts = np.swapaxes(y, 1, 2) @ (coef @ y)
 
     rng = np.random.default_rng(12345)
     pts = rng.normal(size=(k, 3))
     centered = pts - pts.mean(axis=0)
     gram = centered @ centered.T
-    for lm in mats:
-        lifted = float(np.sum(gram * lm.m))
-        direct = direct_lift_rhs(pts, p, c, lm.i, 0)
-        scale = max(1.0, abs(direct))
-        if abs(lifted - direct) > 1e-8 * scale:
-            raise AssertionError(
-                f"lift matrix self-test failed at i={lm.i}: {lifted} vs {direct}")
-    return mats
+    lifted = np.einsum("ijk,jk->i", lifts, gram)
+    direct = interpolation_residuals(pts, cycle_gradients(pts, p), np.zeros(k), c)[1:, 0]
+    bad = np.abs(lifted - direct) > 1e-8 * np.maximum(1.0, np.abs(direct))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AssertionError(
+            f"lift matrix self-test failed at i={i + 1}: {lifted[i]} vs {direct[i]}")
+    return [LiftMatrix(i, k, lifts[i - 1]) for i in range(1, k)]
 
 
 def symmetrize_gram(g0: np.ndarray) -> np.ndarray:
@@ -263,14 +256,12 @@ class CycleCertificate:
 
 def build_lp_matrix(p: HbParams, c: FunctionClass, k: int) -> np.ndarray:
     """Constraint matrix P with entries <M_{i,0}, H_ell>."""
-    mats = lift_matrices(p, c, k)
-    m = k // 2
-    blocks = [harmonic_gram(k, ell).h for ell in range(1, m + 1)]
-    out = np.empty((k - 1, m))
-    for row, lm in enumerate(mats):
-        for col, h in enumerate(blocks):
-            out[row, col] = np.sum(lm.m * h)
-    return out
+    lifts = np.stack([lm.m for lm in lift_matrices(p, c, k)])
+    idx = np.arange(k)
+    lags = np.abs(idx[:, None] - idx[None, :]).ravel()
+    # Entry (ell, d): cos(2 pi ell d / k), the value of H_ell at lag d.
+    table = np.cos(2.0 * np.pi * np.arange(1, k // 2 + 1)[:, None] * idx / k)
+    return lifts.reshape(k - 1, k * k) @ table[:, lags].T
 
 
 def _solve_cycle_lp(p: HbParams, c: FunctionClass, k: int) -> tuple[float, np.ndarray]:
@@ -280,6 +271,11 @@ def _solve_cycle_lp(p: HbParams, c: FunctionClass, k: int) -> tuple[float, np.nd
     solve (a single positive scalar, so the geometry is untouched) and the
     margin is scaled back; entries of P grow like 1/gamma^2 and would
     otherwise wreck the simplex tolerances at small step-sizes.
+
+    The simplex starts from the best pure harmonic, nu = e_j with j the
+    column of least maximum, t = that maximum, and every slack basic but the
+    binding row's: a primal-feasible (and always nonsingular) basis, so no
+    phase 1 runs.
     """
     if k < 3:
         raise ValueError(f"period must be >= 3, got {k}")
@@ -304,7 +300,12 @@ def _solve_cycle_lp(p: HbParams, c: FunctionClass, k: int) -> tuple[float, np.nd
     cost = np.zeros(n_var)
     cost[m] = 1.0
     cost[m + 1] = -1.0
-    res = solve_canonical(cost, a_eq, b_eq)
+    col_max = pm.max(axis=0)
+    j = int(np.argmin(col_max))
+    binding = int(np.argmax(pm[:, j]))
+    t_col = m if col_max[j] >= 0.0 else m + 1
+    slacks = [m + 2 + i for i in range(n_rows) if i != binding]
+    res = solve_canonical(cost, a_eq, b_eq, basis=[j, t_col, *slacks])
     if res.status != "optimal":
         raise RuntimeError(
             f"LP solve failed: status={res.status} after {res.iterations} iterations "
@@ -323,6 +324,24 @@ def lp_margin(p: HbParams, c: FunctionClass, k: int) -> float:
     return margin
 
 
+def lp_check(p: HbParams, c: FunctionClass, k: int,
+             eps_feas: float = FEASIBILITY_TOL) -> tuple[float, CycleCertificate | None]:
+    """Margin of the period-``k`` cycle LP and, from the same solve, the
+    certificate that ``lp_feasible`` returns."""
+    margin, raw = _solve_cycle_lp(p, c, k)
+    if margin > eps_feas:
+        return margin, None
+    nu = np.maximum(raw, 0.0)
+    total = nu.sum()
+    if total <= 0.0:
+        return margin, None
+    nu /= total
+    m = k // 2
+    gram = sum(nu[ell - 1] * harmonic_gram(k, ell).h for ell in range(1, m + 1))
+    points = reconstruct_symmetric_cycle(nu, k)
+    return margin, CycleCertificate(nu=nu, gram=gram, points=points, margin=margin)
+
+
 def lp_feasible(p: HbParams, c: FunctionClass, k: int,
                 eps_feas: float = FEASIBILITY_TOL) -> CycleCertificate | None:
     """Cycle certificate at period ``k``, or None when the LP margin is positive.
@@ -331,15 +350,4 @@ def lp_feasible(p: HbParams, c: FunctionClass, k: int,
     Gram matrix they induce, and the reconstructed symmetric cycle in
     dimension K-1.
     """
-    margin, raw = _solve_cycle_lp(p, c, k)
-    if margin > eps_feas:
-        return None
-    nu = np.maximum(raw, 0.0)
-    total = nu.sum()
-    if total <= 0.0:
-        return None
-    nu /= total
-    m = k // 2
-    gram = sum(nu[ell - 1] * harmonic_gram(k, ell).h for ell in range(1, m + 1))
-    points = reconstruct_symmetric_cycle(nu, k)
-    return CycleCertificate(nu=nu, gram=gram, points=points, margin=margin)
+    return lp_check(p, c, k, eps_feas)[1]

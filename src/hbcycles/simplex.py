@@ -7,8 +7,12 @@ finite.  The cycle-feasibility LPs are heavily degenerate (almost every
 right-hand side is zero), so accumulated pivot rounding is controlled by
 refactorization: after each optimal pass the tableau is rebuilt exactly
 from the original data and the pass repeats until a fresh tableau accepts
-the basis with no further pivots.  Problem sizes here are at most a few
-hundred variables, where a dense tableau beats anything fancier.
+the basis with no further pivots.  A refactorized basis whose values break
+x >= 0 (pivot rounding can drive a degenerate basis there) ends the solve
+with status "lost_feasibility" rather than a false "optimal".  A caller
+that knows a primal-feasible basis passes it and skips phase 1.  Problem
+sizes here are at most a few hundred variables, where a dense tableau beats
+anything fancier.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ _FEAS_TOL = 1e-8
 @dataclass
 class SimplexResult:
     status: str            # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
+                           # | "lost_feasibility"
     x: np.ndarray | None
     objective: float | None
     iterations: int
@@ -70,65 +75,89 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
 
 
 def _optimize(a_full: np.ndarray, b: np.ndarray, cost: np.ndarray,
-              basis: np.ndarray, max_iter: int) -> tuple[str, int]:
+              basis: np.ndarray, max_iter: int) -> tuple[str, int, np.ndarray]:
     """Iterate with periodic exact refactorization until a fresh tableau
-    confirms optimality with zero further pivots."""
+    confirms optimality with zero further pivots.  Every refactorized basis
+    must be primal feasible.  Returns the status, the pivot count and the
+    last tableau."""
+    scale = max(1.0, float(np.abs(b).max()))
     total = 0
     while total <= max_iter:
         tableau = _canonical_tableau(a_full, b, basis)
+        if tableau[:, -1].min() < -_FEAS_TOL * scale:
+            return "lost_feasibility", total, tableau
         status, it = _iterate(tableau, basis, cost, max_iter - total)
         total += it
-        if status != "optimal":
-            return status, total
-        if it == 0:
-            return "optimal", total
-    return "iteration_limit", total
+        if status != "optimal" or it == 0:
+            return status, total, tableau
+    return "iteration_limit", total, tableau
 
 
-def solve_canonical(cost, a_eq, b_eq, max_iter: int = 20000) -> SimplexResult:
-    """Minimize cost.x subject to a_eq x = b_eq, x >= 0."""
+def solve_canonical(cost, a_eq, b_eq, max_iter: int = 20000,
+                    basis=None) -> SimplexResult:
+    """Minimize cost.x subject to a_eq x = b_eq, x >= 0.
+
+    ``basis`` (one column index per row) is an optional primal-feasible
+    starting basis: phase 1 is skipped.  A basis that is singular or whose
+    values break x >= 0 raises ValueError.
+    """
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
     c = np.array(cost, dtype=float)
     m, n = a.shape
+    scale = max(1.0, float(np.abs(b).max()))
 
     flip = b < 0
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    # Phase 1: artificials form the starting basis.
-    a_full = np.hstack([a, np.eye(m)])
-    basis = np.arange(n, n + m)
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    status, it1 = _optimize(a_full, b, phase1_cost, basis, max_iter)
-    if status != "optimal":
-        return SimplexResult("iteration_limit", None, None, it1)
-    x_basic = np.linalg.solve(a_full[:, basis], b)
-    scale = max(1.0, float(np.abs(b).max()))
-    if phase1_cost[basis] @ x_basic > _FEAS_TOL * scale:
-        return SimplexResult("infeasible", None, None, it1)
+    it1 = 0
+    if basis is not None:
+        basis = _checked_basis(a, b, basis, scale)
+    else:
+        # Phase 1: artificials form the starting basis.
+        a_full = np.hstack([a, np.eye(m)])
+        basis = np.arange(n, n + m)
+        phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+        status, it1, tableau = _optimize(a_full, b, phase1_cost, basis, max_iter)
+        if status != "optimal":
+            return SimplexResult(status, None, None, it1)
+        if phase1_cost[basis] @ tableau[:, -1] > _FEAS_TOL * scale:
+            return SimplexResult("infeasible", None, None, it1)
 
-    # Drive leftover artificials out of the basis (or drop redundant rows).
-    tableau = _canonical_tableau(a_full, b, basis)
-    keep = np.ones(m, dtype=bool)
-    for row in range(m):
-        if basis[row] >= n:
-            pivots = np.flatnonzero(np.abs(tableau[row, :n]) > _PIVOT_TOL)
-            if pivots.size:
-                _pivot(tableau, basis, row, int(pivots[0]))
-            else:
-                keep[row] = False
-    if not keep.all():
-        a = a[keep]
-        b = b[keep]
-        basis = basis[keep]
-    a_full = a  # artificial columns retired
+        # Drive leftover artificials out of the basis (or drop redundant rows).
+        keep = np.ones(m, dtype=bool)
+        for row in range(m):
+            if basis[row] >= n:
+                pivots = np.flatnonzero(np.abs(tableau[row, :n]) > _PIVOT_TOL)
+                if pivots.size:
+                    _pivot(tableau, basis, row, int(pivots[0]))
+                else:
+                    keep[row] = False
+        a, b, basis = a[keep], b[keep], basis[keep]
 
     # Phase 2 on the original columns.
-    status, it2 = _optimize(a_full, b, c, basis, max_iter)
+    status, it2, tableau = _optimize(a, b, c, basis, max_iter)
     if status != "optimal":
         return SimplexResult(status, None, None, it1 + it2)
 
+    # The basis values of the confirming (feasibility-checked) fresh tableau.
     x = np.zeros(n)
-    x[basis] = np.linalg.solve(a_full[:, basis], b)
+    x[basis] = tableau[:, -1]
     return SimplexResult("optimal", x, float(c @ x), it1 + it2)
+
+
+def _checked_basis(a: np.ndarray, b: np.ndarray, basis, scale: float) -> np.ndarray:
+    m, n = a.shape
+    basis = np.array(basis, dtype=int)
+    if (basis.shape != (m,) or len(set(basis.tolist())) != m
+            or basis.min() < 0 or basis.max() >= n):
+        raise ValueError(f"a basis needs {m} distinct column indices in [0, {n})")
+    try:
+        x_basic = np.linalg.solve(a[:, basis], b)
+    except np.linalg.LinAlgError:
+        raise ValueError("starting basis is singular") from None
+    if not np.all(x_basic >= -_FEAS_TOL * scale):
+        raise ValueError(f"starting basis is not primal feasible: min x_B = {x_basic.min()}")
+    return basis
+

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import hbcycles.cycle_lp as cycle_lp
 from hbcycles.cli import main, render_svg
 
 
@@ -168,7 +169,24 @@ class TestOthers:
         assert code == 0
         payload = json.loads(out)
         assert payload["feasible"] is True
-        assert payload["max_residual"] <= 1e-7
+        assert payload["max_residual"] < 0.0
+        assert payload["max_residual"] == pytest.approx(payload["margin"], abs=1e-9)
+
+    @pytest.mark.parametrize("gamma", ["3.5", "1.0"])
+    def test_lp_check_solves_once(self, capsys, monkeypatch, gamma):
+        calls = []
+        solve = cycle_lp.solve_canonical
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cycle_lp, "solve_canonical", counting)
+        code, _, _ = run_cli(capsys, "lp-check", "--gamma", gamma,
+                             "--beta", "0.75", "--mu", "0.005", "--L", "1",
+                             "--K", "7")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_robustness_small(self, capsys):
         code, out, _ = run_cli(capsys, "robustness", "--gamma", "3.3",

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import hbcycles.cycle_lp as cycle_lp
 from hbcycles.cycle_lp import (
     build_lp_matrix,
     cycle_gradients,
     decompose_circulant,
-    direct_lift_rhs,
     harmonic_gram,
     interpolation_residuals,
     lift_matrices,
@@ -24,6 +24,46 @@ LESSARD_GRAM = (8.0 / 49.0) ** 2 * np.array(
     [[4.0, -26.0, 22.0], [-26.0, 169.0, -143.0], [22.0, -143.0, 121.0]])
 LESSARD_GRAM_SYM = (64.0 / 49.0) * np.array(
     [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+
+
+def direct_lift_rhs(points, p, c, i, j=0):
+    """Interpolation right-hand side evaluated directly on a point sequence
+    (independent of the Gram lifting)."""
+    pts = np.asarray(points, dtype=float)
+    res = interpolation_residuals(pts, cycle_gradients(pts, p), np.zeros(len(pts)), c)
+    return float(res[i, j])
+
+
+def closed_form_lp_matrix(p, c, k):
+    """P[i, ell] from one DFT of the row-0 gradient stencil (independent of
+    the lift matrices): with w = exp(2 pi i / K),
+    u0 = ((1+beta) - w^ell - beta w^-ell) / gamma and d = w^(i ell) - 1,
+    P = Re(u0 conj(d)) + |d|^2 (|u0|^2 / 2L + mu |1 - u0/L|^2 / (2(1-kappa)))."""
+    ells = np.arange(1, k // 2 + 1)
+    rows = np.arange(1, k)
+    w_ell = np.exp(2j * np.pi * ells / k)
+    u0 = ((1.0 + p.beta) - w_ell - p.beta * np.conj(w_ell)) / p.gamma
+    d = np.exp(2j * np.pi * (np.outer(rows, ells) % k) / k) - 1.0
+    curv = (np.abs(u0) ** 2 / (2.0 * c.ell)
+            + c.mu * np.abs(1.0 - u0 / c.ell) ** 2 / (2.0 * (1.0 - c.kappa)))
+    return (u0 * np.conj(d)).real + np.abs(d) ** 2 * curv
+
+
+def highs_margin(pm):
+    """min t s.t. P nu <= t, sum nu = 1, nu >= 0, by scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n_rows, m = pm.shape
+    res = linprog(np.r_[np.zeros(m), 1.0],
+                  A_ub=np.hstack([pm, -np.ones((n_rows, 1))]), b_ub=np.zeros(n_rows),
+                  A_eq=np.r_[np.ones(m), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0, None)] * m + [(None, None)], method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+# Cells where phase 1 of the simplex, started from artificials, drifts to a
+# primal-infeasible basis (mu = 0.01, L = 1).
+PHASE1_DRIFT_CELLS = [(2.0, 0.0625, 24), (1.75, 0.0625, 20)]
 
 
 def interpolation_values(points, grads, c):
@@ -107,12 +147,13 @@ class TestInterpolationResiduals:
 
 
 class TestLiftMatrices:
-    def test_agree_with_direct_evaluation(self):
+    @pytest.mark.parametrize("k", [3, 4, 7, 24, 25])
+    def test_agree_with_direct_evaluation(self, k):
         p = HbParams(0.7, 0.3)
         c = FunctionClass(0.5, 2.0)
-        k = 5
         rng = np.random.default_rng(42)
         mats = lift_matrices(p, c, k)
+        assert [lm.i for lm in mats] == list(range(1, k))
         for trial in range(5):
             pts = rng.normal(size=(k, 3))
             centered = pts - pts.mean(axis=0)
@@ -310,3 +351,38 @@ class TestLpFeasible:
 def test_lp_matrix_shape():
     p = build_lp_matrix(HbParams(1.5, 0.5), FunctionClass(0.01, 1.0), 9)
     assert p.shape == (8, 4)
+
+
+@pytest.mark.parametrize("gamma,beta", [(0.7, 0.3), (2.0, 0.0625), (3.5, 0.75)])
+def test_lp_matrix_matches_closed_form(gamma, beta):
+    p, c = HbParams(gamma, beta), FunctionClass(0.01, 1.0)
+    for k in range(3, 61):
+        expected = closed_form_lp_matrix(p, c, k)
+        got = build_lp_matrix(p, c, k)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), k
+
+
+@pytest.mark.parametrize("gamma,beta,k", PHASE1_DRIFT_CELLS)
+def test_phase1_path_never_reports_an_infeasible_optimum(gamma, beta, k, monkeypatch):
+    # Solve the cycle LP without its starting basis, through phase 1.
+    results = []
+    solve = cycle_lp.solve_canonical
+
+    def without_basis(cost, a_eq, b_eq, basis=None):
+        results.append(solve(cost, a_eq, b_eq))
+        return results[-1]
+
+    monkeypatch.setattr(cycle_lp, "solve_canonical", without_basis)
+    try:
+        lp_margin(HbParams(gamma, beta), FunctionClass(0.01, 1.0), k)
+    except RuntimeError:
+        pass
+    (res,) = results
+    assert not (res.status == "optimal" and res.x.min() < -1e-8), res.status
+
+
+@pytest.mark.parametrize("gamma,beta,k", PHASE1_DRIFT_CELLS)
+def test_margin_matches_highs(gamma, beta, k):
+    p, c = HbParams(gamma, beta), FunctionClass(0.01, 1.0)
+    expected = highs_margin(build_lp_matrix(p, c, k))
+    assert lp_margin(p, c, k) == pytest.approx(expected, rel=1e-12)

@@ -103,3 +103,64 @@ def test_agrees_with_bounded_feasibility_shape():
         nu_opt = res.x[:m]
         assert nu_opt.sum() == pytest.approx(1.0, abs=1e-9)
         assert float((p @ nu_opt).max()) == pytest.approx(res.objective, abs=1e-8)
+
+
+# (cost, a_eq, b_eq, a primal-feasible basis) from the LPs above.
+FEASIBLE_START = [
+    ([-1.0, -1.0, 0.0, 0.0], [[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]],
+     [4.0, 6.0], [2, 3]),
+    ([2.0, 3.0, 0.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]], [10.0, 4.0], [1, 2]),
+    ([1.0, 0.0], [[-1.0, -1.0]], [-5.0], [1]),
+    ([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0],
+     [[0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
+      [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
+      [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]], [0.0, 0.0, 1.0], [4, 5, 6]),
+]
+
+
+@pytest.mark.parametrize("cost,a,b,basis", FEASIBLE_START)
+def test_starting_basis_reaches_the_phase1_optimum(cost, a, b, basis):
+    warm = solve_canonical(cost, a, b, basis=basis)
+    cold = solve_canonical(cost, a, b)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert np.asarray(a) @ warm.x == pytest.approx(b, abs=1e-12)
+    assert warm.x.min() >= 0.0
+
+
+def test_starting_basis_on_the_cycle_lp_shape():
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        p = rng.normal(size=(6, 3))
+        a = np.zeros((7, 11))
+        a[:6, :3] = p
+        a[:6, 3] = -1.0
+        a[:6, 4] = 1.0
+        a[:6, 5:] = np.eye(6)
+        a[6, :3] = 1.0
+        b = np.zeros(7)
+        b[6] = 1.0
+        cost = np.zeros(11)
+        cost[3], cost[4] = 1.0, -1.0
+        # nu = e_j at the column of least maximum, t at that maximum.
+        j = int(np.argmin(p.max(axis=0)))
+        binding = int(np.argmax(p[:, j]))
+        t_col = 3 if p[binding, j] >= 0 else 4
+        basis = [j, t_col] + [5 + i for i in range(6) if i != binding]
+        warm = solve_canonical(cost, a, b, basis=basis)
+        cold = solve_canonical(cost, a, b)
+        assert warm.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+def test_infeasible_starting_basis_rejected():
+    # x = 10 forces the slack of x - y + s = 4 to -6.
+    with pytest.raises(ValueError, match="not primal feasible"):
+        solve_canonical([2.0, 3.0, 0.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]],
+                        [10.0, 4.0], basis=[0, 2])
+
+
+@pytest.mark.parametrize("basis", [[0, 1], [0, 0], [0], [0, 5]])
+def test_malformed_or_singular_basis_rejected(basis):
+    with pytest.raises(ValueError):
+        solve_canonical([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0], basis=basis)
