@@ -49,6 +49,7 @@ from .hb_engine import (
     detect_cycle,
     estimate_rate,
     perturbed_run,
+    perturbed_runs,
     run,
     stability_constants,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "detect_cycle",
     "stability_constants",
     "perturbed_run",
+    "perturbed_runs",
     "estimate_rate",
     "Mollifier",
     "SmoothedCounterExample",

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .hb_engine import (
     detect_cycle,
     noise_budget,
     perturbed_run,
+    perturbed_runs,
     run,
     stability_constants,
     write_trace_csv,
@@ -167,6 +169,26 @@ def render_svg(csv_path, svg_path) -> None:
     with open(svg_path, "w", newline="") as fh:
         fh.write("\n".join(parts))
         fh.write("\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
 
 
 def _parse_noise(value: str, budget: float, flag: str) -> float:
@@ -406,32 +428,40 @@ def _cmd_robustness(args) -> int:
         mode=args.noise_mode,
         seed=0,
     )
-    stayed = 0
-    for seed in range(args.runs):
-        noise = NoiseSpec(base.init_radius, base.gamma_jitter, base.beta_jitter,
-                          base.grad_noise, base.mode, seed + args.seed)
-        if perturbed_run(ce, c, p, args.K, noise, args.steps).stayed_in_tube:
-            stayed += 1
+    runs = perturbed_runs(ce, c, p, args.K,
+                          [replace(base, seed=args.seed + i) for i in range(args.runs)],
+                          args.steps)
+    stayed = int(np.count_nonzero(runs.stayed_in_tube))
 
     # Observed tolerance: scale the gradient-noise budget up until the tube
-    # breaks (the guarantee is sufficient, not necessary).
-    observed = 1.0
+    # breaks (the guarantee is sufficient, not necessary).  All factors run
+    # as one batch; the answer is the last factor before the first failure.
+    factors = []
     factor = 2.0
     while factor <= args.max_overdrive:
-        noise = NoiseSpec(base.init_radius, base.gamma_jitter, base.beta_jitter,
-                          budget["grad_noise"] * factor, base.mode, args.seed)
-        ok = perturbed_run(ce, c, p, args.K, noise, args.steps,
-                           strict=False).stayed_in_tube
-        if not ok:
-            break
-        observed = factor
+        factors.append(factor)
         factor *= 2.0
+    observed = 1.0
+    if factors:
+        # Factors past the first failure may grow without bound; their
+        # values are never read.
+        with np.errstate(over="ignore", invalid="ignore"):
+            overdrive = perturbed_runs(
+                ce, c, p, args.K,
+                [replace(base, grad_noise=budget["grad_noise"] * f, seed=args.seed)
+                 for f in factors],
+                args.steps, strict=False)
+        for factor, ok in zip(factors, overdrive.stayed_in_tube):
+            if not ok:
+                break
+            observed = factor
     _emit_json({
         "runs": args.runs,
         "stayed_in_tube": stayed,
         "all_stayed": stayed == args.runs,
         "guaranteed_bounds": budget,
         "observed_grad_noise_overdrive_at_least": observed,
+        "worst_tube_ratio": float(np.max(runs.max_dev) / ce.r_max),
         "r_max": ce.r_max,
     })
     return 0
@@ -490,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "smoothed, dilated or perturbed")
     _add_point_flags(sp)
     sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--steps", type=int, default=10000)
+    sp.add_argument("--steps", type=_positive_int, default=10000)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--smooth", default=None,
                     help="mollifier support radius, or 'auto' for r_max/2")
@@ -517,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("robustness", help="seeded perturbed runs around the cycle")
     _add_point_flags(sp)
     sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--runs", type=int, default=100)
-    sp.add_argument("--steps", type=int, default=1000)
+    sp.add_argument("--runs", type=_positive_int, default=100)
+    sp.add_argument("--steps", type=_positive_int, default=1000)
     sp.add_argument("--noise-init", type=float, default=0.5)
     sp.add_argument("--noise-gamma", default="within-thm53")
     sp.add_argument("--noise-beta", default="within-thm53")
@@ -526,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise-mode", choices=("uniform-random", "adversarial-sign"),
                     default="uniform-random")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-overdrive", type=float, default=64.0)
+    sp.add_argument("--max-overdrive", type=_finite_float, default=64.0)
     sp.set_defaults(func=_cmd_robustness)
 
     sp = sub.add_parser("table4", help="reference rates of standard tunings")

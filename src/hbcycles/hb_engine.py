@@ -5,7 +5,11 @@ estimation, and the perturbation harness: around a cycling counterexample
 the residual obeys the linear dynamics of heavy ball on an isotropic
 quadratic, so a companion-matrix decomposition P D P^{-1} with ||D|| < 1
 yields explicit noise budgets under which perturbed runs provably stay in a
-tube around the cycle.
+tube around the cycle.  ``perturbed_runs`` advances many seeded perturbed
+runs as one (R, 2) state with one batched gradient call per step; each
+seed's noise is drawn in its sequential order, so a run in a batch is the
+run made alone.  ``perturbed_run`` is its single-run form with the full
+trace.
 """
 
 from __future__ import annotations
@@ -204,11 +208,18 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.init_radius, self.gamma_jitter,
-               self.beta_jitter, self.grad_noise) < 0:
+        # Written so that NaN fails too: it would pass every tube condition.
+        if not all(v >= 0 for v in (self.init_radius, self.gamma_jitter,
+                                    self.beta_jitter, self.grad_noise)):
             raise ValueError("noise bounds must be nonnegative")
         if self.mode not in ("uniform-random", "adversarial-sign"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
+
+
+def _tube_coefficients(p: HbParams, mu: float, kappa_p: float,
+                       r_max: float) -> tuple[float, float]:
+    """Weights of |dgamma| and |dbeta| in tube condition 2."""
+    return 4.0 / p.gamma + mu * kappa_p * r_max, 2.0 + 2.0 * kappa_p * r_max
 
 
 def noise_budget(p: HbParams, c: FunctionClass, ce: CounterExample,
@@ -225,8 +236,7 @@ def noise_budget(p: HbParams, c: FunctionClass, ce: CounterExample,
     """
     sc = stability_constants(p, c.mu, epsilon)
     slack = 0.5 * (1.0 - sc.rho_d) * sc.kappa_p * ce.r_max
-    gamma_coeff = 4.0 / p.gamma + c.mu * sc.kappa_p * ce.r_max
-    beta_coeff = 2.0 + 2.0 * sc.kappa_p * ce.r_max
+    gamma_coeff, beta_coeff = _tube_coefficients(p, c.mu, sc.kappa_p, ce.r_max)
     return {
         "kappa_p": sc.kappa_p,
         "rho_d": sc.rho_d,
@@ -243,6 +253,28 @@ class PerturbedRun:
     trace: SimTrace
     stayed_in_tube: bool
     residual_decay_rate: float | None
+
+
+@dataclass
+class TubeRuns:
+    """Outcome of R perturbed runs advanced as one batch.
+
+    ``max_dev[r]`` is max_t ||z_t - cycle[t mod K]|| of run r, and
+    ``stayed_in_tube[r]`` says whether it stayed within r_max.  The full
+    ``iterates`` (steps + 2, R, 2) and ``params_used`` (steps, R, 2) are
+    kept only when the batch runs with ``record=True``.
+    """
+
+    max_dev: np.ndarray
+    stayed_in_tube: np.ndarray
+    iterates: np.ndarray | None = None
+    params_used: np.ndarray | None = None
+
+
+# Steps of uniform noise drawn at once per seed: the draw buffers hold
+# _DRAW_CHUNK * R * 8 doubles whatever the run length, small enough that a
+# 100-run batch adds well under 1 MB to the peak resident set.
+_DRAW_CHUNK = 32
 
 
 def _fit_decay(norms: np.ndarray) -> float | None:
@@ -264,87 +296,170 @@ def _fit_decay(norms: np.ndarray) -> float | None:
     return float(math.exp(slope))
 
 
+def _check_tube_conditions(p: HbParams, c: FunctionClass, ce: CounterExample,
+                           budget: dict, init: np.ndarray, gamma_jitter: np.ndarray,
+                           beta_jitter: np.ndarray, grad_noise: np.ndarray) -> None:
+    """Raise naming the first violated guarantee condition of the batch."""
+    bad = np.flatnonzero(init > 1.0 + 1e-12)
+    if bad.size:
+        raise ValueError(
+            "condition 1 violated: initial offset "
+            f"{float(init[bad[0]])} * kappa_P * r_max exceeds kappa_P * r_max")
+    gamma_coeff, beta_coeff = _tube_coefficients(p, c.mu, budget["kappa_p"], ce.r_max)
+    spend = gamma_coeff * gamma_jitter + beta_coeff * beta_jitter
+    bad = np.flatnonzero(spend > budget["param_budget"] * (1.0 + 1e-12))
+    if bad.size:
+        raise ValueError(
+            f"condition 2 violated: parameter jitter spend {float(spend[bad[0]])} "
+            f"exceeds budget {budget['param_budget']}")
+    bad = np.flatnonzero(grad_noise > budget["grad_noise"] * (1.0 + 1e-12))
+    if bad.size:
+        raise ValueError(
+            f"condition 3 violated: gradient noise {float(grad_noise[bad[0]])} "
+            f"exceeds budget {budget['grad_noise']}")
+
+
+def _row_sq(x: np.ndarray) -> np.ndarray:
+    """Squared row norms, summed as np.linalg.norm(x, axis=1) sums them."""
+    return np.add.reduce(x * x, axis=1)
+
+
+def _uniform(low, high, u):
+    """Generator.uniform's arithmetic on draws u from Generator.random."""
+    return low + (high - low) * u
+
+
+def _adversarial_noise(residual: np.ndarray, grad: np.ndarray, momentum: np.ndarray,
+                      gamma_jitter: np.ndarray, beta_jitter: np.ndarray,
+                      grad_noise: np.ndarray):
+    """Jitter signs and noise direction that grow each unperturbed residual.
+
+    ``residual`` (n, 2) is the unperturbed next iterate minus its cycle
+    point; a zero residual takes the direction (1, 0).
+    """
+    rnorm = np.linalg.norm(residual, axis=1)
+    direction = np.tile([1.0, 0.0], (len(residual), 1))
+    moved = rnorm > 0
+    direction[moved] = residual[moved] / rnorm[moved, None]
+    align_g = np.einsum("ij,ij->i", grad, direction)
+    align_m = np.einsum("ij,ij->i", momentum, direction)
+    dgamma = -gamma_jitter * np.where(align_g >= 0, 1.0, -1.0)
+    dbeta = beta_jitter * np.where(align_m >= 0, 1.0, -1.0)
+    return dgamma, dbeta, -grad_noise[:, None] * direction
+
+
+def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
+                   noises: list[NoiseSpec], steps: int, strict: bool = True,
+                   record: bool = False) -> TubeRuns:
+    """Run heavy ball on the counterexample under R perturbations at once.
+
+    Run r starts from the cycle's first two points displaced by a joint
+    offset of norm init_radius * kappa_P * r_max, drawn from
+    ``default_rng(noises[r].seed)``, and takes per-step parameter jitter and
+    gradient noise: uniform draws from the same generator (gamma, beta,
+    angle and radius, in that order per step), or in adversarial-sign mode
+    the signs and direction that grow the unperturbed next residual.  Each
+    seed's draws are its sequential stream taken in chunks, so run r is the
+    run it would be alone.  The (R, 2) state advances with one batched
+    gradient call per step; only three iterate slots are kept unless
+    ``record`` is set.  In strict mode every noise spec must satisfy the
+    three guarantee conditions; the first violated condition is named
+    otherwise.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not noises:
+        raise ValueError("a batch needs at least one noise spec")
+    if ce.r_max <= 0.0:
+        raise ValueError("perturbation analysis needs r_max > 0 (interior member)")
+    budget = noise_budget(p, c, ce)
+    init, gamma_jitter, beta_jitter, grad_noise = np.array(
+        [(n.init_radius, n.gamma_jitter, n.beta_jitter, n.grad_noise)
+         for n in noises]).T
+    if strict:
+        _check_tube_conditions(p, c, ce, budget, init, gamma_jitter,
+                               beta_jitter, grad_noise)
+
+    cyc = rou_cycle(k).points
+    fn = CounterexampleFunction(ce, c)
+    r = len(noises)
+    slots = steps + 2 if record else 3
+    zs = np.empty((slots, r, 2))
+    rngs = [np.random.default_rng(n.seed) for n in noises]
+    for i, (rng, noise) in enumerate(zip(rngs, noises)):
+        offset = rng.normal(size=4)
+        offset *= noise.init_radius * budget["init_norm"] / np.linalg.norm(offset)
+        zs[0, i] = cyc[0] + offset[:2]
+        zs[1, i] = cyc[1] + offset[2:]
+    # Running max of squared deviations; sqrt is monotone, so the root of
+    # the max is the max of the norms bit for bit.
+    max_sq = np.maximum(_row_sq(zs[0] - cyc[0]), _row_sq(zs[1] - cyc[1 % k]))
+    params = np.empty((steps, r, 2)) if record else None
+
+    adv = np.flatnonzero([n.mode == "adversarial-sign" for n in noises])
+    uni = np.flatnonzero([n.mode == "uniform-random" for n in noises])
+    draws = np.empty((uni.size, _DRAW_CHUNK, 4))
+    dgamma_c = np.zeros((_DRAW_CHUNK, r))
+    dbeta_c = np.zeros((_DRAW_CHUNK, r))
+    dgrad_c = np.zeros((_DRAW_CHUNK, r, 2))
+    for t in range(1, steps + 1):
+        j = (t - 1) % _DRAW_CHUNK
+        if j == 0 and uni.size:
+            span = min(_DRAW_CHUNK, steps - t + 1)
+            for row, i in enumerate(uni):
+                rngs[i].random((span, 4), out=draws[row, :span])
+            u = draws[:, :span].transpose(1, 0, 2)
+            dgamma_c[:span, uni] = _uniform(-gamma_jitter[uni], gamma_jitter[uni], u[..., 0])
+            dbeta_c[:span, uni] = _uniform(-beta_jitter[uni], beta_jitter[uni], u[..., 1])
+            angle = _uniform(0.0, 2.0 * np.pi, u[..., 2])
+            radius = grad_noise[uni] * np.sqrt(u[..., 3])
+            dgrad_c[:span, uni, 0] = radius * np.cos(angle)
+            dgrad_c[:span, uni, 1] = radius * np.sin(angle)
+        z, z_prev = zs[t % slots], zs[(t - 1) % slots]
+        grad = fn.grad_batch(z)
+        momentum = z - z_prev
+        dgamma, dbeta, dgrad = dgamma_c[j], dbeta_c[j], dgrad_c[j]
+        if adv.size:
+            base_next = z[adv] - p.gamma * grad[adv] + p.beta * momentum[adv]
+            dgamma[adv], dbeta[adv], dgrad[adv] = _adversarial_noise(
+                base_next - cyc[(t + 1) % k], grad[adv], momentum[adv],
+                gamma_jitter[adv], beta_jitter[adv], grad_noise[adv])
+        gamma_t = p.gamma + dgamma
+        beta_t = p.beta + dbeta
+        if record:
+            params[t - 1, :, 0] = gamma_t
+            params[t - 1, :, 1] = beta_t
+        nxt = z - gamma_t[:, None] * (grad + dgrad) + beta_t[:, None] * momentum
+        zs[(t + 1) % slots] = nxt
+        np.maximum(max_sq, _row_sq(nxt - cyc[(t + 1) % k]), out=max_sq)
+
+    max_dev = np.sqrt(max_sq)
+    stayed = max_dev <= ce.r_max * (1.0 + 1e-12)
+    return TubeRuns(max_dev, stayed, zs if record else None, params)
+
+
 def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
                   noise: NoiseSpec, steps: int,
                   strict: bool = True) -> PerturbedRun:
     """Run heavy ball on the counterexample under bounded perturbations.
 
-    Starts from the cycle's first two points displaced by a seeded random
-    joint offset of norm init_radius * kappa_P * r_max, applies per-step
-    parameter jitter and gradient noise, and reports whether every iterate
-    stayed within r_max of its cycle point.  In strict mode the noise spec
-    must satisfy the three guarantee conditions; the violated condition is
-    named otherwise.  With parameter and gradient noise both zero the
-    residual contraction factor is fitted and returned (it matches the rate
-    of heavy ball on the isotropic mu-quadratic).
+    The single-run form of ``perturbed_runs``: the same seeded start, noise
+    and strict guarantee checks, with the full trace kept.  Reports whether
+    every iterate stayed within r_max of its cycle point.  With parameter
+    and gradient noise both zero the residual contraction factor is fitted
+    and returned (it matches the rate of heavy ball on the isotropic
+    mu-quadratic).
     """
-    if ce.r_max <= 0.0:
-        raise ValueError("perturbation analysis needs r_max > 0 (interior member)")
-    budget = noise_budget(p, c, ce)
-    if strict:
-        if noise.init_radius > 1.0 + 1e-12:
-            raise ValueError(
-                "condition 1 violated: initial offset "
-                f"{noise.init_radius} * kappa_P * r_max exceeds kappa_P * r_max")
-        gamma_coeff = 4.0 / p.gamma + c.mu * budget["kappa_p"] * ce.r_max
-        beta_coeff = 2.0 + 2.0 * budget["kappa_p"] * ce.r_max
-        spend = gamma_coeff * noise.gamma_jitter + beta_coeff * noise.beta_jitter
-        if spend > budget["param_budget"] * (1.0 + 1e-12):
-            raise ValueError(
-                f"condition 2 violated: parameter jitter spend {spend} exceeds "
-                f"budget {budget['param_budget']}")
-        if noise.grad_noise > budget["grad_noise"] * (1.0 + 1e-12):
-            raise ValueError(
-                f"condition 3 violated: gradient noise {noise.grad_noise} exceeds "
-                f"budget {budget['grad_noise']}")
-
-    rng = np.random.default_rng(noise.seed)
-    cyc = rou_cycle(k)
-    fn = CounterexampleFunction(ce, c)
-    offset = rng.normal(size=4)
-    offset *= noise.init_radius * budget["init_norm"] / np.linalg.norm(offset)
-    z0 = cyc.points[0] + offset[:2]
-    z1 = cyc.points[1] + offset[2:]
-
-    zs = np.empty((steps + 2, 2))
-    zs[0], zs[1] = z0, z1
-    params = np.empty((steps, 2))
-    adversarial = noise.mode == "adversarial-sign"
-    for t in range(1, steps + 1):
-        grad = fn.grad(zs[t])
-        momentum = zs[t] - zs[t - 1]
-        if adversarial:
-            # Signs/directions chosen to grow the unperturbed next residual.
-            base_next = zs[t] - p.gamma * grad + p.beta * momentum
-            residual = base_next - cyc.points[(t + 1) % k]
-            rnorm = np.linalg.norm(residual)
-            direction = residual / rnorm if rnorm > 0 else np.array([1.0, 0.0])
-            align_g = float(np.dot(grad, direction))
-            align_m = float(np.dot(momentum, direction))
-            dgamma = -noise.gamma_jitter * (1.0 if align_g >= 0 else -1.0)
-            dbeta = noise.beta_jitter * (1.0 if align_m >= 0 else -1.0)
-            dgrad = -noise.grad_noise * direction
-        else:
-            dgamma = rng.uniform(-noise.gamma_jitter, noise.gamma_jitter)
-            dbeta = rng.uniform(-noise.beta_jitter, noise.beta_jitter)
-            angle = rng.uniform(0.0, 2.0 * np.pi)
-            radius = noise.grad_noise * math.sqrt(rng.uniform())
-            dgrad = radius * np.array([math.cos(angle), math.sin(angle)])
-        gamma_t = p.gamma + dgamma
-        beta_t = p.beta + dbeta
-        params[t - 1] = (gamma_t, beta_t)
-        zs[t + 1] = zs[t] - gamma_t * (grad + dgrad) + beta_t * momentum
-
-    trace = SimTrace(zs, steps, params)
-    idx = np.arange(steps + 2) % k
-    dev = np.linalg.norm(zs - cyc.points[idx], axis=1)
-    stayed = bool(np.max(dev) <= ce.r_max * (1.0 + 1e-12))
-
+    runs = perturbed_runs(ce, c, p, k, [noise], steps, strict, record=True)
+    zs = runs.iterates[:, 0]
+    trace = SimTrace(zs, steps, runs.params_used[:, 0])
     decay = None
     if noise.gamma_jitter == noise.beta_jitter == noise.grad_noise == 0.0:
+        cyc = rou_cycle(k).points
+        dev = np.linalg.norm(zs - cyc[np.arange(steps + 2) % k], axis=1)
         joint = np.sqrt(dev[1:] ** 2 + dev[:-1] ** 2)
         decay = _fit_decay(joint)
-    return PerturbedRun(trace, stayed, decay)
+    return PerturbedRun(trace, bool(runs.stayed_in_tube[0]), decay)
 
 
 def write_trace_csv(trace: SimTrace, path, cycle: np.ndarray | None = None) -> None:

@@ -2,13 +2,18 @@
 
 The brute-force rate oracle evaluates the spectral radius of the 2x2
 companion matrix over a lambda grid and is kept independent of the
-closed-form implementation it checks.
+closed-form implementation it checks.  The sequential perturbed run is
+the one-point-per-step loop that the batched tube engine must reproduce.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from hbcycles.hb_engine import noise_budget
 from hbcycles.quad_rates import FunctionClass, HbParams
+from hbcycles.rou_region import CounterexampleFunction, rou_cycle
 
 
 def companion_spectral_radius(gamma, beta, lam):
@@ -72,3 +77,50 @@ def interior_setup():
     p = HbParams(3.3, 0.75)
     ce = build_counterexample(p, c, 7)
     return p, c, ce
+
+
+def sequential_perturbed_run(ce, c, p, k, noise, steps):
+    """One perturbed run, one point per step: the reference for the batch.
+
+    The per-step loop the engine ran before it was batched, with the same
+    draw order: normal(4) for the start, then per step the gamma, beta,
+    angle and radius uniforms.  Returns (iterates, params_used, max_dev,
+    stayed), max_dev the largest ||z_t - cycle[t mod K]||.
+    """
+    budget = noise_budget(p, c, ce)
+    rng = np.random.default_rng(noise.seed)
+    cyc = rou_cycle(k)
+    fn = CounterexampleFunction(ce, c)
+    offset = rng.normal(size=4)
+    offset *= noise.init_radius * budget["init_norm"] / np.linalg.norm(offset)
+    zs = np.empty((steps + 2, 2))
+    zs[0] = cyc.points[0] + offset[:2]
+    zs[1] = cyc.points[1] + offset[2:]
+    params = np.empty((steps, 2))
+    adversarial = noise.mode == "adversarial-sign"
+    for t in range(1, steps + 1):
+        grad = fn.grad(zs[t])
+        momentum = zs[t] - zs[t - 1]
+        if adversarial:
+            base_next = zs[t] - p.gamma * grad + p.beta * momentum
+            residual = base_next - cyc.points[(t + 1) % k]
+            rnorm = np.linalg.norm(residual)
+            direction = residual / rnorm if rnorm > 0 else np.array([1.0, 0.0])
+            align_g = float(np.dot(grad, direction))
+            align_m = float(np.dot(momentum, direction))
+            dgamma = -noise.gamma_jitter * (1.0 if align_g >= 0 else -1.0)
+            dbeta = noise.beta_jitter * (1.0 if align_m >= 0 else -1.0)
+            dgrad = -noise.grad_noise * direction
+        else:
+            dgamma = rng.uniform(-noise.gamma_jitter, noise.gamma_jitter)
+            dbeta = rng.uniform(-noise.beta_jitter, noise.beta_jitter)
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            radius = noise.grad_noise * math.sqrt(rng.uniform())
+            dgrad = radius * np.array([math.cos(angle), math.sin(angle)])
+        gamma_t = p.gamma + dgamma
+        beta_t = p.beta + dbeta
+        params[t - 1] = (gamma_t, beta_t)
+        zs[t + 1] = zs[t] - gamma_t * (grad + dgrad) + beta_t * momentum
+    max_dev = float(np.max(np.linalg.norm(
+        zs - cyc.points[np.arange(steps + 2) % k], axis=1)))
+    return zs, params, max_dev, max_dev <= ce.r_max * (1.0 + 1e-12)

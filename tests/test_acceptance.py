@@ -17,7 +17,13 @@ from hbcycles.cycle_lp import (
     lp_feasible,
     symmetrize_gram,
 )
-from hbcycles.hb_engine import NoiseSpec, noise_budget, perturbed_run, run
+from hbcycles.hb_engine import (
+    NoiseSpec,
+    noise_budget,
+    perturbed_run,
+    perturbed_runs,
+    run,
+)
 from hbcycles.quad_rates import (
     FunctionClass,
     HbParams,
@@ -210,15 +216,14 @@ def test_criterion_08_lp_analytic_identity():
 def test_criterion_09_robustness_tube():
     ce = build_counterexample(FIG4_PARAMS, FIG4_CLASS, FIG4_K)
     budget = noise_budget(FIG4_PARAMS, FIG4_CLASS, ce)
-    stayed = 0
-    for seed in range(100):
-        noise = NoiseSpec(init_radius=0.9,
-                          gamma_jitter=budget["gamma_jitter"] * 0.45,
-                          beta_jitter=budget["beta_jitter"] * 0.45,
-                          grad_noise=budget["grad_noise"],
-                          mode="uniform-random", seed=seed)
-        result = perturbed_run(ce, FIG4_CLASS, FIG4_PARAMS, FIG4_K, noise, 1000)
-        stayed += result.stayed_in_tube
+    noises = [NoiseSpec(init_radius=0.9,
+                        gamma_jitter=budget["gamma_jitter"] * 0.45,
+                        beta_jitter=budget["beta_jitter"] * 0.45,
+                        grad_noise=budget["grad_noise"],
+                        mode="uniform-random", seed=seed)
+              for seed in range(100)]
+    runs = perturbed_runs(ce, FIG4_CLASS, FIG4_PARAMS, FIG4_K, noises, 1000)
+    stayed = int(np.count_nonzero(runs.stayed_in_tube))
     assert stayed == 100
 
     decay_run = perturbed_run(ce, FIG4_CLASS, FIG4_PARAMS, FIG4_K,

@@ -1,10 +1,40 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import hbcycles.cycle_lp as cycle_lp
 from hbcycles.cli import main, render_svg
+from hbcycles.hb_engine import NoiseSpec, noise_budget
+from hbcycles.quad_rates import FunctionClass, HbParams
+from hbcycles.rou_region import build_counterexample
+
+from conftest import sequential_perturbed_run
+
+_TUBE_POINT = ("--gamma", "3.3", "--beta", "0.75", "--mu", "0.005", "--L", "1",
+               "--K", "7")
+
+# Robustness stdout of the one-run-at-a-time implementation, which printed
+# no worst_tube_ratio: 4 runs of 300 steps at _TUBE_POINT, overdrive factors
+# up to 1024.  Seeds 0 and 5 print the same in each noise mode.
+_ROBUSTNESS_GOLDEN = """{
+  "all_stayed": true,
+  "guaranteed_bounds": {
+    "beta_jitter": 3.1667031836949276e-05,
+    "gamma_jitter": 5.2318072988235426e-05,
+    "grad_noise": 1.5854046308802822e-05,
+    "init_norm": 0.0012966412787845333,
+    "kappa_p": 0.020227212426224384,
+    "param_budget": 6.341618523521129e-05,
+    "rho_d": 0.9021839173674042
+  },
+  "observed_grad_noise_overdrive_at_least": {observed},
+  "r_max": 0.06410380488729384,
+  "runs": 4,
+  "stayed_in_tube": 4
+}
+"""
 
 
 def run_cli(capsys, *argv):
@@ -189,14 +219,58 @@ class TestOthers:
         assert len(calls) == 1
 
     def test_robustness_small(self, capsys):
-        code, out, _ = run_cli(capsys, "robustness", "--gamma", "3.3",
-                               "--beta", "0.75", "--mu", "0.005", "--L", "1",
-                               "--K", "7", "--runs", "3", "--steps", "300",
+        code, out, _ = run_cli(capsys, "robustness", *_TUBE_POINT,
+                               "--runs", "3", "--steps", "300",
                                "--max-overdrive", "4")
         assert code == 0
         payload = json.loads(out)
         assert payload["all_stayed"] is True
         assert payload["observed_grad_noise_overdrive_at_least"] >= 1.0
+
+    @pytest.mark.parametrize("mode,observed", [("uniform-random", "64.0"),
+                                               ("adversarial-sign", "16.0")])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_robustness_matches_sequential_runs(self, capsys, mode, observed, seed):
+        # The overdrive search breaks partway: at 128x (uniform) or 32x
+        # (adversarial), with factors up to 1024 still to try.
+        code, out, _ = run_cli(capsys, "robustness", *_TUBE_POINT, "--runs", "4",
+                               "--steps", "300", "--seed", str(seed),
+                               "--noise-mode", mode, "--max-overdrive", "1024")
+        assert code == 0
+        ratio_line = re.search(r',\n  "worst_tube_ratio": ([^\n]*)', out)
+        assert out.replace(ratio_line.group(0), "") == \
+            _ROBUSTNESS_GOLDEN.replace("{observed}", observed)
+
+        c, p = FunctionClass(0.005, 1.0), HbParams(3.3, 0.75)
+        ce = build_counterexample(p, c, 7)
+        budget = noise_budget(p, c, ce)
+        worst = max(sequential_perturbed_run(
+            ce, c, p, 7, NoiseSpec(0.5, budget["gamma_jitter"] / 2,
+                                   budget["beta_jitter"] / 2, budget["grad_noise"],
+                                   mode, seed + i), 300)[2] for i in range(4))
+        assert float(ratio_line.group(1)) == pytest.approx(worst / ce.r_max, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [("--runs", "-3"), ("--runs", "0"),
+                                      ("--steps", "-5"), ("--steps", "0"),
+                                      ("--runs", "2.5"), ("--max-overdrive", "inf")])
+    def test_robustness_bad_sizes_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(["robustness", *_TUBE_POINT, *argv])
+        assert err.value.code == 2
+        assert f"argument {argv[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--noise-init", "--noise-grad"])
+    def test_robustness_nan_noise_is_an_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "robustness", *_TUBE_POINT, "--runs", "2",
+                                 "--steps", "10", flag, "nan")
+        assert code == 3 and out == ""
+        assert "noise bounds must be nonnegative" in err
+
+    def test_noisy_cycle_demo_rejects_zero_steps(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["cycle-demo", *_TUBE_POINT, "--noise-init", "0.5", "--steps", "0"])
+        assert err.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
 
     def test_table4(self, capsys):
         code, out, _ = run_cli(capsys, "table4", "--mu", "1", "--L", "100")

@@ -1,14 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbcycles.hb_engine import (
+    _DRAW_CHUNK,
     NoiseSpec,
     detect_cycle,
     estimate_rate,
     noise_budget,
     perturbed_run,
+    perturbed_runs,
     run,
     stability_constants,
     write_trace_csv,
@@ -19,6 +24,52 @@ from hbcycles.rou_region import (
     build_counterexample,
     rou_cycle,
 )
+
+from conftest import sequential_perturbed_run
+
+
+# Interior members of mu = 0.005, L = 1 at two periods.
+_MEMBERS = {5: HbParams(3.8, 0.9), 7: HbParams(3.3, 0.75)}
+_MEMBER_CLASS = FunctionClass(0.005, 1.0)
+
+
+@functools.cache
+def _member_setup(k):
+    p = _MEMBERS[k]
+    ce = build_counterexample(p, _MEMBER_CLASS, k)
+    return p, ce, noise_budget(p, _MEMBER_CLASS, ce)
+
+
+def _assert_matches_oracle(batch, noises, k, steps):
+    """Uniform runs bit-identical to the oracle, adversarial ones to 1e-12.
+
+    The adversarial sign choice takes a norm and two dot products of one
+    point, which may round differently from the row-wise batch forms.
+    """
+    p, ce, _ = _member_setup(k)
+    for i, noise in enumerate(noises):
+        zs, params, _, stayed = sequential_perturbed_run(ce, _MEMBER_CLASS, p, k,
+                                                         noise, steps)
+        assert bool(batch.stayed_in_tube[i]) == stayed
+        if noise.mode == "uniform-random":
+            assert np.array_equal(batch.iterates[:, i], zs)
+            assert np.array_equal(batch.params_used[:, i], params)
+        else:
+            assert np.abs(batch.iterates[:, i] - zs).max() <= 1e-12
+
+
+# Per-run noise as fractions of the guaranteed budgets; up to twice the
+# gradient budget, so some runs may leave the tube.
+_noise_fractions = st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0), st.sampled_from(["uniform-random", "adversarial-sign"]),
+    st.integers(0, 2**32 - 1))
+
+
+def _noise_specs(fractions, budget):
+    return [NoiseSpec(init, gj * budget["gamma_jitter"] / 2, bj * budget["beta_jitter"] / 2,
+                      gn * budget["grad_noise"], mode, seed)
+            for init, gj, bj, gn, mode, seed in fractions]
 
 
 def diag_quadratic_oracle(mu, L):
@@ -313,12 +364,61 @@ class TestPerturbedRun:
         assert res.residual_decay_rate == pytest.approx(iso.rho, abs=2e-2)
 
 
+class TestPerturbedRuns:
+    # Runs of up to two noise chunks and a bit cross both kinds of draw
+    # boundary: a full chunk and a short last one.
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.sampled_from([5, 7]), r=st.sampled_from([1, 3, 17]),
+           steps=st.integers(1, 2 * _DRAW_CHUNK + 16), data=st.data())
+    def test_batch_matches_sequential_oracle(self, k, r, steps, data):
+        fractions = data.draw(st.lists(_noise_fractions, min_size=r, max_size=r))
+        p, ce, budget = _member_setup(k)
+        noises = _noise_specs(fractions, budget)
+        batch = perturbed_runs(ce, _MEMBER_CLASS, p, k, noises, steps,
+                               strict=False, record=True)
+        _assert_matches_oracle(batch, noises, k, steps)
+
+    def test_rolling_state_gives_the_recorded_verdicts(self):
+        p, ce, budget = _member_setup(7)
+        noises = _noise_specs([(0.9, 1.0, 1.0, g, "uniform-random", s)
+                               for s, g in enumerate([0.5, 1.0, 200.0])], budget)
+        rolled = perturbed_runs(ce, _MEMBER_CLASS, p, 7, noises, 300, strict=False)
+        recorded = perturbed_runs(ce, _MEMBER_CLASS, p, 7, noises, 300,
+                                  strict=False, record=True)
+        assert rolled.iterates is None and rolled.params_used is None
+        assert np.array_equal(rolled.max_dev, recorded.max_dev)
+        assert rolled.stayed_in_tube.tolist() == [True, True, False]
+        cyc = rou_cycle(7).points
+        dev = np.linalg.norm(recorded.iterates - cyc[np.arange(302) % 7, None], axis=2)
+        assert np.array_equal(recorded.max_dev, dev.max(axis=0))
+
+    def test_strict_check_names_the_violating_spec(self):
+        p, ce, budget = _member_setup(7)
+        noises = [NoiseSpec(grad_noise=budget["grad_noise"]),
+                  NoiseSpec(grad_noise=budget["grad_noise"] * 3)]
+        with pytest.raises(ValueError, match="condition 3 violated: gradient noise "
+                                             + str(budget["grad_noise"] * 3)):
+            perturbed_runs(ce, _MEMBER_CLASS, p, 7, noises, 10)
+
+    def test_rejects_empty_runs(self):
+        p, ce, _ = _member_setup(7)
+        for steps in (0, -5):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                perturbed_run(ce, _MEMBER_CLASS, p, 7, NoiseSpec(), steps)
+        with pytest.raises(ValueError, match="at least one noise spec"):
+            perturbed_runs(ce, _MEMBER_CLASS, p, 7, [], 10)
+
+
 class TestNoiseSpec:
     def test_rejects_negative_bounds(self):
         with pytest.raises(ValueError):
             NoiseSpec(init_radius=-0.1)
         with pytest.raises(ValueError):
             NoiseSpec(grad_noise=-1e-9)
+        with pytest.raises(ValueError):
+            NoiseSpec(init_radius=math.nan)
+        with pytest.raises(ValueError):
+            NoiseSpec(grad_noise=math.nan)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
