@@ -191,6 +191,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _smooth_radius(text: str):
+    """'auto' or a positive finite support radius."""
+    if text == "auto":
+        return text
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _parse_noise(value: str, budget: float, flag: str) -> float:
     if value in ("within-thm53", "auto"):
         return budget
@@ -367,7 +377,7 @@ def _cmd_cycle_demo(args) -> int:
         cycle_pts = cyc.points
     else:
         if args.smooth:
-            eps = ce.r_max / 2.0 if args.smooth == "auto" else float(args.smooth)
+            eps = ce.r_max / 2.0 if args.smooth == "auto" else args.smooth
             sce = smooth_counterexample(ce, c, eps)
             fn = dilate(sce, scale) if scale != 1.0 else sce
             out["smooth_epsilon"] = eps
@@ -522,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--steps", type=_positive_int, default=10000)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--smooth", default=None,
+    sp.add_argument("--smooth", type=_smooth_radius, default=None,
                     help="mollifier support radius, or 'auto' for r_max/2")
     # Noise flags take a number; 'within-thm53'/'auto' selects the full
     # guaranteed-safe per-channel budget.

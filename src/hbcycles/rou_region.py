@@ -278,16 +278,29 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
 
     Case analysis over the K edges and K vertices (vertices arise from the
     clamped edge parameters); no iterative solver.  ``x`` has shape (n, 2).
+    Every intermediate is an (n, K) array of one coordinate.
     """
-    rel = x[:, None, :] - ce.hull[None, :, :]
-    cross = ce.edges[None, :, 0] * rel[:, :, 1] - ce.edges[None, :, 1] * rel[:, :, 0]
-    inside = np.all(cross >= 0.0, axis=1)
-    t = np.einsum("nkj,kj->nk", rel, ce.edges) / ce._edge_sq[None, :]
+    x0, x1 = x[:, 0:1], x[:, 1:2]
+    e0, e1 = ce.edges[:, 0], ce.edges[:, 1]
+    rel0 = x0 - ce.hull[:, 0]
+    rel1 = x1 - ce.hull[:, 1]
+    inside = (e0 * rel1 - e1 * rel0 >= 0.0).all(axis=1)
+    t = rel0 * e0
+    t += rel1 * e1
+    t /= ce._edge_sq
     np.clip(t, 0.0, 1.0, out=t)
-    cand = ce.hull[None, :, :] + t[:, :, None] * ce.edges[None, :, :]
-    d2 = np.einsum("nkj,nkj->nk", cand - x[:, None, :], cand - x[:, None, :])
-    proj = cand[np.arange(len(x)), np.argmin(d2, axis=1)]
-    proj[inside] = x[inside]
+    cand0 = t * e0
+    cand0 += ce.hull[:, 0]
+    cand1 = t * e1
+    cand1 += ce.hull[:, 1]
+    rel0 = cand0 - x0
+    rel1 = cand1 - x1
+    d2 = rel0 * rel0
+    d2 += rel1 * rel1
+    rows = np.arange(len(x))
+    best = d2.argmin(axis=1)
+    proj = np.stack([cand0[rows, best], cand1[rows, best]], axis=1)
+    np.copyto(proj, x, where=inside[:, None])
     return proj
 
 
@@ -331,6 +344,11 @@ class CounterexampleFunction:
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
         proj = polygon_project_batch(self.ce, x)
         return self.fclass.ell * x - (self.fclass.ell - self.fclass.mu) * (x - proj)
+
+    def value_batch(self, x: np.ndarray) -> np.ndarray:
+        gap = x - polygon_project_batch(self.ce, x)
+        return (0.5 * self.fclass.ell * np.einsum("ij,ij->i", x, x)
+                - 0.5 * (self.fclass.ell - self.fclass.mu) * np.einsum("ij,ij->i", gap, gap))
 
 
 def incompatibility_scan(c: FunctionClass, big_c: float,

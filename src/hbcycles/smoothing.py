@@ -3,14 +3,20 @@
 Convolving the piecewise-quadratic counterexample with a compactly
 supported bump density keeps it in the smooth strongly convex class, makes
 it C-infinity with a finite Hessian-Lipschitz constant, and (because the
-gradient is linear on the support balls around the cycle points) leaves the
+gradient is affine on the support balls around the cycle points) leaves the
 gradients on the cycle untouched, so the cycle survives.  Dilating by
 lambda scales the cycle by lambda and divides every derivative of order
 r >= 3 by lambda^{r-2}, defeating any prescribed Hessian-Lipschitz bound.
 
-Quadrature is a fixed polar tensor grid (Gauss-Legendre radial, uniform
-angular), chosen over adaptive schemes for determinism; the integrand is
-smooth with compact support, so the fixed grid converges fast.
+The smoothed gradient uses the same fact wherever it holds.  The base
+gradient L x - (L - mu)(x - proj x) is affine on each feature cell of the
+polygon projection (the interior, the K edge slabs and the K vertex
+wedges), and the density has unit mass and zero mean, so when the support
+ball lies inside one cell the smoothed gradient is the base gradient,
+exactly.  Only balls that reach a cell boundary are integrated, on a fixed
+polar tensor grid (Gauss-Legendre radial, uniform angular), chosen over
+adaptive schemes for determinism; the integrand is smooth with compact
+support, so the fixed grid converges fast.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from .rou_region import (
     rou_cycle,
     rou_member,
 )
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadraturePrecisionWarning(UserWarning):
@@ -67,8 +76,8 @@ class Mollifier:
 
 
 def make_mollifier(epsilon: float) -> Mollifier:
-    if epsilon <= 0.0:
-        raise ValueError(f"support radius must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"support radius must be positive and finite, got {epsilon}")
     return Mollifier(epsilon, UNIT_BUMP_MASS)
 
 
@@ -103,13 +112,13 @@ def smooth_counterexample(ce: CounterExample, c: FunctionClass, epsilon: float,
 
     The radius cap keeps every support ball inside the locally quadratic
     neighborhood of its cycle point, which is what preserves the cycle.
+    Raises ValueError for a radius that is not positive and finite, that
+    exceeds r_max, or that leaves the quadrature weights non-finite.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"support radius must be positive, got {epsilon}")
+    moll = make_mollifier(epsilon)
     if epsilon > ce.r_max:
         raise ValueError(
             f"support radius {epsilon} exceeds the safety radius {ce.r_max}")
-    moll = make_mollifier(epsilon)
 
     x, w = leggauss(n_radial)
     radii = 0.5 * (x + 1.0) * epsilon
@@ -120,20 +129,45 @@ def smooth_counterexample(ce: CounterExample, c: FunctionClass, epsilon: float,
     r_grid, a_grid = np.meshgrid(radii, angles, indexing="ij")
     nodes = np.stack([(r_grid * np.cos(a_grid)).ravel(),
                       (r_grid * np.sin(a_grid)).ravel()], axis=1)
-    dens = moll.density(nodes)
-    weights = dens * (r_grid * w_rad[:, None]).ravel() * w_ang
-    mass_defect = float(abs(weights.sum() - 1.0))
+    # A radius whose square underflows makes the density normalizer zero;
+    # any non-finite weight makes the defect non-finite, which is rejected.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dens = moll.density(nodes)
+        weights = dens * (r_grid * w_rad[:, None]).ravel() * w_ang
+        mass_defect = float(abs(weights.sum() - 1.0))
+    if not math.isfinite(mass_defect):
+        raise ValueError(f"quadrature weights are not finite at support radius {epsilon}")
     return SmoothedCounterExample(ce, c, moll, n_radial, n_angular,
                                   nodes, weights, mass_defect)
 
 
-def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
-    """Gradient of the mollified counterexample by quadrature.
+def _cell_margin(ce: CounterExample, x: np.ndarray) -> float:
+    """Distance from ``x`` to the boundary of its projection feature cell.
 
-    Computes integral of grad(x - y) * density(y) over the support ball; on
-    the cycle points this reproduces the base gradient exactly up to the
-    quadrature mass defect (the base gradient is linear on the support
-    ball and the density has zero mean).
+    Each cell is an intersection of half-planes, so the distance is the
+    least signed distance to its bounding lines: the K edge lines for the
+    interior; edge line t (from outside) and the normals at its two ends
+    for edge slab t; the two normals at vertex t for vertex wedge t.  Only
+    the cell holding ``x`` scores positive, so the maximum over all cells
+    is its margin (zero or below on a boundary).
+    """
+    length = np.sqrt(ce._edge_sq)
+    rel = x - ce.hull
+    inward = (ce.edges[:, 0] * rel[:, 1] - ce.edges[:, 1] * rel[:, 0]) / length
+    along = np.einsum("kj,kj->k", rel, ce.edges) / length  # past the start normal
+    before_end = length - along
+    slab = np.minimum(np.minimum(-inward, along), before_end)
+    wedge = np.minimum(-np.roll(before_end, 1), -along)
+    return float(max(inward.min(), slab.max(), wedge.max()))
+
+
+def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
+    """Gradient of the mollified counterexample: integral of grad(x - y) density(y).
+
+    When the support ball B(x, epsilon) lies inside one projection feature
+    cell, with a rounding slack, this is the base gradient at ``x``
+    exactly (affine integrand, unit-mass zero-mean density).  Otherwise it
+    is the polar quadrature, accurate to about the mass defect.
     """
     if sce.mass_defect > 1e-6:
         warnings.warn(
@@ -141,25 +175,33 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
             "increase the node counts", QuadraturePrecisionWarning, stacklevel=2)
     x = np.asarray(x, dtype=float)
     fn = CounterexampleFunction(sce.base, sce.fclass)
-    grads = fn.grad_batch(x[None, :] - sce.nodes)
-    return sce.weights @ grads
+    # Covers the rounding of the margin, which is of order eps times the
+    # size of x and of the polygon.
+    slack = 64.0 * _EPS * (np.linalg.norm(x) + np.linalg.norm(sce.base.hull, axis=1).max())
+    if _cell_margin(sce.base, x) > sce.moll.epsilon + slack:
+        return fn.grad(x)
+    return sce.weights @ fn.grad_batch(x[None, :] - sce.nodes)
 
 
 def smoothed_value(sce: SmoothedCounterExample, x) -> float:
-    """Value of the mollified counterexample by the same quadrature."""
+    """Value of the mollified counterexample by the same quadrature.
+
+    No exact branch: the kernel's second moment shifts the value even
+    where the base function is quadratic on the whole support ball.
+    """
     x = np.asarray(x, dtype=float)
-    pts = x[None, :] - sce.nodes
     fn = CounterexampleFunction(sce.base, sce.fclass)
-    values = np.array([fn.value(pt) for pt in pts])
-    return float(sce.weights @ values)
+    return float(sce.weights @ fn.value_batch(x[None, :] - sce.nodes))
 
 
 def cycle_check_smoothed(sce: SmoothedCounterExample, p: HbParams, k: int,
                          steps: int) -> float:
     """Max deviation from the cycle when iterating on the smoothed gradient.
 
-    The deviation is pure quadrature noise (the smoothed and base gradients
-    coincide on the cycle), reported rather than hidden.  Requires an
+    The smoothed and base gradients coincide on the cycle, and there the
+    gradient takes the exact branch unless epsilon is within rounding of
+    r_max, so the deviation is rounding (else quadrature) noise, reported
+    rather than hidden.  Requires an
     interior member point (positive safety radius).
     """
     if not rou_member(p, sce.fclass, k) or sce.base.r_max <= 0.0:
@@ -196,8 +238,8 @@ def dilate(f, scale: float) -> DilatedFunction:
     If heavy ball cycles on f over a point set, it cycles on the dilation
     over the scaled set (from scaled starting points).
     """
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     return DilatedFunction(f.value, f.grad, scale)
 
 
@@ -207,16 +249,18 @@ def third_derivative_estimate(grad_fn, points, h: float = 0.05,
 
     Central second differences of the gradient along a fan of directions at
     each sample point; the maximum norm over samples divided by h is an
-    empirical estimate, never claimed as the exact constant.
+    empirical estimate, never claimed as the exact constant.  The centre
+    gradient is evaluated once per point.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     best = 0.0
     for x in points:
+        twice_centre = 2.0 * np.asarray(grad_fn(x))
         for j in range(directions):
             angle = math.pi * j / directions
             u = np.array([math.cos(angle), math.sin(angle)])
             second = (np.asarray(grad_fn(x + h * u))
-                      - 2.0 * np.asarray(grad_fn(x))
+                      - twice_centre
                       + np.asarray(grad_fn(x - h * u))) / (h * h)
             best = max(best, float(np.linalg.norm(second)))
     return best

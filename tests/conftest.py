@@ -3,7 +3,9 @@
 The brute-force rate oracle evaluates the spectral radius of the 2x2
 companion matrix over a lambda grid and is kept independent of the
 closed-form implementation it checks.  The sequential perturbed run is
-the one-point-per-step loop that the batched tube engine must reproduce.
+the one-point-per-step loop that the batched tube engine must reproduce,
+and the (n, K, 2) projection kernel is the one the per-coordinate kernel
+must reproduce bit for bit.
 """
 
 import math
@@ -13,7 +15,7 @@ import pytest
 
 from hbcycles.hb_engine import noise_budget
 from hbcycles.quad_rates import FunctionClass, HbParams
-from hbcycles.rou_region import CounterexampleFunction, rou_cycle
+from hbcycles.rou_region import CounterexampleFunction, polygon_project, rou_cycle
 
 
 def companion_spectral_radius(gamma, beta, lam):
@@ -124,3 +126,37 @@ def sequential_perturbed_run(ce, c, p, k, noise, steps):
     max_dev = float(np.max(np.linalg.norm(
         zs - cyc.points[np.arange(steps + 2) % k], axis=1)))
     return zs, params, max_dev, max_dev <= ce.r_max * (1.0 + 1e-12)
+
+
+def projection_case(ce, x):
+    """Which smooth piece a point belongs to: ('in',), ('v', t) or ('e', t)."""
+    proj = polygon_project(ce, x)
+    if np.allclose(proj, x, atol=1e-13):
+        return ("in",)
+    d_vertex = np.linalg.norm(ce.hull - proj, axis=1)
+    t = int(np.argmin(d_vertex))
+    if d_vertex[t] <= 1e-12:
+        return ("v", t)
+    along = ce.hull[(np.arange(len(ce.hull)) + 1) % len(ce.hull)] - ce.hull
+    rel = proj - ce.hull
+    s = np.einsum("ij,ij->i", rel, along) / np.einsum("ij,ij->i", along, along)
+    inside = (s > 0) & (s < 1) & (np.linalg.norm(rel - s[:, None] * along, axis=1) < 1e-10)
+    return ("e", int(np.argmax(inside)))
+
+
+def stacked_polygon_project_batch(ce, x):
+    """Closest points on the polygon from (n, K, 2) temporaries.
+
+    The projection kernel as first written; ``polygon_project_batch`` keeps
+    its candidate, distance, argmin and inside expressions.
+    """
+    rel = x[:, None, :] - ce.hull[None, :, :]
+    cross = ce.edges[None, :, 0] * rel[:, :, 1] - ce.edges[None, :, 1] * rel[:, :, 0]
+    inside = np.all(cross >= 0.0, axis=1)
+    t = np.einsum("nkj,kj->nk", rel, ce.edges) / ce._edge_sq[None, :]
+    np.clip(t, 0.0, 1.0, out=t)
+    cand = ce.hull[None, :, :] + t[:, :, None] * ce.edges[None, :, :]
+    d2 = np.einsum("nkj,nkj->nk", cand - x[:, None, :], cand - x[:, None, :])
+    proj = cand[np.arange(len(x)), np.argmin(d2, axis=1)]
+    proj[inside] = x[inside]
+    return proj

@@ -39,7 +39,7 @@ from hbcycles.rou_region import (
     rou_cycle,
 )
 from hbcycles.smoothing import smooth_counterexample, smoothed_grad, dilate
-from conftest import brute_force_rate_grid, central_difference_grad
+from conftest import brute_force_rate_grid, central_difference_grad, projection_case
 
 FIG4_CLASS = FunctionClass(0.005, 1.0)
 FIG4_PARAMS = HbParams(3.5, 0.75)
@@ -110,8 +110,6 @@ def test_criterion_03_cycle_exactness():
 def test_criterion_04_gradient_correctness():
     ce = build_counterexample(FIG4_PARAMS, FIG4_CLASS, FIG4_K)
     fn = CounterexampleFunction(ce, FIG4_CLASS)
-    from test_rou_region import _projection_case
-
     rng = np.random.default_rng(2024)
     band = 1e-4
     worst = 0.0
@@ -120,7 +118,7 @@ def test_criterion_04_gradient_correctness():
         x = rng.uniform(-1.6, 1.6, size=2)
         corners = [x + np.array([sx * band, sy * band])
                    for sx in (-1, 1) for sy in (-1, 1)]
-        if len({_projection_case(ce, y) for y in corners}) != 1:
+        if len({projection_case(ce, y) for y in corners}) != 1:
             continue
         grad = fn.grad(x)
         fd = central_difference_grad(fn.value, x, h=1e-6)

@@ -8,7 +8,7 @@ import hbcycles.cycle_lp as cycle_lp
 from hbcycles.cli import main, render_svg
 from hbcycles.hb_engine import NoiseSpec, noise_budget
 from hbcycles.quad_rates import FunctionClass, HbParams
-from hbcycles.rou_region import build_counterexample
+from hbcycles.rou_region import CounterexampleFunction, build_counterexample
 
 from conftest import sequential_perturbed_run
 
@@ -189,6 +189,36 @@ class TestCycleDemo:
         payload = json.loads(out)
         assert payload["verdict"] == "cycles"
         assert payload["tau_estimate"] > 0
+
+    def test_smooth_run_integrates_only_at_cell_boundaries(self, capsys, monkeypatch):
+        # Every step's support ball lies in one feature cell, so only the
+        # tau stencil around the edge midpoint (9 gradients) integrates.
+        calls = []
+        quadrature = CounterexampleFunction.grad_batch
+        monkeypatch.setattr(CounterexampleFunction, "grad_batch",
+                            lambda fn, x: calls.append(len(x)) or quadrature(fn, x))
+        code, out, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "500",
+                               "--smooth", "auto")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "cycles"
+        assert len(calls) <= 20
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "abc", "0", "-0.01"])
+    def test_bad_smooth_token_is_usage_error(self, capsys, token):
+        with pytest.raises(SystemExit) as err:
+            main(["cycle-demo", *_TUBE_POINT, "--steps", "50", "--smooth", token])
+        assert err.value.code == 2
+        assert "argument --smooth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--smooth", "1e-300"), "quadrature weights are not finite"),
+        (("--smooth", "auto", "--lambda", "nan"), "scale must be positive and finite"),
+        (("--smooth", "auto", "--lambda", "inf"), "scale must be positive and finite"),
+        (("--lambda", "nan"), "scale must be positive and finite")])
+    def test_non_finite_smoothing_is_an_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "50", *argv)
+        assert code == 3 and out == ""
+        assert message in err
 
 
 class TestOthers:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbcycles.quad_rates import FunctionClass, HbParams
 from hbcycles.rou_region import (
@@ -14,6 +16,7 @@ from hbcycles.rou_region import (
     member_any_grid,
     membership_polynomial,
     polygon_project,
+    polygon_project_batch,
     polynomial_value,
     rou_cycle,
     rou_member,
@@ -21,7 +24,7 @@ from hbcycles.rou_region import (
     rou_member_any_lower_only,
 )
 from hbcycles.quad_rates import ghadimi_beta_bound
-from conftest import central_difference_grad
+from conftest import central_difference_grad, projection_case, stacked_polygon_project_batch
 
 
 class TestRouCycle:
@@ -236,21 +239,38 @@ class TestProjection:
             x = centroid + t * (ce.hull[0] - centroid) * 0.999
             assert np.allclose(polygon_project(ce, x), x, atol=1e-14)
 
+    @pytest.mark.parametrize("member", [(3.3, 0.75, 7), (2.2, 0.7, 5)])
+    def test_kernel_matches_stacked_oracle_bit_for_bit(self, member):
+        # The quadrature nodes around a cycle point, a Gaussian cloud, a
+        # 1e-3 cloud at a vertex and a tube-sized batch.
+        c = FunctionClass(0.005, 1.0)
+        ce = build_counterexample(HbParams(member[0], member[1]), c, member[2])
+        rng = np.random.default_rng(11)
+        radii = np.repeat(np.linspace(0.0, ce.r_max / 2, 64), 64)
+        angles = np.tile(np.linspace(0.0, 2 * math.pi, 64, endpoint=False), 64)
+        nodes = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+        for x in (rou_cycle(member[2]).points[1] - nodes, rng.normal(size=(20000, 2)),
+                  ce.hull[2] + 1e-3 * rng.normal(size=(2000, 2)), rng.normal(size=(100, 2))):
+            assert polygon_project_batch(ce, x).tobytes() == \
+                stacked_polygon_project_batch(ce, x).tobytes()
 
-def _projection_case(ce, x):
-    """Which smooth piece a point belongs to: ('in',), ('v', t) or ('e', t)."""
-    proj = polygon_project(ce, x)
-    if np.allclose(proj, x, atol=1e-13):
-        return ("in",)
-    d_vertex = np.linalg.norm(ce.hull - proj, axis=1)
-    t = int(np.argmin(d_vertex))
-    if d_vertex[t] <= 1e-12:
-        return ("v", t)
-    along = ce.hull[(np.arange(len(ce.hull)) + 1) % len(ce.hull)] - ce.hull
-    rel = proj - ce.hull
-    s = np.einsum("ij,ij->i", rel, along) / np.einsum("ij,ij->i", along, along)
-    inside = (s > 0) & (s < 1) & (np.linalg.norm(rel - s[:, None] * along, axis=1) < 1e-10)
-    return ("e", int(np.argmax(inside)))
+    @settings(max_examples=150, deadline=None)
+    @given(member=st.sampled_from([(3.3, 0.75, 7), (3.5, 0.9, 10), (2.2, 0.7, 5)]),
+           free=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=30),
+           on_edges=st.lists(st.tuples(st.integers(0, 9), st.floats(0, 1)), max_size=30),
+           scale=st.sampled_from([1.0, 1e-3, 1e-9]), centre=st.integers(0, 9))
+    def test_kernel_matches_stacked_oracle_on_edges_and_vertices(
+            self, member, free, on_edges, scale, centre):
+        # Free points (clouds around a vertex when scaled down), points on
+        # the edges, and the vertices themselves (edge parameter 0).
+        c = FunctionClass(0.005, 1.0)
+        ce = build_counterexample(HbParams(member[0], member[1]), c, member[2])
+        k = member[2]
+        pts = [ce.hull[centre % k] + scale * np.array(xy) for xy in free]
+        pts += [ce.hull[t % k] + s * ce.edges[t % k] for t, s in on_edges]
+        x = np.array(pts + list(ce.hull), dtype=float).reshape(-1, 2)
+        assert polygon_project_batch(ce, x).tobytes() == \
+            stacked_polygon_project_batch(ce, x).tobytes()
 
 
 class TestCounterexampleFunction:
@@ -283,7 +303,7 @@ class TestCounterexampleFunction:
             x = rng.uniform(-1.6, 1.6, size=2)
             corners = [x + np.array([sx * band, sy * band])
                        for sx in (-1, 1) for sy in (-1, 1)]
-            cases = {_projection_case(ce, y) for y in corners}
+            cases = {projection_case(ce, y) for y in corners}
             if len(cases) != 1:
                 continue
             grad = fn.grad(x)

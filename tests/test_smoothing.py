@@ -1,14 +1,19 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbcycles.hb_engine import run
 from hbcycles.quad_rates import FunctionClass, HbParams
-from hbcycles.rou_region import CounterexampleFunction, rou_cycle
+from hbcycles.rou_region import CounterexampleFunction, build_counterexample, rou_cycle
 from hbcycles.smoothing import (
     DilatedFunction,
     QuadraturePrecisionWarning,
+    _cell_margin,
     cycle_check_smoothed,
     dilate,
     make_mollifier,
@@ -17,6 +22,54 @@ from hbcycles.smoothing import (
     smoothed_value,
     third_derivative_estimate,
 )
+from conftest import projection_case
+
+# The README point and two more members: at (3.5, 0.9, 10) the edge slabs
+# are too narrow for any support ball, at (2.2, 0.7, 5) every cell kind
+# holds some.
+_MEMBERS = [(3.3, 0.75, 7), (3.5, 0.9, 10), (2.2, 0.7, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _member(gamma, beta, k):
+    """Class, counterexample and its mollification at r_max / 2."""
+    c = FunctionClass(0.005, 1.0)
+    ce = build_counterexample(HbParams(gamma, beta), c, k)
+    return c, ce, smooth_counterexample(ce, c, ce.r_max / 2)
+
+
+def _outward_normals(ce):
+    return np.stack([ce.edges[:, 1], -ce.edges[:, 0]], axis=1) / np.sqrt(ce._edge_sq)[:, None]
+
+
+def _slack(ce, x):
+    """The rounding slack the exact branch adds to the support radius."""
+    eps = np.finfo(float).eps
+    return 64.0 * eps * (np.linalg.norm(x) + np.linalg.norm(ce.hull, axis=1).max())
+
+
+def _forced_quadrature(sce, x):
+    fn = CounterexampleFunction(sce.base, sce.fclass)
+    return sce.weights @ fn.grad_batch(x[None, :] - sce.nodes)
+
+
+@st.composite
+def _cell_points(draw):
+    """A member and a point in its interior, an edge slab or a vertex wedge."""
+    member = draw(st.sampled_from(_MEMBERS))
+    _, ce, _ = _member(*member)
+    t = draw(st.integers(0, ce.k - 1))
+    unit, depth = st.floats(0.0, 1.0), st.floats(0.0, 0.3)
+    normals = _outward_normals(ce)
+    kind = draw(st.sampled_from(["interior", "edge", "vertex"]))
+    if kind == "interior":
+        centroid = ce.hull.mean(axis=0)
+        x = centroid + draw(unit) * (ce.hull[t] + draw(unit) * ce.edges[t] - centroid)
+    elif kind == "edge":
+        x = ce.hull[t] + draw(unit) * ce.edges[t] + draw(depth) * normals[t]
+    else:
+        x = ce.hull[t] + draw(depth) * normals[t - 1] + draw(depth) * normals[t]
+    return member, x
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +99,23 @@ class TestMollifier:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             make_mollifier(0.0)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_rejects_non_finite_or_negative_radius(self, epsilon):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_mollifier(epsilon)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_smoothing_rejects_non_finite_radius(self, interior_setup, epsilon):
+        _, c, ce = interior_setup
+        with pytest.raises(ValueError, match="positive and finite"):
+            smooth_counterexample(ce, c, epsilon)
+
+    def test_smoothing_rejects_underflowing_radius(self, interior_setup):
+        # epsilon^2 underflows, so the density normalizer is zero.
+        _, c, ce = interior_setup
+        with pytest.raises(ValueError, match="not finite"):
+            smooth_counterexample(ce, c, 1e-300)
 
 
 class TestSmoothedGradient:
@@ -89,6 +159,13 @@ class TestSmoothedGradient:
         with pytest.warns(QuadraturePrecisionWarning):
             smoothed_grad(sce, np.array([1.0, 0.0]))
 
+    def test_value_matches_pointwise_quadrature(self, smoothed):
+        p, c, ce, sce = smoothed
+        fn = CounterexampleFunction(ce, c)
+        for x in (np.array([0.3, -0.8]), rou_cycle(7).points[2], 0.5 * ce.hull[4]):
+            pointwise = float(sce.weights @ np.array([fn.value(y) for y in x - sce.nodes]))
+            assert smoothed_value(sce, x) == pytest.approx(pointwise, rel=1e-15, abs=1e-15)
+
     def test_value_quadrature_matches_quadratic_region(self, smoothed):
         # Deep inside the hull the function is L||x||^2/2 plus the kernel's
         # (constant) second moment; differences of values are exact there.
@@ -99,6 +176,71 @@ class TestSmoothedGradient:
         direct = 0.5 * c.ell * (x @ x - y @ y)
         assert smoothed_value(sce, x) - smoothed_value(sce, y) == pytest.approx(
             direct, abs=1e-8)
+
+
+class TestExactBranch:
+    @settings(max_examples=200, deadline=None)
+    @given(_cell_points())
+    def test_cell_margin_is_the_distance_to_the_cell_boundary(self, case):
+        # Probes inside the ball of radius margin stay in the point's
+        # smooth piece; probes just past it leave it.  Margins below 1e-3
+        # are only checked for sign: the piece oracle has 1e-5 tolerances.
+        member, x = case
+        _, ce, _ = _member(*member)
+        margin = _cell_margin(ce, x)
+        assert margin >= -1e-15
+        if margin < 1e-3:
+            return
+        home = projection_case(ce, x)
+        angles = 2.0 * math.pi * np.arange(64) / 64
+        ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        assert all(projection_case(ce, x + 0.9 * margin * u) == home for u in ring)
+        assert any(projection_case(ce, x + 1.1 * margin * u) != home for u in ring)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cell_points())
+    def test_exact_branch_matches_forced_quadrature(self, case):
+        member, x = case
+        c, ce, sce = _member(*member)
+        quadrature = _forced_quadrature(sce, x)
+        exact = _cell_margin(ce, x) > sce.moll.epsilon + _slack(ce, x)
+        with mock.patch.object(CounterexampleFunction, "grad_batch", autospec=True,
+                               side_effect=CounterexampleFunction.grad_batch) as spy:
+            grad = smoothed_grad(sce, x)
+        if exact:
+            # Relative to the integrand's size on the support ball.
+            scale = c.ell * (np.linalg.norm(x) + sce.moll.epsilon)
+            assert spy.call_count == 0
+            assert np.linalg.norm(grad - quadrature) <= 1e-12 * scale
+        else:
+            assert spy.call_count == 1
+            assert np.array_equal(grad, quadrature)
+
+    @settings(max_examples=100, deadline=None)
+    @given(member=st.sampled_from(_MEMBERS), t=st.integers(0, 9),
+           u=st.floats(0.25, 0.75), f=st.floats(-1.0, 0.5), outside=st.booleans())
+    def test_balls_within_the_slack_of_a_boundary_take_quadrature(
+            self, member, t, u, f, outside):
+        # The ball reaches to within the slack of edge line t, from either side.
+        _, ce, sce = _member(*member)
+        t %= ce.k
+        foot = ce.hull[t] + u * ce.edges[t]
+        offset = sce.moll.epsilon + f * _slack(ce, foot)
+        x = foot + (1.0 if outside else -1.0) * offset * _outward_normals(ce)[t]
+        with mock.patch.object(CounterexampleFunction, "grad_batch", autospec=True,
+                               side_effect=CounterexampleFunction.grad_batch) as spy:
+            grad = smoothed_grad(sce, x)
+        assert spy.call_count == 1
+        assert np.array_equal(grad, _forced_quadrature(sce, x))
+
+    def test_coarse_quadrature_warns_on_the_exact_branch(self, interior_setup):
+        p, c, ce = interior_setup
+        sce = smooth_counterexample(ce, c, ce.r_max / 2, n_radial=2, n_angular=3)
+        x = rou_cycle(7).points[0]
+        assert _cell_margin(ce, x) > 1.5 * sce.moll.epsilon
+        with pytest.warns(QuadraturePrecisionWarning):
+            grad = smoothed_grad(sce, x)
+        assert np.array_equal(grad, CounterexampleFunction(ce, c).grad(x))
 
 
 class TestSmoothedCycle:
@@ -174,6 +316,32 @@ class TestDilation:
             dilate(sce, 0.0)
         with pytest.raises(ValueError):
             dilate(sce, -2.0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_rejects_non_finite_scale(self, smoothed, scale):
+        *_, sce = smoothed
+        with pytest.raises(ValueError, match="positive and finite"):
+            dilate(sce, scale)
+
+    def test_third_derivative_evaluates_the_centre_once(self, smoothed):
+        # 1 + 2 * directions gradients per point, and the same estimate as
+        # the stencil that re-evaluates the centre for every direction.
+        p, c, ce, sce = smoothed
+        points = np.stack([0.5 * (ce.hull[0] + ce.hull[1]), rou_cycle(7).points[3]])
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return sce.grad(x)
+
+        h = 0.05
+        tau = third_derivative_estimate(counted, points, h=h)
+        assert len(calls) == 2 * (1 + 2 * 8)
+        seconds = [(sce.grad(x + h * u) - 2.0 * sce.grad(x) + sce.grad(x - h * u)) / (h * h)
+                   for x in points
+                   for u in (np.array([math.cos(math.pi * j / 8), math.sin(math.pi * j / 8)])
+                             for j in range(8))]
+        assert tau == max(float(np.linalg.norm(s)) for s in seconds)
 
     def test_works_on_plain_counterexample(self, interior_setup):
         p, c, ce = interior_setup
