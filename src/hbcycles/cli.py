@@ -20,6 +20,9 @@ import numpy as np
 
 from . import __version__
 from .cycle_lp import (
+    CONVERGENCE_EDGE_SLACK,
+    FEASIBILITY_TOL,
+    INDETERMINATE_TOL,
     cycle_gradients,
     interpolation_residuals,
     lp_check,
@@ -298,33 +301,46 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _lp_region_cell(task):
+def _lp_region_cell(task, duals=None):
+    """Row of one lp-region cell; ``duals`` is the dual store ``lp_margin``
+    screens with (it changes which periods are solved, never the row)."""
     gamma, beta, mu, ell, k_max = task
     c = FunctionClass(mu, ell)
-    in_cv = 0.0 < gamma <= 2.0 * (1.0 + beta) / ell + 1e-12 and 0.0 <= beta < 1.0
+    in_cv = (0.0 < gamma <= 2.0 * (1.0 + beta) / ell + CONVERGENCE_EDGE_SLACK
+             and 0.0 <= beta < 1.0)
     if not in_cv:
         return (gamma, beta, math.nan, "none")
     p = HbParams(gamma, beta)
     best = math.inf
     for k in range(3, k_max + 1):
-        margin = lp_margin(p, c, k)
+        margin = lp_margin(p, c, k, duals)
         best = min(best, margin)
-        if margin <= 1e-9:
+        if margin <= FEASIBILITY_TOL:
             return (gamma, beta, k, "member")
-    if best <= 1e-8:
+    if best <= INDETERMINATE_TOL:
         return (gamma, beta, math.nan, "indeterminate")
     return (gamma, beta, math.nan, "none")
 
 
+def _lp_region_chunk(tasks):
+    # One dual store per chunk of neighbouring cells, created here: nothing
+    # carries over between chunks, sweeps or worker processes.
+    duals = {}
+    return [_lp_region_cell(task, duals) for task in tasks]
+
+
 def _lp_region_rows(g, b, c, k_max, workers=1):
-    # Cells are independent LP solves; the pool map preserves cell order, so
-    # the emitted rows are identical at any worker count.
+    # The pool maps over contiguous chunks and preserves their order; since
+    # screening never changes a row, the rows are identical at any worker
+    # count.  Four chunks per worker balance the load.
     tasks = [(float(g[i, j]), float(b[i, j]), c.mu, c.ell, k_max)
              for i in range(g.shape[0]) for j in range(g.shape[1])]
     if workers <= 1:
-        return [_lp_region_cell(task) for task in tasks]
+        return _lp_region_chunk(tasks)
+    size = -(-len(tasks) // (4 * workers))
+    chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_lp_region_cell, tasks, chunksize=32))
+        return [row for rows in pool.map(_lp_region_chunk, chunks) for row in rows]
 
 
 def _cmd_cycle_demo(args) -> int:

@@ -11,12 +11,26 @@ linear program in the nonnegative harmonic weights.  Feasible weights
 reconstruct an explicit symmetric cycle in dimension K-1.
 
 The lift matrices are derived programmatically from the gradient stencil
-(transcribing closed-form entries would invite errors) and validated at
-construction time against a direct vector-space evaluation.
+(transcribing closed-form entries would invite errors).  Every call checks
+them against a direct vector-space evaluation on a fixed random point
+sequence; those points, their centred Gram matrix and the cosine and lag
+tables of the harmonic blocks depend on the period alone and are computed
+once per period.
+
+Weak duality makes non-existence cheap to prove: any row weighting y >= 0
+gives t* >= min_ell (y^T P)_ell / sum(y).  ``lp_margin`` with a dual store
+first tries the last optimal dual at the same period; when that bound, less
+its rounding error, clears ``INDETERMINATE_TOL`` the solve is skipped.
+
+The tolerances of the cycle tests live here: a margin at most
+``FEASIBILITY_TOL`` is a cycle, one at most ``INDETERMINATE_TOL`` is too
+close to call, and ``CONVERGENCE_EDGE_SLACK`` keeps the step-size edge
+gamma = 2(1+beta)/L inside the region.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +40,16 @@ from .quad_rates import FunctionClass, HbParams
 from .simplex import solve_canonical
 
 FEASIBILITY_TOL = 1e-9
+INDETERMINATE_TOL = 1e-8
+CONVERGENCE_EDGE_SLACK = 1e-12
+# A screened bound must clear INDETERMINATE_TOL by this much times the LP
+# scale max(1, max|P|), which absorbs the few roundings of the bound that
+# its gamma_n term leaves out (see dual_lower_bound).  So the exact t* of P
+# is above INDETERMINATE_TOL whenever the screen skips a solve.  The simplex
+# reports t* only up to its own tolerances; that a skipped solve would have
+# reported a margin on the same side is checked on the sweep grids, not proven.
+SCREEN_SLACK = 1e-10
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def cycle_gradients(points: np.ndarray, p: HbParams) -> np.ndarray:
@@ -39,8 +63,9 @@ def cycle_gradients(points: np.ndarray, p: HbParams) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    ahead = np.roll(pts, -1, axis=0)
-    behind = np.roll(pts, 1, axis=0)
+    idx = np.arange(len(pts))
+    ahead = pts[(idx + 1) % len(pts)]
+    behind = pts[idx - 1]
     return ((1.0 + p.beta) * pts - ahead - p.beta * behind) / p.gamma
 
 
@@ -100,12 +125,26 @@ def _gradient_stencils(k: int, p: HbParams) -> np.ndarray:
     return u0[(idx[None, :] - idx[:, None]) % k]
 
 
+@functools.lru_cache(maxsize=None)
+def _self_test_points(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lift self-test's seed-12345 points (K, 3) and their centred Gram
+    matrix; read-only, as the cache hands them to every caller."""
+    rng = np.random.default_rng(12345)
+    pts = rng.normal(size=(k, 3))
+    centered = pts - pts.mean(axis=0)
+    gram = centered @ centered.T
+    pts.setflags(write=False)
+    gram.setflags(write=False)
+    return pts, gram
+
+
 def lift_matrices(p: HbParams, c: FunctionClass, k: int) -> list[LiftMatrix]:
     """Matrices M_{i,0} with <G, M_{i,0}> = interpolation RHS at zero values.
 
-    ``G`` is the Gram matrix of the (centered) cycle points.  A mandatory
-    construction-time self-test checks every matrix against the direct
-    vector-space evaluation on a fixed random point sequence.
+    ``G`` is the Gram matrix of the (centered) cycle points.  Every call
+    runs a mandatory self-test that checks every matrix against the direct
+    vector-space evaluation on a fixed random point sequence (drawn once per
+    period).
     """
     if p.gamma == 0.0:
         raise ZeroDivisionError("gamma must be nonzero")
@@ -128,10 +167,7 @@ def lift_matrices(p: HbParams, c: FunctionClass, k: int) -> list[LiftMatrix]:
     coef[0, 1] = coef[1, 0] = 0.5
     lifts = np.swapaxes(y, 1, 2) @ (coef @ y)
 
-    rng = np.random.default_rng(12345)
-    pts = rng.normal(size=(k, 3))
-    centered = pts - pts.mean(axis=0)
-    gram = centered @ centered.T
+    pts, gram = _self_test_points(k)
     lifted = np.einsum("ijk,jk->i", lifts, gram)
     direct = interpolation_residuals(pts, cycle_gradients(pts, p), np.zeros(k), c)[1:, 0]
     bad = np.abs(lifted - direct) > 1e-8 * np.maximum(1.0, np.abs(direct))
@@ -254,18 +290,65 @@ class CycleCertificate:
     margin: float       # minimized constraint margin t* (<= tolerance)
 
 
+@functools.lru_cache(maxsize=None)
+def _lag_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entry (ell, d) cos(2 pi ell d / K), the value of H_ell at lag d, and
+    the lag |a-b| of every entry (a, b) of a K x K matrix; read-only, as the
+    cache hands them to every caller (about 12 K^2 bytes per period)."""
+    idx = np.arange(k)
+    lags = np.abs(idx[:, None] - idx[None, :]).ravel()
+    table = np.cos(2.0 * np.pi * np.arange(1, k // 2 + 1)[:, None] * idx / k)
+    lags.setflags(write=False)
+    table.setflags(write=False)
+    return table, lags
+
+
 def build_lp_matrix(p: HbParams, c: FunctionClass, k: int) -> np.ndarray:
     """Constraint matrix P with entries <M_{i,0}, H_ell>."""
     lifts = np.stack([lm.m for lm in lift_matrices(p, c, k)])
-    idx = np.arange(k)
-    lags = np.abs(idx[:, None] - idx[None, :]).ravel()
-    # Entry (ell, d): cos(2 pi ell d / k), the value of H_ell at lag d.
-    table = np.cos(2.0 * np.pi * np.arange(1, k // 2 + 1)[:, None] * idx / k)
+    table, lags = _lag_table(k)
     return lifts.reshape(k - 1, k * k) @ table[:, lags].T
 
 
-def _solve_cycle_lp(p: HbParams, c: FunctionClass, k: int) -> tuple[float, np.ndarray]:
-    """Margin t* and optimal weights of: min t s.t. P nu <= t, sum nu = 1, nu >= 0.
+def dual_lower_bound(pm: np.ndarray, y: np.ndarray) -> float:
+    """Proven lower bound on the margin t* of the cycle LP with matrix ``pm``.
+
+    For any row weights y >= 0 (not all zero), weak duality gives
+    t* >= min_ell (y^T P)_ell / sum(y): summing y_i (P nu)_i <= y_i t over
+    the rows of a feasible (nu, t).  Each float inner product of n = K-1
+    terms is within gamma_n (y^T |P|)_ell of the exact one, with
+    gamma_n = n u / (1 - n u) and u the unit roundoff, whatever the
+    summation order; that term is subtracted.  What is left unbounded, the
+    rounding of that term, of the minimum's division by sum(y) and of the
+    subtraction, is a few units of roundoff of max|P|: ``SCREEN_SLACK``
+    covers it.
+    """
+    n = len(y)
+    gamma_n = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    lower = y @ pm - gamma_n * (y @ np.abs(pm))
+    return float(lower.min() / y.sum())
+
+
+def _cycle_lp_matrix(p: HbParams, c: FunctionClass, k: int) -> np.ndarray:
+    """``build_lp_matrix`` after the checks every cycle-LP entry point makes."""
+    if k < 3:
+        raise ValueError(f"period must be >= 3, got {k}")
+    if c.mu >= c.ell:
+        raise ValueError("cycle feasibility needs mu < ell")
+    if p.gamma == 0.0:
+        raise ZeroDivisionError("gamma must be nonzero")
+    return build_lp_matrix(p, c, k)
+
+
+def _lp_scale(pm: np.ndarray) -> float:
+    return max(float(np.abs(pm).max()), 1.0)
+
+
+def _solve_cycle_lp(pm: np.ndarray,
+                    p: HbParams) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Margin t*, optimal weights and dual row weights of:
+    min t s.t. P nu <= t, sum nu = 1, nu >= 0, for the matrix ``pm``
+    (``p`` only names the cell in the error a failed solve raises).
 
     The constraint matrix is divided by its largest magnitude before the
     solve (a single positive scalar, so the geometry is untouched) and the
@@ -276,15 +359,12 @@ def _solve_cycle_lp(p: HbParams, c: FunctionClass, k: int) -> tuple[float, np.nd
     column of least maximum, t = that maximum, and every slack basic but the
     binding row's: a primal-feasible (and always nonsingular) basis, so no
     phase 1 runs.
+
+    The dual weights are y = -(row prices) of the K-1 inequality rows,
+    clipped at 0 and normalized to sum 1 (None if the solver gave no prices
+    or they vanish); at the optimum ``dual_lower_bound(pm, y)`` is t*.
     """
-    if k < 3:
-        raise ValueError(f"period must be >= 3, got {k}")
-    if c.mu >= c.ell:
-        raise ValueError("cycle feasibility needs mu < ell")
-    if p.gamma == 0.0:
-        raise ZeroDivisionError("gamma must be nonzero")
-    pm = build_lp_matrix(p, c, k)
-    scale = max(float(np.abs(pm).max()), 1.0)
+    scale = _lp_scale(pm)
     pm = pm / scale
     n_rows, m = pm.shape
     # Variables: [nu (m), t+, t-, slack (n_rows)].
@@ -309,18 +389,39 @@ def _solve_cycle_lp(p: HbParams, c: FunctionClass, k: int) -> tuple[float, np.nd
     if res.status != "optimal":
         raise RuntimeError(
             f"LP solve failed: status={res.status} after {res.iterations} iterations "
-            f"(period {k}, gamma={p.gamma}, beta={p.beta})")
-    return scale * res.objective, res.x[:m]
+            f"(period {n_rows + 1}, gamma={p.gamma}, beta={p.beta})")
+    y = None
+    if res.dual is not None:
+        y = np.maximum(-res.dual[:n_rows], 0.0)
+        total = y.sum()
+        y = y / total if total > 0.0 else None
+    return scale * res.objective, res.x[:m], y
 
 
-def lp_margin(p: HbParams, c: FunctionClass, k: int) -> float:
+def lp_margin(p: HbParams, c: FunctionClass, k: int,
+              duals: dict[int, np.ndarray] | None = None) -> float:
     """Optimal margin t* of the period-``k`` cycle feasibility LP.
 
     Nonpositive (up to tolerance) exactly when a period-``k`` cycle exists.
     The sum-to-one normalization replaces the homogeneous nu != 0
     constraint; the problem is scale-invariant so nothing is lost.
+
+    ``duals`` is an optional caller-owned store of the last dual weights at
+    each period.  With it, the stored weights at ``k`` are tried first: if
+    their ``dual_lower_bound`` exceeds ``INDETERMINATE_TOL`` by
+    ``SCREEN_SLACK`` times the LP scale, that proven lower bound is returned
+    and no LP is solved: the exact t* of P is at least that bound, so it is
+    above ``INDETERMINATE_TOL`` too.  Otherwise the LP is solved on the same
+    matrix and its dual replaces the stored one.
     """
-    margin, _ = _solve_cycle_lp(p, c, k)
+    pm = _cycle_lp_matrix(p, c, k)
+    if duals is not None and k in duals:
+        bound = dual_lower_bound(pm, duals[k])
+        if bound > INDETERMINATE_TOL + SCREEN_SLACK * _lp_scale(pm):
+            return bound
+    margin, _, y = _solve_cycle_lp(pm, p)
+    if duals is not None and y is not None:
+        duals[k] = y
     return margin
 
 
@@ -328,7 +429,7 @@ def lp_check(p: HbParams, c: FunctionClass, k: int,
              eps_feas: float = FEASIBILITY_TOL) -> tuple[float, CycleCertificate | None]:
     """Margin of the period-``k`` cycle LP and, from the same solve, the
     certificate that ``lp_feasible`` returns."""
-    margin, raw = _solve_cycle_lp(p, c, k)
+    margin, raw, _ = _solve_cycle_lp(_cycle_lp_matrix(p, c, k), p)
     if margin > eps_feas:
         return margin, None
     nu = np.maximum(raw, 0.0)

@@ -10,7 +10,8 @@ from the original data and the pass repeats until a fresh tableau accepts
 the basis with no further pivots.  A refactorized basis whose values break
 x >= 0 (pivot rounding can drive a degenerate basis there) ends the solve
 with status "lost_feasibility" rather than a false "optimal".  A caller
-that knows a primal-feasible basis passes it and skips phase 1.  Problem
+that knows a primal-feasible basis passes it and skips phase 1, and gets
+back the row prices c_B B^-1 of the confirming basis as the dual.  Problem
 sizes here are at most a few hundred variables, where a dense tableau beats
 anything fancier.
 """
@@ -32,6 +33,7 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    dual: np.ndarray | None = None  # row prices c_B B^-1 (optimal, basis= path)
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -99,7 +101,10 @@ def solve_canonical(cost, a_eq, b_eq, max_iter: int = 20000,
 
     ``basis`` (one column index per row) is an optional primal-feasible
     starting basis: phase 1 is skipped.  A basis that is singular or whose
-    values break x >= 0 raises ValueError.
+    values break x >= 0 raises ValueError.  On that path an optimal result
+    also carries ``dual``, the row prices c_B B^-1 of the confirming basis
+    in the rows of ``a_eq`` as given: ``dual @ b_eq`` is the objective and
+    ``cost - dual @ a_eq`` the (nonnegative) reduced costs.
     """
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
@@ -112,7 +117,8 @@ def solve_canonical(cost, a_eq, b_eq, max_iter: int = 20000,
     b[flip] *= -1.0
 
     it1 = 0
-    if basis is not None:
+    started = basis is not None
+    if started:
         basis = _checked_basis(a, b, basis, scale)
     else:
         # Phase 1: artificials form the starting basis.
@@ -144,7 +150,11 @@ def solve_canonical(cost, a_eq, b_eq, max_iter: int = 20000,
     # The basis values of the confirming (feasibility-checked) fresh tableau.
     x = np.zeros(n)
     x[basis] = tableau[:, -1]
-    return SimplexResult("optimal", x, float(c @ x), it1 + it2)
+    dual = None
+    if started:
+        dual = np.linalg.solve(a[:, basis].T, c[basis])
+        dual[flip] *= -1.0
+    return SimplexResult("optimal", x, float(c @ x), it1 + it2, dual)
 
 
 def _checked_basis(a: np.ndarray, b: np.ndarray, basis, scale: float) -> np.ndarray:

@@ -131,7 +131,7 @@ def sequential_perturbed_run(ce, c, p, k, noise, steps):
 def projection_case(ce, x):
     """Which smooth piece a point belongs to: ('in',), ('v', t) or ('e', t)."""
     proj = polygon_project(ce, x)
-    if np.allclose(proj, x, atol=1e-13):
+    if np.allclose(proj, x, rtol=0.0, atol=1e-13):
         return ("in",)
     d_vertex = np.linalg.norm(ce.hull - proj, axis=1)
     t = int(np.argmin(d_vertex))

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from hbcycles.cycle_lp import (
+    FEASIBILITY_TOL,
     cycle_gradients,
     interpolation_residuals,
     lp_feasible,
+    lp_margin,
     symmetrize_gram,
 )
 from hbcycles.hb_engine import (
@@ -175,12 +177,18 @@ def test_criterion_08_lp_analytic_identity():
     lp_member = np.zeros_like(analytic)
     worst_residual = 0.0
     n_certificates = 0
+    # Periods are ruled out through lp_margin with a dual store (a screened
+    # period's bound is above FEASIBILITY_TOL, as its margin is); the
+    # certificate comes from lp_feasible at the first period left.
+    duals = {}
     for i in range(n):
         for j in range(n):
             if not in_cv[i, j]:
                 continue
             p = HbParams(float(g[i, j]), float(b[i, j]))
             for k in range(3, k_max + 1):
+                if lp_margin(p, c, k, duals) > FEASIBILITY_TOL:
+                    continue
                 cert = lp_feasible(p, c, k)
                 if cert is not None:
                     lp_member[i, j] = True

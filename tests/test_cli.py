@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hbcycles.cycle_lp as cycle_lp
-from hbcycles.cli import main, render_svg
+from hbcycles.cli import _lp_region_cell, main, render_svg
 from hbcycles.hb_engine import NoiseSpec, noise_budget
 from hbcycles.quad_rates import FunctionClass, HbParams
 from hbcycles.rou_region import CounterexampleFunction, build_counterexample
@@ -146,6 +146,41 @@ class TestSweep:
         run_cli(capsys, *args, "--out", str(seq))
         run_cli(capsys, *args, "--workers", "2", "--out", str(par))
         assert seq.read_bytes() == par.read_bytes()
+
+    def test_lp_region_rows_do_not_depend_on_the_dual_store(self):
+        # Lines of beta, gamma up to the step-size edge: each crosses the
+        # member boundary, so cells next to it are on the grid.
+        rows = {}
+        for duals in (None, {}):
+            rows[duals is None] = [
+                _lp_region_cell((float(gamma), beta, 0.01, 1.0, 12), duals)
+                for beta in (0.0, 0.3, 0.6, 0.9)
+                for gamma in np.linspace(0.1, 1.0, 19) * 2.0 * (1.0 + beta)]
+        tags = [row[3] for row in rows[True]]
+        assert any(a != b for a, b in zip(tags, tags[1:]))
+        # Both sides of the comparison are the same row tuples, NaN included.
+        assert repr(rows[True]) == repr(rows[False])
+
+    def test_back_to_back_lp_sweeps_solve_alike(self, capsys, tmp_path, monkeypatch):
+        # No dual store outlives its sweep.
+        calls = []
+        solve = cycle_lp.solve_canonical
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cycle_lp, "solve_canonical", counting)
+        counts = []
+        for name in ("a.csv", "b.csv"):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "sweep", "--mode", "lp-region", "--mu", "0.01",
+                                 "--L", "1", "--gamma-count", "6", "--beta-count", "5",
+                                 "--k-max", "10", "--out", str(tmp_path / name))
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestCycleDemo:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hbcycles.cycle_lp as cycle_lp
 from hbcycles.cycle_lp import (
+    INDETERMINATE_TOL,
     build_lp_matrix,
     cycle_gradients,
     decompose_circulant,
+    dual_lower_bound,
     harmonic_gram,
     interpolation_residuals,
     lift_matrices,
@@ -100,6 +104,14 @@ class TestCycleGradients:
         with pytest.raises(ZeroDivisionError):
             cycle_gradients(np.eye(3), HbParams(0.0, 0.5))
 
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_matches_the_roll_form_bit_for_bit(self, k):
+        p = HbParams(0.7, 0.3)
+        pts = np.random.default_rng(k).normal(size=(k, 3))
+        rolled = ((1.0 + p.beta) * pts - np.roll(pts, -1, axis=0)
+                  - p.beta * np.roll(pts, 1, axis=0)) / p.gamma
+        assert np.array_equal(cycle_gradients(pts, p), rolled)
+
     def test_lessard_cycle_is_interpolable(self):
         grads = cycle_gradients(LESSARD_POINTS, LESSARD_TUNING)
         values = interpolation_values(LESSARD_POINTS, grads, LESSARD_CLASS)
@@ -161,6 +173,22 @@ class TestLiftMatrices:
             for lm in mats:
                 assert np.sum(gram * lm.m) == pytest.approx(
                     direct_lift_rhs(pts, p, c, lm.i), abs=1e-10)
+
+    def test_self_test_runs_on_every_call(self, monkeypatch):
+        # The self-test's points are cached per period; the check is not.
+        p, c = HbParams(0.7, 0.3), FunctionClass(0.5, 2.0)
+        lift_matrices(p, c, 6)
+        residuals = cycle_lp.interpolation_residuals
+        monkeypatch.setattr(cycle_lp, "interpolation_residuals",
+                            lambda *args: residuals(*args) + 1e-6)
+        with pytest.raises(AssertionError, match="self-test failed"):
+            lift_matrices(p, c, 6)
+
+    def test_cached_period_tables_are_read_only(self):
+        pts, gram = cycle_lp._self_test_points(5)
+        for table in (pts, gram, *cycle_lp._lag_table(5)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1.0
 
     def test_rou_gram_of_member_is_feasible(self, fig4_setup):
         p, c, _ = fig4_setup
@@ -386,3 +414,86 @@ def test_margin_matches_highs(gamma, beta, k):
     p, c = HbParams(gamma, beta), FunctionClass(0.01, 1.0)
     expected = highs_margin(build_lp_matrix(p, c, k))
     assert lp_margin(p, c, k) == pytest.approx(expected, rel=1e-12)
+
+
+# The cycle-LP screen.  Cells inside the convergence region at mu = 0.01,
+# L = 1, with the step-size edge gamma = 2(1+beta)/L drawn on its own.
+SCREEN_CLASS = FunctionClass(0.01, 1.0)
+in_region = st.builds(
+    lambda beta, frac: HbParams(frac * 2.0 * (1.0 + beta), beta),
+    st.floats(0.0, 0.99), st.one_of(st.just(1.0), st.floats(0.02, 1.0)))
+periods = st.integers(3, 25)
+
+
+def solved_dual(p, k):
+    """Margin and dual weights of one full solve."""
+    margin, _, y = cycle_lp._solve_cycle_lp(build_lp_matrix(p, SCREEN_CLASS, k), p)
+    assert y is not None and y.min() >= 0.0 and y.sum() == pytest.approx(1.0)
+    return margin, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=in_region, k=periods, step=st.floats(-0.05, 0.05), dbeta=st.floats(-0.05, 0.05))
+def test_screen_bound_from_a_neighbour_dual_is_below_highs(p, k, step, dbeta):
+    beta = min(max(p.beta + dbeta, 0.0), 0.99)
+    neighbour = HbParams(min(p.gamma * (1.0 + step), 2.0 * (1.0 + beta)), beta)
+    _, y = solved_dual(neighbour, k)
+    pm = build_lp_matrix(p, SCREEN_CLASS, k)
+    scale = max(np.abs(pm).max(), 1.0)
+    assert dual_lower_bound(pm, y) <= highs_margin(pm) + 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=in_region, k=periods, seed=st.integers(0, 2**32 - 1))
+def test_screen_bound_from_random_weights_is_below_highs(p, k, seed):
+    # Unnormalized weights: the bound divides by their sum.
+    rng = np.random.default_rng(seed)
+    y = rng.dirichlet(np.ones(k - 1)) * rng.uniform(0.1, 10.0)
+    pm = build_lp_matrix(p, SCREEN_CLASS, k)
+    scale = max(np.abs(pm).max(), 1.0)
+    assert dual_lower_bound(pm, y) <= highs_margin(pm) + 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=in_region, k=periods)
+def test_returned_dual_is_optimal(p, k):
+    # Its bound is the margin itself, not merely a lower bound on it.
+    margin, y = solved_dual(p, k)
+    pm = build_lp_matrix(p, SCREEN_CLASS, k)
+    scale = max(np.abs(pm).max(), 1.0)
+    assert dual_lower_bound(pm, y) == pytest.approx(margin, rel=1e-9, abs=1e-12 * scale)
+
+
+class TestDualStore:
+    def test_first_call_solves_like_the_plain_margin_and_stores(self):
+        p = HbParams(1.2, 0.3)
+        duals = {}
+        for k in (5, 6):
+            assert lp_margin(p, SCREEN_CLASS, k, duals) == lp_margin(p, SCREEN_CLASS, k)
+        assert sorted(duals) == [5, 6]
+
+    def test_screened_periods_skip_the_solve(self, monkeypatch):
+        duals = {}
+        lp_margin(HbParams(1.2, 0.3), SCREEN_CLASS, 7, duals)
+        stored = duals[7]
+        calls = []
+        solve = cycle_lp.solve_canonical
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cycle_lp, "solve_canonical", counting)
+        p = HbParams(1.25, 0.3)
+        bound = lp_margin(p, SCREEN_CLASS, 7, duals)
+        assert calls == []
+        assert INDETERMINATE_TOL < bound <= lp_margin(p, SCREEN_CLASS, 7)
+        assert duals[7] is stored
+
+    def test_unclear_bound_falls_back_to_the_solve(self):
+        # A member cell: no dual can prove a positive margin there.
+        p, k = HbParams(3.5, 0.75), 7
+        duals = {k: np.full(k - 1, 1.0 / (k - 1))}
+        margin = lp_margin(p, FunctionClass(0.005, 1.0), k, duals)
+        assert margin == lp_margin(p, FunctionClass(0.005, 1.0), k) < 0.0
+        assert not np.array_equal(duals[k], np.full(k - 1, 1.0 / (k - 1)))

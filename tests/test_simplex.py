@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbcycles.simplex import solve_canonical
 
@@ -151,6 +153,60 @@ def test_starting_basis_on_the_cycle_lp_shape():
         cold = solve_canonical(cost, a, b)
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+@pytest.mark.parametrize("cost,a,b,basis", FEASIBLE_START)
+def test_dual_certifies_the_optimum(cost, a, b, basis):
+    # Strong duality and dual feasibility, in the rows as given (the third
+    # LP has a flipped row).
+    res = solve_canonical(cost, a, b, basis=basis)
+    a, b, cost = np.asarray(a), np.asarray(b), np.asarray(cost)
+    assert res.dual @ b == pytest.approx(res.objective, abs=1e-12)
+    assert (cost - res.dual @ a).min() >= -1e-10
+
+
+def test_no_dual_without_a_starting_basis():
+    cost, a, b, _ = FEASIBLE_START[0]
+    assert solve_canonical(cost, a, b).dual is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 12), cols=st.integers(1, 6),
+       degenerate=st.booleans())
+def test_cycle_lp_shape_dual_matches_highs(seed, rows, cols, degenerate):
+    # min t s.t. P nu <= t, sum nu = 1 from the crash basis; degenerate
+    # draws repeat rows and columns, as the cycle LPs do.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(rows, cols))
+    if degenerate:
+        p = np.round(p)[rng.integers(0, rows, rows)][:, rng.integers(0, cols, cols)]
+    n_var = cols + 2 + rows
+    a = np.zeros((rows + 1, n_var))
+    a[:rows, :cols] = p
+    a[:rows, cols] = -1.0
+    a[:rows, cols + 1] = 1.0
+    a[:rows, cols + 2:] = np.eye(rows)
+    a[rows, :cols] = 1.0
+    b = np.zeros(rows + 1)
+    b[rows] = 1.0
+    cost = np.zeros(n_var)
+    cost[cols], cost[cols + 1] = 1.0, -1.0
+    j = int(np.argmin(p.max(axis=0)))
+    binding = int(np.argmax(p[:, j]))
+    t_col = cols if p[binding, j] >= 0 else cols + 1
+    basis = [j, t_col] + [cols + 2 + i for i in range(rows) if i != binding]
+    res = solve_canonical(cost, a, b, basis=basis)
+    highs = linprog(np.r_[np.zeros(cols), 1.0],
+                    A_ub=np.hstack([p, -np.ones((rows, 1))]), b_ub=np.zeros(rows),
+                    A_eq=np.r_[np.ones(cols), 0.0][None, :], b_eq=[1.0],
+                    bounds=[(0, None)] * cols + [(None, None)], method="highs")
+    assert res.status == "optimal" and highs.status == 0
+    assert res.objective == pytest.approx(highs.fun, abs=1e-9)
+    # The row weights y = -dual of the inequality rows prove the optimum.
+    y = -res.dual[:rows]
+    assert y.min() >= -1e-12 and y.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (y @ p).min() == pytest.approx(highs.fun, abs=1e-9)
 
 
 def test_infeasible_starting_basis_rejected():
