@@ -31,6 +31,7 @@ from .cycle_lp import (
 from .hb_engine import (
     NoiseSpec,
     detect_cycle,
+    format_floats,
     noise_budget,
     perturbed_run,
     perturbed_runs,
@@ -39,6 +40,7 @@ from .hb_engine import (
     write_trace_csv,
 )
 from .quad_rates import (
+    _REGION_BY_CODE,
     FunctionClass,
     HbParams,
     NO_CONVERGENCE,
@@ -61,13 +63,9 @@ from .smoothing import (
     third_derivative_estimate,
 )
 
-_REGION_NAMES = {0: "Lazy", 1: "Robust", 2: "KnifesEdge", 3: "NoConvergence"}
+_REGION_NAMES = np.array([region.value for region in _REGION_BY_CODE])
 
 SWEEP_MODES = ("rate", "rou-region", "lp-region", "ghadimi", "sls-overlay")
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _jsonable(obj):
@@ -94,11 +92,14 @@ def _args_echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _write_csv(path, rows) -> None:
+def _write_csv(path, gammas, betas, value, tag) -> None:
+    """Rows gamma-major: ``value`` and ``tag`` are (len(gammas), len(betas))."""
+    bs = format_floats(betas).tolist()
     with open(path, "w", newline="") as fh:
         fh.write("gamma,beta,value,tag\n")
-        for gamma, beta, value, tag in rows:
-            fh.write(f"{_fmt(gamma)},{_fmt(beta)},{_fmt(value)},{tag}\n")
+        for g, vs, ts in zip(format_floats(gammas).tolist(), format_floats(value).tolist(),
+                             tag.tolist()):
+            fh.writelines([f"{g},{b},{v},{t}\n" for b, v, t in zip(bs, vs, ts)])
 
 
 def _write_metadata(path, command: str, parameters: dict, extra: dict | None = None) -> None:
@@ -133,37 +134,33 @@ _TAG_COLORS = {
 }
 
 
-def render_svg(csv_path, svg_path) -> None:
-    """Filled-region raster of a sweep CSV; a pure function of the file."""
-    gammas, betas, tags = [], [], []
-    with open(csv_path) as fh:
-        header = fh.readline()
-        if header.strip() != "gamma,beta,value,tag":
-            raise ValueError(f"unexpected CSV header in {csv_path}")
-        for line in fh:
-            g, b, _, tag = line.rstrip("\n").split(",")
-            gammas.append(float(g))
-            betas.append(float(b))
-            tags.append(tag)
-    xs = sorted(set(gammas))
-    ys = sorted(set(betas))
-    xi = {v: i for i, v in enumerate(xs)}
-    yi = {v: i for i, v in enumerate(ys)}
+def render_svg(csv_path, svg_path, cells=None) -> None:
+    """Filled-region raster of a sweep CSV; a pure function of the file.
+
+    ``cells``, the file's gamma, beta and tag columns as arrays, skips reading it."""
+    if cells is None:
+        with open(csv_path) as fh:
+            if fh.readline().strip() != "gamma,beta,value,tag":
+                raise ValueError(f"unexpected CSV header in {csv_path}")
+            rows = [line.rstrip("\n").split(",") for line in fh]
+        cols = np.array(rows, str).reshape(len(rows), 4)
+        cells = (cols[:, 0].astype(float), cols[:, 1].astype(float), cols[:, 3])
+    # Each column's sorted distinct values; -0.0 and 0.0 share a cell.
+    (xs, xi), (ys, yi), (tags, ti) = (np.unique(col, return_inverse=True) for col in cells)
     cell_w, cell_h, legend_h = 4, 4, 18
     width, height = cell_w * len(xs), cell_h * len(ys)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height + legend_h}" shape-rendering="crispEdges">'
     ]
-    for g, b, tag in zip(gammas, betas, tags):
-        color = _TAG_COLORS.get(tag, "#999999")
-        x = xi[g] * cell_w
-        y = height - (yi[b] + 1) * cell_h
-        parts.append(f'<rect x="{x}" y="{y}" width="{cell_w}" height="{cell_h}" '
-                     f'fill="{color}"/>')
-    for i, tag in enumerate(sorted(set(tags))):
+    x_text = [f'<rect x="{i * cell_w}" y="' for i in range(len(xs))]
+    y_text = [f'{height - (j + 1) * cell_h}" width="{cell_w}" height="{cell_h}" fill="'
+              for j in range(len(ys))]
+    colors = [_TAG_COLORS.get(tag, "#999999") for tag in tags.tolist()]
+    parts += [x_text[i] + y_text[j] + colors[t] + '"/>'
+              for i, j, t in zip(xi.tolist(), yi.tolist(), ti.tolist())]
+    for i, (tag, color) in enumerate(zip(tags.tolist(), colors)):
         x = 4 + i * 110
-        color = _TAG_COLORS.get(tag, "#999999")
         parts.append(f'<rect x="{x}" y="{height + 4}" width="10" height="10" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{x + 14}" y="{height + 13}" font-size="10" '
@@ -242,49 +239,43 @@ def _sweep_grid(args, c: FunctionClass):
 
 def _cmd_sweep(args) -> int:
     c = FunctionClass(args.mu, args.L)
+    if args.k_max < 3:
+        print(f"error: --k-max must be at least 3, got {args.k_max}", file=sys.stderr)
+        return 2
     if args.mode != "rate" and args.beta_min < 0:
         print("error: region sweeps are defined for beta >= 0", file=sys.stderr)
         return 2
     gammas, betas = _sweep_grid(args, c)
     g, b = np.meshgrid(gammas, betas, indexing="ij")
 
-    rows = []
     extra = {"grid": {"gamma": [float(gammas[0]), float(gammas[-1]), len(gammas)],
                       "beta": [float(betas[0]), float(betas[-1]), len(betas)]},
              "label": args.label}
 
     if args.mode == "rate":
-        rho, codes = rate_grid(g, b, c)
-        for i in range(len(gammas)):
-            for j in range(len(betas)):
-                rows.append((g[i, j], b[i, j], rho[i, j], _REGION_NAMES[int(codes[i, j])]))
+        value, codes = rate_grid(g, b, c)
+        tag = _REGION_NAMES[codes]
     elif args.mode == "rou-region":
         member = member_any_grid(g, b, c, k_max=args.k_max)
-        for i in range(len(gammas)):
-            for j in range(len(betas)):
-                k = int(member[i, j])
-                rows.append((g[i, j], b[i, j], k if k else math.nan,
-                             "member" if k else "none"))
+        value = np.where(member > 0, member, math.nan)
+        tag = np.where(member > 0, "member", "none")
     elif args.mode == "ghadimi":
-        for i in range(len(gammas)):
-            for j in range(len(betas)):
-                bound = ghadimi_beta_bound(c, g[i, j])
-                inside = 0.0 < g[i, j] < 2.0 / c.ell and 0.0 <= b[i, j] < bound
-                rows.append((g[i, j], b[i, j], bound, "inside" if inside else "outside"))
+        value = np.broadcast_to([[ghadimi_beta_bound(c, x)] for x in gammas.tolist()], g.shape)
+        tag = np.where((0.0 < g) & (g < 2.0 / c.ell) & (0.0 <= b) & (b < value),
+                       "inside", "outside")
     elif args.mode == "lp-region":
         rows = _lp_region_rows(g, b, c, args.k_max, args.workers)
+        value = np.array([row[2] for row in rows], dtype=float).reshape(g.shape)
+        tag = np.array([row[3] for row in rows]).reshape(g.shape)
     else:  # sls-overlay
-        rho, codes = rate_grid(g, b, c)
+        value, codes = rate_grid(g, b, c)
         ck = args.C * c.kappa
         rho_target = (1.0 - ck) / (1.0 + ck)
-        in_sls = (codes != NO_CONVERGENCE) & (rho <= rho_target)
+        in_sls = (codes != NO_CONVERGENCE) & (value <= rho_target)
         member = member_any_grid(g, b, c, k_max=args.k_max) > 0
-        tags = np.where(in_sls & member, "both",
-                        np.where(in_sls, "sls-only",
-                                 np.where(member, "cycle-only", "neither")))
-        for i in range(len(gammas)):
-            for j in range(len(betas)):
-                rows.append((g[i, j], b[i, j], rho[i, j], tags[i, j]))
+        tag = np.where(in_sls & member, "both",
+                       np.where(in_sls, "sls-only",
+                                np.where(member, "cycle-only", "neither")))
         overlap = int(np.sum(in_sls & ~member))
         extra["verdict"] = {
             "rho_target": rho_target,
@@ -293,11 +284,11 @@ def _cmd_sweep(args) -> int:
             "empty_intersection": overlap == 0,
         }
 
-    _write_csv(args.out, rows)
+    _write_csv(args.out, gammas, betas, value, tag)
     _write_metadata(str(args.out) + ".meta.json", "sweep", _args_echo(args), extra)
     if args.svg:
-        render_svg(args.out, str(args.out) + ".svg")
-    print(f"wrote {len(rows)} rows to {args.out}")
+        render_svg(args.out, str(args.out) + ".svg", (g.ravel(), b.ravel(), tag.ravel()))
+    print(f"wrote {g.size} rows to {args.out}")
     return 0
 
 
@@ -333,8 +324,8 @@ def _lp_region_rows(g, b, c, k_max, workers=1):
     # The pool maps over contiguous chunks and preserves their order; since
     # screening never changes a row, the rows are identical at any worker
     # count.  Four chunks per worker balance the load.
-    tasks = [(float(g[i, j]), float(b[i, j]), c.mu, c.ell, k_max)
-             for i in range(g.shape[0]) for j in range(g.shape[1])]
+    tasks = [(gamma, beta, c.mu, c.ell, k_max)
+             for gamma, beta in zip(g.ravel().tolist(), b.ravel().tolist())]
     if workers <= 1:
         return _lp_region_chunk(tasks)
     size = -(-len(tasks) // (4 * workers))
@@ -525,17 +516,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="grid sweep over (gamma, beta)")
     sp.add_argument("--mode", choices=SWEEP_MODES, required=True)
     _add_class_flags(sp)
-    sp.add_argument("--gamma-min", type=float, default=None)
-    sp.add_argument("--gamma-max", type=float, default=None)
-    sp.add_argument("--gamma-count", type=int, default=200)
-    sp.add_argument("--beta-min", type=float, default=0.0)
-    sp.add_argument("--beta-max", type=float, default=1.0)
-    sp.add_argument("--beta-count", type=int, default=200)
-    sp.add_argument("--k-max", type=int, default=100)
-    sp.add_argument("--C", type=float, default=50.0 / 3.0 + 0.01,
+    sp.add_argument("--gamma-min", type=_finite_float, default=None)
+    sp.add_argument("--gamma-max", type=_finite_float, default=None)
+    sp.add_argument("--gamma-count", type=_positive_int, default=200)
+    sp.add_argument("--beta-min", type=_finite_float, default=0.0)
+    sp.add_argument("--beta-max", type=_finite_float, default=1.0)
+    sp.add_argument("--beta-count", type=_positive_int, default=200)
+    sp.add_argument("--k-max", type=int, default=100, help="largest period, at least 3")
+    sp.add_argument("--C", type=_finite_float, default=50.0 / 3.0 + 0.01,
                     help="rate constant for the sls-overlay mode")
     sp.add_argument("--label", default="")
-    sp.add_argument("--workers", type=int, default=1,
+    sp.add_argument("--workers", type=_positive_int, default=1,
                     help="worker processes for the lp-region mode")
     sp.add_argument("--out", required=True)
     sp.add_argument("--svg", action="store_true")

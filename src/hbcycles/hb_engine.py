@@ -14,7 +14,6 @@ trace.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -462,6 +461,15 @@ def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     return PerturbedRun(trace, bool(runs.stayed_in_tube[0]), decay)
 
 
+def format_floats(x) -> np.ndarray:
+    """``.17g`` text of a float array as an object array of its shape; each
+    distinct bit pattern is formatted once, so -0.0 and NaN keep their text."""
+    x = np.ascontiguousarray(x, dtype=float)
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    text = np.array([format(v, ".17g") for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse].reshape(x.shape)
+
+
 def write_trace_csv(trace: SimTrace, path, cycle: np.ndarray | None = None) -> None:
     """Trace export: t, coordinates, distance to the cycle, per-step params.
 
@@ -470,20 +478,17 @@ def write_trace_csv(trace: SimTrace, path, cycle: np.ndarray | None = None) -> N
     carry no step parameters.
     """
     zs = trace.iterates
-    d = zs.shape[1]
+    n, d = zs.shape
+    dist = [""] * n
+    if cycle is not None:
+        diff = zs - cycle[np.arange(n) % len(cycle)]
+        # vecdot, unlike norm(axis=1), sums each row as a lone norm() does.
+        dist = format_floats(np.sqrt(np.vecdot(diff, diff))).tolist()
+    params = trace.params_used[:n - 2]
+    tail = [""] * (n - 2 - len(params))
+    gamma_t, beta_t = (["", ""] + format_floats(col).tolist() + tail for col in params.T)
+    columns = zip(range(n), *format_floats(zs.T).tolist(), dist, gamma_t, beta_t)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", *(f"x{i}" for i in range(d)),
-                         "dist_to_cycle", "gamma_t", "beta_t"])
-        for t, z in enumerate(zs):
-            if cycle is not None:
-                dist = format(float(np.linalg.norm(z - cycle[t % len(cycle)])), ".17g")
-            else:
-                dist = ""
-            if t >= 2 and t - 2 < len(trace.params_used):
-                gamma_t = format(trace.params_used[t - 2, 0], ".17g")
-                beta_t = format(trace.params_used[t - 2, 1], ".17g")
-            else:
-                gamma_t = beta_t = ""
-            writer.writerow([t, *(format(v, ".17g") for v in z),
-                             dist, gamma_t, beta_t])
+        fh.write(",".join(["t", *(f"x{i}" for i in range(d)),
+                           "dist_to_cycle", "gamma_t", "beta_t"]) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in columns)

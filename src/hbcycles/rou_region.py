@@ -204,20 +204,24 @@ def member_any_grid(gammas, betas, c: FunctionClass,
                                np.asarray(betas, dtype=float))
     if np.any(b < 0.0):
         raise ValueError("cycling membership is only defined for beta >= 0")
-    out = np.zeros(g.shape, dtype=np.int32)
-    admissible = (g > 0) & (b < 1) & (g <= 2.0 * (1.0 + b) / c.ell + BOUNDARY_TOL)
-    mg = c.mu * g
+    out = np.zeros(g.size, dtype=np.int32)
+    # Flat index, beta and mu*gamma of each cell not yet given a period.
+    cell = np.flatnonzero((g > 0) & (b < 1) & (g <= 2.0 * (1.0 + b) / c.ell + BOUNDARY_TOL))
+    b = b.ravel()[cell]
+    mg = c.mu * g.ravel()[cell]
     kap = c.kappa
     for k in range(3, k_max + 1):
-        undecided = admissible & (out == 0)
-        if not undecided.any():
+        if not cell.size:
             break
         ct = math.cos(2.0 * math.pi / k)
         a = b - ct + kap * (1.0 - b * ct)
         c0 = 2.0 * kap * (1.0 - ct) * (1.0 + b * b - 2.0 * b * ct)
         val = mg * mg - 2.0 * a * mg + c0
-        out[undecided & (val <= 0.0)] = k
-    return out
+        hit = val <= 0.0
+        out[cell[hit]] = k
+        if hit.any():
+            cell, b, mg = cell[~hit], b[~hit], mg[~hit]
+    return out.reshape(g.shape)
 
 
 @dataclass(frozen=True)

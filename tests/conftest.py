@@ -5,16 +5,20 @@ companion matrix over a lambda grid and is kept independent of the
 closed-form implementation it checks.  The sequential perturbed run is
 the one-point-per-step loop that the batched tube engine must reproduce,
 and the (n, K, 2) projection kernel is the one the per-coordinate kernel
-must reproduce bit for bit.
+must reproduce bit for bit.  The row-at-a-time CSV writers, the SVG
+renderer that re-reads its CSV and the full-grid membership loop are the
+output and membership code the array forms must reproduce byte for byte.
 """
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from hbcycles.cli import _TAG_COLORS
 from hbcycles.hb_engine import noise_budget
-from hbcycles.quad_rates import FunctionClass, HbParams
+from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from hbcycles.rou_region import CounterexampleFunction, polygon_project, rou_cycle
 
 
@@ -160,3 +164,98 @@ def stacked_polygon_project_batch(ce, x):
     proj = cand[np.arange(len(x)), np.argmin(d2, axis=1)]
     proj[inside] = x[inside]
     return proj
+
+
+def rowwise_write_csv(path, rows) -> None:
+    """Sweep CSV one (gamma, beta, value, tag) row at a time."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    with open(path, "w", newline="") as fh:
+        fh.write("gamma,beta,value,tag\n")
+        for gamma, beta, value, tag in rows:
+            fh.write(f"{fmt(gamma)},{fmt(beta)},{fmt(value)},{tag}\n")
+
+
+def parsed_render_svg(csv_path, svg_path) -> None:
+    """SVG raster of a sweep CSV, parsed into lists and indexed by dicts."""
+    gammas, betas, tags = [], [], []
+    with open(csv_path) as fh:
+        header = fh.readline()
+        if header.strip() != "gamma,beta,value,tag":
+            raise ValueError(f"unexpected CSV header in {csv_path}")
+        for line in fh:
+            g, b, _, tag = line.rstrip("\n").split(",")
+            gammas.append(float(g))
+            betas.append(float(b))
+            tags.append(tag)
+    xs = sorted(set(gammas))
+    ys = sorted(set(betas))
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: i for i, v in enumerate(ys)}
+    cell_w, cell_h, legend_h = 4, 4, 18
+    width, height = cell_w * len(xs), cell_h * len(ys)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height + legend_h}" shape-rendering="crispEdges">'
+    ]
+    for g, b, tag in zip(gammas, betas, tags):
+        color = _TAG_COLORS.get(tag, "#999999")
+        x = xi[g] * cell_w
+        y = height - (yi[b] + 1) * cell_h
+        parts.append(f'<rect x="{x}" y="{y}" width="{cell_w}" height="{cell_h}" '
+                     f'fill="{color}"/>')
+    for i, tag in enumerate(sorted(set(tags))):
+        x = 4 + i * 110
+        color = _TAG_COLORS.get(tag, "#999999")
+        parts.append(f'<rect x="{x}" y="{height + 4}" width="10" height="10" '
+                     f'fill="{color}"/>')
+        parts.append(f'<text x="{x + 14}" y="{height + 13}" font-size="10" '
+                     f'font-family="monospace">{tag}</text>')
+    parts.append("</svg>")
+    with open(svg_path, "w", newline="") as fh:
+        fh.write("\n".join(parts))
+        fh.write("\n")
+
+
+def rowwise_write_trace_csv(trace, path, cycle=None) -> None:
+    """Trace CSV one ``csv.writer`` row and one 1-D norm at a time."""
+    zs = trace.iterates
+    d = zs.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", *(f"x{i}" for i in range(d)),
+                         "dist_to_cycle", "gamma_t", "beta_t"])
+        for t, z in enumerate(zs):
+            if cycle is not None:
+                dist = format(float(np.linalg.norm(z - cycle[t % len(cycle)])), ".17g")
+            else:
+                dist = ""
+            if t >= 2 and t - 2 < len(trace.params_used):
+                gamma_t = format(trace.params_used[t - 2, 0], ".17g")
+                beta_t = format(trace.params_used[t - 2, 1], ".17g")
+            else:
+                gamma_t = beta_t = ""
+            writer.writerow([t, *(format(v, ".17g") for v in z),
+                             dist, gamma_t, beta_t])
+
+
+def full_grid_member_any_grid(gammas, betas, c, k_max):
+    """Smallest member period per cell, the quadratic evaluated on the whole
+    grid at every period."""
+    g, b = np.broadcast_arrays(np.asarray(gammas, dtype=float),
+                               np.asarray(betas, dtype=float))
+    out = np.zeros(g.shape, dtype=np.int32)
+    admissible = (g > 0) & (b < 1) & (g <= 2.0 * (1.0 + b) / c.ell + BOUNDARY_TOL)
+    mg = c.mu * g
+    kap = c.kappa
+    for k in range(3, k_max + 1):
+        undecided = admissible & (out == 0)
+        if not undecided.any():
+            break
+        ct = math.cos(2.0 * math.pi / k)
+        a = b - ct + kap * (1.0 - b * ct)
+        c0 = 2.0 * kap * (1.0 - ct) * (1.0 + b * b - 2.0 * b * ct)
+        val = mg * mg - 2.0 * a * mg + c0
+        out[undecided & (val <= 0.0)] = k
+    return out

@@ -1,16 +1,25 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
-from hbcycles.cli import _lp_region_cell, main, render_svg
-from hbcycles.hb_engine import NoiseSpec, noise_budget
+from hbcycles.cli import SWEEP_MODES, _lp_region_cell, _write_csv, main, render_svg
+from hbcycles.hb_engine import NoiseSpec, noise_budget, write_trace_csv
 from hbcycles.quad_rates import FunctionClass, HbParams
 from hbcycles.rou_region import CounterexampleFunction, build_counterexample
 
-from conftest import sequential_perturbed_run
+from conftest import (
+    parsed_render_svg,
+    rowwise_write_csv,
+    rowwise_write_trace_csv,
+    sequential_perturbed_run,
+)
 
 _TUBE_POINT = ("--gamma", "3.3", "--beta", "0.75", "--mu", "0.005", "--L", "1",
                "--K", "7")
@@ -108,6 +117,29 @@ class TestSweep:
         assert (tmp_path / "again.svg").read_bytes() == svg1
         assert svg1.startswith(b"<svg")
 
+    @pytest.mark.parametrize("argv", [
+        ("--beta-count", "0"), ("--gamma-count", "0"), ("--gamma-count", "-3"),
+        ("--workers", "0"), ("--gamma-max", "nan"), ("--gamma-min", "-inf"),
+        ("--beta-min", "inf"), ("--beta-max", "nan"), ("--C", "nan")])
+    def test_bad_sweep_flags_are_usage_errors(self, capsys, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--mode", "sls-overlay", "--mu", "0.01", "--L", "1",
+                  "--gamma-count", "5", "--beta-count", "5", *argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"argument {argv[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_k_max_below_three_is_usage_error(self, capsys, tmp_path, mode):
+        out = tmp_path / "x.csv"
+        code, text, err = run_cli(capsys, "sweep", "--mode", mode, "--mu", "0.01", "--L", "1",
+                                  "--gamma-count", "5", "--beta-count", "5", "--k-max", "2",
+                                  "--out", str(out))
+        assert code == 2 and text == ""
+        assert "--k-max must be at least 3" in err
+        assert not out.exists()
+
     def test_sls_overlay_verdict(self, capsys, tmp_path):
         # kappa small enough that the fast sublevel set is nonempty (it needs
         # sqrt(kappa) < 1/C); every one of its cells must be a cycling cell.
@@ -183,6 +215,77 @@ class TestSweep:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+# Floats a sweep or trace may hold: signed zeros, NaN, infinities,
+# subnormals, integral values, and anything else a double can be.
+_EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                2.2250738585072014e-308, 1.0, -3.0, 7.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0]
+_TAGS = ["Lazy", "Robust", "KnifesEdge", "NoConvergence", "member", "none",
+         "indeterminate", "inside", "outside", "both", "sls-only", "cycle-only",
+         "neither", "unlisted"]
+
+
+def _floats(allow_nan=True):
+    return st.one_of(
+        st.sampled_from([x for x in _EDGE_FLOATS if allow_nan or not math.isnan(x)]),
+        st.floats(allow_nan=allow_nan), st.floats(-1e-300, 1e-300, allow_nan=False),
+        st.integers(-10**6, 10**6).map(float))
+
+
+def _axes(allow_nan=True):
+    # Ascending, descending, single-value and repeated axes all occur.
+    values = st.lists(_floats(allow_nan), min_size=1, max_size=6)
+    return st.one_of(
+        values,
+        values.map(lambda v: sorted(v, key=lambda x: (math.isnan(x), x), reverse=True)),
+        st.tuples(_floats(allow_nan), st.integers(1, 4)).map(lambda t: [t[0]] * t[1]))
+
+
+def _grid(data, gammas, betas, allow_nan=True):
+    shape = (len(gammas), len(betas))
+    size = shape[0] * shape[1]
+    value = data.draw(st.lists(_floats(allow_nan), min_size=size, max_size=size))
+    tag = data.draw(st.lists(st.sampled_from(_TAGS), min_size=size, max_size=size))
+    return np.array(value).reshape(shape), np.array(tag).reshape(shape)
+
+
+class TestSweepOutput:
+    """The array writers against the row-at-a-time oracles in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gammas=_axes(), betas=_axes(), data=st.data())
+    def test_csv_matches_rowwise_writer(self, tmp_path_factory, gammas, betas, data):
+        value, tag = _grid(data, gammas, betas)
+        g, b = np.meshgrid(gammas, betas, indexing="ij")
+        path = tmp_path_factory.mktemp("csv")
+        _write_csv(path / "new.csv", np.array(gammas), np.array(betas), value, tag)
+        rowwise_write_csv(path / "old.csv", zip(g.ravel(), b.ravel(), value.ravel(), tag.ravel()))
+        assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+
+    # Axes without NaN: the oracle's set gives each parsed NaN its own column,
+    # ordered by hash, so it has no fixed output for them; the sweep's axes are
+    # finite.  Values may be anything: the raster does not read them.
+    @settings(max_examples=300, deadline=None)
+    @given(gammas=_axes(allow_nan=False), betas=_axes(allow_nan=False), data=st.data())
+    def test_svg_matches_parsing_renderer(self, tmp_path_factory, gammas, betas, data):
+        value, tag = _grid(data, gammas, betas)
+        g, b = np.meshgrid(gammas, betas, indexing="ij")
+        path = tmp_path_factory.mktemp("svg")
+        _write_csv(path / "s.csv", np.array(gammas), np.array(betas), value, tag)
+        render_svg(path / "s.csv", path / "arrays.svg", (g.ravel(), b.ravel(), tag.ravel()))
+        render_svg(path / "s.csv", path / "parsed.svg")
+        parsed_render_svg(path / "s.csv", path / "oracle.svg")
+        oracle = (path / "oracle.svg").read_bytes()
+        assert (path / "arrays.svg").read_bytes() == oracle
+        assert (path / "parsed.svg").read_bytes() == oracle
+
+    def test_svg_rejects_malformed_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        # Four rows of five fields: as many fields as five rows of four.
+        path.write_text("gamma,beta,value,tag\n" + "1,2,3,none,x\n" * 4)
+        with pytest.raises(ValueError):
+            render_svg(path, tmp_path / "bad.svg")
+
+
 class TestCycleDemo:
     def test_demo_point_cycles(self, capsys, tmp_path):
         out = tmp_path / "trace.csv"
@@ -214,6 +317,26 @@ class TestCycleDemo:
         assert code == 0
         payload = json.loads(out)
         assert payload["stayed_in_tube"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("--gamma", "3.5", "--beta", "0.75", "--mu", "0.005", "--L", "1", "--K", "7"),
+        *((*_TUBE_POINT, "--noise-init", "0.5", "--noise-grad", "within-thm53",
+           "--noise-gamma", "1e-5", "--noise-beta", "1e-5", "--seed", seed)
+          for seed in ("1", "2", "3")),
+        (*_TUBE_POINT, "--noise-init", "0.5", "--noise-grad", "within-thm53",
+         "--noise-mode", "adversarial-sign"),
+        (*_TUBE_POINT, "--smooth", "auto", "--lambda", "1"),
+        (*_TUBE_POINT, "--smooth", "auto", "--lambda", "10")])
+    def test_trace_csv_matches_rowwise_writer(self, capsys, tmp_path, monkeypatch, argv):
+        def both(trace, path, cycle=None):
+            write_trace_csv(trace, path, cycle=cycle)
+            rowwise_write_trace_csv(trace, tmp_path / "oracle.csv", cycle=cycle)
+
+        monkeypatch.setattr(cli, "write_trace_csv", both)
+        code, _, _ = run_cli(capsys, "cycle-demo", *argv, "--steps", "300",
+                             "--out", str(tmp_path / "trace.csv"))
+        assert code == 0
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_smooth_dilated_run(self, capsys):
         code, out, _ = run_cli(capsys, "cycle-demo", "--gamma", "3.3",

@@ -25,7 +25,7 @@ from hbcycles.rou_region import (
     rou_cycle,
 )
 
-from conftest import sequential_perturbed_run
+from conftest import rowwise_write_trace_csv, sequential_perturbed_run
 
 
 # Interior members of mu = 0.005, L = 1 at two periods.
@@ -441,3 +441,19 @@ class TestTraceCsv:
         assert float(row[4]) == p.gamma
         back = np.array([float(v) for v in row[1:3]])
         assert np.allclose(back, trace.iterates[2], atol=0)
+
+    @pytest.mark.parametrize("blow_up_at", [None, 1, 2, 6])
+    def test_matches_rowwise_writer_without_cycle(self, tmp_path, blow_up_at):
+        # A truncated trace has fewer parameter rows than steps; the rows
+        # past them, and the distance column without a cycle, stay empty.
+        calls = []
+
+        def oracle(x):
+            calls.append(1)
+            return np.full(3, np.inf) if len(calls) == blow_up_at else 0.1 * x
+
+        trace = run(oracle, HbParams(0.9, 0.5), [1.0, -0.0, 2.5], [0.5, 1e-310, -3.0], 8)
+        assert trace.truncated == (blow_up_at is not None)
+        write_trace_csv(trace, tmp_path / "new.csv")
+        rowwise_write_trace_csv(trace, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbcycles.quad_rates import FunctionClass, HbParams
+from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from hbcycles.rou_region import (
     CounterexampleFunction,
     beta_minus,
@@ -24,7 +24,12 @@ from hbcycles.rou_region import (
     rou_member_any_lower_only,
 )
 from hbcycles.quad_rates import ghadimi_beta_bound
-from conftest import central_difference_grad, projection_case, stacked_polygon_project_batch
+from conftest import (
+    central_difference_grad,
+    full_grid_member_any_grid,
+    projection_case,
+    stacked_polygon_project_batch,
+)
 
 
 class TestRouCycle:
@@ -186,6 +191,26 @@ class TestRouMemberAny:
             for j in range(0, 21, 2):
                 scalar = rou_member_any(HbParams(g[i, j], b[i, j]), c, 40)
                 assert grid[i, j] == (scalar or 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kappa=st.floats(1e-5, 1.0), ell=st.floats(0.25, 8.0),
+           k_max=st.integers(3, 80), seed=st.integers(0, 2**32 - 1))
+    def test_grid_variant_matches_full_grid_loop(self, kappa, ell, k_max, seed):
+        # Each beta row holds the step-size edge 2(1+beta)/L, its float
+        # neighbours, the edge plus the closure slack and random interior
+        # and exterior steps; the periods must agree bit for bit.
+        c = FunctionClass(kappa * ell, ell)
+        rng = np.random.default_rng(seed)
+        b = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 9), [np.nextafter(1.0, 0.0)]])[:, None]
+        edge = 2.0 * (1.0 + b) / c.ell
+        g = np.hstack([edge, np.nextafter(edge, np.inf), np.nextafter(edge, 0.0),
+                       edge + BOUNDARY_TOL, edge * rng.uniform(0.0, 1.1, (len(b), 12))])
+        periods = member_any_grid(g, b, c, k_max=k_max)
+        assert periods.dtype == np.int32 and periods.shape == g.shape
+        assert np.array_equal(periods, full_grid_member_any_grid(g, b, c, k_max))
+        gm, bm = np.meshgrid(g[0], b[:, 0], indexing="ij")
+        assert np.array_equal(member_any_grid(gm, bm, c, k_max=k_max),
+                              full_grid_member_any_grid(gm, bm, c, k_max))
 
 
 class TestCounterexample:
