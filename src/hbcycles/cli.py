@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .cycle_lp import (
-    CONVERGENCE_EDGE_SLACK,
     FEASIBILITY_TOL,
     INDETERMINATE_TOL,
     cycle_gradients,
@@ -45,6 +44,7 @@ from .quad_rates import (
     HbParams,
     NO_CONVERGENCE,
     ghadimi_beta_bound,
+    in_cv_closure,
     rate_grid,
     rate_on_quadratics,
 )
@@ -232,8 +232,17 @@ def _sweep_grid(args, c: FunctionClass):
     if gamma_hi is None:
         gamma_hi = 2.0 * (1.0 + beta_hi) / c.ell
     gamma_lo = args.gamma_min if args.gamma_min is not None else gamma_hi / args.gamma_count
-    gammas = np.linspace(gamma_lo, gamma_hi, args.gamma_count)
-    betas = np.linspace(args.beta_min, beta_hi, args.beta_count, endpoint=False)
+    # Finite bounds can still overflow: 2(1+beta)/L or a span past the
+    # float range gives an infinite or NaN axis, rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gammas = np.linspace(gamma_lo, gamma_hi, args.gamma_count)
+        betas = np.linspace(args.beta_min, beta_hi, args.beta_count, endpoint=False)
+    for name, axis in (("gamma", gammas), ("beta", betas)):
+        if not np.isfinite(axis).all():
+            hint = (f" (--gamma-max defaults to 2(1 + --beta-max)/L = {gamma_hi:g})"
+                    if name == "gamma" and args.gamma_max is None else "")
+            raise argparse.ArgumentTypeError(
+                f"the {name} axis from --{name}-min/--{name}-max is not finite{hint}")
     return gammas, betas
 
 
@@ -294,17 +303,22 @@ def _cmd_sweep(args) -> int:
 
 def _lp_region_cell(task, duals=None):
     """Row of one lp-region cell; ``duals`` is the dual store ``lp_margin``
-    screens with (it changes which periods are solved, never the row)."""
+    screens with (it changes which periods are solved, never the row).
+
+    A period whose LP solve fails proves nothing either way: the cell is
+    "indeterminate" unless a later period proves "member"."""
     gamma, beta, mu, ell, k_max = task
     c = FunctionClass(mu, ell)
-    in_cv = (0.0 < gamma <= 2.0 * (1.0 + beta) / ell + CONVERGENCE_EDGE_SLACK
-             and 0.0 <= beta < 1.0)
-    if not in_cv:
+    if not in_cv_closure(gamma, beta, c):
         return (gamma, beta, math.nan, "none")
     p = HbParams(gamma, beta)
     best = math.inf
     for k in range(3, k_max + 1):
-        margin = lp_margin(p, c, k, duals)
+        try:
+            margin = lp_margin(p, c, k, duals)
+        except RuntimeError:
+            best = -math.inf  # no margin: at best indeterminate
+            continue
         best = min(best, margin)
         if margin <= FEASIBILITY_TOL:
             return (gamma, beta, k, "member")

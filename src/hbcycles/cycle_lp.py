@@ -23,9 +23,8 @@ first tries the last optimal dual at the same period; when that bound, less
 its rounding error, clears ``INDETERMINATE_TOL`` the solve is skipped.
 
 The tolerances of the cycle tests live here: a margin at most
-``FEASIBILITY_TOL`` is a cycle, one at most ``INDETERMINATE_TOL`` is too
-close to call, and ``CONVERGENCE_EDGE_SLACK`` keeps the step-size edge
-gamma = 2(1+beta)/L inside the region.
+``FEASIBILITY_TOL`` is a cycle, and one at most ``INDETERMINATE_TOL`` is
+too close to call.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .simplex import solve_canonical
 
 FEASIBILITY_TOL = 1e-9
 INDETERMINATE_TOL = 1e-8
-CONVERGENCE_EDGE_SLACK = 1e-12
 # A screened bound must clear INDETERMINATE_TOL by this much times the LP
 # scale max(1, max|P|), which absorbs the few roundings of the bound that
 # its gamma_n term leaves out (see dual_lower_bound).  So the exact t* of P
@@ -344,8 +342,7 @@ def _lp_scale(pm: np.ndarray) -> float:
     return max(float(np.abs(pm).max()), 1.0)
 
 
-def _solve_cycle_lp(pm: np.ndarray,
-                    p: HbParams) -> tuple[float, np.ndarray, np.ndarray | None]:
+def _solve_cycle_lp(pm: np.ndarray, p: HbParams) -> tuple[float, np.ndarray, np.ndarray]:
     """Margin t*, optimal weights and dual row weights of:
     min t s.t. P nu <= t, sum nu = 1, nu >= 0, for the matrix ``pm``
     (``p`` only names the cell in the error a failed solve raises).
@@ -357,12 +354,12 @@ def _solve_cycle_lp(pm: np.ndarray,
 
     The simplex starts from the best pure harmonic, nu = e_j with j the
     column of least maximum, t = that maximum, and every slack basic but the
-    binding row's: a primal-feasible (and always nonsingular) basis, so no
-    phase 1 runs.
+    binding row's: the primal-feasible (and always nonsingular) basis the
+    simplex requires.
 
     The dual weights are y = -(row prices) of the K-1 inequality rows,
-    clipped at 0 and normalized to sum 1 (None if the solver gave no prices
-    or they vanish); at the optimum ``dual_lower_bound(pm, y)`` is t*.
+    clipped at 0 and normalized to sum 1 (the t columns make the unclipped
+    prices sum to 1 at the optimum); there ``dual_lower_bound(pm, y)`` is t*.
     """
     scale = _lp_scale(pm)
     pm = pm / scale
@@ -390,12 +387,8 @@ def _solve_cycle_lp(pm: np.ndarray,
         raise RuntimeError(
             f"LP solve failed: status={res.status} after {res.iterations} iterations "
             f"(period {n_rows + 1}, gamma={p.gamma}, beta={p.beta})")
-    y = None
-    if res.dual is not None:
-        y = np.maximum(-res.dual[:n_rows], 0.0)
-        total = y.sum()
-        y = y / total if total > 0.0 else None
-    return scale * res.objective, res.x[:m], y
+    y = np.maximum(-res.dual[:n_rows], 0.0)
+    return scale * res.objective, res.x[:m], y / y.sum()
 
 
 def lp_margin(p: HbParams, c: FunctionClass, k: int,
@@ -420,7 +413,7 @@ def lp_margin(p: HbParams, c: FunctionClass, k: int,
         if bound > INDETERMINATE_TOL + SCREEN_SLACK * _lp_scale(pm):
             return bound
     margin, _, y = _solve_cycle_lp(pm, p)
-    if duals is not None and y is not None:
+    if duals is not None:
         duals[k] = y
     return margin
 

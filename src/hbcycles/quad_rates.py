@@ -72,6 +72,18 @@ class FunctionClass:
         return self.mu / self.ell
 
 
+def in_cv_closure(gamma, beta, c: FunctionClass):
+    """Whether (gamma, beta) lies in the closure of the convergence region,
+    0 <= beta < 1 and 0 < gamma <= 2(1+beta)/L; floats or arrays, elementwise.
+
+    The edge gamma = 2(1+beta)/L is included, up to ``BOUNDARY_TOL``: the
+    cycling construction is valid there (the standard demonstration
+    parameters sit exactly on it).
+    """
+    return ((0.0 <= beta) & (beta < 1.0) & (0.0 < gamma)
+            & (gamma <= 2.0 * (1.0 + beta) / c.ell + BOUNDARY_TOL))
+
+
 @dataclass(frozen=True)
 class RateReport:
     """Asymptotic contraction factor and the region it was produced by.

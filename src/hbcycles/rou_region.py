@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quad_rates import BOUNDARY_TOL, FunctionClass, HbParams, rate_grid, NO_CONVERGENCE
+from .quad_rates import FunctionClass, HbParams, in_cv_closure, rate_grid, NO_CONVERGENCE
 
 # Default cap for the membership search over periods; larger periods only
 # matter very close to beta = 1.
@@ -50,44 +50,28 @@ def rou_cycle(k: int) -> RouCycle:
     return RouCycle(k, theta, points, rotation)
 
 
-def _poly_coeffs(beta: float, k: int, c: FunctionClass) -> tuple[float, float]:
-    """(a, c0) of the membership quadratic (mu*gamma)^2 - 2a(mu*gamma) + c0."""
-    kap = c.kappa
+def _membership_quadratic(mg, beta, k: int, kappa: float):
+    """(value, a, c0) of the period-K membership quadratic
+    (mu*gamma)^2 - 2a(mu*gamma) + c0 at mu*gamma = ``mg``; ``mg`` and
+    ``beta`` are floats or arrays."""
     ct = math.cos(2.0 * math.pi / k)
-    a = beta - ct + kap * (1.0 - beta * ct)
-    c0 = 2.0 * kap * (1.0 - ct) * (1.0 + beta * beta - 2.0 * beta * ct)
-    return a, c0
+    a = beta - ct + kappa * (1.0 - beta * ct)
+    c0 = 2.0 * kappa * (1.0 - ct) * (1.0 + beta * beta - 2.0 * beta * ct)
+    return mg * mg - 2.0 * a * mg + c0, a, c0
 
 
 def polynomial_value(gamma: float, beta: float, k: int, c: FunctionClass) -> float:
     """Value of the period-K membership quadratic at (gamma, beta)."""
-    a, c0 = _poly_coeffs(beta, k, c)
-    mg = c.mu * gamma
-    return mg * mg - 2.0 * a * mg + c0
+    return _membership_quadratic(c.mu * gamma, beta, k, c.kappa)[0]
 
 
 def beta_minus(k: int, c: FunctionClass) -> float:
     """Smallest momentum for which the period-K membership quadratic has roots.
 
-    The rational closed form has a removable 0/0 where its denominator
-    1 - 2*kappa + kappa^2 cos^2 crosses zero (e.g. kappa = 1/2 with K = 4);
-    the equivalent gap expression takes over there.
-    """
-    kap = c.kappa
-    ct = math.cos(2.0 * math.pi / k)
-    num = (kap * ct * ct + (1.0 - kap) ** 2 * ct - kap
-           + (1.0 - kap) * (1.0 - ct) * math.sqrt(2.0 * kap * (1.0 + ct)))
-    den = 1.0 - 2.0 * kap + kap * kap * ct * ct
-    if abs(den) < 1e-9:
-        return beta_minus_alternative(k, c)
-    return num / den
-
-
-def beta_minus_alternative(k: int, c: FunctionClass) -> float:
-    """Equivalent expression of ``beta_minus`` exposing the sqrt(kappa) gap.
-
-    beta_minus(K) - cos(2*pi/K) factors as sqrt(kappa)(1 - cos) times a
-    bounded ratio; useful as an independent cross-check of the closed form.
+    Written as cos(2*pi/K) plus a gap that factors as sqrt(kappa)(1 - cos)
+    times a bounded ratio; unlike the rational closed form it has no 0/0
+    (the rational form's denominator 1 - 2*kappa + kappa^2 cos^2 vanishes
+    at kappa = 1/2 with K = 4).
     """
     kap = c.kappa
     ct = math.cos(2.0 * math.pi / k)
@@ -120,21 +104,13 @@ def membership_polynomial(beta: float, k: int, c: FunctionClass) -> CycleQuadrat
         raise ValueError(f"period must be >= 2, got {k}")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    a, c0 = _poly_coeffs(beta, k, c)
+    _, a, c0 = _membership_quadratic(0.0, beta, k, c.kappa)
     disc = a * a - c0
     bm = beta_minus(k, c)
     if disc < 0.0:
         return CycleQuadratic(a, None, None, None, bm)
     b = math.sqrt(disc)
     return CycleQuadratic(a, b, (a - b) / c.mu, (a + b) / c.mu, bm)
-
-
-def _in_cv_closure(gamma: float, beta: float, c: FunctionClass) -> bool:
-    # Closure of the quadratic convergence region in gamma.  The upper edge
-    # gamma = 2(1+beta)/L is included: the cycling construction is valid
-    # there (the standard demonstration parameters sit exactly on it).
-    return (0.0 <= beta < 1.0 and 0.0 < gamma
-            and gamma <= 2.0 * (1.0 + beta) / c.ell + BOUNDARY_TOL)
 
 
 def rou_member(p: HbParams, c: FunctionClass, k: int) -> bool:
@@ -149,9 +125,7 @@ def rou_member(p: HbParams, c: FunctionClass, k: int) -> bool:
         raise ValueError(f"period must be >= 2, got {k}")
     if p.beta < 0.0:
         raise ValueError("cycling membership is only defined for beta >= 0")
-    if not _in_cv_closure(p.gamma, p.beta, c):
-        return False
-    return polynomial_value(p.gamma, p.beta, k, c) <= 0.0
+    return in_cv_closure(p.gamma, p.beta, c) and polynomial_value(p.gamma, p.beta, k, c) <= 0.0
 
 
 def rou_member_any(p: HbParams, c: FunctionClass,
@@ -161,35 +135,11 @@ def rou_member_any(p: HbParams, c: FunctionClass,
         raise ValueError(f"k_max must be >= 3, got {k_max}")
     if p.beta < 0.0:
         raise ValueError("cycling membership is only defined for beta >= 0")
-    if not _in_cv_closure(p.gamma, p.beta, c):
+    if not in_cv_closure(p.gamma, p.beta, c):
         return None
+    mg, kap = c.mu * p.gamma, c.kappa
     for k in range(3, k_max + 1):
-        if polynomial_value(p.gamma, p.beta, k, c) <= 0.0:
-            return k
-    return None
-
-
-def rou_member_any_lower_only(p: HbParams, c: FunctionClass,
-                              k_max: int = DEFAULT_K_MAX) -> int | None:
-    """One-sided variant of ``rou_member_any`` (gamma >= gamma_minus suffices).
-
-    Valid when kappa <= ((3 - sqrt(5))/4)^2, where the union of the per-K
-    bands collapses to single intervals reaching the region's right edge.
-    Results must agree with the exhaustive two-sided test in that regime.
-    """
-    if k_max < 3:
-        raise ValueError(f"k_max must be >= 3, got {k_max}")
-    if p.beta < 0.0:
-        raise ValueError("cycling membership is only defined for beta >= 0")
-    if not _in_cv_closure(p.gamma, p.beta, c):
-        return None
-    for k in range(3, k_max + 1):
-        # beta >= beta_minus(K) excludes the spurious branch where the
-        # quadratic has two negative roots (region still empty).
-        if p.beta < beta_minus(k, c):
-            continue
-        q = membership_polynomial(p.beta, k, c)
-        if q.gamma_minus is not None and p.gamma >= q.gamma_minus:
+        if _membership_quadratic(mg, p.beta, k, kap)[0] <= 0.0:
             return k
     return None
 
@@ -206,18 +156,14 @@ def member_any_grid(gammas, betas, c: FunctionClass,
         raise ValueError("cycling membership is only defined for beta >= 0")
     out = np.zeros(g.size, dtype=np.int32)
     # Flat index, beta and mu*gamma of each cell not yet given a period.
-    cell = np.flatnonzero((g > 0) & (b < 1) & (g <= 2.0 * (1.0 + b) / c.ell + BOUNDARY_TOL))
+    cell = np.flatnonzero(in_cv_closure(g, b, c))
     b = b.ravel()[cell]
     mg = c.mu * g.ravel()[cell]
     kap = c.kappa
     for k in range(3, k_max + 1):
         if not cell.size:
             break
-        ct = math.cos(2.0 * math.pi / k)
-        a = b - ct + kap * (1.0 - b * ct)
-        c0 = 2.0 * kap * (1.0 - ct) * (1.0 + b * b - 2.0 * b * ct)
-        val = mg * mg - 2.0 * a * mg + c0
-        hit = val <= 0.0
+        hit = _membership_quadratic(mg, b, k, kap)[0] <= 0.0
         out[cell[hit]] = k
         if hit.any():
             cell, b, mg = cell[~hit], b[~hit], mg[~hit]
@@ -308,26 +254,30 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     return proj
 
 
-def polygon_project(ce: CounterExample, x: np.ndarray) -> np.ndarray:
-    """Exact closest point of ``x`` on the polygon."""
-    return polygon_project_batch(ce, np.asarray(x, dtype=float)[None, :])[0]
-
-
-def eval_counterexample(ce: CounterExample, c: FunctionClass,
-                        x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and exact gradient of the piecewise-quadratic counterexample.
+def _counterexample_batch(ce: CounterExample, c: FunctionClass, x: np.ndarray,
+                          value: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """Values (n,) and exact gradients (n, 2) of the counterexample at the
+    rows of ``x``; the values are None unless ``value``.
 
     value(x) = (L/2)||x||^2 - ((L-mu)/2) dist(x, hull)^2 and
     grad(x)  = L x - (L-mu)(x - proj(x)).  Inside the hull the distance term
     vanishes and the gradient is exactly L x; in the vertex regions the
     Hessian is mu*I.
     """
-    x = np.asarray(x, dtype=float)
-    proj = polygon_project(ce, x)
-    gap = x - proj
-    value = 0.5 * c.ell * float(x @ x) - 0.5 * (c.ell - c.mu) * float(gap @ gap)
+    gap = x - polygon_project_batch(ce, x)
     grad = c.ell * x - (c.ell - c.mu) * gap
-    return value, grad
+    if not value:
+        return None, grad
+    return (0.5 * c.ell * np.einsum("ij,ij->i", x, x)
+            - 0.5 * (c.ell - c.mu) * np.einsum("ij,ij->i", gap, gap)), grad
+
+
+def eval_counterexample(ce: CounterExample, c: FunctionClass,
+                        x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and exact gradient of the piecewise-quadratic counterexample at
+    one point."""
+    value, grad = _counterexample_batch(ce, c, np.asarray(x, dtype=float)[None, :])
+    return float(value[0]), grad[0]
 
 
 class CounterexampleFunction:
@@ -341,18 +291,14 @@ class CounterexampleFunction:
         return eval_counterexample(self.ce, self.fclass, x)[0]
 
     def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        proj = polygon_project(self.ce, x)
-        return self.fclass.ell * x - (self.fclass.ell - self.fclass.mu) * (x - proj)
+        x = np.asarray(x, dtype=float)[None, :]
+        return _counterexample_batch(self.ce, self.fclass, x, value=False)[1][0]
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
-        proj = polygon_project_batch(self.ce, x)
-        return self.fclass.ell * x - (self.fclass.ell - self.fclass.mu) * (x - proj)
+        return _counterexample_batch(self.ce, self.fclass, x, value=False)[1]
 
     def value_batch(self, x: np.ndarray) -> np.ndarray:
-        gap = x - polygon_project_batch(self.ce, x)
-        return (0.5 * self.fclass.ell * np.einsum("ij,ij->i", x, x)
-                - 0.5 * (self.fclass.ell - self.fclass.mu) * np.einsum("ij,ij->i", gap, gap))
+        return _counterexample_batch(self.ce, self.fclass, x)[0]
 
 
 def incompatibility_scan(c: FunctionClass, big_c: float,

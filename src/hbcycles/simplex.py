@@ -1,19 +1,21 @@
-"""Dense two-phase simplex for small linear programs.
+"""Dense primal simplex for small linear programs, from a given basis.
 
 Solves min c.x subject to A x = b, x >= 0 on a full tableau with Bland's
-anti-cycling rule (entering: lowest eligible index; leaving: lowest basic
-index among the minimal ratios), so every solve is deterministic and
-finite.  The cycle-feasibility LPs are heavily degenerate (almost every
+rule (entering: lowest eligible index; leaving: lowest basic index among
+the minimal ratios), so every solve is deterministic.  There is no phase
+1: the caller passes a primal-feasible starting basis, and gets back with
+an optimal result the row prices c_B B^-1 of the confirming basis as the
+dual.  The cycle-feasibility LPs are heavily degenerate (almost every
 right-hand side is zero), so accumulated pivot rounding is controlled by
 refactorization: after each optimal pass the tableau is rebuilt exactly
 from the original data and the pass repeats until a fresh tableau accepts
 the basis with no further pivots.  A refactorized basis whose values break
 x >= 0 (pivot rounding can drive a degenerate basis there) ends the solve
-with status "lost_feasibility" rather than a false "optimal".  A caller
-that knows a primal-feasible basis passes it and skips phase 1, and gets
-back the row prices c_B B^-1 of the confirming basis as the dual.  Problem
-sizes here are at most a few hundred variables, where a dense tableau beats
-anything fancier.
+with status "lost_feasibility" rather than a false "optimal".  Bland's
+rule is exact only in exact arithmetic: under the ratio-test tolerances a
+degenerate solve can revisit a basis and end at the iteration limit.
+Problem sizes here are at most a few hundred variables, where a dense
+tableau beats anything fancier.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ _FEAS_TOL = 1e-8
 
 @dataclass
 class SimplexResult:
-    status: str            # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
-                           # | "lost_feasibility"
+    status: str            # "optimal" | "unbounded" | "iteration_limit" | "lost_feasibility"
     x: np.ndarray | None
     objective: float | None
     iterations: int
-    dual: np.ndarray | None = None  # row prices c_B B^-1 (optimal, basis= path)
+    dual: np.ndarray | None = None  # row prices c_B B^-1 (optimal only)
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -42,14 +43,6 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     factors[row] = 0.0
     tableau -= np.outer(factors, tableau[row])
     basis[row] = col
-
-
-def _canonical_tableau(a_full: np.ndarray, b: np.ndarray,
-                       basis: np.ndarray) -> np.ndarray:
-    """Exact tableau [B^-1 A | B^-1 b] for the given basis."""
-    basis_matrix = a_full[:, basis]
-    reduced = np.linalg.solve(basis_matrix, np.hstack([a_full, b[:, None]]))
-    return reduced
 
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
@@ -76,7 +69,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     return "iteration_limit", it
 
 
-def _optimize(a_full: np.ndarray, b: np.ndarray, cost: np.ndarray,
+def _optimize(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
               basis: np.ndarray, max_iter: int) -> tuple[str, int, np.ndarray]:
     """Iterate with periodic exact refactorization until a fresh tableau
     confirms optimality with zero further pivots.  Every refactorized basis
@@ -85,7 +78,7 @@ def _optimize(a_full: np.ndarray, b: np.ndarray, cost: np.ndarray,
     scale = max(1.0, float(np.abs(b).max()))
     total = 0
     while total <= max_iter:
-        tableau = _canonical_tableau(a_full, b, basis)
+        tableau = np.linalg.solve(a[:, basis], np.hstack([a, b[:, None]]))  # [B^-1 A | B^-1 b]
         if tableau[:, -1].min() < -_FEAS_TOL * scale:
             return "lost_feasibility", total, tableau
         status, it = _iterate(tableau, basis, cost, max_iter - total)
@@ -95,66 +88,33 @@ def _optimize(a_full: np.ndarray, b: np.ndarray, cost: np.ndarray,
     return "iteration_limit", total, tableau
 
 
-def solve_canonical(cost, a_eq, b_eq, max_iter: int = 20000,
-                    basis=None) -> SimplexResult:
-    """Minimize cost.x subject to a_eq x = b_eq, x >= 0.
+def solve_canonical(cost, a_eq, b_eq, basis, max_iter: int = 20000) -> SimplexResult:
+    """Minimize cost.x subject to a_eq x = b_eq, x >= 0, from ``basis``.
 
-    ``basis`` (one column index per row) is an optional primal-feasible
-    starting basis: phase 1 is skipped.  A basis that is singular or whose
-    values break x >= 0 raises ValueError.  On that path an optimal result
-    also carries ``dual``, the row prices c_B B^-1 of the confirming basis
-    in the rows of ``a_eq`` as given: ``dual @ b_eq`` is the objective and
-    ``cost - dual @ a_eq`` the (nonnegative) reduced costs.
+    ``basis`` (one column index per row) is a primal-feasible starting
+    basis; one that is singular or whose values break x >= 0 raises
+    ValueError.  An optimal result also carries ``dual``, the row prices
+    c_B B^-1 of the confirming basis in the rows of ``a_eq`` as given:
+    ``dual @ b_eq`` is the objective and ``cost - dual @ a_eq`` the
+    (nonnegative) reduced costs.
     """
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
     c = np.array(cost, dtype=float)
-    m, n = a.shape
-    scale = max(1.0, float(np.abs(b).max()))
-
     flip = b < 0
     a[flip] *= -1.0
     b[flip] *= -1.0
+    basis = _checked_basis(a, b, basis, max(1.0, float(np.abs(b).max())))
 
-    it1 = 0
-    started = basis is not None
-    if started:
-        basis = _checked_basis(a, b, basis, scale)
-    else:
-        # Phase 1: artificials form the starting basis.
-        a_full = np.hstack([a, np.eye(m)])
-        basis = np.arange(n, n + m)
-        phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-        status, it1, tableau = _optimize(a_full, b, phase1_cost, basis, max_iter)
-        if status != "optimal":
-            return SimplexResult(status, None, None, it1)
-        if phase1_cost[basis] @ tableau[:, -1] > _FEAS_TOL * scale:
-            return SimplexResult("infeasible", None, None, it1)
-
-        # Drive leftover artificials out of the basis (or drop redundant rows).
-        keep = np.ones(m, dtype=bool)
-        for row in range(m):
-            if basis[row] >= n:
-                pivots = np.flatnonzero(np.abs(tableau[row, :n]) > _PIVOT_TOL)
-                if pivots.size:
-                    _pivot(tableau, basis, row, int(pivots[0]))
-                else:
-                    keep[row] = False
-        a, b, basis = a[keep], b[keep], basis[keep]
-
-    # Phase 2 on the original columns.
-    status, it2, tableau = _optimize(a, b, c, basis, max_iter)
+    status, it, tableau = _optimize(a, b, c, basis, max_iter)
     if status != "optimal":
-        return SimplexResult(status, None, None, it1 + it2)
-
+        return SimplexResult(status, None, None, it)
     # The basis values of the confirming (feasibility-checked) fresh tableau.
-    x = np.zeros(n)
+    x = np.zeros(a.shape[1])
     x[basis] = tableau[:, -1]
-    dual = None
-    if started:
-        dual = np.linalg.solve(a[:, basis].T, c[basis])
-        dual[flip] *= -1.0
-    return SimplexResult("optimal", x, float(c @ x), it1 + it2, dual)
+    dual = np.linalg.solve(a[:, basis].T, c[basis])
+    dual[flip] *= -1.0
+    return SimplexResult("optimal", x, float(c @ x), it, dual)
 
 
 def _checked_basis(a: np.ndarray, b: np.ndarray, basis, scale: float) -> np.ndarray:

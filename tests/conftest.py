@@ -8,6 +8,8 @@ and the (n, K, 2) projection kernel is the one the per-coordinate kernel
 must reproduce bit for bit.  The row-at-a-time CSV writers, the SVG
 renderer that re-reads its CSV and the full-grid membership loop are the
 output and membership code the array forms must reproduce byte for byte.
+The rational closed form of beta_minus and the one-sided membership search
+are second derivations of what ``rou_region`` computes.
 """
 
 import csv
@@ -19,7 +21,13 @@ import pytest
 from hbcycles.cli import _TAG_COLORS
 from hbcycles.hb_engine import noise_budget
 from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
-from hbcycles.rou_region import CounterexampleFunction, polygon_project, rou_cycle
+from hbcycles.rou_region import (
+    CounterexampleFunction,
+    beta_minus,
+    membership_polynomial,
+    polygon_project_batch,
+    rou_cycle,
+)
 
 
 def companion_spectral_radius(gamma, beta, lam):
@@ -130,6 +138,49 @@ def sequential_perturbed_run(ce, c, p, k, noise, steps):
     max_dev = float(np.max(np.linalg.norm(
         zs - cyc.points[np.arange(steps + 2) % k], axis=1)))
     return zs, params, max_dev, max_dev <= ce.r_max * (1.0 + 1e-12)
+
+
+def polygon_project(ce, x):
+    """Exact closest point of one point ``x`` on the polygon."""
+    return polygon_project_batch(ce, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def rational_beta_minus(k, c):
+    """``beta_minus`` from its rational closed form.
+
+    The form is 0/0 where 1 - 2*kappa + kappa^2 cos^2 vanishes (kappa = 1/2
+    with K = 4); there it defers to ``beta_minus`` itself, which
+    ``test_beta_minus_at_the_rational_zero_over_zero`` checks against this
+    form at neighbouring kappa.
+    """
+    kap = c.kappa
+    ct = math.cos(2.0 * math.pi / k)
+    num = (kap * ct * ct + (1.0 - kap) ** 2 * ct - kap
+           + (1.0 - kap) * (1.0 - ct) * math.sqrt(2.0 * kap * (1.0 + ct)))
+    den = 1.0 - 2.0 * kap + kap * kap * ct * ct
+    if abs(den) < 1e-9:
+        return beta_minus(k, c)
+    return num / den
+
+
+def rou_member_any_lower_only(p, c, k_max):
+    """One-sided ``rou_member_any`` (gamma >= gamma_minus suffices).
+
+    Valid when kappa <= ((3 - sqrt(5))/4)^2, where the union of the per-K
+    bands collapses to single intervals reaching the region's right edge.
+    """
+    if not (0.0 <= p.beta < 1.0
+            and 0.0 < p.gamma <= 2.0 * (1.0 + p.beta) / c.ell + BOUNDARY_TOL):
+        return None
+    for k in range(3, k_max + 1):
+        # beta >= beta_minus(K) excludes the spurious branch where the
+        # quadratic has two negative roots (region still empty).
+        if p.beta < rational_beta_minus(k, c):
+            continue
+        q = membership_polynomial(p.beta, k, c)
+        if q.gamma_minus is not None and p.gamma >= q.gamma_minus:
+            return k
+    return None
 
 
 def projection_case(ce, x):

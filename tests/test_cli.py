@@ -11,7 +11,7 @@ import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
 from hbcycles.cli import SWEEP_MODES, _lp_region_cell, _write_csv, main, render_svg
 from hbcycles.hb_engine import NoiseSpec, noise_budget, write_trace_csv
-from hbcycles.quad_rates import FunctionClass, HbParams
+from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from hbcycles.rou_region import CounterexampleFunction, build_counterexample
 
 from conftest import (
@@ -213,6 +213,61 @@ class TestSweep:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+    def test_failed_lp_solve_makes_the_cell_indeterminate(self, monkeypatch):
+        def margin(p, c, k, duals=None):
+            if k == 5:
+                raise RuntimeError("LP solve failed: status=iteration_limit")
+            return 1.0
+
+        monkeypatch.setattr(cli, "lp_margin", margin)
+        gamma, beta, period, tag = _lp_region_cell((1.0, 0.5, 0.01, 1.0, 8))
+        assert (gamma, beta, tag) == (1.0, 0.5, "indeterminate") and math.isnan(period)
+
+    def test_member_at_a_later_period_outranks_a_failed_solve(self, monkeypatch):
+        def margin(p, c, k, duals=None):
+            if k == 5:
+                raise RuntimeError("LP solve failed: status=iteration_limit")
+            return -1.0 if k == 7 else 1.0
+
+        monkeypatch.setattr(cli, "lp_margin", margin)
+        assert _lp_region_cell((1.0, 0.5, 0.01, 1.0, 8)) == (1.0, 0.5, 7, "member")
+
+    def test_iteration_limit_cell_of_the_default_sweep_is_indeterminate(self):
+        # The default lp-region sweep (6 x 6, k-max 100) reaches this cell;
+        # its period-92 LP ends at the simplex's iteration limit, and every
+        # lower period has a positive margin.
+        p, c = HbParams(2.0 / 3.0, 1.0 / 6.0), FunctionClass(0.01, 1.0)
+        with pytest.raises(RuntimeError, match="iteration_limit"):
+            cycle_lp.lp_margin(p, c, 92)
+        row = _lp_region_cell((p.gamma, p.beta, c.mu, c.ell, 92), {})
+        assert row[3] == "indeterminate"
+
+    @pytest.mark.parametrize("offset,tag", [(0.5, "member"), (4.0, "none")])
+    def test_lp_region_closure_edge(self, monkeypatch, offset, tag):
+        # Every period a cycle: the tag then says which side of the closed
+        # step-size edge gamma = 2(1+beta)/L, widened by BOUNDARY_TOL, the
+        # cell is on.
+        monkeypatch.setattr(cli, "lp_margin", lambda p, c, k, duals=None: -1.0)
+        beta = 0.5
+        gamma = 2.0 * (1.0 + beta) + offset * BOUNDARY_TOL
+        assert _lp_region_cell((gamma, beta, 0.01, 1.0, 5))[3] == tag
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("--beta-max", "1e308"), "--beta-max"),
+        (("--gamma-min=-1e308", "--gamma-max", "1e308"), "--gamma-max"),
+        (("--beta-min=-1e308", "--beta-max", "1e308", "--gamma-max", "1"), "--beta-max")])
+    def test_overflowing_sweep_axis_is_usage_error(self, capsys, tmp_path, argv, flag):
+        # Finite flags whose axis is not: 2(1+beta-max)/L or the span
+        # overflows.
+        out = tmp_path / "x.csv"
+        code, text, err = run_cli(capsys, "sweep", "--mode", "rate", "--mu", "0.01",
+                                  "--L", "1", "--gamma-count", "2", "--beta-count", "2",
+                                  *argv, "--out", str(out))
+        assert code == 2 and text == ""
+        assert flag in err and "not finite" in err
+        assert not out.exists()
 
 
 # Floats a sweep or trace may hold: signed zeros, NaN, infinities,

@@ -9,25 +9,25 @@ from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from hbcycles.rou_region import (
     CounterexampleFunction,
     beta_minus,
-    beta_minus_alternative,
     build_counterexample,
     eval_counterexample,
     incompatibility_scan,
     member_any_grid,
     membership_polynomial,
-    polygon_project,
     polygon_project_batch,
     polynomial_value,
     rou_cycle,
     rou_member,
     rou_member_any,
-    rou_member_any_lower_only,
 )
 from hbcycles.quad_rates import ghadimi_beta_bound
 from conftest import (
     central_difference_grad,
     full_grid_member_any_grid,
+    polygon_project,
     projection_case,
+    rational_beta_minus,
+    rou_member_any_lower_only,
     stacked_polygon_project_batch,
 )
 
@@ -80,8 +80,19 @@ class TestMembershipPolynomial:
     @pytest.mark.parametrize("kappa", [1e-4, 1e-2, 0.1, 0.5])
     def test_beta_minus_alternative_identity(self, k, kappa):
         c = FunctionClass(kappa, 1.0)
-        assert beta_minus(k, c) == pytest.approx(beta_minus_alternative(k, c),
-                                                 abs=1e-12)
+        assert beta_minus(k, c) == pytest.approx(rational_beta_minus(k, c), abs=1e-12)
+
+    def test_beta_minus_at_the_rational_zero_over_zero(self):
+        # At kappa = 1/2, K = 4 the rational form is 0/0; beta_minus is
+        # finite there, agrees with the rational form beside it, and meets
+        # the midpoint of the rational form's values on either side.
+        value = beta_minus(4, FunctionClass(0.5, 1.0))
+        assert math.isfinite(value)
+        sides = [FunctionClass(kappa, 1.0) for kappa in (0.5 - 1e-4, 0.5 + 1e-4)]
+        for c in sides:
+            assert beta_minus(4, c) == pytest.approx(rational_beta_minus(4, c), abs=1e-6)
+        assert value == pytest.approx(sum(rational_beta_minus(4, c) for c in sides) / 2,
+                                      abs=1e-6)
 
     def test_beta_minus_is_discriminant_root(self):
         # Straddle the threshold: no roots just below, a tiny root gap just
