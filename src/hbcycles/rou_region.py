@@ -178,7 +178,10 @@ class CounterExample:
     polygon; ``hull`` holds the K polygon vertices in counter-clockwise
     (cycle) order; ``r_max`` is the Euclidean radius of the guaranteed
     locally quadratic ball around each cycle point (0 on the region's
-    boundary, positive inside).
+    boundary, positive inside); ``hull_radius`` is the largest vertex norm.
+    ``_edge_floats`` holds, per edge t, the floats (h0, h1, e0, e1,
+    edge_sq, length) of vertex t, edge t, its squared length and length,
+    for the one-point loops.
     """
 
     k: int
@@ -187,6 +190,8 @@ class CounterExample:
     r_max: float
     edges: np.ndarray = field(repr=False, default=None)
     _edge_sq: np.ndarray = field(repr=False, default=None)
+    hull_radius: float = field(repr=False, default=None)
+    _edge_floats: tuple = field(repr=False, default=None)
 
 
 def build_counterexample(p: HbParams, c: FunctionClass, k: int) -> CounterExample:
@@ -219,8 +224,42 @@ def build_counterexample(p: HbParams, c: FunctionClass, k: int) -> CounterExampl
     v = m @ (x1 - x0)
     r_max = float(-np.dot((np.eye(2) - m) @ x0, v / np.linalg.norm(v)))
 
-    return CounterExample(k=k, m=m, hull=hull, r_max=r_max,
-                          edges=edges, _edge_sq=np.einsum("ij,ij->i", edges, edges))
+    edge_sq = np.einsum("ij,ij->i", edges, edges)
+    edge_floats = tuple(zip(*hull.T.tolist(), *edges.T.tolist(), edge_sq.tolist(),
+                            np.sqrt(edge_sq).tolist()))
+    return CounterExample(k=k, m=m, hull=hull, r_max=r_max, edges=edges, _edge_sq=edge_sq,
+                          hull_radius=float(np.linalg.norm(hull, axis=1).max()),
+                          _edge_floats=edge_floats)
+
+
+def _project_one(ce: CounterExample, x0: float, x1: float) -> tuple[float, float]:
+    """``polygon_project_batch`` at one point, in Python floats.
+
+    The batch kernel's expressions in the same order, one edge at a time,
+    so the result has the same bits: the clamp keeps NaN and -0.0, and the
+    argmin keeps the first minimum, or the first NaN as ``np.argmin`` does.
+    """
+    inside = True
+    best = math.inf
+    p0 = p1 = None
+    for h0, h1, e0, e1, edge_sq, _ in ce._edge_floats:
+        r0 = x0 - h0
+        r1 = x1 - h1
+        if not e0 * r1 - e1 * r0 >= 0.0:
+            inside = False
+        t = (r0 * e0 + r1 * e1) / edge_sq
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        c0 = t * e0 + h0
+        c1 = t * e1 + h1
+        r0 = c0 - x0
+        r1 = c1 - x1
+        d2 = r0 * r0 + r1 * r1
+        if d2 < best or p0 is None or (d2 != d2 and best == best):
+            best, p0, p1 = d2, c0, c1
+    return (x0, x1) if inside else (p0, p1)
 
 
 def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
@@ -228,8 +267,13 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
 
     Case analysis over the K edges and K vertices (vertices arise from the
     clamped edge parameters); no iterative solver.  ``x`` has shape (n, 2).
-    Every intermediate is an (n, K) array of one coordinate.
+    One point runs a loop over the edges in Python floats (numpy's per-call
+    overhead dwarfs its arithmetic there); more points run the array
+    kernel, whose every intermediate is an (n, K) array of one coordinate.
+    Both give the same bits.
     """
+    if len(x) == 1:
+        return np.array([_project_one(ce, *x[0].tolist())], dtype=float)
     x0, x1 = x[:, 0:1], x[:, 1:2]
     e0, e1 = ce.edges[:, 0], ce.edges[:, 1]
     rel0 = x0 - ce.hull[:, 0]

@@ -149,16 +149,41 @@ def _cell_margin(ce: CounterExample, x: np.ndarray) -> float:
     interior; edge line t (from outside) and the normals at its two ends
     for edge slab t; the two normals at vertex t for vertex wedge t.  Only
     the cell holding ``x`` scores positive, so the maximum over all cells
-    is its margin (zero or below on a boundary).
+    is its margin (zero or below on a boundary).  NaN unless ``x`` is
+    finite.
+
+    One point, so a loop over the edges in Python floats.  It gives the
+    per-edge array form's values; only the sign of a zero margin may
+    differ, which numpy's min and max reductions pick by lane order.
     """
-    length = np.sqrt(ce._edge_sq)
-    rel = x - ce.hull
-    inward = (ce.edges[:, 0] * rel[:, 1] - ce.edges[:, 1] * rel[:, 0]) / length
-    along = np.einsum("kj,kj->k", rel, ce.edges) / length  # past the start normal
-    before_end = length - along
-    slab = np.minimum(np.minimum(-inward, along), before_end)
-    wedge = np.minimum(-np.roll(before_end, 1), -along)
-    return float(max(inward.min(), slab.max(), wedge.max()))
+    x0, x1 = x.tolist()
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        return math.nan
+    inner = math.inf
+    slab = wedge = -math.inf
+    along_0 = None
+    for h0, h1, e0, e1, _, length in ce._edge_floats:
+        r0 = x0 - h0
+        r1 = x1 - h1
+        inward = (e0 * r1 - e1 * r0) / length
+        along = (r0 * e0 + r1 * e1) / length  # past the start normal
+        before_end = length - along
+        if inward < inner:
+            inner = inward
+        s = -inward if -inward < along else along
+        if before_end < s:
+            s = before_end
+        if s > slab:
+            slab = s
+        if along_0 is None:
+            along_0 = along
+        else:
+            w = -prev_end if -prev_end < -along else -along
+            if w > wedge:
+                wedge = w
+        prev_end = before_end
+    wedge = max(wedge, min(-prev_end, -along_0))  # the wedge at vertex 0
+    return max(inner, slab, wedge)
 
 
 def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
@@ -177,7 +202,7 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
     fn = CounterexampleFunction(sce.base, sce.fclass)
     # Covers the rounding of the margin, which is of order eps times the
     # size of x and of the polygon.
-    slack = 64.0 * _EPS * (np.linalg.norm(x) + np.linalg.norm(sce.base.hull, axis=1).max())
+    slack = 64.0 * _EPS * (np.linalg.norm(x) + sce.base.hull_radius)
     if _cell_margin(sce.base, x) > sce.moll.epsilon + slack:
         return fn.grad(x)
     return sce.weights @ fn.grad_batch(x[None, :] - sce.nodes)

@@ -5,9 +5,11 @@ companion matrix over a lambda grid and is kept independent of the
 closed-form implementation it checks.  The sequential perturbed run is
 the one-point-per-step loop that the batched tube engine must reproduce,
 and the (n, K, 2) projection kernel is the one the per-coordinate kernel
-must reproduce bit for bit.  The row-at-a-time CSV writers, the SVG
-renderer that re-reads its CSV and the full-grid membership loop are the
-output and membership code the array forms must reproduce byte for byte.
+and the one-point loop must reproduce bit for bit; the per-edge array form
+of the cell margin is the one its one-point loop must reproduce.  The
+row-at-a-time CSV writers, the SVG renderer that re-reads its CSV and the
+full-grid membership loop are the output and membership code the array
+forms must reproduce byte for byte.
 The rational closed form of beta_minus and the one-sided membership search
 are second derivations of what ``rou_region`` computes.
 """
@@ -215,6 +217,18 @@ def stacked_polygon_project_batch(ce, x):
     proj = cand[np.arange(len(x)), np.argmin(d2, axis=1)]
     proj[inside] = x[inside]
     return proj
+
+
+def array_cell_margin(ce, x):
+    """``smoothing._cell_margin`` from per-edge arrays, as first written."""
+    length = np.sqrt(ce._edge_sq)
+    rel = x - ce.hull
+    inward = (ce.edges[:, 0] * rel[:, 1] - ce.edges[:, 1] * rel[:, 0]) / length
+    along = np.einsum("kj,kj->k", rel, ce.edges) / length  # past the start normal
+    before_end = length - along
+    slab = np.minimum(np.minimum(-inward, along), before_end)
+    wedge = np.minimum(-np.roll(before_end, 1), -along)
+    return float(max(inward.min(), slab.max(), wedge.max()))
 
 
 def rowwise_write_csv(path, rows) -> None:

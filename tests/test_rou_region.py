@@ -245,6 +245,13 @@ class TestCounterexample:
         assert radii == sorted(radii, reverse=True)
         assert abs(radii[-1]) <= 1e-8
 
+    def test_cached_floats_match_the_arrays(self, fig4_setup):
+        _, _, ce = fig4_setup
+        assert ce.hull_radius == np.linalg.norm(ce.hull, axis=1).max()
+        cached = np.array(ce._edge_floats)
+        assert cached.tobytes() == np.column_stack(
+            [ce.hull, ce.edges, ce._edge_sq, np.sqrt(ce._edge_sq)]).tobytes()
+
     def test_nonmember_rejected_with_polynomial_value(self):
         c = FunctionClass(0.01, 1.0)
         with pytest.raises(ValueError, match="membership polynomial"):
@@ -291,22 +298,31 @@ class TestProjection:
                 stacked_polygon_project_batch(ce, x).tobytes()
 
     @settings(max_examples=150, deadline=None)
-    @given(member=st.sampled_from([(3.3, 0.75, 7), (3.5, 0.9, 10), (2.2, 0.7, 5)]),
+    @given(member=st.sampled_from([(3.3, 0.75, 7), (3.5, 0.9, 10), (2.2, 0.7, 5),
+                                   (0.3, 0.9995, 100)]),
            free=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=30),
-           on_edges=st.lists(st.tuples(st.integers(0, 9), st.floats(0, 1)), max_size=30),
-           scale=st.sampled_from([1.0, 1e-3, 1e-9]), centre=st.integers(0, 9))
+           on_edges=st.lists(st.tuples(st.integers(0, 99), st.floats(0, 1)), max_size=30),
+           scale=st.sampled_from([1.0, 1e-3, 1e-9]), centre=st.integers(0, 99))
     def test_kernel_matches_stacked_oracle_on_edges_and_vertices(
             self, member, free, on_edges, scale, centre):
         # Free points (clouds around a vertex when scaled down), points on
-        # the edges, and the vertices themselves (edge parameter 0).
+        # the edges, the vertices themselves (edge parameter 0) and
+        # non-finite points: as one batch, then each row alone, which runs
+        # the one-point loop.  np.argmin takes the first NaN of a row.
         c = FunctionClass(0.005, 1.0)
         ce = build_counterexample(HbParams(member[0], member[1]), c, member[2])
         k = member[2]
         pts = [ce.hull[centre % k] + scale * np.array(xy) for xy in free]
         pts += [ce.hull[t % k] + s * ce.edges[t % k] for t, s in on_edges]
+        inf, nan = math.inf, math.nan
+        pts += [(nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0), (-inf, 0.0), (0.0, -inf),
+                (inf, inf), (-inf, inf), (inf, -inf), (-inf, -inf), (nan, inf)]
         x = np.array(pts + list(ce.hull), dtype=float).reshape(-1, 2)
-        assert polygon_project_batch(ce, x).tobytes() == \
-            stacked_polygon_project_batch(ce, x).tobytes()
+        with np.errstate(invalid="ignore"):
+            expected = stacked_polygon_project_batch(ce, x)
+            assert polygon_project_batch(ce, x).tobytes() == expected.tobytes()
+        for row, want in zip(x, expected):
+            assert polygon_project_batch(ce, row[None, :]).tobytes() == want.tobytes()
 
 
 class TestCounterexampleFunction:

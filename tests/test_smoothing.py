@@ -22,7 +22,7 @@ from hbcycles.smoothing import (
     smoothed_value,
     third_derivative_estimate,
 )
-from conftest import projection_case
+from conftest import array_cell_margin, projection_case
 
 # The README point and two more members: at (3.5, 0.9, 10) the edge slabs
 # are too narrow for any support ball, at (2.2, 0.7, 5) every cell kind
@@ -46,6 +46,12 @@ def _slack(ce, x):
     """The rounding slack the exact branch adds to the support radius."""
     eps = np.finfo(float).eps
     return 64.0 * eps * (np.linalg.norm(x) + np.linalg.norm(ce.hull, axis=1).max())
+
+
+def _margin_bits(margin):
+    """Bits of a margin with -0.0 read as 0.0: numpy's min and max
+    reductions pick the sign of a zero by SIMD lane order."""
+    return np.float64(margin + 0.0).tobytes()
 
 
 def _forced_quadrature(sce, x):
@@ -196,6 +202,32 @@ class TestExactBranch:
         ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         assert all(projection_case(ce, x + 0.9 * margin * u) == home for u in ring)
         assert any(projection_case(ce, x + 1.1 * margin * u) != home for u in ring)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cell_points())
+    def test_cell_margin_matches_the_array_form(self, case):
+        member, x = case
+        _, ce, _ = _member(*member)
+        assert _margin_bits(_cell_margin(ce, x)) == _margin_bits(array_cell_margin(ce, x))
+
+    @pytest.mark.parametrize("member", _MEMBERS + [(0.3, 0.9995, 100)])
+    def test_cell_margin_matches_the_array_form_on_vertices_and_midpoints(self, member):
+        _, ce, _ = _member(*member)
+        for x in np.concatenate([ce.hull, ce.hull + 0.5 * ce.edges]):
+            assert _margin_bits(_cell_margin(ce, x)) == _margin_bits(array_cell_margin(ce, x))
+
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.inf),
+                                   (math.nan, math.nan)])
+    def test_non_finite_points_take_quadrature(self, x):
+        # A NaN margin is not above the support radius.
+        _, ce, sce = _member(*_MEMBERS[0])
+        x = np.array(x)
+        assert math.isnan(_cell_margin(ce, x))
+        with mock.patch.object(CounterexampleFunction, "grad_batch", autospec=True,
+                               side_effect=CounterexampleFunction.grad_batch) as spy, \
+                np.errstate(invalid="ignore"):
+            smoothed_grad(sce, x)
+        assert spy.call_count == 1
 
     @settings(max_examples=200, deadline=None)
     @given(_cell_points())
