@@ -402,6 +402,7 @@ def _cmd_cycle_demo(args) -> int:
             sce = smooth_counterexample(ce, c, eps)
             fn = dilate(sce, scale) if scale != 1.0 else sce
             out["smooth_epsilon"] = eps
+            out["mass_defect"] = sce.mass_defect
             edge_mid = scale * 0.5 * (ce.hull[0] + ce.hull[1])
             out["tau_estimate"] = third_derivative_estimate(
                 fn.grad, edge_mid[None, :], h=0.05 * scale)

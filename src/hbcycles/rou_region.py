@@ -175,13 +175,15 @@ class CounterExample:
     """Counterexample geometry at a cycling parameter point.
 
     ``m`` is the linear operator whose images of the cycle points form the
-    polygon; ``hull`` holds the K polygon vertices in counter-clockwise
-    (cycle) order; ``r_max`` is the Euclidean radius of the guaranteed
-    locally quadratic ball around each cycle point (0 on the region's
-    boundary, positive inside); ``hull_radius`` is the largest vertex norm.
-    ``_edge_floats`` holds, per edge t, the floats (h0, h1, e0, e1,
-    edge_sq, length) of vertex t, edge t, its squared length and length,
-    for the one-point loops.
+    polygon, a scaled rotation a*I + b*J; so ``hull``, the K vertices in
+    counter-clockwise (cycle) order, is a regular K-gon centred at the
+    origin with vertex t at angle ``phi`` + 2*pi*t/K.  ``r_max`` is the
+    Euclidean radius of the guaranteed locally quadratic ball around each
+    cycle point (0 on the region's boundary, positive inside);
+    ``hull_radius`` is the largest vertex norm.  ``_edge_floats`` holds, per
+    edge t, the floats (h0, h1, e0, e1, edge_sq, length) of vertex t, edge
+    t, its squared length and length, for the one-point loops;
+    ``_edge_table`` holds the first five as (5, K) rows, for the batch.
     """
 
     k: int
@@ -189,18 +191,21 @@ class CounterExample:
     hull: np.ndarray
     r_max: float
     edges: np.ndarray = field(repr=False, default=None)
-    _edge_sq: np.ndarray = field(repr=False, default=None)
     hull_radius: float = field(repr=False, default=None)
     _edge_floats: tuple = field(repr=False, default=None)
+    phi: float = field(repr=False, default=None)
+    _edge_table: np.ndarray = field(repr=False, default=None)
 
 
 def build_counterexample(p: HbParams, c: FunctionClass, k: int) -> CounterExample:
     """Operator M, polygon hull, and safety radius at a member point.
 
     Raises ValueError when ``p`` is not a period-``k`` member or the class is
-    degenerate (mu = ell).  All K images M x_t are asserted to be in convex
-    position: M maps the unit circle to an ellipse, so a violation means a
-    degenerate operator.
+    degenerate (mu = ell).  The sector-indexed projection relies on a
+    regular K-gon centred at the origin, so K >= 3 (the period-2 member on
+    the step-size edge spans a segment) and M must be a*I + b*J to rounding
+    with a^2 + b^2 > 0, a nonzero scaled rotation; anything else raises a
+    degenerate-operator ValueError.
     """
     if c.mu >= c.ell:
         raise ValueError("degenerate class mu = ell admits no counterexample")
@@ -212,88 +217,87 @@ def build_counterexample(p: HbParams, c: FunctionClass, k: int) -> CounterExampl
     rot = cyc.rotation
     m = ((1.0 + p.beta - c.mu * p.gamma) * np.eye(2) - rot - p.beta * rot.T) \
         / ((c.ell - c.mu) * p.gamma)
+    (a, m01), (b, m11) = m.tolist()
+    tol = 4.0 * float(np.finfo(float).eps) * (abs(a) + abs(b))
+    if not (k >= 3 and abs(a - m11) <= tol and abs(b + m01) <= tol and a * a + b * b > 0.0):
+        raise ValueError(f"degenerate operator: the {k} images are not a regular polygon")
     hull = cyc.points @ m.T
-
-    edges = np.roll(hull, -1, axis=0) - hull
-    cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-        - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-    if not np.all(cross > 0.0):
-        raise ValueError("degenerate operator: polygon vertices not in convex position")
 
     x0, x1 = cyc.points[0], cyc.points[1]
     v = m @ (x1 - x0)
     r_max = float(-np.dot((np.eye(2) - m) @ x0, v / np.linalg.norm(v)))
 
+    edges = np.roll(hull, -1, axis=0) - hull
     edge_sq = np.einsum("ij,ij->i", edges, edges)
-    edge_floats = tuple(zip(*hull.T.tolist(), *edges.T.tolist(), edge_sq.tolist(),
-                            np.sqrt(edge_sq).tolist()))
-    return CounterExample(k=k, m=m, hull=hull, r_max=r_max, edges=edges, _edge_sq=edge_sq,
+    table = np.vstack([hull.T, edges.T, edge_sq])
+    edge_floats = tuple(zip(*table.tolist(), np.sqrt(edge_sq).tolist()))
+    return CounterExample(k=k, m=m, hull=hull, r_max=r_max, edges=edges,
                           hull_radius=float(np.linalg.norm(hull, axis=1).max()),
-                          _edge_floats=edge_floats)
+                          _edge_floats=edge_floats, phi=math.atan2(b, a), _edge_table=table)
+
+
+def _sector(ce: CounterExample, x0: float, x1: float) -> int:
+    """Index t of the cone between the rays through vertices t and t+1
+    holding the point; 0 for a NaN point."""
+    angle = math.atan2(x1, x0)
+    if angle != angle:
+        return 0
+    return math.floor((angle - ce.phi) * (0.5 * ce.k / math.pi)) % ce.k
 
 
 def _project_one(ce: CounterExample, x0: float, x1: float) -> tuple[float, float]:
     """``polygon_project_batch`` at one point, in Python floats.
 
-    The batch kernel's expressions in the same order, one edge at a time,
-    so the result has the same bits: the clamp keeps NaN and -0.0, and the
-    argmin keeps the first minimum, or the first NaN as ``np.argmin`` does.
+    The batch kernel's expressions in the same order, so the result has
+    the same bits: the clamp keeps NaN and -0.0.
     """
-    inside = True
-    best = math.inf
-    p0 = p1 = None
-    for h0, h1, e0, e1, edge_sq, _ in ce._edge_floats:
-        r0 = x0 - h0
-        r1 = x1 - h1
-        if not e0 * r1 - e1 * r0 >= 0.0:
-            inside = False
-        t = (r0 * e0 + r1 * e1) / edge_sq
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        c0 = t * e0 + h0
-        c1 = t * e1 + h1
-        r0 = c0 - x0
-        r1 = c1 - x1
-        d2 = r0 * r0 + r1 * r1
-        if d2 < best or p0 is None or (d2 != d2 and best == best):
-            best, p0, p1 = d2, c0, c1
-    return (x0, x1) if inside else (p0, p1)
+    h0, h1, e0, e1, edge_sq, _ = ce._edge_floats[_sector(ce, x0, x1)]
+    r0 = x0 - h0
+    r1 = x1 - h1
+    if e0 * r1 - e1 * r0 >= 0.0:
+        return x0, x1
+    t = min(max((r0 * e0 + r1 * e1) / edge_sq, 0.0), 1.0)
+    return t * e0 + h0, t * e1 + h1
 
 
 def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     """Exact closest-point projections onto the polygon, batched.
 
-    Case analysis over the K edges and K vertices (vertices arise from the
-    clamped edge parameters); no iterative solver.  ``x`` has shape (n, 2).
-    One point runs a loop over the edges in Python floats (numpy's per-call
-    overhead dwarfs its arithmetic there); more points run the array
-    kernel, whose every intermediate is an (n, K) array of one coordinate.
-    Both give the same bits.
+    The polygon is a regular K-gon centred at the origin, so each point
+    needs one edge: that of the cone t between the rays through vertices t
+    and t+1 holding it, found from its angle.  A point of cone t is inside
+    the polygon iff it is inside edge t; otherwise its closest point is
+    edge t's clamped projection, since slab t and the wedges at vertices t
+    and t+1 are the only exterior feature cells meeting cone t.  A NaN
+    point takes cone 0 and projects to NaN.  ``x`` has shape (n, 2).  One
+    point runs in Python floats (numpy's per-call overhead dwarfs its
+    arithmetic there), more points as arrays of one coordinate.  The two
+    give the same bits, except within rounding of a ray between cones,
+    where math.atan2 and np.arctan2 may round apart and take neighbouring
+    edges: both then give the closest point to rounding.
     """
     if len(x) == 1:
         return np.array([_project_one(ce, *x[0].tolist())], dtype=float)
-    x0, x1 = x[:, 0:1], x[:, 1:2]
-    e0, e1 = ce.edges[:, 0], ce.edges[:, 1]
-    rel0 = x0 - ce.hull[:, 0]
-    rel1 = x1 - ce.hull[:, 1]
-    inside = (e0 * rel1 - e1 * rel0 >= 0.0).all(axis=1)
+    x0, x1 = x[:, 0], x[:, 1]
+    sector = np.arctan2(x1, x0)
+    sector -= ce.phi
+    sector *= 0.5 * ce.k / math.pi
+    # fmax turns NaN into cone -K = 0 (mod K): the cast would warn on NaN.
+    np.fmax(np.floor(sector, out=sector), -ce.k, out=sector)
+    h0, h1, e0, e1, edge_sq = ce._edge_table.take(sector.astype(np.intp), axis=1, mode="wrap")
+    rel0 = x0 - h0
+    rel1 = x1 - h1
+    inside = e0 * rel1 - e1 * rel0 >= 0.0
     t = rel0 * e0
     t += rel1 * e1
-    t /= ce._edge_sq
+    t /= edge_sq
     np.clip(t, 0.0, 1.0, out=t)
-    cand0 = t * e0
-    cand0 += ce.hull[:, 0]
-    cand1 = t * e1
-    cand1 += ce.hull[:, 1]
-    rel0 = cand0 - x0
-    rel1 = cand1 - x1
-    d2 = rel0 * rel0
-    d2 += rel1 * rel1
-    rows = np.arange(len(x))
-    best = d2.argmin(axis=1)
-    proj = np.stack([cand0[rows, best], cand1[rows, best]], axis=1)
+    proj = np.empty_like(x)
+    c0, c1 = proj[:, 0], proj[:, 1]
+    np.multiply(t, e0, out=c0)
+    c0 += h0
+    np.multiply(t, e1, out=c1)
+    c1 += h1
     np.copyto(proj, x, where=inside[:, None])
     return proj
 

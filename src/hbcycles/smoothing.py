@@ -33,6 +33,7 @@ from .quad_rates import FunctionClass, HbParams
 from .rou_region import (
     CounterExample,
     CounterexampleFunction,
+    _sector,
     rou_cycle,
     rou_member,
 )
@@ -141,49 +142,41 @@ def smooth_counterexample(ce: CounterExample, c: FunctionClass, epsilon: float,
                                   nodes, weights, mass_defect)
 
 
-def _cell_margin(ce: CounterExample, x: np.ndarray) -> float:
-    """Distance from ``x`` to the boundary of its projection feature cell.
+def _cell_margin(ce: CounterExample, x0: float, x1: float) -> float:
+    """Distance from (x0, x1) to the boundary of its projection feature cell.
 
     Each cell is an intersection of half-planes, so the distance is the
-    least signed distance to its bounding lines: the K edge lines for the
-    interior; edge line t (from outside) and the normals at its two ends
-    for edge slab t; the two normals at vertex t for vertex wedge t.  Only
-    the cell holding ``x`` scores positive, so the maximum over all cells
-    is its margin (zero or below on a boundary).  NaN unless ``x`` is
-    finite.
-
-    One point, so a loop over the edges in Python floats.  It gives the
-    per-edge array form's values; only the sign of a zero margin may
-    differ, which numpy's min and max reductions pick by lane order.
+    least signed distance to its bounding lines.  A point of cone t (see
+    ``polygon_project_batch``) lies in the interior, edge slab t or the
+    wedge at vertex t or t+1, and only its own cell scores positive, so the
+    margin is the largest of four scores from edges t-1, t and t+1: the
+    least inward distance to their lines for the interior (a point's
+    nearest edge line is that of its cone, or within rounding of a ray a
+    neighbour's); edge line t (from outside) and the normals at its two
+    ends for slab t; the two normals at vertex t or t+1 for its wedge.
+    Zero or below on a boundary; NaN unless the point is finite.
     """
-    x0, x1 = x.tolist()
     if not (math.isfinite(x0) and math.isfinite(x1)):
         return math.nan
-    inner = math.inf
-    slab = wedge = -math.inf
-    along_0 = None
-    for h0, h1, e0, e1, _, length in ce._edge_floats:
-        r0 = x0 - h0
-        r1 = x1 - h1
-        inward = (e0 * r1 - e1 * r0) / length
-        along = (r0 * e0 + r1 * e1) / length  # past the start normal
-        before_end = length - along
-        if inward < inner:
-            inner = inward
-        s = -inward if -inward < along else along
-        if before_end < s:
-            s = before_end
-        if s > slab:
-            slab = s
-        if along_0 is None:
-            along_0 = along
-        else:
-            w = -prev_end if -prev_end < -along else -along
-            if w > wedge:
-                wedge = w
-        prev_end = before_end
-    wedge = max(wedge, min(-prev_end, -along_0))  # the wedge at vertex 0
-    return max(inner, slab, wedge)
+    t = _sector(ce, x0, x1)
+    h0, h1, e0, e1, _, length = ce._edge_floats[t - 1]
+    r0 = x0 - h0
+    r1 = x1 - h1
+    inward_prev = (e0 * r1 - e1 * r0) / length
+    end_prev = length - (r0 * e0 + r1 * e1) / length
+    h0, h1, e0, e1, _, length = ce._edge_floats[t + 1 - ce.k]  # edge t+1, wraps to 0
+    r0 = x0 - h0
+    r1 = x1 - h1
+    inward_next = (e0 * r1 - e1 * r0) / length
+    along_next = (r0 * e0 + r1 * e1) / length
+    h0, h1, e0, e1, _, length = ce._edge_floats[t]
+    r0 = x0 - h0
+    r1 = x1 - h1
+    inward = (e0 * r1 - e1 * r0) / length
+    along = (r0 * e0 + r1 * e1) / length  # past the start normal
+    before_end = length - along
+    return max(min(inward_prev, inward, inward_next), min(-inward, along, before_end),
+               min(-end_prev, -along), min(-before_end, -along_next))
 
 
 def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
@@ -200,10 +193,12 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
             "increase the node counts", QuadraturePrecisionWarning, stacklevel=2)
     x = np.asarray(x, dtype=float)
     fn = CounterexampleFunction(sce.base, sce.fclass)
-    # Covers the rounding of the margin, which is of order eps times the
-    # size of x and of the polygon.
-    slack = 64.0 * _EPS * (np.linalg.norm(x) + sce.base.hull_radius)
-    if _cell_margin(sce.base, x) > sce.moll.epsilon + slack:
+    x0, x1 = x.tolist()
+    # Covers the rounding of the sector margin, which is of order eps times
+    # the size of x and of the polygon, including the interior score read
+    # from the edge of a cone whose ray the point is within rounding of.
+    slack = 64.0 * _EPS * (math.hypot(x0, x1) + sce.base.hull_radius)
+    if _cell_margin(sce.base, x0, x1) > sce.moll.epsilon + slack:
         return fn.grad(x)
     return sce.weights @ fn.grad_batch(x[None, :] - sce.nodes)
 

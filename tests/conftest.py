@@ -4,9 +4,10 @@ The brute-force rate oracle evaluates the spectral radius of the 2x2
 companion matrix over a lambda grid and is kept independent of the
 closed-form implementation it checks.  The sequential perturbed run is
 the one-point-per-step loop that the batched tube engine must reproduce,
-and the (n, K, 2) projection kernel is the one the per-coordinate kernel
-and the one-point loop must reproduce bit for bit; the per-edge array form
-of the cell margin is the one its one-point loop must reproduce.  The
+and the (n, K, 2) all-edge projection kernel and the per-edge array form
+of the cell margin are the oracles of their sector-indexed forms: the same
+bits inside the polygon and on edge interiors (the same edge, the same
+expressions), and agreement to rounding elsewhere.  The
 row-at-a-time CSV writers, the SVG renderer that re-reads its CSV and the
 full-grid membership loop are the output and membership code the array
 forms must reproduce byte for byte.
@@ -201,27 +202,46 @@ def projection_case(ce, x):
     return ("e", int(np.argmax(inside)))
 
 
-def stacked_polygon_project_batch(ce, x):
-    """Closest points on the polygon from (n, K, 2) temporaries.
+def edge_sq(ce):
+    """Squared edge lengths of the polygon."""
+    return np.einsum("ij,ij->i", ce.edges, ce.edges)
 
-    The projection kernel as first written; ``polygon_project_batch`` keeps
-    its candidate, distance, argmin and inside expressions.
+
+def ray_points(ce, scale):
+    """Points on the rays between the polygon's cones: multiples of every
+    vertex at about ``scale``, on both sides of the origin, the origin and
+    a point just off it."""
+    factors = scale * np.array([1e-3, 0.5, 1.0, 2.0, -1.0]) / ce.hull_radius
+    return np.concatenate([(factors[:, None, None] * ce.hull).reshape(-1, 2),
+                           [(0.0, 0.0), (-5.9e-18, 0.0)]])
+
+
+def stacked_projection(ce, x):
+    """The projection kernel as first written, from (n, K, 2) temporaries.
+
+    Scans all K edges: returns the closest points, the inside flags, the
+    argmin edge of each row, its clamped edge parameter and each row's
+    squared distance to the polygon boundary.  The sector kernel keeps its
+    inside, candidate and distance expressions.
     """
     rel = x[:, None, :] - ce.hull[None, :, :]
     cross = ce.edges[None, :, 0] * rel[:, :, 1] - ce.edges[None, :, 1] * rel[:, :, 0]
     inside = np.all(cross >= 0.0, axis=1)
-    t = np.einsum("nkj,kj->nk", rel, ce.edges) / ce._edge_sq[None, :]
+    t = np.einsum("nkj,kj->nk", rel, ce.edges) / edge_sq(ce)[None, :]
     np.clip(t, 0.0, 1.0, out=t)
     cand = ce.hull[None, :, :] + t[:, :, None] * ce.edges[None, :, :]
     d2 = np.einsum("nkj,nkj->nk", cand - x[:, None, :], cand - x[:, None, :])
-    proj = cand[np.arange(len(x)), np.argmin(d2, axis=1)]
+    rows = np.arange(len(x))
+    best = np.argmin(d2, axis=1)
+    proj = cand[rows, best]
     proj[inside] = x[inside]
-    return proj
+    return proj, inside, best, t[rows, best], d2[rows, best]
 
 
 def array_cell_margin(ce, x):
-    """``smoothing._cell_margin`` from per-edge arrays, as first written."""
-    length = np.sqrt(ce._edge_sq)
+    """The cell margin as first written: the best score over every feature
+    cell, from per-edge arrays, at one point ``x`` of shape (2,)."""
+    length = np.sqrt(edge_sq(ce))
     rel = x - ce.hull
     inward = (ce.edges[:, 0] * rel[:, 1] - ce.edges[:, 1] * rel[:, 0]) / length
     along = np.einsum("kj,kj->k", rel, ce.edges) / length  # past the start normal

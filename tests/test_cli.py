@@ -403,6 +403,19 @@ class TestCycleDemo:
         assert payload["verdict"] == "cycles"
         assert payload["tau_estimate"] > 0
 
+    def test_smooth_run_reports_the_mass_defect(self, capsys, tmp_path):
+        # The README smoothed command: the quadrature's |sum of weights - 1|
+        # in the JSON and the sidecar, the same on a rerun.
+        argv = ["cycle-demo", "--gamma", "3.3", "--beta", "0.75", "--mu", "0.005",
+                "--L", "1", "--K", "7", "--smooth", "auto", "--lambda", "10",
+                "--steps", "500", "--out", str(tmp_path / "trace.csv")]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+        assert json.loads(out)["mass_defect"] == meta["mass_defect"] == 9.992007221626409e-15
+        run_cli(capsys, *argv)
+        assert json.loads((tmp_path / "trace.csv.meta.json").read_text()) == meta
+
     def test_smooth_run_integrates_only_at_cell_boundaries(self, capsys, monkeypatch):
         # Every step's support ball lies in one feature cell, so only the
         # tau stencil around the edge midpoint (9 gradients) integrates.

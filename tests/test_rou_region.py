@@ -1,4 +1,7 @@
+import functools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from hbcycles.rou_region import (
     CounterexampleFunction,
+    RouCycle,
     beta_minus,
     build_counterexample,
     eval_counterexample,
@@ -20,15 +24,18 @@ from hbcycles.rou_region import (
     rou_member,
     rou_member_any,
 )
+from hbcycles.hb_engine import run
 from hbcycles.quad_rates import ghadimi_beta_bound
 from conftest import (
     central_difference_grad,
+    edge_sq,
     full_grid_member_any_grid,
     polygon_project,
     projection_case,
     rational_beta_minus,
+    ray_points,
     rou_member_any_lower_only,
-    stacked_polygon_project_batch,
+    stacked_projection,
 )
 
 
@@ -224,6 +231,36 @@ class TestRouMemberAny:
                               full_grid_member_any_grid(gm, bm, c, k_max))
 
 
+# Members of periods 3 to 100, for the sector-indexed projection.
+_SECTOR_MEMBERS = [(3.9, 0.95, 3), (2.2, 0.7, 5), (3.3, 0.75, 7), (3.5, 0.9, 10),
+                   (0.3, 0.9995, 100)]
+
+
+@functools.lru_cache(maxsize=None)
+def _member_ce(member):
+    return build_counterexample(HbParams(member[0], member[1]), FunctionClass(0.005, 1.0),
+                                member[2])
+
+
+def _assert_sector_projection(ce, x, proj):
+    """``proj`` is the oracle's to the bit inside the polygon and where the
+    oracle's closest point is inside an edge, away from its ends; elsewhere
+    (at the vertices) its distance from ``x`` agrees with the oracle's to a
+    few ulps of the hull radius and of ``x``, and it lies on the boundary."""
+    want, inside, _, t, _ = stacked_projection(ce, x)
+    same = inside | ((t > 1e-9) & (t < 1.0 - 1e-9))
+    assert proj[same].tobytes() == want[same].tobytes()
+    eps = np.finfo(float).eps
+    rest = ~same
+    tol = 4.0 * eps * (ce.hull_radius + np.linalg.norm(x[rest], axis=1))
+    d_new = np.linalg.norm(x[rest] - proj[rest], axis=1)
+    d_old = np.linalg.norm(x[rest] - want[rest], axis=1)
+    assert np.all(np.abs(d_new - d_old) <= tol)
+    moved = rest & np.any(proj != x, axis=1)
+    boundary_d2 = stacked_projection(ce, proj[moved])[4]
+    assert np.all(np.sqrt(boundary_d2) <= 4.0 * eps * ce.hull_radius)
+
+
 class TestCounterexample:
     def test_hull_has_cycle_symmetry(self, fig4_setup):
         p, c, ce = fig4_setup
@@ -248,9 +285,38 @@ class TestCounterexample:
     def test_cached_floats_match_the_arrays(self, fig4_setup):
         _, _, ce = fig4_setup
         assert ce.hull_radius == np.linalg.norm(ce.hull, axis=1).max()
+        sq = edge_sq(ce)
         cached = np.array(ce._edge_floats)
         assert cached.tobytes() == np.column_stack(
-            [ce.hull, ce.edges, ce._edge_sq, np.sqrt(ce._edge_sq)]).tobytes()
+            [ce.hull, ce.edges, sq, np.sqrt(sq)]).tobytes()
+        assert ce._edge_table.tobytes() == cached[:, :5].T.tobytes()
+
+    @pytest.mark.parametrize("member", _SECTOR_MEMBERS)
+    def test_operator_is_a_scaled_rotation_with_vertex_0_at_phi(self, member):
+        ce = _member_ce(member)
+        (a, minus_b), (b, a1) = ce.m.tolist()
+        assert (a1, minus_b) == (a, -b)
+        assert ce.phi == math.atan2(ce.hull[0, 1], ce.hull[0, 0])
+        angles = ce.phi + 2.0 * math.pi * np.arange(ce.k) / ce.k
+        assert np.allclose(ce.hull, ce.hull_radius * np.stack(
+            [np.cos(angles), np.sin(angles)], axis=1), rtol=0.0, atol=1e-15)
+
+    def test_period_two_member_is_a_degenerate_operator(self):
+        # On the step-size edge K = 2 is a member, but its two images span
+        # a segment, not a polygon.
+        c = FunctionClass(0.005, 1.0)
+        p = HbParams(2.0 * (1.0 + 0.5) / c.ell, 0.5)
+        assert rou_member(p, c, 2)
+        with pytest.raises(ValueError, match="degenerate operator"):
+            build_counterexample(p, c, 2)
+
+    def test_operator_that_is_not_a_scaled_rotation_is_rejected(self):
+        # A sheared "rotation" makes M a*I + b*J no longer.
+        cyc = rou_cycle(7)
+        sheared = RouCycle(7, cyc.theta, cyc.points, cyc.rotation + [[0.0, 0.1], [0.0, 0.0]])
+        with mock.patch("hbcycles.rou_region.rou_cycle", return_value=sheared), \
+                pytest.raises(ValueError, match="degenerate operator"):
+            build_counterexample(HbParams(3.3, 0.75), FunctionClass(0.005, 1.0), 7)
 
     def test_nonmember_rejected_with_polynomial_value(self):
         c = FunctionClass(0.01, 1.0)
@@ -282,47 +348,85 @@ class TestProjection:
             x = centroid + t * (ce.hull[0] - centroid) * 0.999
             assert np.allclose(polygon_project(ce, x), x, atol=1e-14)
 
-    @pytest.mark.parametrize("member", [(3.3, 0.75, 7), (2.2, 0.7, 5)])
-    def test_kernel_matches_stacked_oracle_bit_for_bit(self, member):
-        # The quadrature nodes around a cycle point, a Gaussian cloud, a
-        # 1e-3 cloud at a vertex and a tube-sized batch.
-        c = FunctionClass(0.005, 1.0)
-        ce = build_counterexample(HbParams(member[0], member[1]), c, member[2])
+    @pytest.mark.parametrize("member", _SECTOR_MEMBERS)
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3])
+    def test_kernel_agrees_with_stacked_oracle(self, member, scale):
+        # Clouds around a vertex, an edge midpoint and the origin, points on
+        # every ray between cones, the vertices and the origin; the batch,
+        # then each row alone, which runs the one-point loop.
+        ce = _member_ce(member)
         rng = np.random.default_rng(11)
+        x = np.concatenate([ray_points(ce, scale)] + [
+            centre + scale * rng.normal(size=(500, 2))
+            for centre in (ce.hull[1], 0.5 * (ce.hull[1] + ce.hull[2]), np.zeros(2))])
+        _assert_sector_projection(ce, x, polygon_project_batch(ce, x))
+        alone = np.array([polygon_project_batch(ce, row[None, :])[0] for row in x])
+        _assert_sector_projection(ce, x, alone)
+
+    @pytest.mark.parametrize("member", _SECTOR_MEMBERS)
+    def test_kernel_agrees_with_stacked_oracle_on_quadrature_nodes(self, member):
+        # The smoothing quadrature's nodes around a cycle point, in the
+        # wedge at a vertex.
+        ce = _member_ce(member)
         radii = np.repeat(np.linspace(0.0, ce.r_max / 2, 64), 64)
         angles = np.tile(np.linspace(0.0, 2 * math.pi, 64, endpoint=False), 64)
         nodes = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-        for x in (rou_cycle(member[2]).points[1] - nodes, rng.normal(size=(20000, 2)),
-                  ce.hull[2] + 1e-3 * rng.normal(size=(2000, 2)), rng.normal(size=(100, 2))):
-            assert polygon_project_batch(ce, x).tobytes() == \
-                stacked_polygon_project_batch(ce, x).tobytes()
+        x = rou_cycle(member[2]).points[1] - nodes
+        _assert_sector_projection(ce, x, polygon_project_batch(ce, x))
 
     @settings(max_examples=150, deadline=None)
-    @given(member=st.sampled_from([(3.3, 0.75, 7), (3.5, 0.9, 10), (2.2, 0.7, 5),
-                                   (0.3, 0.9995, 100)]),
+    @given(member=st.sampled_from(_SECTOR_MEMBERS),
            free=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=30),
            on_edges=st.lists(st.tuples(st.integers(0, 99), st.floats(0, 1)), max_size=30),
-           scale=st.sampled_from([1.0, 1e-3, 1e-9]), centre=st.integers(0, 99))
-    def test_kernel_matches_stacked_oracle_on_edges_and_vertices(
+           scale=st.sampled_from([1e3, 1.0, 1e-3, 1e-9]), centre=st.integers(0, 99))
+    def test_kernel_agrees_with_stacked_oracle_on_edges_and_vertices(
             self, member, free, on_edges, scale, centre):
         # Free points (clouds around a vertex when scaled down), points on
-        # the edges, the vertices themselves (edge parameter 0) and
-        # non-finite points: as one batch, then each row alone, which runs
-        # the one-point loop.  np.argmin takes the first NaN of a row.
-        c = FunctionClass(0.005, 1.0)
-        ce = build_counterexample(HbParams(member[0], member[1]), c, member[2])
-        k = member[2]
+        # the edges and the vertices themselves (edge parameter 0).
+        ce = _member_ce(member)
+        k = ce.k
         pts = [ce.hull[centre % k] + scale * np.array(xy) for xy in free]
         pts += [ce.hull[t % k] + s * ce.edges[t % k] for t, s in on_edges]
-        inf, nan = math.inf, math.nan
-        pts += [(nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0), (-inf, 0.0), (0.0, -inf),
-                (inf, inf), (-inf, inf), (inf, -inf), (-inf, -inf), (nan, inf)]
         x = np.array(pts + list(ce.hull), dtype=float).reshape(-1, 2)
-        with np.errstate(invalid="ignore"):
-            expected = stacked_polygon_project_batch(ce, x)
-            assert polygon_project_batch(ce, x).tobytes() == expected.tobytes()
-        for row, want in zip(x, expected):
-            assert polygon_project_batch(ce, row[None, :]).tobytes() == want.tobytes()
+        _assert_sector_projection(ce, x, polygon_project_batch(ce, x))
+        alone = np.array([polygon_project_batch(ce, row[None, :])[0] for row in x])
+        _assert_sector_projection(ce, x, alone)
+
+    @pytest.mark.parametrize("member", _SECTOR_MEMBERS)
+    def test_one_point_loop_gives_the_batch_bits_off_the_rays(self, member):
+        # math.atan2 and np.arctan2 may round apart, so only within
+        # rounding of a ray between cones may the two paths take
+        # neighbouring edges; random points are never there.
+        ce = _member_ce(member)
+        x = np.random.default_rng(5).normal(size=(2000, 2))
+        alone = np.array([polygon_project_batch(ce, row[None, :])[0] for row in x])
+        assert alone.tobytes() == polygon_project_batch(ce, x).tobytes()
+
+    @pytest.mark.parametrize("member", _SECTOR_MEMBERS)
+    def test_non_finite_points_give_non_finite_gradients(self, member):
+        # Finite rows keep their gradients; no non-finite row raises, or
+        # warns from the cast of its cone index, on either path; a run
+        # from a non-finite start truncates.
+        ce = _member_ce(member)
+        c = FunctionClass(0.005, 1.0)
+        fn = CounterexampleFunction(ce, c)
+        inf, nan = math.inf, math.nan
+        bad = np.array([(nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0), (-inf, 0.0),
+                        (0.0, -inf), (inf, inf), (-inf, inf), (inf, -inf), (-inf, -inf),
+                        (nan, inf)])
+        good = np.random.default_rng(3).normal(size=(len(bad), 2))
+        x = np.stack([good, bad], axis=1).reshape(-1, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grads = fn.grad_batch(x)
+            alone = [fn.grad(row) for row in bad]
+        assert not [w for w in caught if "cast" in str(w.message)]
+        assert grads[0::2].tobytes() == fn.grad_batch(good).tobytes()
+        assert not np.isfinite(grads[1::2]).all(axis=1).any()
+        assert not np.isfinite(alone).all(axis=1).any()
+        with np.errstate(invalid="ignore", over="ignore"):
+            trace = run(fn.grad, HbParams(member[0], member[1]), (nan, 0.0), (0.0, 1.0), 5)
+        assert trace.truncated
 
 
 class TestCounterexampleFunction:

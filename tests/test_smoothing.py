@@ -22,7 +22,8 @@ from hbcycles.smoothing import (
     smoothed_value,
     third_derivative_estimate,
 )
-from conftest import array_cell_margin, projection_case
+from conftest import (array_cell_margin, edge_sq, projection_case, ray_points,
+                      stacked_projection)
 
 # The README point and two more members: at (3.5, 0.9, 10) the edge slabs
 # are too narrow for any support ball, at (2.2, 0.7, 5) every cell kind
@@ -39,19 +40,40 @@ def _member(gamma, beta, k):
 
 
 def _outward_normals(ce):
-    return np.stack([ce.edges[:, 1], -ce.edges[:, 0]], axis=1) / np.sqrt(ce._edge_sq)[:, None]
+    return np.stack([ce.edges[:, 1], -ce.edges[:, 0]], axis=1) / np.sqrt(edge_sq(ce))[:, None]
 
 
 def _slack(ce, x):
     """The rounding slack the exact branch adds to the support radius."""
     eps = np.finfo(float).eps
-    return 64.0 * eps * (np.linalg.norm(x) + np.linalg.norm(ce.hull, axis=1).max())
+    return 64.0 * eps * (math.hypot(*x) + np.linalg.norm(ce.hull, axis=1).max())
+
+
+def _margin(ce, x):
+    return _cell_margin(ce, *np.asarray(x, dtype=float).tolist())
 
 
 def _margin_bits(margin):
     """Bits of a margin with -0.0 read as 0.0: numpy's min and max
     reductions pick the sign of a zero by SIMD lane order."""
     return np.float64(margin + 0.0).tobytes()
+
+
+def _assert_sector_margin(ce, x):
+    """The sector margin is the array form's to the bit wherever that is
+    positive, except within rounding of a ray between cones: near the
+    origin, where the array form's minimum over all K near-equal inward
+    distances may lie a few ulps of the hull radius below the sector's
+    minimum over three, and within rounding of a vertex, where the
+    neighbouring cone's cells score below the array form's rounding-sized
+    margin.  It is <= 0 wherever the array form's is."""
+    new, old = _margin(ce, x), array_cell_margin(ce, x)
+    rounding = 8.0 * np.finfo(float).eps * ce.hull_radius
+    if not old > 0.0:
+        assert new <= 0.0
+    elif new != old:
+        inside = np.all(stacked_projection(ce, np.asarray(x)[None, :])[1])
+        assert 0.0 < new - old <= rounding if inside else new < old <= rounding
 
 
 def _forced_quadrature(sce, x):
@@ -193,7 +215,7 @@ class TestExactBranch:
         # are only checked for sign: the piece oracle has 1e-5 tolerances.
         member, x = case
         _, ce, _ = _member(*member)
-        margin = _cell_margin(ce, x)
+        margin = _margin(ce, x)
         assert margin >= -1e-15
         if margin < 1e-3:
             return
@@ -205,16 +227,26 @@ class TestExactBranch:
 
     @settings(max_examples=300, deadline=None)
     @given(_cell_points())
-    def test_cell_margin_matches_the_array_form(self, case):
+    def test_cell_margin_agrees_with_the_array_form(self, case):
         member, x = case
         _, ce, _ = _member(*member)
-        assert _margin_bits(_cell_margin(ce, x)) == _margin_bits(array_cell_margin(ce, x))
+        _assert_sector_margin(ce, x)
+
+    @pytest.mark.parametrize("member", _MEMBERS + [(3.9, 0.95, 3), (0.3, 0.9995, 100)])
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3])
+    def test_cell_margin_agrees_with_the_array_form_on_rays(self, member, scale):
+        # The rays between cones (see ``ray_points``) and a cloud around a
+        # vertex.
+        _, ce, _ = _member(*member)
+        cloud = ce.hull[1] + scale * np.random.default_rng(2).normal(size=(200, 2))
+        for x in np.concatenate([ray_points(ce, scale), cloud]):
+            _assert_sector_margin(ce, x)
 
     @pytest.mark.parametrize("member", _MEMBERS + [(0.3, 0.9995, 100)])
     def test_cell_margin_matches_the_array_form_on_vertices_and_midpoints(self, member):
         _, ce, _ = _member(*member)
         for x in np.concatenate([ce.hull, ce.hull + 0.5 * ce.edges]):
-            assert _margin_bits(_cell_margin(ce, x)) == _margin_bits(array_cell_margin(ce, x))
+            assert _margin_bits(_margin(ce, x)) == _margin_bits(array_cell_margin(ce, x))
 
     @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.inf),
                                    (math.nan, math.nan)])
@@ -222,7 +254,7 @@ class TestExactBranch:
         # A NaN margin is not above the support radius.
         _, ce, sce = _member(*_MEMBERS[0])
         x = np.array(x)
-        assert math.isnan(_cell_margin(ce, x))
+        assert math.isnan(_margin(ce, x))
         with mock.patch.object(CounterexampleFunction, "grad_batch", autospec=True,
                                side_effect=CounterexampleFunction.grad_batch) as spy, \
                 np.errstate(invalid="ignore"):
@@ -235,7 +267,7 @@ class TestExactBranch:
         member, x = case
         c, ce, sce = _member(*member)
         quadrature = _forced_quadrature(sce, x)
-        exact = _cell_margin(ce, x) > sce.moll.epsilon + _slack(ce, x)
+        exact = _margin(ce, x) > sce.moll.epsilon + _slack(ce, x)
         with mock.patch.object(CounterexampleFunction, "grad_batch", autospec=True,
                                side_effect=CounterexampleFunction.grad_batch) as spy:
             grad = smoothed_grad(sce, x)
@@ -269,7 +301,7 @@ class TestExactBranch:
         p, c, ce = interior_setup
         sce = smooth_counterexample(ce, c, ce.r_max / 2, n_radial=2, n_angular=3)
         x = rou_cycle(7).points[0]
-        assert _cell_margin(ce, x) > 1.5 * sce.moll.epsilon
+        assert _margin(ce, x) > 1.5 * sce.moll.epsilon
         with pytest.warns(QuadraturePrecisionWarning):
             grad = smoothed_grad(sce, x)
         assert np.array_equal(grad, CounterexampleFunction(ce, c).grad(x))
