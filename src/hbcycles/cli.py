@@ -191,6 +191,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return value
+
+
 def _smooth_radius(text: str):
     """'auto' or a positive finite support radius."""
     if text == "auto":
@@ -411,7 +418,8 @@ def _cmd_cycle_demo(args) -> int:
             fn = dilate(base, scale) if scale != 1.0 else base
         cycle_pts = scale * cyc.points
         trace = run(fn.grad, p, cycle_pts[0], cycle_pts[1], args.steps)
-        is_cycle, max_dev = detect_cycle(trace, k, tol=args.tol)
+        # Dilation scales the cycle, its deviations and its diameter alike.
+        is_cycle, max_dev = detect_cycle(trace, k, tol=args.tol * scale)
         out["verdict"] = "cycles" if is_cycle else "no-cycle"
         out["max_dev"] = float(np.max(np.linalg.norm(
             trace.iterates - cycle_pts[np.arange(len(trace.iterates)) % k], axis=1)))
@@ -553,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(sp)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--steps", type=_positive_int, default=10000)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_nonnegative_float, default=1e-8,
+                    help="cycle tolerance at unit scale; --lambda scales it")
     sp.add_argument("--smooth", type=_smooth_radius, default=None,
                     help="mollifier support radius, or 'auto' for r_max/2")
     # Noise flags take a number; 'within-thm53'/'auto' selects the full

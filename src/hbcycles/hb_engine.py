@@ -36,8 +36,13 @@ class SimTrace:
 def run(oracle, p: HbParams, x0, x1, steps: int) -> SimTrace:
     """Iterate x_{t+1} = x_t - gamma*oracle(x_t) + beta*(x_t - x_{t-1}).
 
-    Deterministic given its inputs.  A non-finite oracle value truncates the
-    trace and sets the ``truncated`` flag instead of raising.
+    Deterministic given its inputs.  The oracle gets the row ``iterates[t]``
+    and returns the gradient as an array, sequence or scalar with as many
+    entries as the iterate; any other size raises ValueError.  The step
+    runs per coordinate in Python floats, in the order of the expression
+    above, so it has the bits of the same step on numpy arrays.  A
+    non-finite oracle value truncates the trace and sets the ``truncated``
+    flag instead of raising.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -46,14 +51,23 @@ def run(oracle, p: HbParams, x0, x1, steps: int) -> SimTrace:
     zs = np.empty((steps + 2, x0.shape[0]))
     zs[0], zs[1] = x0, x1
     params = np.tile([p.gamma, p.beta], (steps, 1))
-    calls = 0
+    gamma, beta = p.gamma, p.beta
+    shape = x0.shape
+    x_prev, x = zs[0].tolist(), zs[1].tolist()
     for t in range(1, steps + 1):
         g = np.asarray(oracle(zs[t]), dtype=float)
-        calls += 1
-        if not np.all(np.isfinite(g)):
-            return SimTrace(zs[:t + 1].copy(), calls, params[:t - 1], truncated=True)
-        zs[t + 1] = zs[t] - p.gamma * g + p.beta * (zs[t] - zs[t - 1])
-    return SimTrace(zs, calls, params)
+        if g.shape != shape:
+            if g.size != shape[0]:
+                raise ValueError(f"oracle returned a gradient of shape {g.shape} "
+                                 f"for an iterate of length {shape[0]}")
+            g = g.ravel()
+        g = g.tolist()
+        if not all(map(math.isfinite, g)):
+            return SimTrace(zs[:t + 1].copy(), t, params[:t - 1], truncated=True)
+        x_prev, x = x, [xi - gamma * gi + beta * (xi - pi)
+                        for xi, gi, pi in zip(x, g, x_prev)]
+        zs[t + 1] = x
+    return SimTrace(zs, steps, params)
 
 
 def detect_cycle(trace: SimTrace, k: int, tol: float,
@@ -75,7 +89,10 @@ def detect_cycle(trace: SimTrace, k: int, tol: float,
     if len(tail) <= k:
         tail = zs[-(k + 1):]
     dev = float(np.max(np.linalg.norm(tail[k:] - tail[:-k], axis=1)))
-    diameter = float(np.linalg.norm(tail.max(axis=0) - tail.min(axis=0)))
+    # hypot scales before squaring, so the diagonal stays finite for
+    # iterates up to the largest finite float (np.linalg.norm overflows
+    # past about 1e154 per coordinate).
+    diameter = math.hypot(*(tail.max(axis=0) - tail.min(axis=0)).tolist())
     return dev <= tol and diameter >= tol, dev
 
 

@@ -245,13 +245,13 @@ def _sector(ce: CounterExample, x0: float, x1: float) -> int:
     return math.floor((angle - ce.phi) * (0.5 * ce.k / math.pi)) % ce.k
 
 
-def _project_one(ce: CounterExample, x0: float, x1: float) -> tuple[float, float]:
-    """``polygon_project_batch`` at one point, in Python floats.
+def _project_one(ce: CounterExample, t: int, x0: float, x1: float) -> tuple[float, float]:
+    """``polygon_project_batch`` at one point of cone ``t``, in Python floats.
 
     The batch kernel's expressions in the same order, so the result has
     the same bits: the clamp keeps NaN and -0.0.
     """
-    h0, h1, e0, e1, edge_sq, _ = ce._edge_floats[_sector(ce, x0, x1)]
+    h0, h1, e0, e1, edge_sq, _ = ce._edge_floats[t]
     r0 = x0 - h0
     r1 = x1 - h1
     if e0 * r1 - e1 * r0 >= 0.0:
@@ -274,10 +274,13 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     arithmetic there), more points as arrays of one coordinate.  The two
     give the same bits, except within rounding of a ray between cones,
     where math.atan2 and np.arctan2 may round apart and take neighbouring
-    edges: both then give the closest point to rounding.
+    edges: both then give the closest point to rounding.  The one-point
+    gradients of ``CounterexampleFunction.grad`` and ``smoothed_grad``
+    call ``_project_one`` through ``_grad_one`` instead.
     """
     if len(x) == 1:
-        return np.array([_project_one(ce, *x[0].tolist())], dtype=float)
+        x0, x1 = x[0].tolist()
+        return np.array([_project_one(ce, _sector(ce, x0, x1), x0, x1)], dtype=float)
     x0, x1 = x[:, 0], x[:, 1]
     sector = np.arctan2(x1, x0)
     sector -= ce.phi
@@ -300,6 +303,20 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     c1 += h1
     np.copyto(proj, x, where=inside[:, None])
     return proj
+
+
+def _grad_one(ce: CounterExample, c: FunctionClass, t: int,
+              x0: float, x1: float) -> tuple[float, float]:
+    """Exact counterexample gradient L x - (L-mu)(x - proj(x)) at one point
+    of cone ``t``, in Python floats.
+
+    ``_counterexample_batch``'s expressions in the same order, so one row
+    gives the same bits either way.
+    """
+    p0, p1 = _project_one(ce, t, x0, x1)
+    ell = c.ell
+    drop = ell - c.mu
+    return ell * x0 - drop * (x0 - p0), ell * x1 - drop * (x1 - p1)
 
 
 def _counterexample_batch(ce: CounterExample, c: FunctionClass, x: np.ndarray,
@@ -339,8 +356,9 @@ class CounterexampleFunction:
         return eval_counterexample(self.ce, self.fclass, x)[0]
 
     def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)[None, :]
-        return _counterexample_batch(self.ce, self.fclass, x, value=False)[1][0]
+        """Exact gradient at one point, in Python floats (``_grad_one``)."""
+        x0, x1 = np.asarray(x, dtype=float).tolist()
+        return np.array(_grad_one(self.ce, self.fclass, _sector(self.ce, x0, x1), x0, x1))
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
         return _counterexample_batch(self.ce, self.fclass, x, value=False)[1]

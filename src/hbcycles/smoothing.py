@@ -22,6 +22,7 @@ support, so the fixed grid converges fast.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ from .quad_rates import FunctionClass, HbParams
 from .rou_region import (
     CounterExample,
     CounterexampleFunction,
+    _counterexample_batch,
+    _grad_one,
     _sector,
     rou_cycle,
     rou_member,
@@ -142,8 +145,9 @@ def smooth_counterexample(ce: CounterExample, c: FunctionClass, epsilon: float,
                                   nodes, weights, mass_defect)
 
 
-def _cell_margin(ce: CounterExample, x0: float, x1: float) -> float:
-    """Distance from (x0, x1) to the boundary of its projection feature cell.
+def _cell_margin(ce: CounterExample, t: int, x0: float, x1: float) -> float:
+    """Distance from (x0, x1), a point of cone ``t``, to the boundary of its
+    projection feature cell.
 
     Each cell is an intersection of half-planes, so the distance is the
     least signed distance to its bounding lines.  A point of cone t (see
@@ -158,7 +162,6 @@ def _cell_margin(ce: CounterExample, x0: float, x1: float) -> float:
     """
     if not (math.isfinite(x0) and math.isfinite(x1)):
         return math.nan
-    t = _sector(ce, x0, x1)
     h0, h1, e0, e1, _, length = ce._edge_floats[t - 1]
     r0 = x0 - h0
     r1 = x1 - h1
@@ -184,23 +187,27 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
 
     When the support ball B(x, epsilon) lies inside one projection feature
     cell, with a rounding slack, this is the base gradient at ``x``
-    exactly (affine integrand, unit-mass zero-mean density).  Otherwise it
-    is the polar quadrature, accurate to about the mass defect.
+    exactly (affine integrand, unit-mass zero-mean density): the one-point
+    float kernel on the cone found once for both the margin and the
+    projection, with the bits of ``CounterexampleFunction.grad``.
+    Otherwise it is the polar quadrature, accurate to about the mass defect.
     """
     if sce.mass_defect > 1e-6:
         warnings.warn(
             f"quadrature mass defect {sce.mass_defect:.2e} exceeds 1e-6; "
             "increase the node counts", QuadraturePrecisionWarning, stacklevel=2)
+    ce = sce.base
     x = np.asarray(x, dtype=float)
-    fn = CounterexampleFunction(sce.base, sce.fclass)
     x0, x1 = x.tolist()
+    t = _sector(ce, x0, x1)
     # Covers the rounding of the sector margin, which is of order eps times
     # the size of x and of the polygon, including the interior score read
     # from the edge of a cone whose ray the point is within rounding of.
-    slack = 64.0 * _EPS * (math.hypot(x0, x1) + sce.base.hull_radius)
-    if _cell_margin(sce.base, x0, x1) > sce.moll.epsilon + slack:
-        return fn.grad(x)
-    return sce.weights @ fn.grad_batch(x[None, :] - sce.nodes)
+    slack = 64.0 * _EPS * (math.hypot(x0, x1) + ce.hull_radius)
+    if _cell_margin(ce, t, x0, x1) > sce.moll.epsilon + slack:
+        return np.array(_grad_one(ce, sce.fclass, t, x0, x1))
+    return sce.weights @ _counterexample_batch(ce, sce.fclass, x[None, :] - sce.nodes,
+                                               value=False)[1]
 
 
 def smoothed_value(sce: SmoothedCounterExample, x) -> float:
@@ -256,10 +263,15 @@ def dilate(f, scale: float) -> DilatedFunction:
     """Dilation by ``scale`` > 0 of any object exposing value(x) and grad(x).
 
     If heavy ball cycles on f over a point set, it cycles on the dilation
-    over the scaled set (from scaled starting points).
+    over the scaled set (from scaled starting points).  The value carries
+    scale^2, and squared norms of the scaled points are of that order, so
+    scale^2 must be a normal finite float: past it the squares overflow or
+    lose their precision, and ValueError is raised.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
+    if not sys.float_info.min <= scale * scale <= sys.float_info.max:
+        raise ValueError(f"scale squared must be a normal finite float, got scale {scale}")
     return DilatedFunction(f.value, f.grad, scale)
 
 
@@ -270,8 +282,11 @@ def third_derivative_estimate(grad_fn, points, h: float = 0.05,
     Central second differences of the gradient along a fan of directions at
     each sample point; the maximum norm over samples divided by h is an
     empirical estimate, never claimed as the exact constant.  The centre
-    gradient is evaluated once per point.
+    gradient is evaluated once per point.  ``h * h`` must be a normal
+    float (ValueError otherwise): a subnormal divisor loses its precision.
     """
+    if not h * h >= sys.float_info.min:
+        raise ValueError(f"h squared must be a normal float, got h {h}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     best = 0.0
     for x in points:
@@ -282,5 +297,16 @@ def third_derivative_estimate(grad_fn, points, h: float = 0.05,
             second = (np.asarray(grad_fn(x + h * u))
                       - twice_centre
                       + np.asarray(grad_fn(x - h * u))) / (h * h)
-            best = max(best, float(np.linalg.norm(second)))
+            best = max(best, _norm(second))
     return best
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)``, rescaled where its sum of squares would
+    overflow or fall below the normal range; the same bits elsewhere."""
+    with np.errstate(over="ignore"):
+        size = float(np.linalg.norm(v))
+    if sys.float_info.min <= size * size < math.inf:
+        return size
+    peak = float(np.max(np.abs(v)))
+    return peak * float(np.linalg.norm(v / peak)) if peak else 0.0

@@ -2,10 +2,13 @@
 
 The brute-force rate oracle evaluates the spectral radius of the 2x2
 companion matrix over a lambda grid and is kept independent of the
-closed-form implementation it checks.  The sequential perturbed run is
-the one-point-per-step loop that the batched tube engine must reproduce,
-and the (n, K, 2) all-edge projection kernel and the per-edge array form
-of the cell margin are the oracles of their sector-indexed forms: the same
+closed-form implementation it checks.  The numpy heavy-ball loop and the
+(1, 2)-array counterexample gradient are the bit-for-bit references of
+the float step of ``run`` and of the float gradient kernel.  The
+sequential perturbed run is the one-point-per-step loop that the batched
+tube engine must reproduce, and the (n, K, 2) all-edge projection kernel
+and the per-edge array form of the cell margin are the oracles of their
+sector-indexed forms: the same
 bits inside the polygon and on edge interiors (the same edge, the same
 expressions), and agreement to rounding elsewhere.  The
 row-at-a-time CSV writers, the SVG renderer that re-reads its CSV and the
@@ -141,6 +144,36 @@ def sequential_perturbed_run(ce, c, p, k, noise, steps):
     max_dev = float(np.max(np.linalg.norm(
         zs - cyc.points[np.arange(steps + 2) % k], axis=1)))
     return zs, params, max_dev, max_dev <= ce.r_max * (1.0 + 1e-12)
+
+
+def numpy_run(oracle, p, x0, x1, steps):
+    """``hb_engine.run`` as first written, one numpy row expression per
+    step: the reference for the float step.  Returns (iterates,
+    params_used, grad_calls, truncated)."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    zs = np.empty((steps + 2, x0.shape[0]))
+    zs[0], zs[1] = x0, x1
+    params = np.tile([p.gamma, p.beta], (steps, 1))
+    calls = 0
+    for t in range(1, steps + 1):
+        g = np.asarray(oracle(zs[t]), dtype=float)
+        calls += 1
+        if not np.all(np.isfinite(g)):
+            return zs[:t + 1].copy(), params[:t - 1], calls, True
+        zs[t + 1] = zs[t] - p.gamma * g + p.beta * (zs[t] - zs[t - 1])
+    return zs, params, calls, False
+
+
+def numpy_counterexample_grad(ce, c):
+    """The one-point counterexample gradient as numpy arithmetic on a
+    (1, 2) array around ``polygon_project_batch``: the reference for the
+    float kernel."""
+    def grad(x):
+        x = np.asarray(x, dtype=float)[None, :]
+        gap = x - polygon_project_batch(ce, x)
+        return (c.ell * x - (c.ell - c.mu) * gap)[0]
+    return grad
 
 
 def polygon_project(ce, x):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
+import hbcycles.smoothing as smoothing
 from hbcycles.cli import SWEEP_MODES, _lp_region_cell, _write_csv, main, render_svg
 from hbcycles.hb_engine import NoiseSpec, noise_budget, write_trace_csv
 from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
-from hbcycles.rou_region import CounterexampleFunction, build_counterexample
+from hbcycles.rou_region import _counterexample_batch, build_counterexample
 
 from conftest import (
     parsed_render_svg,
@@ -420,14 +421,14 @@ class TestCycleDemo:
         # Every step's support ball lies in one feature cell, so only the
         # tau stencil around the edge midpoint (9 gradients) integrates.
         calls = []
-        quadrature = CounterexampleFunction.grad_batch
-        monkeypatch.setattr(CounterexampleFunction, "grad_batch",
-                            lambda fn, x: calls.append(len(x)) or quadrature(fn, x))
+        monkeypatch.setattr(smoothing, "_counterexample_batch",
+                            lambda ce, c, x, value: calls.append(len(x))
+                            or _counterexample_batch(ce, c, x, value))
         code, out, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "500",
                                "--smooth", "auto")
         assert code == 0
         assert json.loads(out)["verdict"] == "cycles"
-        assert len(calls) <= 20
+        assert 0 < len(calls) <= 20
 
     @pytest.mark.parametrize("token", ["nan", "inf", "abc", "0", "-0.01"])
     def test_bad_smooth_token_is_usage_error(self, capsys, token):
@@ -440,11 +441,63 @@ class TestCycleDemo:
         (("--smooth", "1e-300"), "quadrature weights are not finite"),
         (("--smooth", "auto", "--lambda", "nan"), "scale must be positive and finite"),
         (("--smooth", "auto", "--lambda", "inf"), "scale must be positive and finite"),
-        (("--lambda", "nan"), "scale must be positive and finite")])
+        (("--lambda", "nan"), "scale must be positive and finite"),
+        # Squares that underflow to a subnormal or overflow to inf.
+        (("--lambda", "1e-160"), "scale squared must be a normal finite float"),
+        (("--lambda", "1e160"), "scale squared must be a normal finite float"),
+        (("--smooth", "auto", "--lambda", "1e-160"), "scale squared must be a normal"),
+        (("--smooth", "auto", "--lambda", "1e200"), "scale squared must be a normal"),
+        # A normal square, but the tau stencil's h = 0.05 lambda squares
+        # to a subnormal.
+        (("--smooth", "auto", "--lambda", "2e-154"), "h squared must be a normal float")])
     def test_non_finite_smoothing_is_an_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "50", *argv)
         assert code == 3 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("token", ["nan", "-1", "inf", "abc"])
+    def test_bad_tol_is_usage_error(self, capsys, token):
+        with pytest.raises(SystemExit) as err:
+            main(["cycle-demo", *_TUBE_POINT, "--steps", "50", "--tol", token])
+        assert err.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("smooth", [(), ("--smooth", "auto")])
+    @pytest.mark.parametrize("scale", ["1e8", "1e-9", "1e154", "3e-153"])
+    def test_cycle_tolerance_scales_with_lambda(self, capsys, scale, smooth):
+        # Dilation scales the cycle's K-lag deviation and its diameter by
+        # lambda: an absolute 1e-8 would reject the rounding-level deviation
+        # at 1e8 and the whole cycle, as converged, at 1e-9.  At the ends of
+        # the accepted range nothing overflows or warns.
+        code, out, err = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "500",
+                                 "--lambda", scale, *smooth)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["verdict"] == "cycles"
+        assert payload["k_lag_deviation"] <= 1e-8 * float(scale)
+
+    def test_patched_module_globals_see_every_call(self, capsys, monkeypatch):
+        # bench/tracing.py times ``run`` and ``smoothed_grad`` by replacing
+        # the names that cli and smoothing look up: every run step and every
+        # tau stencil gradient (1 + 2 * 8) must go through them.
+        calls = {"run": 0, "smoothed_grad": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "run")
+        counted(smoothing, "smoothed_grad")
+        for scale in ("1", "10"):
+            code, _, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "50",
+                                 "--smooth", "auto", "--lambda", scale)
+            assert code == 0
+        assert calls == {"run": 2, "smoothed_grad": 2 * (50 + 17)}
 
 
 class TestOthers:

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,8 +25,14 @@ from hbcycles.rou_region import (
     build_counterexample,
     rou_cycle,
 )
+from hbcycles.smoothing import dilate, smooth_counterexample
 
-from conftest import rowwise_write_trace_csv, sequential_perturbed_run
+from conftest import (
+    numpy_counterexample_grad,
+    numpy_run,
+    rowwise_write_trace_csv,
+    sequential_perturbed_run,
+)
 
 
 # Interior members of mu = 0.005, L = 1 at two periods.
@@ -116,6 +123,101 @@ class TestRun:
         trace = run(diag_quadratic_oracle(1.0, 25.0), p,
                     [1.0, 1.0], [1.0, 1.0], 3000)
         assert estimate_rate(trace, [0.0, 0.0]) == pytest.approx(rho, abs=1e-3)
+
+    def test_gradient_of_another_length_raises(self):
+        # numpy would broadcast a length-1 gradient over the iterate.
+        for grad, x in ((np.ones(1), [1.0, 2.0]), (np.ones(3), [1.0, 2.0]),
+                        (1.0, [1.0, 2.0]), (np.ones((1, 1)), [1.0, 2.0]),
+                        (np.ones(2), [1.0])):
+            shape = re.escape(str(np.shape(grad)))
+            with pytest.raises(ValueError, match=rf"shape {shape} for an iterate of length {len(x)}"):
+                run(lambda z: grad, HbParams(0.5, 0.2), x, x, 3)
+
+    @pytest.mark.parametrize("gradient,x0,x1", [
+        (lambda z: float(0.3 * z[0]), [1.0], [0.5]),
+        (lambda z: 0.3 * z[None, :], [1.0], [-0.0]),
+        (lambda z: 0.3 * z[None, :], [1.0, -0.0], [0.5, 2.0])])
+    def test_gradient_with_as_many_entries_is_flattened(self, gradient, x0, x1):
+        # A scalar, (1, 1) or (1, d) gradient has the iterate's entries:
+        # numpy broadcast it exactly, and the float step gives those bits.
+        p = HbParams(0.9, 0.5)
+        assert _trace_bits(run(gradient, p, x0, x1, 30)) == _reference_bits(
+            gradient, p, x0, x1, 30)
+
+
+def _trace_bits(trace):
+    return (trace.iterates.tobytes(), trace.params_used.tobytes(), trace.grad_calls,
+            trace.truncated)
+
+
+def _reference_bits(oracle, p, x0, x1, steps):
+    zs, params, calls, truncated = numpy_run(oracle, p, x0, x1, steps)
+    return zs.tobytes(), params.tobytes(), calls, truncated
+
+
+def _blowing_up(blow_up_at, d):
+    """A 0.3 z oracle that returns inf (or NaN from step 4 on) at call
+    ``blow_up_at``."""
+    calls = []
+
+    def oracle(z):
+        calls.append(1)
+        if len(calls) == blow_up_at:
+            return np.full(d, np.inf if blow_up_at < 4 else np.nan)
+        return 0.3 * z
+    return oracle
+
+
+class TestRunMatchesNumpyLoop:
+    """The float step gives the numpy loop's bits: iterates, parameters,
+    call count and truncation."""
+
+    def test_criterion_3_trace(self, fig4_setup):
+        p, c, ce = fig4_setup
+        cyc = rou_cycle(7)
+        new = run(CounterexampleFunction(ce, c).grad, p, cyc.points[0], cyc.points[1], 10000)
+        assert _trace_bits(new) == _reference_bits(
+            numpy_counterexample_grad(ce, c), p, cyc.points[0], cyc.points[1], 10000)
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_smoothed_trace(self, interior_setup, scale):
+        p, c, ce = interior_setup
+        sce = smooth_counterexample(ce, c, ce.r_max / 2)
+        oracle = dilate(sce, scale).grad if scale != 1.0 else sce.grad
+        x0, x1 = scale * rou_cycle(7).points[:2]
+        assert _trace_bits(run(oracle, p, x0, x1, 500)) == _reference_bits(
+            oracle, p, x0, x1, 500)
+
+    def test_decay_run(self):
+        # The tube workload's init-only run: the batch engine, the float
+        # step and the numpy loop give the same 2,500 steps.
+        p, ce, _ = _member_setup(7)
+        c = _MEMBER_CLASS
+        decay = perturbed_run(ce, c, p, 7, NoiseSpec(init_radius=0.9, seed=24), 2500)
+        zs = decay.trace.iterates
+        new = run(CounterexampleFunction(ce, c).grad, p, zs[0], zs[1], 2500)
+        assert new.iterates.tobytes() == zs.tobytes()
+        assert _trace_bits(new) == _reference_bits(
+            numpy_counterexample_grad(ce, c), p, zs[0], zs[1], 2500)
+
+    @pytest.mark.parametrize("x0,x1", [
+        ([-0.0], [-0.0]), ([-0.0], [5e-324]), ([1e-310], [-0.0]),
+        ([1.0, -0.0, 2.5], [0.5, 1e-310, -3.0]), ([-0.0, -0.0, 5e-324], [-0.0, 0.0, -5e-324])])
+    def test_linear_oracles_from_signed_zeros_and_subnormals(self, x0, x1):
+        a = np.array([[0.9, -0.3, 0.0], [0.2, 1.1, 0.4], [0.0, -0.5, 0.7]])[:len(x0), :len(x0)]
+        for oracle in (lambda z: a @ z, lambda z: -0.0 * z, lambda z: 1e-300 * z):
+            for p in (HbParams(0.9, 0.5), HbParams(1.7, 0.0)):
+                assert _trace_bits(run(oracle, p, x0, x1, 40)) == _reference_bits(
+                    oracle, p, x0, x1, 40)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("blow_up_at", range(1, 9))
+    def test_truncation_at_each_step(self, d, blow_up_at):
+        x0, x1 = [1.0, -0.0, 2.5][:d], [0.5, 1e-310, -3.0][:d]
+        p = HbParams(0.9, 0.5)
+        new = run(_blowing_up(blow_up_at, d), p, x0, x1, 8)
+        assert new.truncated and new.grad_calls == blow_up_at
+        assert _trace_bits(new) == _reference_bits(_blowing_up(blow_up_at, d), p, x0, x1, 8)
 
 
 class TestDetectCycle:

@@ -30,6 +30,7 @@ from conftest import (
     central_difference_grad,
     edge_sq,
     full_grid_member_any_grid,
+    numpy_counterexample_grad,
     polygon_project,
     projection_case,
     rational_beta_minus,
@@ -445,6 +446,24 @@ class TestCounterexampleFunction:
         for t in range(7):
             _, grad = eval_counterexample(ce, c, cyc.points[t])
             assert np.allclose(grad, forced @ cyc.points[t], atol=1e-10)
+
+    @pytest.mark.parametrize("member", _SECTOR_MEMBERS)
+    def test_float_gradient_gives_the_batch_bits_off_the_rays(self, member):
+        # Random points are never within rounding of a ray between cones
+        # (see the projection test above), so the float kernel (``grad``),
+        # a one-row ``grad_batch`` and the (1, 2)-array form the kernel
+        # replaced give the array path's bits, inside the polygon, in the
+        # edge slabs and in the vertex wedges.
+        ce = _member_ce(member)
+        c = FunctionClass(0.005, 1.0)
+        fn = CounterexampleFunction(ce, c)
+        x = np.random.default_rng(5).normal(size=(2000, 2)) * ce.hull_radius
+        want = fn.grad_batch(x)
+        reference = numpy_counterexample_grad(ce, c)
+        for row, grad in zip(x, want):
+            assert fn.grad(row).tobytes() == grad.tobytes()
+            assert fn.grad_batch(row[None, :]).tobytes() == grad.tobytes()
+            assert reference(row).tobytes() == grad.tobytes()
 
     def test_gradient_matches_finite_differences(self, interior_setup):
         # Central differences of the value are the oracle; points whose

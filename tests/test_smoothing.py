@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 
 from hbcycles.hb_engine import run
 from hbcycles.quad_rates import FunctionClass, HbParams
-from hbcycles.rou_region import CounterexampleFunction, build_counterexample, rou_cycle
+from hbcycles.rou_region import (
+    CounterexampleFunction,
+    _counterexample_batch,
+    _sector,
+    build_counterexample,
+    rou_cycle,
+)
 from hbcycles.smoothing import (
     DilatedFunction,
     QuadraturePrecisionWarning,
@@ -50,7 +57,14 @@ def _slack(ce, x):
 
 
 def _margin(ce, x):
-    return _cell_margin(ce, *np.asarray(x, dtype=float).tolist())
+    x0, x1 = np.asarray(x, dtype=float).tolist()
+    return _cell_margin(ce, _sector(ce, x0, x1), x0, x1)
+
+
+def _spy_quadrature():
+    """Count the batched gradient calls of ``smoothed_grad``: its quadrature."""
+    return mock.patch("hbcycles.smoothing._counterexample_batch",
+                      side_effect=_counterexample_batch)
 
 
 def _margin_bits(margin):
@@ -255,9 +269,7 @@ class TestExactBranch:
         _, ce, sce = _member(*_MEMBERS[0])
         x = np.array(x)
         assert math.isnan(_margin(ce, x))
-        with mock.patch.object(CounterexampleFunction, "grad_batch", autospec=True,
-                               side_effect=CounterexampleFunction.grad_batch) as spy, \
-                np.errstate(invalid="ignore"):
+        with _spy_quadrature() as spy, np.errstate(invalid="ignore"):
             smoothed_grad(sce, x)
         assert spy.call_count == 1
 
@@ -268,13 +280,14 @@ class TestExactBranch:
         c, ce, sce = _member(*member)
         quadrature = _forced_quadrature(sce, x)
         exact = _margin(ce, x) > sce.moll.epsilon + _slack(ce, x)
-        with mock.patch.object(CounterexampleFunction, "grad_batch", autospec=True,
-                               side_effect=CounterexampleFunction.grad_batch) as spy:
+        with _spy_quadrature() as spy:
             grad = smoothed_grad(sce, x)
         if exact:
-            # Relative to the integrand's size on the support ball.
+            # The base gradient's bits; its distance from the quadrature is
+            # relative to the integrand's size on the support ball.
             scale = c.ell * (np.linalg.norm(x) + sce.moll.epsilon)
             assert spy.call_count == 0
+            assert grad.tobytes() == CounterexampleFunction(ce, c).grad(x).tobytes()
             assert np.linalg.norm(grad - quadrature) <= 1e-12 * scale
         else:
             assert spy.call_count == 1
@@ -291,8 +304,7 @@ class TestExactBranch:
         foot = ce.hull[t] + u * ce.edges[t]
         offset = sce.moll.epsilon + f * _slack(ce, foot)
         x = foot + (1.0 if outside else -1.0) * offset * _outward_normals(ce)[t]
-        with mock.patch.object(CounterexampleFunction, "grad_batch", autospec=True,
-                               side_effect=CounterexampleFunction.grad_batch) as spy:
+        with _spy_quadrature() as spy:
             grad = smoothed_grad(sce, x)
         assert spy.call_count == 1
         assert np.array_equal(grad, _forced_quadrature(sce, x))
@@ -386,6 +398,21 @@ class TestDilation:
         *_, sce = smoothed
         with pytest.raises(ValueError, match="positive and finite"):
             dilate(sce, scale)
+
+    def test_third_derivative_rejects_a_subnormal_h_squared(self, smoothed):
+        *_, sce = smoothed
+        with pytest.raises(ValueError, match="h squared must be a normal float"):
+            third_derivative_estimate(sce.grad, np.zeros((1, 2)), h=1e-155)
+
+    @pytest.mark.parametrize("c", [1e160, 1.0, 1e-160])
+    def test_third_derivative_norm_spans_the_float_range(self, c):
+        # grad = c (x0^2, x1^2) has second differences 2 c u^2 at the
+        # origin, exactly for h = 0.5; the largest, at u = (1, 0), is 2 c,
+        # whose square overflows at 1e160 and is subnormal at 1e-160.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = third_derivative_estimate(lambda x: c * x * x, np.zeros((1, 2)), h=0.5)
+        assert tau == 2.0 * c
 
     def test_third_derivative_evaluates_the_centre_once(self, smoothed):
         # 1 + 2 * directions gradients per point, and the same estimate as
