@@ -8,8 +8,11 @@ yields explicit noise budgets under which perturbed runs provably stay in a
 tube around the cycle.  ``perturbed_runs`` advances many seeded perturbed
 runs as one (R, 2) state with one batched gradient call per step; each
 seed's noise is drawn in its sequential order, so a run in a batch is the
-run made alone.  ``perturbed_run`` is its single-run form with the full
-trace.
+run made alone, and a caller can put runs of any noise in one batch.
+``perturbed_run`` is its single-run form with the full trace; a strict
+noise-free run there (seeded start only) is plain heavy ball, stepped by
+``run`` in Python floats.  Both draw the seeded starts and apply the run
+guards through ``_start_batch``.
 """
 
 from __future__ import annotations
@@ -312,10 +315,18 @@ def _fit_decay(norms: np.ndarray) -> float | None:
     return float(math.exp(slope))
 
 
-def _check_tube_conditions(p: HbParams, c: FunctionClass, ce: CounterExample,
-                           budget: dict, init: np.ndarray, gamma_jitter: np.ndarray,
-                           beta_jitter: np.ndarray, grad_noise: np.ndarray) -> None:
-    """Raise naming the first violated guarantee condition of the batch."""
+def _check_runs(p: HbParams, c: FunctionClass, ce: CounterExample, budget: dict,
+                noises: list[NoiseSpec], strict: bool = True) -> None:
+    """Raise unless the runs have a tube to stay in (r_max > 0) and, in
+    strict mode, every spec meets the three guarantee conditions; the first
+    violated condition is named, with the first spec violating it."""
+    if ce.r_max <= 0.0:
+        raise ValueError("perturbation analysis needs r_max > 0 (interior member)")
+    if not strict:
+        return
+    init, gamma_jitter, beta_jitter, grad_noise = np.array(
+        [(n.init_radius, n.gamma_jitter, n.beta_jitter, n.grad_noise)
+         for n in noises]).T
     bad = np.flatnonzero(init > 1.0 + 1e-12)
     if bad.size:
         raise ValueError(
@@ -333,6 +344,32 @@ def _check_tube_conditions(p: HbParams, c: FunctionClass, ce: CounterExample,
         raise ValueError(
             f"condition 3 violated: gradient noise {float(grad_noise[bad[0]])} "
             f"exceeds budget {budget['grad_noise']}")
+
+
+def _start_batch(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
+                 noises: list[NoiseSpec], steps: int, strict: bool):
+    """The guards and seeded starts of a batch of runs.
+
+    Returns (rngs, starts): ``starts`` (2, R, 2) holds each run's
+    first two points, the cycle's displaced by a joint offset of norm
+    init_radius * kappa_P * r_max drawn as normal(4) from
+    ``default_rng(seed)``, and ``rngs`` the generators after that draw.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not noises:
+        raise ValueError("a batch needs at least one noise spec")
+    budget = noise_budget(p, c, ce)
+    _check_runs(p, c, ce, budget, noises, strict)
+    cyc = rou_cycle(k).points
+    starts = np.empty((2, len(noises), 2))
+    rngs = [np.random.default_rng(n.seed) for n in noises]
+    for i, (rng, noise) in enumerate(zip(rngs, noises)):
+        offset = rng.normal(size=4)
+        offset *= noise.init_radius * budget["init_norm"] / np.linalg.norm(offset)
+        starts[0, i] = cyc[0] + offset[:2]
+        starts[1, i] = cyc[1] + offset[2:]
+    return rngs, starts
 
 
 def _row_sq(x: np.ndarray) -> np.ndarray:
@@ -380,33 +417,19 @@ def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     gradient call per step; only three iterate slots are kept unless
     ``record`` is set.  In strict mode every noise spec must satisfy the
     three guarantee conditions; the first violated condition is named
-    otherwise.
+    otherwise.  Rows are independent, so specs of any noise, checked or
+    not, may share a batch.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not noises:
-        raise ValueError("a batch needs at least one noise spec")
-    if ce.r_max <= 0.0:
-        raise ValueError("perturbation analysis needs r_max > 0 (interior member)")
-    budget = noise_budget(p, c, ce)
-    init, gamma_jitter, beta_jitter, grad_noise = np.array(
-        [(n.init_radius, n.gamma_jitter, n.beta_jitter, n.grad_noise)
-         for n in noises]).T
-    if strict:
-        _check_tube_conditions(p, c, ce, budget, init, gamma_jitter,
-                               beta_jitter, grad_noise)
+    rngs, starts = _start_batch(ce, c, p, k, noises, steps, strict)
+    gamma_jitter, beta_jitter, grad_noise = np.array(
+        [(n.gamma_jitter, n.beta_jitter, n.grad_noise) for n in noises]).T
 
     cyc = rou_cycle(k).points
     fn = CounterexampleFunction(ce, c)
     r = len(noises)
     slots = steps + 2 if record else 3
     zs = np.empty((slots, r, 2))
-    rngs = [np.random.default_rng(n.seed) for n in noises]
-    for i, (rng, noise) in enumerate(zip(rngs, noises)):
-        offset = rng.normal(size=4)
-        offset *= noise.init_radius * budget["init_norm"] / np.linalg.norm(offset)
-        zs[0, i] = cyc[0] + offset[:2]
-        zs[1, i] = cyc[1] + offset[2:]
+    zs[:2] = starts
     # Running max of squared deviations; sqrt is monotone, so the root of
     # the max is the max of the norms bit for bit.
     max_sq = np.maximum(_row_sq(zs[0] - cyc[0]), _row_sq(zs[1] - cyc[1 % k]))
@@ -464,18 +487,25 @@ def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     every iterate stayed within r_max of its cycle point.  With parameter
     and gradient noise both zero the residual contraction factor is fitted
     and returned (it matches the rate of heavy ball on the isotropic
-    mu-quadratic).
+    mu-quadratic), and a strict run is plain heavy ball from its seeded
+    start: it takes the float step of ``run`` on the exact gradient, with
+    the bits of the batch.  Its start obeys condition 1, so it provably
+    stays in the tube and ``run`` never truncates it.
     """
-    runs = perturbed_runs(ce, c, p, k, [noise], steps, strict, record=True)
-    zs = runs.iterates[:, 0]
-    trace = SimTrace(zs, steps, runs.params_used[:, 0])
-    decay = None
-    if noise.gamma_jitter == noise.beta_jitter == noise.grad_noise == 0.0:
-        cyc = rou_cycle(k).points
-        dev = np.linalg.norm(zs - cyc[np.arange(steps + 2) % k], axis=1)
-        joint = np.sqrt(dev[1:] ** 2 + dev[:-1] ** 2)
-        decay = _fit_decay(joint)
-    return PerturbedRun(trace, bool(runs.stayed_in_tube[0]), decay)
+    noise_free = noise.gamma_jitter == noise.beta_jitter == noise.grad_noise == 0.0
+    if noise_free and strict:
+        _, starts = _start_batch(ce, c, p, k, [noise], steps, strict)
+        trace = run(CounterexampleFunction(ce, c).grad, p, starts[0, 0], starts[1, 0], steps)
+    else:
+        runs = perturbed_runs(ce, c, p, k, [noise], steps, strict, record=True)
+        trace = SimTrace(runs.iterates[:, 0], steps, runs.params_used[:, 0])
+        if not noise_free:
+            return PerturbedRun(trace, bool(runs.stayed_in_tube[0]), None)
+    # Row norms as the batch takes them, so the max is its max_dev bit for bit.
+    dev = np.sqrt(_row_sq(trace.iterates - rou_cycle(k).points[np.arange(steps + 2) % k]))
+    joint = np.sqrt(dev[1:] ** 2 + dev[:-1] ** 2)
+    return PerturbedRun(trace, bool(dev.max() <= ce.r_max * (1.0 + 1e-12)),
+                        _fit_decay(joint))
 
 
 def format_floats(x) -> np.ndarray:

@@ -6,7 +6,9 @@ closed-form implementation it checks.  The numpy heavy-ball loop and the
 (1, 2)-array counterexample gradient are the bit-for-bit references of
 the float step of ``run`` and of the float gradient kernel.  The
 sequential perturbed run is the one-point-per-step loop that the batched
-tube engine must reproduce, and the (n, K, 2) all-edge projection kernel
+tube engine must reproduce, the two-batch ``robustness`` command (seeded
+runs, then the overdrive factors) is the reference of its one-batch form,
+and the (n, K, 2) all-edge projection kernel
 and the per-edge array form of the cell margin are the oracles of their
 sector-indexed forms: the same
 bits inside the polygon and on edge interiors (the same edge, the same
@@ -20,16 +22,18 @@ are second derivations of what ``rou_region`` computes.
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hbcycles.cli import _TAG_COLORS
-from hbcycles.hb_engine import noise_budget
+from hbcycles.cli import _TAG_COLORS, _emit_json, _parse_noise
+from hbcycles.hb_engine import NoiseSpec, noise_budget, perturbed_runs
 from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from hbcycles.rou_region import (
     CounterexampleFunction,
     beta_minus,
+    build_counterexample,
     membership_polynomial,
     polygon_project_batch,
     rou_cycle,
@@ -80,8 +84,6 @@ def central_difference_grad(value_fn, x, h=1e-6):
 @pytest.fixture(scope="session")
 def fig4_setup():
     """The standard period-7 demonstration point and its counterexample."""
-    from hbcycles.rou_region import build_counterexample
-
     c = FunctionClass(0.005, 1.0)
     p = HbParams(3.5, 0.75)
     ce = build_counterexample(p, c, 7)
@@ -91,8 +93,6 @@ def fig4_setup():
 @pytest.fixture(scope="session")
 def interior_setup():
     """A strictly interior period-7 member (off the convergence-region edge)."""
-    from hbcycles.rou_region import build_counterexample
-
     c = FunctionClass(0.005, 1.0)
     p = HbParams(3.3, 0.75)
     ce = build_counterexample(p, c, 7)
@@ -144,6 +144,58 @@ def sequential_perturbed_run(ce, c, p, k, noise, steps):
     max_dev = float(np.max(np.linalg.norm(
         zs - cyc.points[np.arange(steps + 2) % k], axis=1)))
     return zs, params, max_dev, max_dev <= ce.r_max * (1.0 + 1e-12)
+
+
+def two_batch_robustness(args) -> int:
+    """The ``robustness`` command as first batched, for parsed ``args`` at a
+    member point: the seeded runs as one checked batch, then the overdrive
+    factors as a second, unchecked one.  Prints its JSON to stdout."""
+    c = FunctionClass(args.mu, args.L)
+    p = HbParams(args.gamma, args.beta)
+    ce = build_counterexample(p, c, args.K)
+    budget = noise_budget(p, c, ce)
+    base = NoiseSpec(
+        init_radius=args.noise_init,
+        gamma_jitter=_parse_noise(args.noise_gamma, budget["gamma_jitter"] / 2,
+                                  "--noise-gamma"),
+        beta_jitter=_parse_noise(args.noise_beta, budget["beta_jitter"] / 2,
+                                 "--noise-beta"),
+        grad_noise=_parse_noise(args.noise_grad, budget["grad_noise"],
+                                "--noise-grad"),
+        mode=args.noise_mode,
+        seed=0,
+    )
+    runs = perturbed_runs(ce, c, p, args.K,
+                          [replace(base, seed=args.seed + i) for i in range(args.runs)],
+                          args.steps)
+    stayed = int(np.count_nonzero(runs.stayed_in_tube))
+    factors = []
+    factor = 2.0
+    while factor <= args.max_overdrive:
+        factors.append(factor)
+        factor *= 2.0
+    observed = 1.0
+    if factors:
+        with np.errstate(over="ignore", invalid="ignore"):
+            overdrive = perturbed_runs(
+                ce, c, p, args.K,
+                [replace(base, grad_noise=budget["grad_noise"] * f, seed=args.seed)
+                 for f in factors],
+                args.steps, strict=False)
+        for factor, ok in zip(factors, overdrive.stayed_in_tube):
+            if not ok:
+                break
+            observed = factor
+    _emit_json({
+        "runs": args.runs,
+        "stayed_in_tube": stayed,
+        "all_stayed": stayed == args.runs,
+        "guaranteed_bounds": budget,
+        "observed_grad_noise_overdrive_at_least": observed,
+        "worst_tube_ratio": float(np.max(runs.max_dev) / ce.r_max),
+        "r_max": ce.r_max,
+    })
+    return 0
 
 
 def numpy_run(oracle, p, x0, x1, steps):

@@ -20,6 +20,7 @@ from conftest import (
     rowwise_write_csv,
     rowwise_write_trace_csv,
     sequential_perturbed_run,
+    two_batch_robustness,
 )
 
 _TUBE_POINT = ("--gamma", "3.3", "--beta", "0.75", "--mu", "0.005", "--L", "1",
@@ -558,6 +559,32 @@ class TestOthers:
                                    budget["beta_jitter"] / 2, budget["grad_noise"],
                                    mode, seed + i), 300)[2] for i in range(4))
         assert float(ratio_line.group(1)) == pytest.approx(worst / ce.r_max, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["uniform-random", "adversarial-sign"])
+    @pytest.mark.parametrize("max_overdrive", ["1", "4", "1024"])
+    def test_robustness_matches_two_batch_oracle(self, capsys, mode, max_overdrive):
+        # One batch of seeded and overdrive runs prints what the seeded
+        # batch followed by an overdrive batch printed, byte for byte.
+        argv = ["robustness", *_TUBE_POINT, "--runs", "20", "--seed", "3",
+                "--noise-mode", mode, "--max-overdrive", max_overdrive]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert two_batch_robustness(cli.build_parser().parse_args(argv)) == 0
+        assert out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--noise-grad", "2e-5", "condition 3 violated: gradient noise 2e-05 exceeds"),
+        ("--noise-init", "1.5", "condition 1 violated: initial offset 1.5 ")])
+    def test_robustness_over_budget_noise_is_an_error(self, capsys, monkeypatch,
+                                                     flag, value, message):
+        # The seeded runs are checked before any step.
+        def no_steps(*args, **kwargs):
+            raise AssertionError("perturbed_runs called")
+
+        monkeypatch.setattr(cli, "perturbed_runs", no_steps)
+        code, out, err = run_cli(capsys, "robustness", *_TUBE_POINT, flag, value)
+        assert code == 3 and out == ""
+        assert err.startswith("error: " + message)
 
     @pytest.mark.parametrize("argv", [("--runs", "-3"), ("--runs", "0"),
                                       ("--steps", "-5"), ("--steps", "0"),

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hbcycles.hb_engine as hb_engine
 from hbcycles.hb_engine import (
     _DRAW_CHUNK,
     NoiseSpec,
+    _fit_decay,
     detect_cycle,
     estimate_rate,
     noise_budget,
@@ -509,6 +511,60 @@ class TestPerturbedRuns:
                 perturbed_run(ce, _MEMBER_CLASS, p, 7, NoiseSpec(), steps)
         with pytest.raises(ValueError, match="at least one noise spec"):
             perturbed_runs(ce, _MEMBER_CLASS, p, 7, [], 10)
+
+
+class TestNoiseFreeRun:
+    """A strict noise-free ``perturbed_run`` is ``run`` from the seeded
+    start: the bits of the batch engine and of the sequential oracle."""
+
+    @pytest.mark.parametrize("mode", ["uniform-random", "adversarial-sign"])
+    @pytest.mark.parametrize("seed", [0, 2, 24])
+    @pytest.mark.parametrize("init_radius", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("steps", [1, 2500])
+    def test_matches_batch_and_sequential_oracle(self, mode, seed, init_radius, steps):
+        p, ce, _ = _member_setup(7)
+        noise = NoiseSpec(init_radius=init_radius, mode=mode, seed=seed)
+        res = perturbed_run(ce, _MEMBER_CLASS, p, 7, noise, steps)
+        batch = perturbed_runs(ce, _MEMBER_CLASS, p, 7, [noise], steps, record=True)
+        zs, params, _, stayed = sequential_perturbed_run(ce, _MEMBER_CLASS, p, 7,
+                                                         noise, steps)
+        for iterates in (batch.iterates[:, 0], zs):
+            assert res.trace.iterates.tobytes() == iterates.tobytes()
+        for params_used in (batch.params_used[:, 0], params):
+            assert res.trace.params_used.tobytes() == params_used.tobytes()
+        assert res.stayed_in_tube is bool(batch.stayed_in_tube[0]) is stayed
+        # The decay fit as it was taken from the batch's iterates.
+        dev = np.linalg.norm(zs - rou_cycle(7).points[np.arange(steps + 2) % 7], axis=1)
+        decay = _fit_decay(np.sqrt(dev[1:] ** 2 + dev[:-1] ** 2))
+        assert res.residual_decay_rate == decay
+        assert (decay is None) == (steps == 1 or init_radius == 0.0)
+
+    @pytest.fixture
+    def no_batch(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("perturbed_runs called")
+
+        monkeypatch.setattr(hb_engine, "perturbed_runs", fail)
+
+    def test_does_not_reach_the_batch(self, no_batch):
+        p, ce, _ = _member_setup(7)
+        res = perturbed_run(ce, _MEMBER_CLASS, p, 7, NoiseSpec(init_radius=0.9), 50)
+        assert res.stayed_in_tube and res.trace.iterates.shape == (52, 2)
+
+    def test_guards_raise_from_the_float_path(self, no_batch):
+        import dataclasses
+
+        p, ce, _ = _member_setup(7)
+        c = _MEMBER_CLASS
+        with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+            perturbed_run(ce, c, p, 7, NoiseSpec(init_radius=0.9), 0)
+        with pytest.raises(ValueError, match=re.escape(
+                "perturbation analysis needs r_max > 0 (interior member)")):
+            perturbed_run(dataclasses.replace(ce, r_max=0.0), c, p, 7, NoiseSpec(), 10)
+        with pytest.raises(ValueError, match=re.escape(
+                "condition 1 violated: initial offset 1.5 * kappa_P * r_max "
+                "exceeds kappa_P * r_max")):
+            perturbed_run(ce, c, p, 7, NoiseSpec(init_radius=1.5), 10)
 
 
 class TestNoiseSpec:
