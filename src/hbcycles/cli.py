@@ -54,9 +54,7 @@ from .rou_region import (
     CounterexampleFunction,
     build_counterexample,
     member_any_grid,
-    polynomial_value,
     rou_cycle,
-    rou_member,
 )
 from .smoothing import (
     dilate,
@@ -360,11 +358,6 @@ def _cmd_cycle_demo(args) -> int:
     c = FunctionClass(args.mu, args.L)
     p = HbParams(args.gamma, args.beta)
     k = args.K
-    if not rou_member(p, c, k):
-        val = polynomial_value(args.gamma, args.beta, k, c)
-        print(f"error: ({args.gamma}, {args.beta}) is not a period-{k} member; "
-              f"membership polynomial = {val:.6g} > 0", file=sys.stderr)
-        return 3
     ce = build_counterexample(p, c, k)
     cyc = rou_cycle(k)
     scale = args.scale
@@ -453,9 +446,6 @@ def _cmd_lp_check(args) -> int:
 def _cmd_robustness(args) -> int:
     c = FunctionClass(args.mu, args.L)
     p = HbParams(args.gamma, args.beta)
-    if not rou_member(p, c, args.K):
-        print("error: not a cycling member point", file=sys.stderr)
-        return 3
     ce = build_counterexample(p, c, args.K)
     budget = noise_budget(p, c, ce)
     base = NoiseSpec(

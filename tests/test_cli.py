@@ -358,8 +358,9 @@ class TestCycleDemo:
         header = out.read_text().splitlines()[0]
         assert header == "t,x0,x1,dist_to_cycle,gamma_t,beta_t"
 
-    def test_nonmember_explains_polynomial(self, capsys):
-        code, _, err = run_cli(capsys, "cycle-demo", "--gamma", "0.5",
+    @pytest.mark.parametrize("command", ["cycle-demo", "robustness"])
+    def test_nonmember_explains_polynomial(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--gamma", "0.5",
                                "--beta", "0.2", "--mu", "0.01", "--L", "1",
                                "--K", "7")
         assert code == 3

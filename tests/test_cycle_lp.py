@@ -159,34 +159,30 @@ class TestInterpolationResiduals:
 
 
 class TestLiftMatrices:
-    @pytest.mark.parametrize("k", [3, 4, 7, 24, 25])
-    def test_agree_with_direct_evaluation(self, k):
-        p = HbParams(0.7, 0.3)
-        c = FunctionClass(0.5, 2.0)
-        rng = np.random.default_rng(42)
-        mats = lift_matrices(p, c, k)
-        assert [lm.i for lm in mats] == list(range(1, k))
-        for trial in range(5):
-            pts = rng.normal(size=(k, 3))
-            centered = pts - pts.mean(axis=0)
-            gram = centered @ centered.T
-            for lm in mats:
-                assert np.sum(gram * lm.m) == pytest.approx(
-                    direct_lift_rhs(pts, p, c, lm.i), abs=1e-10)
-
-    def test_self_test_runs_on_every_call(self, monkeypatch):
-        # The self-test's points are cached per period; the check is not.
-        p, c = HbParams(0.7, 0.3), FunctionClass(0.5, 2.0)
-        lift_matrices(p, c, 6)
-        residuals = cycle_lp.interpolation_residuals
-        monkeypatch.setattr(cycle_lp, "interpolation_residuals",
-                            lambda *args: residuals(*args) + 1e-6)
-        with pytest.raises(AssertionError, match="self-test failed"):
-            lift_matrices(p, c, 6)
+    # The sweep domain: any step-size up to the edge 2(1+beta)/L, momentum in
+    # [0, 1), kappa = mu/L in [1e-4, 1) and periods 3..100, at each of three
+    # curvature scales.  The lifted values grow like 1/gamma^2 and the check
+    # is relative, so step-size fractions down to 1e-6 stand for small steps.
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 25.0])
+    @settings(max_examples=300, deadline=None)
+    @given(frac=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+           beta=st.floats(0.0, 1.0, exclude_max=True),
+           kappa=st.floats(1e-4, 1.0, exclude_max=True),
+           k=st.integers(3, 100),
+           seed=st.integers(0, 2**32 - 1))
+    def test_agree_with_direct_evaluation(self, frac, beta, kappa, ell, k, seed):
+        p = HbParams(frac * 2.0 * (1.0 + beta) / ell, beta)
+        c = FunctionClass(kappa * ell, ell)
+        lifts = lift_matrices(p, c, k)
+        assert lifts.shape == (k - 1, k, k)
+        pts = np.random.default_rng(seed).normal(size=(k, 3))
+        centered = pts - pts.mean(axis=0)
+        lifted = np.einsum("ijk,jk->i", lifts, centered @ centered.T)
+        direct = interpolation_residuals(pts, cycle_gradients(pts, p), np.zeros(k), c)[1:, 0]
+        assert np.all(np.abs(lifted - direct) <= 1e-8 * np.maximum(1.0, np.abs(direct)))
 
     def test_cached_period_tables_are_read_only(self):
-        pts, gram = cycle_lp._self_test_points(5)
-        for table in (pts, gram, *cycle_lp._lag_table(5)):
+        for table in cycle_lp._lag_table(5):
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 1.0
 
@@ -194,8 +190,8 @@ class TestLiftMatrices:
         p, c, _ = fig4_setup
         cyc = rou_cycle(7)
         gram = cyc.points @ cyc.points.T
-        for lm in lift_matrices(p, c, 7):
-            assert np.sum(gram * lm.m) <= 1e-10
+        for m in lift_matrices(p, c, 7):
+            assert np.sum(gram * m) <= 1e-10
 
     def test_rhs_is_quadratic_in_inverse_gamma(self):
         # The gradient stencil is linear in 1/gamma, so the lifted value is a
