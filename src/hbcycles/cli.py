@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,6 +27,7 @@ from .cycle_lp import (
     interpolation_residuals,
     lp_check,
     lp_margin,
+    screen_periods,
 )
 from .hb_engine import (
     NoiseSpec,
@@ -279,7 +281,7 @@ def _cmd_sweep(args) -> int:
         tag = np.where((0.0 < g) & (g < 2.0 / c.ell) & (0.0 <= b) & (b < value),
                        "inside", "outside")
     elif args.mode == "lp-region":
-        rows = _lp_region_rows(g, b, c, args.k_max, args.workers)
+        rows, extra["lp_pairs"] = _lp_region_rows(g, b, c, args.k_max, args.workers)
         value = np.array([row[2] for row in rows], dtype=float).reshape(g.shape)
         tag = np.array([row[3] for row in rows]).reshape(g.shape)
     else:  # sls-overlay
@@ -307,51 +309,81 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _lp_region_cell(task, duals=None):
-    """Row of one lp-region cell; ``duals`` is the dual store ``lp_margin``
-    screens with (it changes which periods are solved, never the row).
+# Cells per screen evaluation: at K = 100 a cell's P is 40 KB, so a block
+# stays near a megabyte whatever the chunk size.
+_SCREEN_BLOCK = 32
+# The sidecar's per-pair counters of an lp-region sweep.
+_LP_PAIR_COUNTERS = ("member_by_harmonic", "ruled_out_by_row_dual", "lp_margin_calls")
 
-    A period whose LP solve fails proves nothing either way: the cell is
-    "indeterminate" unless a later period proves "member"."""
-    gamma, beta, mu, ell, k_max = task
+
+def _lp_region_chunk(cells, mu, ell, k_max):
+    """Rows (gamma, beta, period, tag) of a run of lp-region cells, given as
+    (gamma, beta) pairs, and the run's per-pair counters.
+
+    Period by period over the cells still open: ``screen_periods`` proves a
+    member or rules the period out where one entry of P decides, and
+    ``lp_margin`` decides the rest, in period order, so the first member
+    period is the smallest.  A period whose LP solve fails proves nothing
+    either way: the cell is "indeterminate" unless a later period proves
+    "member"; so is a cell with a margin too close to call.
+    """
     c = FunctionClass(mu, ell)
-    if not in_cv_closure(gamma, beta, c):
-        return (gamma, beta, math.nan, "none")
-    p = HbParams(gamma, beta)
-    best = math.inf
-    for k in range(3, k_max + 1):
-        try:
-            margin = lp_margin(p, c, k, duals)
-        except RuntimeError:
-            best = -math.inf  # no margin: at best indeterminate
-            continue
-        best = min(best, margin)
-        if margin <= FEASIBILITY_TOL:
-            return (gamma, beta, k, "member")
-    if best <= INDETERMINATE_TOL:
-        return (gamma, beta, math.nan, "indeterminate")
-    return (gamma, beta, math.nan, "none")
-
-
-def _lp_region_chunk(tasks):
+    gammas = np.array([gamma for gamma, _ in cells], dtype=float)
+    betas = np.array([beta for _, beta in cells], dtype=float)
+    period = [None] * len(cells)
+    unsure = [False] * len(cells)
+    counts = dict.fromkeys(_LP_PAIR_COUNTERS, 0)
     # One dual store per chunk of neighbouring cells, created here: nothing
     # carries over between chunks, sweeps or worker processes.
     duals = {}
-    return [_lp_region_cell(task, duals) for task in tasks]
+    open_cells = np.flatnonzero(in_cv_closure(gammas, betas, c)).tolist()
+    for k in range(3, k_max + 1):
+        left = []
+        for start in range(0, len(open_cells), _SCREEN_BLOCK):
+            block = open_cells[start:start + _SCREEN_BLOCK]
+            member, ruled_out = screen_periods(gammas[block], betas[block], c, k)
+            for i, is_member, is_out in zip(block, member.tolist(), ruled_out.tolist()):
+                if is_member:
+                    period[i] = k
+                    counts["member_by_harmonic"] += 1
+                elif is_out:
+                    counts["ruled_out_by_row_dual"] += 1
+                else:
+                    left.append(i)
+        counts["lp_margin_calls"] += len(left)
+        for i in left:
+            try:
+                margin = lp_margin(HbParams(*cells[i]), c, k, duals)
+            except RuntimeError:
+                unsure[i] = True  # no margin: at best indeterminate
+                continue
+            if margin <= FEASIBILITY_TOL:
+                period[i] = k
+            elif margin <= INDETERMINATE_TOL:
+                unsure[i] = True
+        open_cells = [i for i in open_cells if period[i] is None]
+    rows = [(gamma, beta, k, "member") if k is not None
+            else (gamma, beta, math.nan, "indeterminate" if doubt else "none")
+            for (gamma, beta), k, doubt in zip(cells, period, unsure)]
+    return rows, counts
 
 
 def _lp_region_rows(g, b, c, k_max, workers=1):
-    # The pool maps over contiguous chunks and preserves their order; since
-    # screening never changes a row, the rows are identical at any worker
-    # count.  Four chunks per worker balance the load.
-    tasks = [(gamma, beta, c.mu, c.ell, k_max)
-             for gamma, beta in zip(g.ravel().tolist(), b.ravel().tolist())]
+    """Rows of the lp-region cells, gamma-major, and their summed counters.
+
+    The pool maps over contiguous chunks and preserves their order; a row
+    and its counters depend on its cell alone, so both are identical at any
+    worker count.  Four chunks per worker balance the load."""
+    cells = list(zip(g.ravel().tolist(), b.ravel().tolist()))
     if workers <= 1:
-        return _lp_region_chunk(tasks)
-    size = -(-len(tasks) // (4 * workers))
-    chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        return _lp_region_chunk(cells, c.mu, c.ell, k_max)
+    size = -(-len(cells) // (4 * workers))
+    chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
+    chunk_rows = functools.partial(_lp_region_chunk, mu=c.mu, ell=c.ell, k_max=k_max)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(_lp_region_chunk, chunks) for row in rows]
+        parts = list(pool.map(chunk_rows, chunks))
+    rows = [row for part, _ in parts for row in part]
+    return rows, {key: sum(counts[key] for _, counts in parts) for key in _LP_PAIR_COUNTERS}
 
 
 def _cmd_cycle_demo(args) -> int:

@@ -22,9 +22,29 @@ gives t* >= min_ell (y^T P)_ell / sum(y).  ``lp_margin`` with a dual store
 first tries the last optimal dual at the same period; when that bound, less
 its rounding error, clears ``INDETERMINATE_TOL`` the solve is skipped.
 
-The tolerances of the cycle tests live here: a margin at most
-``FEASIBILITY_TOL`` is a cycle, and one at most ``INDETERMINATE_TOL`` is
-too close to call.
+``lp_matrices`` builds P for many cells at one period in closed form, from
+one DFT of the gradient stencil, with a bound on each cell's rounding error;
+``screen_periods`` reads both verdicts off single entries of it:
+
+- a column whose maximum is at most ``FEASIBILITY_TOL`` is the feasible
+  nu = e_ell, the regular (ell = 1) or star polygon cycle: a member;
+- a row whose minimum is above ``INDETERMINATE_TOL`` is the dual y = e_i,
+  the lag-i interpolation inequalities summed around the cycle: the period
+  is ruled out.
+
+Each threshold is moved by the cell's rounding bound, so a screened verdict
+holds for the exact P; the pairs neither screen decides are solved.
+
+The tolerances of the cycle tests, in one place:
+
+- ``FEASIBILITY_TOL``: a margin t* at most this is a cycle ("member");
+- ``INDETERMINATE_TOL``: a margin at most this, but above
+  ``FEASIBILITY_TOL``, is too close to call ("indeterminate");
+- ``SCREEN_SLACK``: the margin, in units of the LP scale max(1, max|P|), by
+  which a stored dual's bound must clear ``INDETERMINATE_TOL`` to skip a
+  solve (it absorbs the roundings ``dual_lower_bound`` leaves out);
+- ``LP_MATRIX_ROUNDING``: the relative factor of ``lp_matrices``' rounding
+  bound per cell, which moves each screen threshold.
 """
 
 from __future__ import annotations
@@ -48,6 +68,10 @@ INDETERMINATE_TOL = 1e-8
 # reported a margin on the same side is checked on the sweep grids, not proven.
 SCREEN_SLACK = 1e-10
 _UNIT_ROUNDOFF = 2.0 ** -53
+# lp_matrices' error bound per cell is this times the cell's magnitude (see
+# there): 212 units of roundoff to first order, rounded up to 256 to cover
+# the second-order terms and the rounding of the bound itself.
+LP_MATRIX_ROUNDING = 256 * _UNIT_ROUNDOFF
 
 
 def cycle_gradients(points: np.ndarray, p: HbParams) -> np.ndarray:
@@ -272,6 +296,81 @@ def build_lp_matrix(p: HbParams, c: FunctionClass, k: int) -> np.ndarray:
     """Constraint matrix P with entries <M_{i,0}, H_ell>."""
     table, lags = _lag_table(k)
     return lift_matrices(p, c, k).reshape(k - 1, k * k) @ table[:, lags].T
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_table(k: int) -> tuple[np.ndarray, ...]:
+    """Per period, with theta_ell = 2 pi ell / K for ell = 1..K//2 and
+    phi_{i, ell} = 2 pi (i ell mod K) / K for i = 1..K-1: 1 - cos theta,
+    sin theta, 1 - cos phi and sin phi; read-only, as the cache hands them
+    to every caller (about 8 K^2 bytes per period)."""
+    ells = np.arange(1, k // 2 + 1)
+    theta = 2.0 * np.pi * ells / k
+    phi = 2.0 * np.pi * (np.outer(np.arange(1, k), ells) % k) / k
+    tables = (1.0 - np.cos(theta), np.sin(theta), 1.0 - np.cos(phi), np.sin(phi))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def lp_matrices(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The period-``k`` matrices P of many cells, (n, K-1, K//2), in closed
+    form, and for each cell a bound on the rounding error of its entries.
+
+    With w = exp(2 pi i / K), the row-0 gradient stencil has the DFT
+    u0_ell = ((1+beta) - w^ell - beta w^-ell) / gamma, and with
+    d = w^(i ell) - 1,
+
+        P[i, ell] = Re(u0 conj(d)) + |d|^2 (|u0|^2 / 2L + q |1 - u0/L|^2 / 2)
+                  = a_ell (1 - cos phi) + Im(u0_ell) sin phi,
+        a_ell = |u0|^2 / L + q |1 - u0/L|^2 - Re(u0),
+
+    with q = mu / (1 - kappa) = mu L / (L - mu): the matrix of
+    ``build_lp_matrix`` without the Gram lift.
+
+    The bound: the period tables are within eta = 32u of the exact sines and
+    cosines (u the unit roundoff; three roundings of the angle, at most
+    2 pi 3u, and numpy's float64 sin and cos within 4 ulp).  With
+    rho = (2|1+beta| + |1-beta|) / |gamma|, which bounds |Re u0| + |Im u0|,
+    and the magnitude m = rho^2/L + 2 q (1 + rho/L)^2 + rho, which bounds
+    every term of a_ell, a first-order running-error count of the formula
+    gives |P_float - P| <= (m + rho)(5 eta + 52u) = 212u (m + rho) for every
+    entry; ``LP_MATRIX_ROUNDING`` rounds 212u up.
+    """
+    if k < 3:
+        raise ValueError(f"period must be >= 3, got {k}")
+    if c.mu >= c.ell:
+        raise ValueError("cycle feasibility needs mu < ell")
+    g = np.asarray(gammas, dtype=float)[:, None]
+    b = np.asarray(betas, dtype=float)[:, None]
+    if not np.all(g != 0.0):
+        raise ZeroDivisionError("gamma must be nonzero")
+    one_minus_cos, sin, one_minus_cos_phi, sin_phi = _dft_table(k)
+    q = c.mu * c.ell / (c.ell - c.mu)
+    re = (1.0 + b) * one_minus_cos / g
+    im = -(1.0 - b) * sin / g
+    z = 1.0 - re / c.ell
+    a = (re * re + im * im) / c.ell + q * (z * z + (im / c.ell) ** 2) - re
+    pm = a[:, None, :] * one_minus_cos_phi + im[:, None, :] * sin_phi
+    rho = (2.0 * np.abs(1.0 + b[:, 0]) + np.abs(1.0 - b[:, 0])) / np.abs(g[:, 0])
+    magnitude = rho * rho / c.ell + 2.0 * q * (1.0 + rho / c.ell) ** 2 + rho
+    return pm, LP_MATRIX_ROUNDING * (magnitude + rho)
+
+
+def screen_periods(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, whether a single harmonic proves a period-``k`` cycle and
+    whether a single row's dual rules period ``k`` out, on ``lp_matrices``.
+
+    A column ell whose maximum is at most ``FEASIBILITY_TOL`` less the
+    rounding bound is a feasible nu = e_ell with exact margin within
+    ``FEASIBILITY_TOL``.  A row i whose minimum exceeds ``INDETERMINATE_TOL``
+    plus the bound is the weak-duality certificate y = e_i: the exact t* is
+    above ``INDETERMINATE_TOL``.  At most one of the two holds for a cell.
+    """
+    pm, err = lp_matrices(gammas, betas, c, k)
+    member = (pm.max(axis=1) <= FEASIBILITY_TOL - err[:, None]).any(axis=1)
+    ruled_out = pm.min(axis=2).max(axis=1) > INDETERMINATE_TOL + err
+    return member, ruled_out
 
 
 def dual_lower_bound(pm: np.ndarray, y: np.ndarray) -> float:

@@ -17,7 +17,9 @@ row-at-a-time CSV writers, the SVG renderer that re-reads its CSV and the
 full-grid membership loop are the output and membership code the array
 forms must reproduce byte for byte.
 The rational closed form of beta_minus and the one-sided membership search
-are second derivations of what ``rou_region`` computes.
+are second derivations of what ``rou_region`` computes.  The HiGHS margin
+(scipy, for tests only) is the independent solve of the cycle LP that the
+simplex and the lp-region screens are checked against.
 """
 
 import csv
@@ -429,3 +431,15 @@ def full_grid_member_any_grid(gammas, betas, c, k_max):
         val = mg * mg - 2.0 * a * mg + c0
         out[undecided & (val <= 0.0)] = k
     return out
+
+
+def highs_margin(pm):
+    """min t s.t. P nu <= t, sum nu = 1, nu >= 0, by scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n_rows, m = pm.shape
+    res = linprog(np.r_[np.zeros(m), 1.0],
+                  A_ub=np.hstack([pm, -np.ones((n_rows, 1))]), b_ub=np.zeros(n_rows),
+                  A_eq=np.r_[np.ones(m), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0, None)] * m + [(None, None)], method="highs")
+    assert res.status == 0
+    return res.fun

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
 from hbcycles.quad_rates import FunctionClass, HbParams
 
@@ -40,3 +41,17 @@ def test_unscreened_lp_margin_passes_once_through_lift_matrices(tracing):
     assert tracer.calls["cycle_lp.lift_matrices"] == 1
     assert tracer.calls["cycle_lp.build_lp_matrix"] == 1
     assert tracer.total["cycle_lp.lift_matrices"] > 0.0
+
+
+def test_bench_lp_sweep_reaches_every_traced_lp_layer(tracing, tmp_path, capsys):
+    # The benchmark's lp-sweep grid: the screens decide most pairs, and the
+    # few left must still pass through every layer the traced run requires.
+    argv = ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1",
+            "--gamma-count", "16", "--beta-count", "16", "--k-max", "25",
+            "--workers", "1", "--out", str(tmp_path / "lp.csv")]
+    with tracing.patched(tracing.Tracer()) as tracer:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    for span in ("cycle_lp.lp_margin", "cycle_lp.build_lp_matrix",
+                 "cycle_lp.lift_matrices", "simplex.solve_canonical"):
+        assert tracer.calls[span] >= 1, span

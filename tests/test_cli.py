@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
 import hbcycles.smoothing as smoothing
-from hbcycles.cli import SWEEP_MODES, _lp_region_cell, _write_csv, main, render_svg
+from hbcycles.cli import SWEEP_MODES, _lp_region_chunk, _write_csv, main, render_svg
 from hbcycles.hb_engine import NoiseSpec, noise_budget, write_trace_csv
-from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
+from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams, in_cv_closure
 from hbcycles.rou_region import _counterexample_batch, build_counterexample
 
 from conftest import (
+    highs_margin,
     parsed_render_svg,
     rowwise_write_csv,
     rowwise_write_trace_csv,
@@ -46,6 +47,12 @@ _ROBUSTNESS_GOLDEN = """{
   "stayed_in_tube": 4
 }
 """
+
+
+def _undecided_lp_matrices(gammas, betas, c, k):
+    """Every entry of P between the two tolerances and no rounding error:
+    neither screen decides, so each pair reaches ``lp_margin``."""
+    return np.full((len(gammas), k - 1, k // 2), 5e-9), np.zeros(len(gammas))
 
 
 def run_cli(capsys, *argv):
@@ -181,22 +188,28 @@ class TestSweep:
         run_cli(capsys, *args, "--workers", "2", "--out", str(par))
         assert seq.read_bytes() == par.read_bytes()
 
-    def test_lp_region_rows_do_not_depend_on_the_dual_store(self):
+    def test_lp_region_rows_do_not_depend_on_the_dual_store(self, monkeypatch):
         # Lines of beta, gamma up to the step-size edge: each crosses the
-        # member boundary, so cells next to it are on the grid.
-        rows = {}
-        for duals in (None, {}):
-            rows[duals is None] = [
-                _lp_region_cell((float(gamma), beta, 0.01, 1.0, 12), duals)
-                for beta in (0.0, 0.3, 0.6, 0.9)
-                for gamma in np.linspace(0.1, 1.0, 19) * 2.0 * (1.0 + beta)]
-        tags = [row[3] for row in rows[True]]
+        # member boundary, so cells next to it are on the grid.  With the
+        # screens stubbed out every pair reaches lp_margin, with and without
+        # the dual store; the screened sweep gives the same rows too.
+        cells = [(float(gamma), beta) for beta in (0.0, 0.3, 0.6, 0.9)
+                 for gamma in np.linspace(0.1, 1.0, 19) * 2.0 * (1.0 + beta)]
+        screened, _ = _lp_region_chunk(cells, 0.01, 1.0, 12)
+        monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
+        stored, counts = _lp_region_chunk(cells, 0.01, 1.0, 12)
+        monkeypatch.setattr(cli, "lp_margin",
+                            lambda p, c, k, duals=None: cycle_lp.lp_margin(p, c, k))
+        plain, _ = _lp_region_chunk(cells, 0.01, 1.0, 12)
+        tags = [row[3] for row in stored]
         assert any(a != b for a, b in zip(tags, tags[1:]))
-        # Both sides of the comparison are the same row tuples, NaN included.
-        assert repr(rows[True]) == repr(rows[False])
+        assert counts["lp_margin_calls"] > len(cells)
+        # The sides of the comparison are the same row tuples, NaN included.
+        assert repr(stored) == repr(plain) == repr(screened)
 
     def test_back_to_back_lp_sweeps_solve_alike(self, capsys, tmp_path, monkeypatch):
-        # No dual store outlives its sweep.
+        # No dual store outlives its sweep.  The benchmark's grid: on it a
+        # few pairs pass both screens and reach the solver.
         calls = []
         solve = cycle_lp.solve_canonical
 
@@ -209,13 +222,40 @@ class TestSweep:
         for name in ("a.csv", "b.csv"):
             calls.clear()
             code, _, _ = run_cli(capsys, "sweep", "--mode", "lp-region", "--mu", "0.01",
-                                 "--L", "1", "--gamma-count", "6", "--beta-count", "5",
-                                 "--k-max", "10", "--out", str(tmp_path / name))
+                                 "--L", "1", "--gamma-count", "16", "--beta-count", "16",
+                                 "--k-max", "25", "--out", str(tmp_path / name))
             assert code == 0
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("grid", [("8", "6", "10"), ("16", "16", "25")])
+    def test_lp_region_pair_counters(self, capsys, tmp_path, grid):
+        # Every pair (in-closure cell, K up to its first member period or
+        # k-max) is decided once: by a screen or by lp_margin.  The counts
+        # are per pair, so any worker count gives the same sidecar field.
+        n_gamma, n_beta, k_max = grid
+        pairs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"lp{workers}.csv"
+            code, _, _ = run_cli(capsys, "sweep", "--mode", "lp-region", "--mu", "0.01",
+                                 "--L", "1", "--gamma-count", n_gamma, "--beta-count", n_beta,
+                                 "--k-max", k_max, "--workers", workers, "--out", str(out))
+            assert code == 0
+            meta = json.loads((tmp_path / f"lp{workers}.csv.meta.json").read_text())
+            pairs[workers] = meta["lp_pairs"]
+        assert pairs["1"] == pairs["2"]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        gamma = np.array([float(row[0]) for row in rows])
+        beta = np.array([float(row[1]) for row in rows])
+        inside = in_cv_closure(gamma, beta, FunctionClass(0.01, 1.0))
+        periods = [int(float(row[2])) if row[3] == "member" else int(k_max)
+                   for row, kept in zip(rows, inside) if kept]
+        members = sum(row[3] == "member" for row in rows)
+        counts = pairs["1"]
+        assert sum(k - 2 for k in periods) == sum(counts.values())
+        assert 0 < counts["member_by_harmonic"] <= members
+        assert counts["ruled_out_by_row_dual"] > 0
 
     def test_failed_lp_solve_makes_the_cell_indeterminate(self, monkeypatch):
         def margin(p, c, k, duals=None):
@@ -224,8 +264,19 @@ class TestSweep:
             return 1.0
 
         monkeypatch.setattr(cli, "lp_margin", margin)
-        gamma, beta, period, tag = _lp_region_cell((1.0, 0.5, 0.01, 1.0, 8))
+        monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
+        (row,), counts = _lp_region_chunk([(1.0, 0.5)], 0.01, 1.0, 8)
+        gamma, beta, period, tag = row
         assert (gamma, beta, tag) == (1.0, 0.5, "indeterminate") and math.isnan(period)
+        assert counts == {"member_by_harmonic": 0, "ruled_out_by_row_dual": 0,
+                          "lp_margin_calls": 6}
+
+    def test_margin_too_close_to_call_makes_the_cell_indeterminate(self, monkeypatch):
+        monkeypatch.setattr(cli, "lp_margin",
+                            lambda p, c, k, duals=None: 5e-9 if k == 6 else 1.0)
+        monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
+        rows, _ = _lp_region_chunk([(1.0, 0.5)], 0.01, 1.0, 8)
+        assert rows[0][3] == "indeterminate"
 
     def test_member_at_a_later_period_outranks_a_failed_solve(self, monkeypatch):
         def margin(p, c, k, duals=None):
@@ -234,17 +285,22 @@ class TestSweep:
             return -1.0 if k == 7 else 1.0
 
         monkeypatch.setattr(cli, "lp_margin", margin)
-        assert _lp_region_cell((1.0, 0.5, 0.01, 1.0, 8)) == (1.0, 0.5, 7, "member")
+        monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
+        rows, _ = _lp_region_chunk([(1.0, 0.5)], 0.01, 1.0, 8)
+        assert rows == [(1.0, 0.5, 7, "member")]
 
-    def test_iteration_limit_cell_of_the_default_sweep_is_indeterminate(self):
+    def test_iteration_limit_cell_of_the_default_sweep_is_ruled_out_by_a_row_dual(self):
         # The default lp-region sweep (6 x 6, k-max 100) reaches this cell;
-        # its period-92 LP ends at the simplex's iteration limit, and every
-        # lower period has a positive margin.
+        # its period-92 LP ends at the simplex's iteration limit.  The sweep
+        # never solves it: a single row of P proves the margin positive at
+        # every period, which HiGHS confirms at K = 92.
         p, c = HbParams(2.0 / 3.0, 1.0 / 6.0), FunctionClass(0.01, 1.0)
         with pytest.raises(RuntimeError, match="iteration_limit"):
             cycle_lp.lp_margin(p, c, 92)
-        row = _lp_region_cell((p.gamma, p.beta, c.mu, c.ell, 92), {})
-        assert row[3] == "indeterminate"
+        assert highs_margin(cycle_lp.build_lp_matrix(p, c, 92)) > 0.07
+        rows, counts = _lp_region_chunk([(p.gamma, p.beta)], c.mu, c.ell, 92)
+        assert rows[0][3] == "none"
+        assert counts["ruled_out_by_row_dual"] == 90 and counts["lp_margin_calls"] == 0
 
     @pytest.mark.parametrize("offset,tag", [(0.5, "member"), (4.0, "none")])
     def test_lp_region_closure_edge(self, monkeypatch, offset, tag):
@@ -252,9 +308,11 @@ class TestSweep:
         # step-size edge gamma = 2(1+beta)/L, widened by BOUNDARY_TOL, the
         # cell is on.
         monkeypatch.setattr(cli, "lp_margin", lambda p, c, k, duals=None: -1.0)
+        monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
         beta = 0.5
         gamma = 2.0 * (1.0 + beta) + offset * BOUNDARY_TOL
-        assert _lp_region_cell((gamma, beta, 0.01, 1.0, 5))[3] == tag
+        rows, _ = _lp_region_chunk([(gamma, beta)], 0.01, 1.0, 5)
+        assert rows[0][3] == tag
 
     @pytest.mark.parametrize("argv,flag", [
         (("--beta-max", "1e308"), "--beta-max"),

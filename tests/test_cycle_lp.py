@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import hbcycles.cycle_lp as cycle_lp
 from hbcycles.cycle_lp import (
+    FEASIBILITY_TOL,
     INDETERMINATE_TOL,
     build_lp_matrix,
     cycle_gradients,
@@ -15,11 +16,15 @@ from hbcycles.cycle_lp import (
     lift_matrices,
     lp_feasible,
     lp_margin,
+    lp_matrices,
     reconstruct_symmetric_cycle,
+    screen_periods,
     symmetrize_gram,
 )
 from hbcycles.quad_rates import FunctionClass, HbParams, ghadimi_beta_bound
 from hbcycles.rou_region import rou_cycle, rou_member, rou_member_any
+
+from conftest import highs_margin
 
 LESSARD_POINTS = np.array([792.0, -2208.0, 2592.0]) / 1225.0
 LESSARD_TUNING = HbParams(1.0 / 9.0, 4.0 / 9.0)
@@ -53,16 +58,22 @@ def closed_form_lp_matrix(p, c, k):
     return (u0 * np.conj(d)).real + np.abs(d) ** 2 * curv
 
 
-def highs_margin(pm):
-    """min t s.t. P nu <= t, sum nu = 1, nu >= 0, by scipy's HiGHS."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    n_rows, m = pm.shape
-    res = linprog(np.r_[np.zeros(m), 1.0],
-                  A_ub=np.hstack([pm, -np.ones((n_rows, 1))]), b_ub=np.zeros(n_rows),
-                  A_eq=np.r_[np.ones(m), 0.0][None, :], b_eq=[1.0],
-                  bounds=[(0, None)] * m + [(None, None)], method="highs")
-    assert res.status == 0
-    return res.fun
+def exact_lp_matrix(p, c, k):
+    """``closed_form_lp_matrix`` in 40-digit arithmetic (mpmath), with
+    kappa = mu/L exact, rounded to floats at the end."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        gamma, beta, mu, ell = (mp.mpf(x) for x in (p.gamma, p.beta, c.mu, c.ell))
+        out = np.empty((k - 1, k // 2))
+        for col in range(1, k // 2 + 1):
+            w = mp.expjpi(mp.mpf(2 * col) / k)
+            u0 = ((1 + beta) - w - beta / w) / gamma
+            curv = (abs(u0) ** 2 / (2 * ell)
+                    + mu * abs(1 - u0 / ell) ** 2 / (2 * (1 - mu / ell)))
+            for row in range(1, k):
+                d = mp.expjpi(mp.mpf(2 * (row * col % k)) / k) - 1
+                out[row - 1, col - 1] = float(mp.re(u0 * mp.conj(d)) + abs(d) ** 2 * curv)
+    return out
 
 
 # Degenerate cycle LPs (mu = 0.01, L = 1) on which a simplex started from
@@ -474,3 +485,103 @@ class TestDualStore:
         margin = lp_margin(p, FunctionClass(0.005, 1.0), k, duals)
         assert margin == lp_margin(p, FunctionClass(0.005, 1.0), k) < 0.0
         assert not np.array_equal(duals[k], np.full(k - 1, 1.0 / (k - 1)))
+
+
+# The batched closed form.  Step-sizes up to and on the edge 2(1+beta)/L,
+# momentum up to just below 1, kappa from 1e-4 to 0.98, three curvature
+# scales, and periods to 100 with the even ones (the Nyquist column) drawn
+# on their own.
+edge_cells = st.tuples(
+    st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+              st.floats(1.0 - 1e-6, 1.0, exclude_max=True)))
+matrix_periods = st.one_of(st.integers(3, 100), st.integers(2, 50).map(lambda h: 2 * h))
+
+
+@pytest.mark.parametrize("ell", [0.5, 1.0, 25.0])
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(edge_cells, min_size=1, max_size=4),
+       kappa=st.floats(1e-4, 0.98), k=matrix_periods)
+def test_lp_matrices_agree_with_the_lift_and_the_closed_form(cells, kappa, ell, k):
+    c = FunctionClass(kappa * ell, ell)
+    gammas = [frac * 2.0 * (1.0 + beta) / ell for frac, beta in cells]
+    betas = [beta for _, beta in cells]
+    pm, err = lp_matrices(gammas, betas, c, k)
+    assert pm.shape == (len(cells), k - 1, k // 2) and err.shape == (len(cells),)
+    for got, gamma, beta in zip(pm, gammas, betas):
+        p = HbParams(gamma, beta)
+        for expected in (build_lp_matrix(p, c, k), closed_form_lp_matrix(p, c, k)):
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=edge_cells, kappa=st.floats(1e-4, 0.98),
+       ell=st.sampled_from([0.5, 1.0, 25.0]), k=st.integers(3, 24))
+def test_lp_matrices_rounding_bound_holds_in_exact_arithmetic(cell, kappa, ell, k):
+    frac, beta = cell
+    p, c = HbParams(frac * 2.0 * (1.0 + beta) / ell, beta), FunctionClass(kappa * ell, ell)
+    pm, err = lp_matrices([p.gamma], [p.beta], c, k)
+    # The exact entries are rounded once more, by half an ulp at most.
+    exact = exact_lp_matrix(p, c, k)
+    assert np.all(np.abs(pm[0] - exact) <= err[0] + np.spacing(np.abs(exact)))
+
+
+def test_lp_matrices_reject_degenerate_inputs():
+    with pytest.raises(ValueError):
+        lp_matrices([0.5], [0.2], FunctionClass(1.0, 1.0), 5)
+    with pytest.raises(ValueError):
+        lp_matrices([0.5], [0.2], SCREEN_CLASS, 2)
+    with pytest.raises(ZeroDivisionError):
+        lp_matrices([0.5, 0.0], [0.2, 0.2], SCREEN_CLASS, 5)
+
+
+def assert_screens_hold(p, k, member, ruled_out, certificate=False):
+    """A ruled-out period has a HiGHS margin above INDETERMINATE_TOL.  A
+    screened member has a HiGHS margin within FEASIBILITY_TOL, and its pure
+    harmonic cycle (and with ``certificate`` the LP's certificate from
+    ``lp_feasible``) verifies through the interpolation residuals."""
+    assert not (member and ruled_out)
+    pm = build_lp_matrix(p, SCREEN_CLASS, k)
+    if ruled_out:
+        assert highs_margin(pm) > INDETERMINATE_TOL
+    if member:
+        assert highs_margin(pm) <= FEASIBILITY_TOL
+        scale = max(np.abs(pm).max(), 1.0)
+        off_diagonal = ~np.eye(k, dtype=bool)
+        nu = np.zeros(k // 2)
+        nu[int(np.argmin(pm.max(axis=0)))] = 1.0
+        cycles = [reconstruct_symmetric_cycle(nu, k)]
+        if certificate:
+            cycles.append(lp_feasible(p, SCREEN_CLASS, k).points)
+        for points in cycles:
+            res = interpolation_residuals(points, cycle_gradients(points, p),
+                                          np.zeros(k), SCREEN_CLASS)
+            assert res[off_diagonal].max() <= FEASIBILITY_TOL + 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=in_region, k=st.integers(3, 60))
+def test_screened_verdicts_hold(p, k):
+    (member,), (ruled_out,) = screen_periods([p.gamma], [p.beta], SCREEN_CLASS, k)
+    assert_screens_hold(p, k, member, ruled_out)
+
+
+def test_screened_verdicts_hold_on_the_benchmark_grid():
+    # The lp-region benchmark's 16 x 16 grid: every screened member, with
+    # the LP's certificate too, and every 25th ruled-out pair, at the
+    # periods the sweep screens.
+    gammas, betas = np.meshgrid(np.linspace(0.25, 4.0, 16),
+                                np.arange(16) / 16.0, indexing="ij")
+    gammas, betas = gammas.ravel(), betas.ravel()
+    inside = gammas <= 2.0 * (1.0 + betas)
+    gammas, betas = gammas[inside], betas[inside]
+    checked = {"member": 0, "ruled_out": 0}
+    for k in range(3, 26):
+        member, ruled_out = screen_periods(gammas, betas, SCREEN_CLASS, k)
+        for j in np.flatnonzero(member | ruled_out):
+            if ruled_out[j] and j % 25:
+                continue
+            assert_screens_hold(HbParams(gammas[j], betas[j]), k, member[j], ruled_out[j],
+                                certificate=True)
+            checked["member" if member[j] else "ruled_out"] += 1
+    assert checked["member"] > 50 and checked["ruled_out"] > 50
