@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -45,11 +44,11 @@ from .quad_rates import (
     _REGION_BY_CODE,
     FunctionClass,
     HbParams,
-    NO_CONVERGENCE,
     ghadimi_beta_bound,
     in_cv_closure,
     rate_grid,
     rate_on_quadratics,
+    sublevel_set,
 )
 from .rate_table import reference_rates
 from .rou_region import (
@@ -286,9 +285,7 @@ def _cmd_sweep(args) -> int:
         tag = np.array([row[3] for row in rows]).reshape(g.shape)
     else:  # sls-overlay
         value, codes = rate_grid(g, b, c)
-        ck = args.C * c.kappa
-        rho_target = (1.0 - ck) / (1.0 + ck)
-        in_sls = (codes != NO_CONVERGENCE) & (value <= rho_target)
+        rho_target, in_sls = sublevel_set(value, codes, c, args.C)
         member = member_any_grid(g, b, c, k_max=args.k_max) > 0
         tag = np.where(in_sls & member, "both",
                        np.where(in_sls, "sls-only",
@@ -377,6 +374,8 @@ def _lp_region_rows(g, b, c, k_max, workers=1):
     cells = list(zip(g.ravel().tolist(), b.ravel().tolist()))
     if workers <= 1:
         return _lp_region_chunk(cells, c.mu, c.ell, k_max)
+    from concurrent.futures import ProcessPoolExecutor
+
     size = -(-len(cells) // (4 * workers))
     chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
     chunk_rows = functools.partial(_lp_region_chunk, mu=c.mu, ell=c.ell, k_max=k_max)

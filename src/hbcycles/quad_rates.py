@@ -141,6 +141,15 @@ def rate_grid(gammas, betas, c: FunctionClass):
     return rho, codes
 
 
+def sublevel_set(rho, codes, c: FunctionClass, big_c: float):
+    """(rho_target, in_sls): the rate (1 - C kappa)/(1 + C kappa) and, per
+    cell of a ``rate_grid`` result ``(rho, codes)``, whether heavy ball
+    converges there at that rate or faster on quadratics."""
+    ck = big_c * c.kappa
+    rho_target = (1.0 - ck) / (1.0 + ck)
+    return rho_target, (codes != NO_CONVERGENCE) & (rho <= rho_target)
+
+
 def rate_on_quadratics(p: HbParams, c: FunctionClass) -> RateReport:
     """Exact asymptotic rate of heavy ball over quadratics with spectrum in [mu, L].
 

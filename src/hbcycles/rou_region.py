@@ -13,6 +13,17 @@ its exact gradient via closest-point projection onto the polygon, the
 safety radius r_max of the locally quadratic neighborhoods around the cycle
 points, and the grid scan showing the region's complement misses every
 sublevel-set triangle of rate 1 - O(kappa).
+
+The smallest member period is found in closed form.  In x = cos(2*pi/K)
+the membership quadratic is A x^2 + B x + C with A = 4 kappa beta >= 0, so
+the member periods of a cell are the K whose cos(2*pi/K) lies in one
+interval.  ``rou_member_any`` and ``member_any_grid`` bound that interval,
+allowing for a bound E on the rounding of the float value
+(``MEMBERSHIP_ROUNDING``) and for the rounding of the cosines
+(``_COS_ROUNDING``), then run the float kernel at the few periods inside,
+in K order.  The result is the K, bit for bit, of testing every period
+from 3 to k_max, at a cost that does not grow with k_max.  The search
+starts at K = 3: period 2, the step-size edge, is not searched.
 """
 
 from __future__ import annotations
@@ -22,11 +33,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quad_rates import FunctionClass, HbParams, in_cv_closure, rate_grid, NO_CONVERGENCE
+from .quad_rates import FunctionClass, HbParams, in_cv_closure, rate_grid, sublevel_set
 
 # Default cap for the membership search over periods; larger periods only
 # matter very close to beta = 1.
 DEFAULT_K_MAX = 100
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Relative factor of the bound E on the rounding of the membership value at
+# |cos| <= 1, both by ``_membership_quadratic`` and in the coefficient form
+# of ``_candidate_periods``, and of that form's slope: each is at most 9u
+# times the sum of the magnitudes of the quadratic's terms, rounded up here
+# to 16u.
+MEMBERSHIP_ROUNDING = 16 * _UNIT_ROUNDOFF
+# Bound on |_cos_period(K) - cos(2*pi/K)|: the angle's rounding (3.2e-16)
+# plus libm's cos, at most 1 ulp (2.2e-16).
+_COS_ROUNDING = 4 * float(np.finfo(float).eps)
+# Cells per call of the smallest-period kernel in ``member_any_grid``.
+_GRID_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -50,11 +74,16 @@ def rou_cycle(k: int) -> RouCycle:
     return RouCycle(k, theta, points, rotation)
 
 
-def _membership_quadratic(mg, beta, k: int, kappa: float):
-    """(value, a, c0) of the period-K membership quadratic
-    (mu*gamma)^2 - 2a(mu*gamma) + c0 at mu*gamma = ``mg``; ``mg`` and
-    ``beta`` are floats or arrays."""
-    ct = math.cos(2.0 * math.pi / k)
+def _cos_period(k: int) -> float:
+    """cos(2*pi/K), the float every membership evaluation at period K uses."""
+    return math.cos(2.0 * math.pi / k)
+
+
+def _membership_quadratic(mg, beta, ct, kappa: float):
+    """(value, a, c0) of the membership quadratic
+    (mu*gamma)^2 - 2a(mu*gamma) + c0 at mu*gamma = ``mg``, for the period
+    whose ``_cos_period`` is ``ct``; ``mg``, ``beta`` and ``ct`` are floats
+    or arrays."""
     a = beta - ct + kappa * (1.0 - beta * ct)
     c0 = 2.0 * kappa * (1.0 - ct) * (1.0 + beta * beta - 2.0 * beta * ct)
     return mg * mg - 2.0 * a * mg + c0, a, c0
@@ -62,7 +91,7 @@ def _membership_quadratic(mg, beta, k: int, kappa: float):
 
 def polynomial_value(gamma: float, beta: float, k: int, c: FunctionClass) -> float:
     """Value of the period-K membership quadratic at (gamma, beta)."""
-    return _membership_quadratic(c.mu * gamma, beta, k, c.kappa)[0]
+    return _membership_quadratic(c.mu * gamma, beta, _cos_period(k), c.kappa)[0]
 
 
 def beta_minus(k: int, c: FunctionClass) -> float:
@@ -74,7 +103,7 @@ def beta_minus(k: int, c: FunctionClass) -> float:
     at kappa = 1/2 with K = 4).
     """
     kap = c.kappa
-    ct = math.cos(2.0 * math.pi / k)
+    ct = _cos_period(k)
     gap = (math.sqrt(kap) * (1.0 - ct)
            * ((1.0 + ct) * math.sqrt(kap) + math.sqrt(2.0 * (1.0 + ct)))
            / (1.0 + kap * ct + math.sqrt(2.0 * kap * (1.0 + ct))))
@@ -104,7 +133,7 @@ def membership_polynomial(beta: float, k: int, c: FunctionClass) -> CycleQuadrat
         raise ValueError(f"period must be >= 2, got {k}")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    _, a, c0 = _membership_quadratic(0.0, beta, k, c.kappa)
+    _, a, c0 = _membership_quadratic(0.0, beta, _cos_period(k), c.kappa)
     disc = a * a - c0
     bm = beta_minus(k, c)
     if disc < 0.0:
@@ -128,26 +157,122 @@ def rou_member(p: HbParams, c: FunctionClass, k: int) -> bool:
     return in_cv_closure(p.gamma, p.beta, c) and polynomial_value(p.gamma, p.beta, k, c) <= 0.0
 
 
+def _candidate_periods(mg, beta, kappa: float, k_max: int):
+    """(cell, k_lo, k_hi): the cells of the 1-d arrays ``mg`` and ``beta``
+    that may have a member period, and per cell a nonempty range of periods
+    holding every K in [3, k_max] at which ``_membership_quadratic`` can be
+    <= 0.
+
+    In x = cos(2*pi/K) the value is q(x) = A x^2 + B x + C with A = 4 kappa
+    beta >= 0, and a float value is within E of q (``MEMBERSHIP_ROUNDING``),
+    so only an x with q(x) <= E can give a float value <= 0.  At the
+    approximate roots of q - 6E (the vertex where there are none) q's
+    tangent bounds q from below, since q is convex; where it stays above E
+    beyond an end, no x there qualifies.  The 6E leaves room for the
+    rounding of the roots and of the bound; an end whose tangent bound
+    still fails rules out nothing.  The x-interval left is widened by ``_COS_ROUNDING``
+    and mapped to K through arccos, with one period of slack for the
+    rounding of that map.
+    """
+    kb = kappa * beta
+    sq = (1.0 + beta) * (1.0 + beta)
+    quad = 4.0 * kb
+    lin = 2.0 * mg * (1.0 + kb) - 2.0 * kappa * sq
+    const = mg * mg - 2.0 * mg * (beta + kappa) + 2.0 * kappa * (1.0 + beta * beta)
+    err = MEMBERSHIP_ROUNDING * (mg * mg + 2.0 * mg * (1.0 + beta) * (1.0 + kappa)
+                                 + 4.0 * kappa * sq)
+    shifted = const - 6.0 * err
+    disc = lin * lin - 4.0 * quad * shifted
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = -0.5 * (lin + np.copysign(np.sqrt(np.maximum(disc, 0.0)), lin))
+        r2 = h / quad
+        r1 = np.where(disc >= 0.0, shifted / h, r2)
+    # fmin and fmax skip a root that is 0/0 (A or B zero); where both are,
+    # the end goes to -1, as good a point as any for the tangent bound.
+    lo = np.fmin(np.fmax(np.fmin(r1, r2), -1.0), 1.0)
+    hi = np.fmin(np.fmax(np.fmax(r1, r2), -1.0), 1.0)
+
+    def tangent_floor(x, side):
+        """A lower bound on q + 2E over the part of [-1, 1] beyond ``x`` on
+        ``side`` (-1 left, +1 right): the float value at ``x`` less the
+        steepest descent toward that side (the float slope, within E)
+        times the span.  One E is the value's rounding, one this bound's."""
+        qx = quad * x
+        v = (qx + lin) * x + const
+        return v - np.maximum(err - side * (2.0 * qx + lin), 0.0) * (1.0 - side * x)
+
+    left = tangent_floor(lo, -1.0) > 3.0 * err
+    right = tangent_floor(hi, 1.0) > 3.0 * err
+    cell = np.flatnonzero(~(left & right & (lo >= hi)))
+    left, right, lo, hi = left[cell], right[cell], lo[cell], hi[cell]
+    with np.errstate(divide="ignore"):
+        t_lo = 2.0 * math.pi / np.arccos(np.where(left, np.fmax(lo - _COS_ROUNDING, -1.0), -1.0))
+        t_hi = 2.0 * math.pi / np.arccos(np.where(right, np.fmin(hi + _COS_ROUNDING, 1.0), 1.0))
+    k_lo = np.maximum(np.floor(t_lo), 3.0).astype(np.int64)
+    k_hi = np.minimum(np.ceil(t_hi), k_max).astype(np.int64)
+    some = k_lo <= k_hi
+    return cell[some], k_lo[some], k_hi[some]
+
+
+def _smallest_member_period(mg, beta, kappa: float, k_max: int) -> np.ndarray:
+    """Smallest K in [3, k_max] with ``_membership_quadratic`` <= 0, per cell
+    of the 1-d arrays ``mg`` and ``beta``; 0 if none.
+
+    The float kernel runs at each cell's candidate periods in K order and
+    the first hit wins, so the result is that of a loop over every K from
+    3, at a cost that does not grow with k_max (``_candidate_periods``).
+    The cosines are tabulated up to the largest period reached, doubling
+    the table as the loop goes.
+    """
+    out = np.zeros(len(mg), dtype=np.int32)
+    cell, k, k_hi = _candidate_periods(mg, beta, kappa, k_max)
+    mg, beta = mg[cell], beta[cell]
+    cos_table = np.empty(0)
+    while cell.size:
+        top = int(k.max())
+        if top - 2 > cos_table.size:
+            top = min(max(top, 2 * cos_table.size + 2), k_max)
+            new = [_cos_period(j) for j in range(cos_table.size + 3, top + 1)]
+            cos_table = np.append(cos_table, new)
+        hit = _membership_quadratic(mg, beta, cos_table[k - 3], kappa)[0] <= 0.0
+        out[cell[hit]] = k[hit]
+        k += 1
+        open_ = ~hit & (k <= k_hi)
+        cell, k, k_hi, mg, beta = cell[open_], k[open_], k_hi[open_], mg[open_], beta[open_]
+    return out
+
+
 def rou_member_any(p: HbParams, c: FunctionClass,
                    k_max: int = DEFAULT_K_MAX) -> int | None:
-    """Smallest period K in [3, k_max] whose cycling region contains ``p``."""
+    """Smallest period K in [3, k_max] whose cycling region contains ``p``,
+    None if none.
+
+    The closed form of the module docstring, on one cell: the float
+    membership value is tested only at the periods whose cos(2*pi/K) can
+    give a value <= 0, allowing for its rounding bound E, and the first in
+    K order wins; so K is that of testing every period from 3 up.
+    """
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3, got {k_max}")
     if p.beta < 0.0:
         raise ValueError("cycling membership is only defined for beta >= 0")
     if not in_cv_closure(p.gamma, p.beta, c):
         return None
-    mg, kap = c.mu * p.gamma, c.kappa
-    for k in range(3, k_max + 1):
-        if _membership_quadratic(mg, p.beta, k, kap)[0] <= 0.0:
-            return k
-    return None
+    k = _smallest_member_period(np.array([c.mu * p.gamma]), np.array([p.beta], dtype=float),
+                                c.kappa, k_max)[0]
+    return int(k) if k else None
 
 
 def member_any_grid(gammas, betas, c: FunctionClass,
                     k_max: int = DEFAULT_K_MAX) -> np.ndarray:
-    """Vectorized ``rou_member_any``: smallest member period per cell, 0 if none.
+    """Vectorized ``rou_member_any``: smallest member period in [3, k_max]
+    per cell, 0 if none.
 
+    Each cell in the convergence-region closure tests the float membership
+    value only at its candidate periods, those whose cos(2*pi/K) lies in
+    the interval where the membership quadratic A x^2 + B x + C is within
+    its rounding bound E of <= 0, in K order; so each period is that of
+    testing every K from 3, and the cost does not grow with k_max.
     Requires beta >= 0 everywhere on the grid.
     """
     g, b = np.broadcast_arrays(np.asarray(gammas, dtype=float),
@@ -155,18 +280,13 @@ def member_any_grid(gammas, betas, c: FunctionClass,
     if np.any(b < 0.0):
         raise ValueError("cycling membership is only defined for beta >= 0")
     out = np.zeros(g.size, dtype=np.int32)
-    # Flat index, beta and mu*gamma of each cell not yet given a period.
     cell = np.flatnonzero(in_cv_closure(g, b, c))
-    b = b.ravel()[cell]
-    mg = c.mu * g.ravel()[cell]
-    kap = c.kappa
-    for k in range(3, k_max + 1):
-        if not cell.size:
-            break
-        hit = _membership_quadratic(mg, b, k, kap)[0] <= 0.0
-        out[cell[hit]] = k
-        if hit.any():
-            cell, b, mg = cell[~hit], b[~hit], mg[~hit]
+    mg, b = c.mu * g.ravel()[cell], b.ravel()[cell]
+    # Chunks keep the kernel's temporaries in cache: about 2x faster than
+    # whole-grid arrays on the benchmark grids.
+    for i in range(0, cell.size, _GRID_CHUNK):
+        part = slice(i, i + _GRID_CHUNK)
+        out[cell[part]] = _smallest_member_period(mg[part], b[part], c.kappa, k_max)
     return out.reshape(g.shape)
 
 
@@ -379,17 +499,14 @@ def incompatibility_scan(c: FunctionClass, big_c: float,
     """
     if big_c <= 50.0 / 3.0:
         raise ValueError(f"constant must exceed 50/3, got {big_c}")
-    ck = big_c * c.kappa
-    rho_target = (1.0 - ck) / (1.0 + ck)
-    if rho_target <= 0.0:
-        return True
+    if big_c * c.kappa >= 1.0:
+        return True  # the target rate is <= 0: the sublevel set is empty
 
     n_gamma, n_beta = resolution
     gammas = np.linspace(4.0 / c.ell / n_gamma, 4.0 / c.ell, n_gamma)
     betas = np.linspace(0.0, 1.0, n_beta, endpoint=False)
     g, b = np.meshgrid(gammas, betas, indexing="ij")
-    rho, codes = rate_grid(g, b, c)
-    in_sls = (codes != NO_CONVERGENCE) & (rho <= rho_target)
+    _, in_sls = sublevel_set(*rate_grid(g, b, c), c, big_c)
     if not in_sls.any():
         return True
     member = member_any_grid(g, b, c, k_max=k_max) > 0

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .hb_engine import run
 from .quad_rates import FunctionClass, HbParams
@@ -49,14 +48,9 @@ class QuadraturePrecisionWarning(UserWarning):
     """Raised as a warning when the quadrature mass defect exceeds tolerance."""
 
 
-def _unit_bump_radial_mass() -> float:
-    """integral over [0,1] of exp(-1/(1-r^2)) r dr, to near machine accuracy."""
-    x, w = leggauss(256)
-    r = 0.5 * (x + 1.0)
-    return float(np.sum(0.5 * w * np.exp(-1.0 / (1.0 - r * r)) * r))
-
-
-_UNIT_RADIAL_MASS = _unit_bump_radial_mass()
+# integral over [0,1] of exp(-1/(1-r^2)) r dr: 256-point Gauss-Legendre, to
+# near machine accuracy (a test recomputes it).
+_UNIT_RADIAL_MASS = 0.07424775338796104
 # Planar normalizer of the unit bump exp(-1/(1-|x|^2)) on the unit disc.
 UNIT_BUMP_MASS = 2.0 * math.pi * _UNIT_RADIAL_MASS
 
@@ -123,6 +117,8 @@ def smooth_counterexample(ce: CounterExample, c: FunctionClass, epsilon: float,
     if epsilon > ce.r_max:
         raise ValueError(
             f"support radius {epsilon} exceeds the safety radius {ce.r_max}")
+
+    from numpy.polynomial.legendre import leggauss
 
     x, w = leggauss(n_radial)
     radii = 0.5 * (x + 1.0) * epsilon

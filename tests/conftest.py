@@ -412,25 +412,54 @@ def rowwise_write_trace_csv(trace, path, cycle=None) -> None:
                              dist, gamma_t, beta_t])
 
 
-def full_grid_member_any_grid(gammas, betas, c, k_max):
+def full_grid_member_any_grid(gammas, betas, c, k_max, block=64):
     """Smallest member period per cell, the quadratic evaluated on the whole
-    grid at every period."""
+    grid at every period from 3 to ``k_max``, ``block`` periods at a time."""
     g, b = np.broadcast_arrays(np.asarray(gammas, dtype=float),
                                np.asarray(betas, dtype=float))
     out = np.zeros(g.shape, dtype=np.int32)
     admissible = (g > 0) & (b < 1) & (g <= 2.0 * (1.0 + b) / c.ell + BOUNDARY_TOL)
-    mg = c.mu * g
-    kap = c.kappa
-    for k in range(3, k_max + 1):
+    mg, bk, kap = c.mu * g[..., None], b[..., None], c.kappa
+    for start in range(3, k_max + 1, block):
         undecided = admissible & (out == 0)
         if not undecided.any():
             break
+        ks = np.arange(start, min(start + block, k_max + 1))
+        ct = np.array([math.cos(2.0 * math.pi / k) for k in ks])
+        a = bk - ct + kap * (1.0 - bk * ct)
+        c0 = 2.0 * kap * (1.0 - ct) * (1.0 + bk * bk - 2.0 * bk * ct)
+        hit = mg * mg - 2.0 * a * mg + c0 <= 0.0
+        found = undecided & hit.any(axis=-1)
+        out[found] = ks[hit.argmax(axis=-1)[found]]
+    return out
+
+
+def loop_rou_member_any(p, c, k_max):
+    """``rou_member_any`` by testing every period from 3 to ``k_max`` in turn."""
+    if p.beta < 0.0:
+        raise ValueError("cycling membership is only defined for beta >= 0")
+    if not (p.gamma > 0 and p.beta < 1 and p.gamma <= 2.0 * (1.0 + p.beta) / c.ell + BOUNDARY_TOL):
+        return None
+    mg, b, kap = c.mu * p.gamma, p.beta, c.kappa
+    for k in range(3, k_max + 1):
         ct = math.cos(2.0 * math.pi / k)
         a = b - ct + kap * (1.0 - b * ct)
         c0 = 2.0 * kap * (1.0 - ct) * (1.0 + b * b - 2.0 * b * ct)
-        val = mg * mg - 2.0 * a * mg + c0
-        out[undecided & (val <= 0.0)] = k
-    return out
+        if mg * mg - 2.0 * a * mg + c0 <= 0.0:
+            return k
+    return None
+
+
+def near_tangent_cells(c, k0, beta_offsets, gamma_offsets):
+    """Cells at beta = beta_minus(K0) + each beta offset, where the period-K0
+    quadratic in mu*gamma has a double root at a(beta), and gamma =
+    a/mu * (1 + the gamma offset); cells outside [0, 1) in beta dropped."""
+    b = beta_minus(k0, c) + np.asarray(beta_offsets, dtype=float)
+    keep = (b >= 0.0) & (b < 1.0)
+    b = b[keep]
+    ct = math.cos(2.0 * math.pi / k0)
+    a = b - ct + c.kappa * (1.0 - b * ct)
+    return a / c.mu * (1.0 + np.asarray(gamma_offsets, dtype=float)[keep]), b
 
 
 def highs_margin(pm):

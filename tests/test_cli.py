@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,6 +565,18 @@ class TestCycleDemo:
 
 
 class TestOthers:
+    def test_import_loads_no_process_pool_or_quadrature_modules(self):
+        # Start-up cost: the pool is imported only by a multi-worker sweep,
+        # and the Legendre nodes only by smoothing.
+        probe = ("import sys, hbcycles.cli; print(sorted(m for m in ("
+                 "'concurrent.futures.process', 'multiprocessing', 'numpy.polynomial')"
+                 " if m in sys.modules))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
     def test_lp_check(self, capsys):
         code, out, _ = run_cli(capsys, "lp-check", "--gamma", "3.5",
                                "--beta", "0.75", "--mu", "0.005", "--L", "1",

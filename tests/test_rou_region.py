@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from hbcycles.rou_region import (
+    MEMBERSHIP_ROUNDING,
     CounterexampleFunction,
+    _candidate_periods,
+    _membership_quadratic,
     RouCycle,
     beta_minus,
     build_counterexample,
@@ -30,6 +33,8 @@ from conftest import (
     central_difference_grad,
     edge_sq,
     full_grid_member_any_grid,
+    loop_rou_member_any,
+    near_tangent_cells,
     numpy_counterexample_grad,
     polygon_project,
     projection_case,
@@ -213,7 +218,7 @@ class TestRouMemberAny:
 
     @settings(max_examples=150, deadline=None)
     @given(kappa=st.floats(1e-5, 1.0), ell=st.floats(0.25, 8.0),
-           k_max=st.integers(3, 80), seed=st.integers(0, 2**32 - 1))
+           k_max=st.integers(3, 10_000), seed=st.integers(0, 2**32 - 1))
     def test_grid_variant_matches_full_grid_loop(self, kappa, ell, k_max, seed):
         # Each beta row holds the step-size edge 2(1+beta)/L, its float
         # neighbours, the edge plus the closure slack and random interior
@@ -230,6 +235,71 @@ class TestRouMemberAny:
         gm, bm = np.meshgrid(g[0], b[:, 0], indexing="ij")
         assert np.array_equal(member_any_grid(gm, bm, c, k_max=k_max),
                               full_grid_member_any_grid(gm, bm, c, k_max))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kappa=st.floats(1e-5, 0.9), ell=st.sampled_from([0.5, 1.0, 25.0]),
+           k0=st.integers(3, 10_000), k_max=st.integers(3, 10_000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_near_tangent_cells_match_the_loop(self, kappa, ell, k0, k_max, seed):
+        # Just above beta_minus(K0) the period-K0 quadratic has a double
+        # root; near it, and just below, the float value's sign is noise
+        # over a run of periods, and the first float hit must still agree.
+        c = FunctionClass(kappa * ell, ell)
+        rng = np.random.default_rng(seed)
+        sign = rng.choice([-1.0, 1.0], (2, 12))
+        g, b = near_tangent_cells(c, k0, sign[0] * 10.0 ** rng.uniform(-16, -6, 12),
+                                  sign[1] * 10.0 ** rng.uniform(-16, -4, 12))
+        periods = member_any_grid(g, b, c, k_max=k_max)
+        assert np.array_equal(periods, full_grid_member_any_grid(g, b, c, k_max))
+        for gamma, beta, k in list(zip(g.tolist(), b.tolist(), periods.tolist()))[:3]:
+            assert (rou_member_any(HbParams(gamma, beta), c, k_max) or 0) == k
+
+    @settings(max_examples=100, deadline=None)
+    @given(kappa=st.floats(1e-5, 1.0), ell=st.sampled_from([0.5, 1.0, 25.0]),
+           gamma_frac=st.floats(0.0, 1.1), beta=st.floats(0.0, 1.0, exclude_max=True),
+           k_max=st.integers(3, 400))
+    def test_scalar_matches_the_loop(self, kappa, ell, gamma_frac, beta, k_max):
+        c = FunctionClass(kappa * ell, ell)
+        p = HbParams(gamma_frac * 2.0 * (1.0 + beta) / ell, beta)
+        assert rou_member_any(p, c, k_max) == loop_rou_member_any(p, c, k_max)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kappa=st.floats(1e-5, 0.9), ell=st.sampled_from([0.5, 1.0, 25.0]),
+           k0=st.integers(3, 3_000), seed=st.integers(0, 2**32 - 1))
+    def test_candidate_range_holds_every_float_hit(self, kappa, ell, k0, seed):
+        # Not only the first: every period whose float value is <= 0 lies in
+        # its cell's range, and a cell left out has none.
+        c = FunctionClass(kappa * ell, ell)
+        rng = np.random.default_rng(seed)
+        sign = rng.choice([-1.0, 1.0], (2, 16))
+        g, b = near_tangent_cells(c, k0, sign[0] * 10.0 ** rng.uniform(-16, -3, 16),
+                                  sign[1] * 10.0 ** rng.uniform(-16, -2, 16))
+        mg = c.mu * g
+        k_max = 3_000
+        cell, k_lo, k_hi = _candidate_periods(mg, b, c.kappa, k_max)
+        lo = np.full(len(g), k_max + 1)
+        hi = np.zeros(len(g), dtype=np.int64)
+        lo[cell], hi[cell] = k_lo, k_hi
+        ks = np.arange(3, k_max + 1)
+        cos = np.array([math.cos(2.0 * math.pi / k) for k in ks])
+        for i in range(len(g)):
+            hits = ks[_membership_quadratic(mg[i], b[i], cos, c.kappa)[0] <= 0.0]
+            assert np.all((lo[i] <= hits) & (hits <= hi[i])), (g[i], b[i], hits, lo[i], hi[i])
+
+    @settings(max_examples=200, deadline=None)
+    @given(kappa=st.floats(1e-6, 1.0), beta=st.floats(0.0, 1.0, exclude_max=True),
+           gamma_frac=st.floats(0.0, 1.0), x=st.floats(-1.0, 1.0))
+    def test_membership_rounding_bound_holds_in_exact_arithmetic(self, kappa, beta,
+                                                                 gamma_frac, x):
+        from fractions import Fraction as F
+        mg = kappa * gamma_frac * 2.0 * (1.0 + beta)
+        value = _membership_quadratic(mg, beta, x, kappa)[0]
+        m, bb, xx, k = F(mg), F(beta), F(x), F(kappa)
+        exact = (m * m - 2 * m * (bb - xx + k * (1 - bb * xx))
+                 + 2 * k * (1 - xx) * (1 + bb * bb - 2 * bb * xx))
+        bound = MEMBERSHIP_ROUNDING * (mg * mg + 2.0 * mg * (1.0 + beta) * (1.0 + kappa)
+                                       + 4.0 * kappa * (1.0 + beta) ** 2)
+        assert abs(F(value) - exact) <= F(bound)
 
 
 # Members of periods 3 to 100, for the sector-indexed projection.

@@ -17,6 +17,7 @@ from hbcycles.rou_region import (
     build_counterexample,
     rou_cycle,
 )
+import hbcycles.smoothing as smoothing
 from hbcycles.smoothing import (
     DilatedFunction,
     QuadraturePrecisionWarning,
@@ -121,6 +122,16 @@ def smoothed(interior_setup):
 
 
 class TestMollifier:
+    def test_unit_radial_mass_literal_is_the_quadrature(self):
+        # The module stores the 256-point Gauss-Legendre value as a literal,
+        # so that importing it runs no quadrature.
+        from numpy.polynomial.legendre import leggauss
+        x, w = leggauss(256)
+        r = 0.5 * (x + 1.0)
+        mass = float(np.sum(0.5 * w * np.exp(-1.0 / (1.0 - r * r)) * r))
+        assert smoothing._UNIT_RADIAL_MASS == mass
+        assert smoothing.UNIT_BUMP_MASS == 2.0 * math.pi * mass
+
     def test_quadrature_mass_is_one(self, smoothed):
         *_, sce = smoothed
         assert abs(sce.weights.sum() - 1.0) <= 1e-6
