@@ -306,9 +306,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-# Cells per screen evaluation: at K = 100 a cell's P is 40 KB, so a block
-# stays near a megabyte whatever the chunk size.
-_SCREEN_BLOCK = 32
+# Matrix entries per screen evaluation: a block of cells at period K holds
+# this many // ((K-1)(K//2)) cells, at least one, so each of its arrays
+# stays near a megabyte up to K = 513 (26 cells at K = 100, every open cell
+# of a 16 x 16 grid at K <= 25).
+_SCREEN_ENTRIES = 2 ** 17
 # The sidecar's per-pair counters of an lp-region sweep.
 _LP_PAIR_COUNTERS = ("member_by_harmonic", "ruled_out_by_row_dual", "lp_margin_calls")
 
@@ -336,8 +338,9 @@ def _lp_region_chunk(cells, mu, ell, k_max):
     open_cells = np.flatnonzero(in_cv_closure(gammas, betas, c)).tolist()
     for k in range(3, k_max + 1):
         left = []
-        for start in range(0, len(open_cells), _SCREEN_BLOCK):
-            block = open_cells[start:start + _SCREEN_BLOCK]
+        size = max(1, _SCREEN_ENTRIES // ((k - 1) * (k // 2)))
+        for start in range(0, len(open_cells), size):
+            block = open_cells[start:start + size]
             member, ruled_out = screen_periods(gammas[block], betas[block], c, k)
             for i, is_member, is_out in zip(block, member.tolist(), ruled_out.tolist()):
                 if is_member:

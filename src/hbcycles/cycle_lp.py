@@ -351,7 +351,8 @@ def lp_matrices(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray, np
     im = -(1.0 - b) * sin / g
     z = 1.0 - re / c.ell
     a = (re * re + im * im) / c.ell + q * (z * z + (im / c.ell) ** 2) - re
-    pm = a[:, None, :] * one_minus_cos_phi + im[:, None, :] * sin_phi
+    pm = a[:, None, :] * one_minus_cos_phi
+    pm += im[:, None, :] * sin_phi
     rho = (2.0 * np.abs(1.0 + b[:, 0]) + np.abs(1.0 - b[:, 0])) / np.abs(g[:, 0])
     magnitude = rho * rho / c.ell + 2.0 * q * (1.0 + rho / c.ell) ** 2 + rho
     return pm, LP_MATRIX_ROUNDING * (magnitude + rho)

@@ -1,21 +1,24 @@
 """Dense primal simplex for small linear programs, from a given basis.
 
-Solves min c.x subject to A x = b, x >= 0 on a full tableau with Bland's
-rule (entering: lowest eligible index; leaving: lowest basic index among
-the minimal ratios), so every solve is deterministic.  There is no phase
-1: the caller passes a primal-feasible starting basis, and gets back with
-an optimal result the row prices c_B B^-1 of the confirming basis as the
-dual.  The cycle-feasibility LPs are heavily degenerate (almost every
-right-hand side is zero), so accumulated pivot rounding is controlled by
-refactorization: after each optimal pass the tableau is rebuilt exactly
-from the original data and the pass repeats until a fresh tableau accepts
-the basis with no further pivots.  A refactorized basis whose values break
-x >= 0 (pivot rounding can drive a degenerate basis there) ends the solve
-with status "lost_feasibility" rather than a false "optimal".  Bland's
-rule is exact only in exact arithmetic: under the ratio-test tolerances a
-degenerate solve can revisit a basis and end at the iteration limit.
-Problem sizes here are at most a few hundred variables, where a dense
-tableau beats anything fancier.
+Solves min c.x subject to A x = b, x >= 0 on a full tableau.  Pricing is
+Dantzig's rule: the most negative reduced cost enters (lowest index on a
+tie), and among the minimal ratios the row with the largest pivot element
+leaves (lowest row on a tie), so every solve is deterministic.  Dantzig's
+rule can cycle on degenerate bases, so once a pass revisits a basis it
+switches to Bland's rule (entering: lowest eligible index; leaving: lowest
+basic index among the minimal ratios) for the rest of the pass; an
+iteration limit stays as the last resort.  There is no phase 1: the caller
+passes a primal-feasible starting basis, and gets back with an optimal
+result the row prices c_B B^-1 of the confirming basis as the dual.  The
+cycle-feasibility LPs are heavily degenerate (almost every right-hand side
+is zero), so accumulated pivot rounding is controlled by refactorization:
+after each optimal pass the tableau is rebuilt exactly from the original
+data and the pass repeats until a fresh tableau accepts the basis with no
+further pivots.  A refactorized basis whose values break x >= 0 (pivot
+rounding can drive a degenerate basis there) ends the solve with status
+"lost_feasibility" rather than a false "optimal".  Problem sizes here are
+at most a few hundred variables, where a dense tableau beats anything
+fancier.
 """
 
 from __future__ import annotations
@@ -47,25 +50,37 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
              max_iter: int) -> tuple[str, int]:
-    """Run simplex pivots in place until optimal/unbounded/limit."""
+    """Run simplex pivots in place until optimal/unbounded/limit: Dantzig's
+    rule until the pass revisits a basis, Bland's rule from then on."""
     n_cols = tableau.shape[1] - 1
+    seen = {np.sort(basis).tobytes()}
+    bland = False
     it = 0
     while it < max_iter:
         reduced = cost - cost[basis] @ tableau[:, :n_cols]
-        candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
-        if candidates.size == 0:
+        if bland:
+            col = int(np.argmax(reduced < -_PIVOT_TOL))  # lowest eligible index
+        else:
+            col = int(np.argmin(reduced))  # most negative reduced cost
+        if reduced[col] >= -_PIVOT_TOL:
             return "optimal", it
-        col = int(candidates[0])  # Bland: lowest index enters
+        column = tableau[:, col]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(tableau[:, col] > _PIVOT_TOL,
-                              tableau[:, -1] / tableau[:, col], np.inf)
+            ratios = np.where(column > _PIVOT_TOL, tableau[:, -1] / column, np.inf)
         min_ratio = ratios.min()
         if not np.isfinite(min_ratio):
             return "unbounded", it
         ties = np.flatnonzero(ratios <= min_ratio + _PIVOT_TOL)
-        row = int(ties[np.argmin(basis[ties])])  # Bland: lowest basic index leaves
+        if bland:
+            row = int(ties[np.argmin(basis[ties])])  # lowest basic index
+        else:
+            row = int(ties[np.argmax(column[ties])])  # largest pivot element
         _pivot(tableau, basis, row, col)
         it += 1
+        if not bland:
+            key = np.sort(basis).tobytes()
+            bland = key in seen
+            seen.add(key)
     return "iteration_limit", it
 
 

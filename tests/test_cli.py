@@ -211,6 +211,15 @@ class TestSweep:
         # The sides of the comparison are the same row tuples, NaN included.
         assert repr(stored) == repr(plain) == repr(screened)
 
+    def test_lp_region_rows_do_not_depend_on_the_screen_block(self, monkeypatch):
+        # One cell per screen block, the size past K = 513, gives the rows
+        # and counters of the default blocks.
+        cells = [(float(gamma), float(beta)) for gamma in np.linspace(0.5, 3.5, 8)
+                 for beta in np.linspace(0.0, 0.9, 6)]
+        expected = _lp_region_chunk(cells, 0.01, 1.0, 12)
+        monkeypatch.setattr(cli, "_SCREEN_ENTRIES", 1)
+        assert repr(_lp_region_chunk(cells, 0.01, 1.0, 12)) == repr(expected)
+
     def test_back_to_back_lp_sweeps_solve_alike(self, capsys, tmp_path, monkeypatch):
         # No dual store outlives its sweep.  The benchmark's grid: on it a
         # few pairs pass both screens and reach the solver.
@@ -232,6 +241,30 @@ class TestSweep:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_benchmark_grid_leaves_ten_lps_of_few_pivots(self, monkeypatch):
+        # The pairs of the benchmark's grid that pass both screens, all at
+        # (2.5, 0.5), take at most 80 pivots between them (162 under
+        # Bland's rule): a pivot count, not a clock.
+        pivots, pairs = [], []
+        solve, margin = cycle_lp.solve_canonical, cli.lp_margin
+
+        def counting(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            pivots.append(res.iterations)
+            return res
+
+        def recording(p, c, k, duals=None):
+            pairs.append((p.gamma, p.beta, k))
+            return margin(p, c, k, duals)
+
+        monkeypatch.setattr(cycle_lp, "solve_canonical", counting)
+        monkeypatch.setattr(cli, "lp_margin", recording)
+        cells = [(gamma, beta) for gamma in np.linspace(0.25, 4.0, 16).tolist()
+                 for beta in (np.arange(16) / 16.0).tolist()]
+        _lp_region_chunk(cells, 0.01, 1.0, 25)
+        assert pairs == [(2.5, 0.5, k) for k in (7, 11, 14, 15, 18, 19, 21, 22, 23, 25)]
+        assert len(pivots) == 10 and sum(pivots) <= 80
 
     @pytest.mark.parametrize("grid", [("8", "6", "10"), ("16", "16", "25")])
     def test_lp_region_pair_counters(self, capsys, tmp_path, grid):
@@ -293,15 +326,17 @@ class TestSweep:
         rows, _ = _lp_region_chunk([(1.0, 0.5)], 0.01, 1.0, 8)
         assert rows == [(1.0, 0.5, 7, "member")]
 
-    def test_iteration_limit_cell_of_the_default_sweep_is_ruled_out_by_a_row_dual(self):
+    def test_period_92_lp_of_the_default_sweep_matches_highs_and_is_ruled_out_by_a_row_dual(self):
         # The default lp-region sweep (6 x 6, k-max 100) reaches this cell;
-        # its period-92 LP ends at the simplex's iteration limit.  The sweep
-        # never solves it: a single row of P proves the margin positive at
-        # every period, which HiGHS confirms at K = 92.
+        # under Bland's rule its period-92 LP ended at the iteration limit.
+        # The solve now gives HiGHS's margin, and the sweep never needs it: a
+        # single row of P proves the margin positive at every period.
         p, c = HbParams(2.0 / 3.0, 1.0 / 6.0), FunctionClass(0.01, 1.0)
-        with pytest.raises(RuntimeError, match="iteration_limit"):
-            cycle_lp.lp_margin(p, c, 92)
-        assert highs_margin(cycle_lp.build_lp_matrix(p, c, 92)) > 0.07
+        pm = cycle_lp.build_lp_matrix(p, c, 92)
+        expected = highs_margin(pm)
+        assert expected > 0.07
+        assert cycle_lp.lp_margin(p, c, 92) == pytest.approx(expected,
+                                                             abs=1e-12 * np.abs(pm).max())
         rows, counts = _lp_region_chunk([(p.gamma, p.beta)], c.mu, c.ell, 92)
         assert rows[0][3] == "none"
         assert counts["ruled_out_by_row_dual"] == 90 and counts["lp_margin_calls"] == 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbcycles.cycle_lp as cycle_lp
@@ -404,6 +404,33 @@ def test_margin_matches_highs(gamma, beta, k):
     assert lp_margin(p, c, k) == pytest.approx(expected, rel=1e-12)
 
 
+# Cycle LPs on which a Bland's-rule simplex ended without an optimum:
+# "iteration_limit" at the period-92 LP of the default lp-region sweep,
+# "lost_feasibility" just inside the step-size edge, and on the edge
+# gamma = 2(1+beta)/L twelve periods ending "lost_feasibility" or "unbounded"
+# where a single harmonic is a cycle.
+STALLED_LPS = [(2.0 / 3.0, 1.0 / 6.0, 92), (2.0078125, 0.00390626, 22)]
+EDGE_MEMBER_LPS = [(3.0, 0.5, k) for k in (36, 42, 54, 56, 58, 70, 74, 84, 92, 94, 96, 100)]
+
+
+@pytest.mark.parametrize("gamma,beta,k", STALLED_LPS + EDGE_MEMBER_LPS)
+def test_formerly_failing_lps_match_highs(gamma, beta, k):
+    p, c = HbParams(gamma, beta), FunctionClass(0.01, 1.0)
+    pm = build_lp_matrix(p, c, k)
+    scale = max(np.abs(pm).max(), 1.0)
+    assert lp_margin(p, c, k) == pytest.approx(highs_margin(pm), abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("gamma,beta,k", EDGE_MEMBER_LPS)
+def test_edge_member_certificate_verifies(gamma, beta, k):
+    p, c = HbParams(gamma, beta), FunctionClass(0.01, 1.0)
+    cert = lp_feasible(p, c, k)
+    assert cert is not None
+    scale = max(np.abs(build_lp_matrix(p, c, k)).max(), 1.0)
+    res = interpolation_residuals(cert.points, cycle_gradients(cert.points, p), np.zeros(k), c)
+    assert res[~np.eye(k, dtype=bool)].max() <= FEASIBILITY_TOL + 1e-12 * scale
+
+
 # The cycle-LP screen.  Cells inside the convergence region at mu = 0.01,
 # L = 1, with the step-size edge gamma = 2(1+beta)/L drawn on its own.
 SCREEN_CLASS = FunctionClass(0.01, 1.0)
@@ -422,6 +449,7 @@ def solved_dual(p, k):
 
 @settings(max_examples=40, deadline=None)
 @given(p=in_region, k=periods, step=st.floats(-0.05, 0.05), dbeta=st.floats(-0.05, 0.05))
+@example(p=HbParams(2.0078125, 0.00390626), k=22, step=0.0, dbeta=0.0)
 def test_screen_bound_from_a_neighbour_dual_is_below_highs(p, k, step, dbeta):
     beta = min(max(p.beta + dbeta, 0.0), 0.99)
     neighbour = HbParams(min(p.gamma * (1.0 + step), 2.0 * (1.0 + beta)), beta)
@@ -444,6 +472,7 @@ def test_screen_bound_from_random_weights_is_below_highs(p, k, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(p=in_region, k=periods)
+@example(p=HbParams(2.000000000002, 1e-12), k=12)
 def test_returned_dual_is_optimal(p, k):
     # Its bound is the margin itself, not merely a lower bound on it.
     margin, y = solved_dual(p, k)
@@ -563,7 +592,7 @@ def assert_screens_hold(p, k, member, ruled_out, certificate=False):
 @given(p=in_region, k=st.integers(3, 60))
 def test_screened_verdicts_hold(p, k):
     (member,), (ruled_out,) = screen_periods([p.gamma], [p.beta], SCREEN_CLASS, k)
-    assert_screens_hold(p, k, member, ruled_out)
+    assert_screens_hold(p, k, member, ruled_out, certificate=True)
 
 
 def test_screened_verdicts_hold_on_the_benchmark_grid():

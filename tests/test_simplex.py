@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hbcycles.simplex as simplex
 from hbcycles.simplex import solve_canonical
 
 
@@ -72,7 +73,8 @@ def test_negative_rhs_rows_are_flipped():
 
 
 def test_beale_degenerate_cycle_terminates():
-    # Beale's classic cycling example; Bland's rule must terminate on it.
+    # Beale's classic cycling example (it cycles under Dantzig's rule with
+    # lowest-index ties); the largest-pivot tie rule must terminate on it.
     cost = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
     a = [
         [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
@@ -82,6 +84,31 @@ def test_beale_degenerate_cycle_terminates():
     res = solve_canonical(cost, a, [0.0, 0.0, 1.0], basis=[4, 5, 6])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05, abs=1e-10)
+
+
+# Kuhn's cycling example: the most negative reduced cost enters, and every
+# ratio test has a single winner, so Dantzig's rule pivots from the slack
+# basis back to it in six steps whatever the tie rule.
+KUHN = ([-2.0, -3.0, 1.0, 12.0, 0.0, 0.0, 0.0],
+        [[-2.0, -9.0, 1.0, 9.0, 1.0, 0.0, 0.0],
+         [1.0 / 3.0, 1.0, -1.0 / 3.0, -2.0, 0.0, 1.0, 0.0],
+         [2.0, 3.0, -1.0, -12.0, 0.0, 0.0, 1.0]], [0.0, 0.0, 2.0], [4, 5, 6])
+
+
+def test_revisited_basis_switches_to_bland(monkeypatch):
+    bases = []
+    pivot = simplex._pivot
+
+    def recording(tableau, basis, row, col):
+        pivot(tableau, basis, row, col)
+        bases.append(sorted(basis.tolist()))
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    res = solve_canonical(*KUHN)
+    # Dantzig's six pivots return to the start; Bland's rule leaves the cycle.
+    assert bases[5] == [4, 5, 6] and bases[6] != bases[0]
+    assert res.status == "optimal" and res.iterations == len(bases) < 20
+    assert res.objective == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_agrees_with_bounded_feasibility_shape():
@@ -118,6 +145,7 @@ FEASIBLE_START = [
      [[0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
       [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
       [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]], [0.0, 0.0, 1.0], [4, 5, 6]),
+    KUHN,
 ]
 
 
