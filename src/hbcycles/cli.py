@@ -441,11 +441,14 @@ def _cmd_cycle_demo(args) -> int:
             edge_mid = scale * 0.5 * (ce.hull[0] + ce.hull[1])
             out["tau_estimate"] = third_derivative_estimate(
                 fn.grad, edge_mid[None, :], h=0.05 * scale)
+            oracle = fn.grad
         else:
-            base = CounterexampleFunction(ce, c)
-            fn = dilate(base, scale) if scale != 1.0 else base
+            # The plain counterexample goes in whole: ``run`` steps its grad_xy.
+            oracle = CounterexampleFunction(ce, c)
+            if scale != 1.0:
+                oracle = dilate(oracle, scale).grad
         cycle_pts = scale * cyc.points
-        trace = run(fn.grad, p, cycle_pts[0], cycle_pts[1], args.steps)
+        trace = run(oracle, p, cycle_pts[0], cycle_pts[1], args.steps)
         # Dilation scales the cycle, its deviations and its diameter alike.
         is_cycle, max_dev = detect_cycle(trace, k, tol=args.tol * scale)
         out["verdict"] = "cycles" if is_cycle else "no-cycle"

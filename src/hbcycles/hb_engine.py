@@ -8,11 +8,15 @@ yields explicit noise budgets under which perturbed runs provably stay in a
 tube around the cycle.  ``perturbed_runs`` advances many seeded perturbed
 runs as one (R, 2) state with one batched gradient call per step; each
 seed's noise is drawn in its sequential order, so a run in a batch is the
-run made alone, and a caller can put runs of any noise in one batch.
-``perturbed_run`` is its single-run form with the full trace; a strict
-noise-free run there (seeded start only) is plain heavy ball, stepped by
-``run`` in Python floats.  Both draw the seeded starts and apply the run
-guards through ``_start_batch``.
+run made alone, and a caller can put runs of any noise in one batch.  Its
+steps go in chunks: the noise and step sizes of a chunk are made at once,
+each step is a few in-place array operations on one contiguous (2, R)
+block per quantity, and the deviations from the cycle are maxed once per
+chunk.  ``perturbed_run`` is its single-run form with the full
+trace; a strict noise-free run there (seeded start only) is plain heavy
+ball, stepped by ``run`` in Python floats through the counterexample's
+``grad_xy``, with no array per step.  Both draw the seeded starts and
+apply the run guards through ``_start_batch``.
 """
 
 from __future__ import annotations
@@ -39,21 +43,30 @@ class SimTrace:
 def run(oracle, p: HbParams, x0, x1, steps: int) -> SimTrace:
     """Iterate x_{t+1} = x_t - gamma*oracle(x_t) + beta*(x_t - x_{t-1}).
 
-    Deterministic given its inputs.  The oracle gets the row ``iterates[t]``
-    and returns the gradient as an array, sequence or scalar with as many
-    entries as the iterate; any other size raises ValueError.  The step
-    runs per coordinate in Python floats, in the order of the expression
-    above, so it has the bits of the same step on numpy arrays.  A
-    non-finite oracle value truncates the trace and sets the ``truncated``
-    flag instead of raising.
+    Deterministic given its inputs.  The oracle is a callable or an object
+    with a method ``grad_xy(x0, x1) -> (g0, g1)``, the gradient at a 2-D
+    point as a pair of floats (``CounterexampleFunction`` has one).  A
+    callable gets the row ``iterates[t]`` and returns the gradient as an
+    array, sequence or scalar with as many entries as the iterate; any
+    other size raises ValueError.  A ``grad_xy`` object is stepped in
+    Python floats throughout, with no array per step; its starts must be
+    2-D points (ValueError otherwise).  Either way the step runs per
+    coordinate in Python floats, in the order of the expression above, so
+    it has the bits of the same step on numpy arrays; for a
+    ``CounterexampleFunction`` fn, ``run(fn, ...)`` is ``run(fn.grad, ...)``
+    bit for bit.  A non-finite oracle value truncates the trace and sets
+    the ``truncated`` flag instead of raising.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    params = np.tile([p.gamma, p.beta], (steps, 1))
+    grad_xy = getattr(oracle, "grad_xy", None)
+    if grad_xy is not None:
+        return _run_xy(grad_xy, p, x0, x1, steps, params)
     zs = np.empty((steps + 2, x0.shape[0]))
     zs[0], zs[1] = x0, x1
-    params = np.tile([p.gamma, p.beta], (steps, 1))
     gamma, beta = p.gamma, p.beta
     shape = x0.shape
     x_prev, x = zs[0].tolist(), zs[1].tolist()
@@ -71,6 +84,29 @@ def run(oracle, p: HbParams, x0, x1, steps: int) -> SimTrace:
                         for xi, gi, pi in zip(x, g, x_prev)]
         zs[t + 1] = x
     return SimTrace(zs, steps, params)
+
+
+def _run_xy(grad_xy, p: HbParams, x0: np.ndarray, x1: np.ndarray, steps: int,
+            params: np.ndarray) -> SimTrace:
+    """``run`` on a ``grad_xy`` oracle: the same step and truncation, with
+    the iterates kept as Python floats until the trace is built."""
+    if x0.shape != (2,) or x1.shape != (2,):
+        raise ValueError("a grad_xy oracle needs 2-D starting points, got shapes "
+                         f"{x0.shape} and {x1.shape}")
+    gamma, beta = p.gamma, p.beta
+    a0, a1 = x0.tolist()
+    b0, b1 = x1.tolist()
+    flat = [a0, a1, b0, b1]
+    isfinite = math.isfinite
+    for t in range(1, steps + 1):
+        g0, g1 = grad_xy(b0, b1)
+        if not (isfinite(g0) and isfinite(g1)):
+            return SimTrace(np.array(flat).reshape(t + 1, 2), t, params[:t - 1],
+                            truncated=True)
+        a0, a1, b0, b1 = (b0, b1, b0 - gamma * g0 + beta * (b0 - a0),
+                          b1 - gamma * g1 + beta * (b1 - a1))
+        flat += (b0, b1)
+    return SimTrace(np.array(flat).reshape(steps + 2, 2), steps, params)
 
 
 def detect_cycle(trace: SimTrace, k: int, tol: float,
@@ -290,10 +326,15 @@ class TubeRuns:
     params_used: np.ndarray | None = None
 
 
-# Steps of uniform noise drawn at once per seed: the draw buffers hold
-# _DRAW_CHUNK * R * 8 doubles whatever the run length, small enough that a
-# 100-run batch adds well under 1 MB to the peak resident set.
-_DRAW_CHUNK = 32
+# Steps per chunk of ``perturbed_runs``: each seed's uniform noise is
+# drawn _DRAW_CHUNK steps at a time, and the chunk buffers (draws, step
+# sizes, gradient noise, iterates and deviations) hold about
+# 20 * _DRAW_CHUNK * R doubles whatever the run length.  Measured on the
+# benchmark's tube workload (a 106-run batch of 1,000 steps and a
+# 2,500-step decay run): peak RSS 41.5-41.8 MB at 32 steps, 42.1 at 64,
+# 43.4 at 128 and 45.6 at 256; 64 steps were about 7% faster than 32 and
+# no slower than 128 or 256.
+_DRAW_CHUNK = 64
 
 
 def _fit_decay(norms: np.ndarray) -> float | None:
@@ -414,11 +455,15 @@ def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     the signs and direction that grow the unperturbed next residual.  Each
     seed's draws are its sequential stream taken in chunks, so run r is the
     run it would be alone.  The (R, 2) state advances with one batched
-    gradient call per step; only three iterate slots are kept unless
-    ``record`` is set.  In strict mode every noise spec must satisfy the
-    three guarantee conditions; the first violated condition is named
-    otherwise.  Rows are independent, so specs of any noise, checked or
-    not, may share a batch.
+    gradient call per step, written in place into a buffer of one chunk of
+    ``_DRAW_CHUNK`` steps (of the whole run if ``record`` is set).  What a
+    step does not need to compute is done per chunk: the draws, each step's
+    gamma_t, beta_t and gradient noise (adversarial runs fill theirs in at
+    their step), and, after the chunk, the running max of squared
+    deviations over its iterates.  In strict mode every noise spec must
+    satisfy the three guarantee conditions; the first violated condition
+    is named otherwise.  Rows are independent, so specs of any noise,
+    checked or not, may share a batch.
     """
     rngs, starts = _start_batch(ce, c, p, k, noises, steps, strict)
     gamma_jitter, beta_jitter, grad_noise = np.array(
@@ -427,54 +472,84 @@ def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     cyc = rou_cycle(k).points
     fn = CounterexampleFunction(ce, c)
     r = len(noises)
-    slots = steps + 2 if record else 3
-    zs = np.empty((slots, r, 2))
-    zs[:2] = starts
+    chunk = min(_DRAW_CHUNK, steps)
+    # The state is coordinate-major: z[0] holds the runs' first coordinates
+    # and z[1] their second, so every per-step array is one contiguous
+    # (2, R) block, and z.T is the (R, 2) batch the gradient takes.
+    # Unrecorded, rows 0 and 1 of the buffer hold the chunk's two previous
+    # iterates.
+    zs = np.empty((steps + 2 if record else chunk + 2, 2, r))
+    zs[:2] = starts.transpose(0, 2, 1)
     # Running max of squared deviations; sqrt is monotone, so the root of
     # the max is the max of the norms bit for bit.
-    max_sq = np.maximum(_row_sq(zs[0] - cyc[0]), _row_sq(zs[1] - cyc[1 % k]))
+    max_sq = np.maximum(_row_sq(starts[0] - cyc[0]), _row_sq(starts[1] - cyc[1]))
     params = np.empty((steps, r, 2)) if record else None
 
     adv = np.flatnonzero([n.mode == "adversarial-sign" for n in noises])
     uni = np.flatnonzero([n.mode == "uniform-random" for n in noises])
-    draws = np.empty((uni.size, _DRAW_CHUNK, 4))
-    dgamma_c = np.zeros((_DRAW_CHUNK, r))
-    dbeta_c = np.zeros((_DRAW_CHUNK, r))
-    dgrad_c = np.zeros((_DRAW_CHUNK, r, 2))
-    for t in range(1, steps + 1):
-        j = (t - 1) % _DRAW_CHUNK
-        if j == 0 and uni.size:
-            span = min(_DRAW_CHUNK, steps - t + 1)
+    adv_bounds = gamma_jitter[adv], beta_jitter[adv], grad_noise[adv]
+    g_jit, b_jit, g_noise = gamma_jitter[uni, None], beta_jitter[uni, None], grad_noise[uni, None]
+    draws = np.empty((uni.size, chunk, 4))
+    # Per step of the chunk: gamma_t and beta_t, repeated over both
+    # coordinates (a product of equal shapes skips a broadcast's set-up,
+    # which costs more than the product of a hundred runs), and the
+    # gradient noise.  Adversarial runs are filled in at their step.
+    gamma_c = np.empty((chunk, 2, r))
+    beta_c = np.empty((chunk, 2, r))
+    dgrad_c = np.empty((chunk, 2, r))
+    step = np.empty((2, r))
+    momentum = np.empty((2, r))
+    for t0 in range(1, steps + 1, chunk):
+        span = min(chunk, steps - t0 + 1)
+        if uni.size:
             for row, i in enumerate(uni):
                 rngs[i].random((span, 4), out=draws[row, :span])
-            u = draws[:, :span].transpose(1, 0, 2)
-            dgamma_c[:span, uni] = _uniform(-gamma_jitter[uni], gamma_jitter[uni], u[..., 0])
-            dbeta_c[:span, uni] = _uniform(-beta_jitter[uni], beta_jitter[uni], u[..., 1])
+            u = draws[:, :span]
+            gamma_c[:span, 0, uni] = (p.gamma + _uniform(-g_jit, g_jit, u[..., 0])).T
+            beta_c[:span, 0, uni] = (p.beta + _uniform(-b_jit, b_jit, u[..., 1])).T
+            # Copying the whole row is cheaper than scattering it twice.
+            gamma_c[:span, 1] = gamma_c[:span, 0]
+            beta_c[:span, 1] = beta_c[:span, 0]
             angle = _uniform(0.0, 2.0 * np.pi, u[..., 2])
-            radius = grad_noise[uni] * np.sqrt(u[..., 3])
-            dgrad_c[:span, uni, 0] = radius * np.cos(angle)
-            dgrad_c[:span, uni, 1] = radius * np.sin(angle)
-        z, z_prev = zs[t % slots], zs[(t - 1) % slots]
-        grad = fn.grad_batch(z)
-        momentum = z - z_prev
-        dgamma, dbeta, dgrad = dgamma_c[j], dbeta_c[j], dgrad_c[j]
-        if adv.size:
-            base_next = z[adv] - p.gamma * grad[adv] + p.beta * momentum[adv]
-            dgamma[adv], dbeta[adv], dgrad[adv] = _adversarial_noise(
-                base_next - cyc[(t + 1) % k], grad[adv], momentum[adv],
-                gamma_jitter[adv], beta_jitter[adv], grad_noise[adv])
-        gamma_t = p.gamma + dgamma
-        beta_t = p.beta + dbeta
+            radius = g_noise * np.sqrt(u[..., 3])
+            dgrad_c[:span, 0, uni] = (radius * np.cos(angle)).T
+            dgrad_c[:span, 1, uni] = (radius * np.sin(angle)).T
+        # Rows j, j + 1 and j + 2 are z_{t-1}, z_t and z_{t+1} at t = t0 + j.
+        zc = zs[t0 - 1:t0 + span + 1] if record else zs
+        for j in range(span):
+            z_prev, z, nxt = zc[j], zc[j + 1], zc[j + 2]
+            grad = fn.grad_batch(z.T).T
+            np.subtract(z, z_prev, out=momentum)
+            if adv.size:
+                z_a, grad_a, momentum_a = z[:, adv].T, grad[:, adv].T, momentum[:, adv].T
+                base_next = z_a - p.gamma * grad_a + p.beta * momentum_a
+                dgamma, dbeta, dgrad = _adversarial_noise(
+                    base_next - cyc[(t0 + j + 1) % k], grad_a, momentum_a, *adv_bounds)
+                gamma_c[j][:, adv] = p.gamma + dgamma
+                beta_c[j][:, adv] = p.beta + dbeta
+                dgrad_c[j][:, adv] = dgrad.T
+            # z - gamma_t * (grad + dgrad) + beta_t * momentum, in that order.
+            np.add(grad, dgrad_c[j], out=step)
+            np.multiply(gamma_c[j], step, out=step)
+            np.subtract(z, step, out=nxt)
+            np.multiply(beta_c[j], momentum, out=momentum)
+            np.add(nxt, momentum, out=nxt)
+        # The squared norms as _row_sq sums them: one addition of the two
+        # squares (np.add.reduce over a length-2 axis would pay its set-up
+        # once per run and step).
+        dev = zc[2:span + 2] - cyc[np.arange(t0 + 1, t0 + span + 1) % k, :, None]
+        dev *= dev
+        np.maximum(max_sq, (dev[:, 0] + dev[:, 1]).max(axis=0), out=max_sq)
         if record:
-            params[t - 1, :, 0] = gamma_t
-            params[t - 1, :, 1] = beta_t
-        nxt = z - gamma_t[:, None] * (grad + dgrad) + beta_t[:, None] * momentum
-        zs[(t + 1) % slots] = nxt
-        np.maximum(max_sq, _row_sq(nxt - cyc[(t + 1) % k]), out=max_sq)
+            params[t0 - 1:t0 - 1 + span, :, 0] = gamma_c[:span, 0]
+            params[t0 - 1:t0 - 1 + span, :, 1] = beta_c[:span, 0]
+        else:
+            zs[:2] = zs[span:span + 2]
 
     max_dev = np.sqrt(max_sq)
     stayed = max_dev <= ce.r_max * (1.0 + 1e-12)
-    return TubeRuns(max_dev, stayed, zs if record else None, params)
+    iterates = np.ascontiguousarray(zs.transpose(0, 2, 1)) if record else None
+    return TubeRuns(max_dev, stayed, iterates, params)
 
 
 def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
@@ -488,14 +563,14 @@ def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     and gradient noise both zero the residual contraction factor is fitted
     and returned (it matches the rate of heavy ball on the isotropic
     mu-quadratic), and a strict run is plain heavy ball from its seeded
-    start: it takes the float step of ``run`` on the exact gradient, with
-    the bits of the batch.  Its start obeys condition 1, so it provably
+    start: ``run`` steps the exact gradient's ``grad_xy`` in Python floats,
+    with the bits of the batch.  Its start obeys condition 1, so it provably
     stays in the tube and ``run`` never truncates it.
     """
     noise_free = noise.gamma_jitter == noise.beta_jitter == noise.grad_noise == 0.0
     if noise_free and strict:
         _, starts = _start_batch(ce, c, p, k, [noise], steps, strict)
-        trace = run(CounterexampleFunction(ce, c).grad, p, starts[0, 0], starts[1, 0], steps)
+        trace = run(CounterexampleFunction(ce, c), p, starts[0, 0], starts[1, 0], steps)
     else:
         runs = perturbed_runs(ce, c, p, k, [noise], steps, strict, record=True)
         trace = SimTrace(runs.iterates[:, 0], steps, runs.params_used[:, 0])

@@ -51,6 +51,9 @@ MEMBERSHIP_ROUNDING = 16 * _UNIT_ROUNDOFF
 _COS_ROUNDING = 4 * float(np.finfo(float).eps)
 # Cells per call of the smallest-period kernel in ``member_any_grid``.
 _GRID_CHUNK = 16384
+# The ufunc behind np.clip, whose Python wrapper costs more than the clip
+# of a few hundred points.
+_clip = np._core.umath.clip
 
 
 @dataclass(frozen=True)
@@ -391,7 +394,9 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     and t+1 are the only exterior feature cells meeting cone t.  A NaN
     point takes cone 0 and projects to NaN.  ``x`` has shape (n, 2).  One
     point runs in Python floats (numpy's per-call overhead dwarfs its
-    arithmetic there), more points as arrays of one coordinate.  The two
+    arithmetic there), more points as (2, n) arrays, one row per
+    coordinate (contiguous when ``x`` is F-ordered, as the transposed
+    state of ``perturbed_runs`` is).  The two
     give the same bits, except within rounding of a ray between cones,
     where math.atan2 and np.arctan2 may round apart and take neighbouring
     edges: both then give the closest point to rounding.  The one-point
@@ -401,26 +406,31 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     if len(x) == 1:
         x0, x1 = x[0].tolist()
         return np.array([_project_one(ce, _sector(ce, x0, x1), x0, x1)], dtype=float)
-    x0, x1 = x[:, 0], x[:, 1]
-    sector = np.arctan2(x1, x0)
+    x_t = x.T
+    sector = np.arctan2(x_t[1], x_t[0])
     sector -= ce.phi
     sector *= 0.5 * ce.k / math.pi
     # fmax turns NaN into cone -K = 0 (mod K): the cast would warn on NaN.
-    np.fmax(np.floor(sector, out=sector), -ce.k, out=sector)
-    h0, h1, e0, e1, edge_sq = ce._edge_table.take(sector.astype(np.intp), axis=1, mode="wrap")
-    rel0 = x0 - h0
-    rel1 = x1 - h1
-    inside = e0 * rel1 - e1 * rel0 >= 0.0
-    t = rel0 * e0
-    t += rel1 * e1
+    # As -K is an integer, flooring after it is flooring before it.
+    np.fmax(sector, -ce.k, out=sector)
+    cone = np.floor(sector, out=np.empty(len(x), dtype=np.intp), casting="unsafe")
+    edge = ce._edge_table.take(cone, axis=1, mode="wrap")
+    h, e, edge_sq = edge[:2], edge[2:4], edge[4]
+    rel = x_t - h
+    # cross = (e1 rel0, e0 rel1): the point is inside iff e0 rel1 - e1 rel0 >= 0.
+    cross = e[::-1] * rel
+    inside = cross[1] - cross[0] >= 0.0
+    rel *= e
+    t = np.add(rel[0], rel[1], out=sector)
     t /= edge_sq
-    np.clip(t, 0.0, 1.0, out=t)
+    # Unlike np.maximum and np.minimum, clip keeps -0.0, as _project_one's
+    # clamp does.
+    _clip(t, 0.0, 1.0, out=t)
     proj = np.empty_like(x)
-    c0, c1 = proj[:, 0], proj[:, 1]
-    np.multiply(t, e0, out=c0)
-    c0 += h0
-    np.multiply(t, e1, out=c1)
-    c1 += h1
+    proj_t = proj.T
+    np.multiply(t, e[0], out=proj_t[0])
+    np.multiply(t, e[1], out=proj_t[1])
+    proj_t += h
     np.copyto(proj, x, where=inside[:, None])
     return proj
 
@@ -478,7 +488,11 @@ class CounterexampleFunction:
     def grad(self, x) -> np.ndarray:
         """Exact gradient at one point, in Python floats (``_grad_one``)."""
         x0, x1 = np.asarray(x, dtype=float).tolist()
-        return np.array(_grad_one(self.ce, self.fclass, _sector(self.ce, x0, x1), x0, x1))
+        return np.array(self.grad_xy(x0, x1))
+
+    def grad_xy(self, x0: float, x1: float) -> tuple[float, float]:
+        """``grad`` at the point (x0, x1), as the float pair (g0, g1)."""
+        return _grad_one(self.ce, self.fclass, _sector(self.ce, x0, x1), x0, x1)
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
         return _counterexample_batch(self.ce, self.fclass, x, value=False)[1]

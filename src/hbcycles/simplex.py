@@ -87,20 +87,28 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
 def _optimize(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
               basis: np.ndarray, max_iter: int) -> tuple[str, int, np.ndarray]:
     """Iterate with periodic exact refactorization until a fresh tableau
-    confirms optimality with zero further pivots.  Every refactorized basis
-    must be primal feasible.  Returns the status, the pivot count and the
-    last tableau."""
+    confirms optimality with zero further pivots.  The first tableau
+    checks the starting basis: a singular or primal-infeasible one raises
+    ValueError.  Every later refactorized basis must be primal feasible.
+    Returns the status, the pivot count and the last tableau."""
     scale = max(1.0, float(np.abs(b).max()))
+    ab = np.hstack([a, b[:, None]])
+    try:
+        tableau = np.linalg.solve(a[:, basis], ab)  # [B^-1 A | B^-1 b]
+    except np.linalg.LinAlgError:
+        raise ValueError("starting basis is singular") from None
+    x_basic = tableau[:, -1]
+    if not np.all(x_basic >= -_FEAS_TOL * scale):
+        raise ValueError(f"starting basis is not primal feasible: min x_B = {x_basic.min()}")
     total = 0
-    while total <= max_iter:
-        tableau = np.linalg.solve(a[:, basis], np.hstack([a, b[:, None]]))  # [B^-1 A | B^-1 b]
-        if tableau[:, -1].min() < -_FEAS_TOL * scale:
-            return "lost_feasibility", total, tableau
+    while True:
         status, it = _iterate(tableau, basis, cost, max_iter - total)
         total += it
         if status != "optimal" or it == 0:
             return status, total, tableau
-    return "iteration_limit", total, tableau
+        tableau = np.linalg.solve(a[:, basis], ab)
+        if tableau[:, -1].min() < -_FEAS_TOL * scale:
+            return "lost_feasibility", total, tableau
 
 
 def solve_canonical(cost, a_eq, b_eq, basis, max_iter: int = 20000) -> SimplexResult:
@@ -119,7 +127,7 @@ def solve_canonical(cost, a_eq, b_eq, basis, max_iter: int = 20000) -> SimplexRe
     flip = b < 0
     a[flip] *= -1.0
     b[flip] *= -1.0
-    basis = _checked_basis(a, b, basis, max(1.0, float(np.abs(b).max())))
+    basis = _checked_basis(a, basis)
 
     status, it, tableau = _optimize(a, b, c, basis, max_iter)
     if status != "optimal":
@@ -132,17 +140,10 @@ def solve_canonical(cost, a_eq, b_eq, basis, max_iter: int = 20000) -> SimplexRe
     return SimplexResult("optimal", x, float(c @ x), it, dual)
 
 
-def _checked_basis(a: np.ndarray, b: np.ndarray, basis, scale: float) -> np.ndarray:
+def _checked_basis(a: np.ndarray, basis) -> np.ndarray:
     m, n = a.shape
     basis = np.array(basis, dtype=int)
     if (basis.shape != (m,) or len(set(basis.tolist())) != m
             or basis.min() < 0 or basis.max() >= n):
         raise ValueError(f"a basis needs {m} distinct column indices in [0, {n})")
-    try:
-        x_basic = np.linalg.solve(a[:, basis], b)
-    except np.linalg.LinAlgError:
-        raise ValueError("starting basis is singular") from None
-    if not np.all(x_basic >= -_FEAS_TOL * scale):
-        raise ValueError(f"starting basis is not primal feasible: min x_B = {x_basic.min()}")
     return basis
-

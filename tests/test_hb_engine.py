@@ -147,6 +147,42 @@ class TestRun:
             gradient, p, x0, x1, 30)
 
 
+class TestRunOnGradXy:
+    """``run`` handed a ``CounterexampleFunction`` steps its ``grad_xy`` in
+    Python floats, with the bits of ``run`` on its ``grad``."""
+
+    @pytest.mark.parametrize("x0,x1,steps", [
+        ([1.0, 0.0], [math.cos(2 * math.pi / 7), math.sin(2 * math.pi / 7)], 10000),
+        ([math.nan, math.nan], [math.nan, math.nan], 5),
+        ([0.3, -0.2], [math.nan, 0.1], 5),
+        ([math.nan, 0.0], [0.9, 0.1], 5),
+        ([-0.0, 0.0], [0.0, -0.0], 50),
+        ([1e-310, -0.0], [-5e-324, 0.7], 50)])
+    def test_matches_the_callable_path(self, interior_setup, x0, x1, steps):
+        p, c, ce = interior_setup
+        fn = CounterexampleFunction(ce, c)
+        new = run(fn, p, x0, x1, steps)
+        assert _trace_bits(new) == _trace_bits(run(fn.grad, p, x0, x1, steps))
+        assert new.truncated == (not math.isfinite(x0[0] + x1[0]))
+
+    @pytest.mark.parametrize("seed", [0, 24])
+    def test_decay_run(self, seed):
+        p, ce, _ = _member_setup(7)
+        _, starts = hb_engine._start_batch(ce, _MEMBER_CLASS, p, 7,
+                                           [NoiseSpec(init_radius=0.9, seed=seed)], 2500, True)
+        fn = CounterexampleFunction(ce, _MEMBER_CLASS)
+        x0, x1 = starts[:, 0]
+        assert _trace_bits(run(fn, p, x0, x1, 2500)) == _trace_bits(run(fn.grad, p, x0, x1, 2500))
+
+    @pytest.mark.parametrize("x0,x1", [
+        (1.0, 1.0), ([1.0], [1.0]), ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([1.0, 0.0], [[1.0, 0.0]]), ([[1.0, 0.0]], [1.0, 0.0])])
+    def test_start_of_another_shape_raises(self, interior_setup, x0, x1):
+        p, c, ce = interior_setup
+        with pytest.raises(ValueError, match="a grad_xy oracle needs 2-D starting points"):
+            run(CounterexampleFunction(ce, c), p, x0, x1, 3)
+
+
 def _trace_bits(trace):
     return (trace.iterates.tobytes(), trace.params_used.tobytes(), trace.grad_calls,
             trace.truncated)
@@ -495,6 +531,40 @@ class TestPerturbedRuns:
         cyc = rou_cycle(7).points
         dev = np.linalg.norm(recorded.iterates - cyc[np.arange(302) % 7, None], axis=2)
         assert np.array_equal(recorded.max_dev, dev.max(axis=0))
+
+    # An unrecorded batch keeps one chunk of iterates and maxes its
+    # deviations once per chunk; across two chunk boundaries or more, its
+    # max_dev is the recorded batch's and the oracle's.
+    @settings(max_examples=10, deadline=None)
+    @given(k=st.sampled_from([5, 7]), extra=st.integers(1, _DRAW_CHUNK),
+           uniform=st.lists(_noise_fractions, min_size=1, max_size=3),
+           adversarial=st.lists(_noise_fractions, min_size=1, max_size=3), data=st.data())
+    def test_unrecorded_max_dev_matches_recorded_and_oracle(self, k, extra, uniform,
+                                                            adversarial, data):
+        steps = 2 * _DRAW_CHUNK + extra
+        fractions = data.draw(st.permutations(
+            [(*f[:4], "uniform-random", f[5]) for f in uniform]
+            + [(*f[:4], "adversarial-sign", f[5]) for f in adversarial]))
+        p, ce, budget = _member_setup(k)
+        noises = _noise_specs(fractions, budget)
+        rolled = perturbed_runs(ce, _MEMBER_CLASS, p, k, noises, steps, strict=False)
+        recorded = perturbed_runs(ce, _MEMBER_CLASS, p, k, noises, steps,
+                                  strict=False, record=True)
+        assert rolled.max_dev.tobytes() == recorded.max_dev.tobytes()
+        assert rolled.stayed_in_tube.tolist() == recorded.stayed_in_tube.tolist()
+        cyc = rou_cycle(k).points[np.arange(steps + 2) % k]
+        for i, noise in enumerate(noises):
+            _, _, max_dev, _ = sequential_perturbed_run(ce, _MEMBER_CLASS, p, k, noise, steps)
+            if noise.mode == "uniform-random":
+                assert rolled.max_dev[i].tobytes() == np.float64(max_dev).tobytes()
+            else:
+                # The oracle's one-point norm and dot products may round
+                # apart from the batch's row forms (_assert_matches_oracle):
+                # the oracle's max of norms, bit for bit, on the batch's
+                # iterates, and the oracle's value to 1e-12.
+                own = np.linalg.norm(recorded.iterates[:, i] - cyc, axis=1).max()
+                assert rolled.max_dev[i].tobytes() == own.tobytes()
+                assert abs(rolled.max_dev[i] - max_dev) <= 1e-12
 
     def test_strict_check_names_the_violating_spec(self):
         p, ce, budget = _member_setup(7)

@@ -214,3 +214,23 @@ def test_infeasible_starting_basis_rejected():
 def test_malformed_or_singular_basis_rejected(basis):
     with pytest.raises(ValueError):
         solve_canonical([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0], basis=basis)
+
+
+def test_singular_starting_basis_is_named():
+    with pytest.raises(ValueError, match="starting basis is singular"):
+        solve_canonical([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0], basis=[0, 1])
+
+
+def test_starting_basis_is_factorized_once(monkeypatch):
+    # The first tableau is the check of the starting basis: a start that is
+    # already optimal takes one factorization for it and one for the dual.
+    solve = np.linalg.solve
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    res = solve_canonical([1.0, 1.0, 0.0], [[1.0, 1.0, 1.0]], [2.0], basis=[2])
+    assert res.status == "optimal" and res.iterations == 0
+    assert len(calls) == 2
