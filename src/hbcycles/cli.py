@@ -218,6 +218,20 @@ def _parse_noise(value: str, budget: float, flag: str) -> float:
             f"{flag} expects a number or 'within-thm53', got {value!r}")
 
 
+def _noise_spec(args, budget: dict, jitter_share: float) -> NoiseSpec:
+    """The perturbation the noise flags ask for.  'within-thm53' selects a
+    channel's guaranteed-safe budget, times ``jitter_share`` for the gamma
+    and beta jitter; an unset channel is noise-free."""
+    levels = []
+    for channel, key, share in (("gamma", "gamma_jitter", jitter_share),
+                                ("beta", "beta_jitter", jitter_share),
+                                ("grad", "grad_noise", 1.0)):
+        value = getattr(args, f"noise_{channel}")
+        levels.append(0.0 if value is None else
+                      _parse_noise(value, budget[key] * share, f"--noise-{channel}"))
+    return NoiseSpec(args.noise_init or 0.0, *levels, args.noise_mode, args.seed)
+
+
 def _cmd_rate(args) -> int:
     c = FunctionClass(args.mu, args.L)
     report = rate_on_quadratics(HbParams(args.gamma, args.beta), c)
@@ -256,11 +270,9 @@ def _sweep_grid(args, c: FunctionClass):
 def _cmd_sweep(args) -> int:
     c = FunctionClass(args.mu, args.L)
     if args.k_max < 3:
-        print(f"error: --k-max must be at least 3, got {args.k_max}", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError(f"--k-max must be at least 3, got {args.k_max}")
     if args.mode != "rate" and args.beta_min < 0:
-        print("error: region sweeps are defined for beta >= 0", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError("region sweeps are defined for beta >= 0")
     gammas, betas = _sweep_grid(args, c)
     g, b = np.meshgrid(gammas, betas, indexing="ij")
 
@@ -368,7 +380,7 @@ def _lp_region_chunk(cells, mu, ell, k_max):
     return rows, counts
 
 
-def _lp_region_rows(g, b, c, k_max, workers=1):
+def _lp_region_rows(g, b, c, k_max, workers):
     """Rows of the lp-region cells, gamma-major, and their summed counters.
 
     The pool maps over contiguous chunks and preserves their order; a row
@@ -400,9 +412,8 @@ def _cmd_cycle_demo(args) -> int:
     noisy = any(v not in (None, 0.0) for v in
                 (args.noise_init, args.noise_gamma, args.noise_beta, args.noise_grad))
     if noisy and (args.smooth or scale != 1.0):
-        print("error: noise flags apply to the exact counterexample run only",
-              file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError(
+            "noise flags apply to the exact counterexample run only")
 
     try:
         sc = stability_constants(p, c.mu)
@@ -414,18 +425,7 @@ def _cmd_cycle_demo(args) -> int:
 
     if noisy:
         budget = noise_budget(p, c, ce)
-        noise = NoiseSpec(
-            init_radius=args.noise_init or 0.0,
-            gamma_jitter=_parse_noise(args.noise_gamma, budget["gamma_jitter"],
-                                      "--noise-gamma") if args.noise_gamma else 0.0,
-            beta_jitter=_parse_noise(args.noise_beta, budget["beta_jitter"],
-                                     "--noise-beta") if args.noise_beta else 0.0,
-            grad_noise=_parse_noise(args.noise_grad, budget["grad_noise"],
-                                    "--noise-grad") if args.noise_grad else 0.0,
-            mode=args.noise_mode,
-            seed=args.seed,
-        )
-        result = perturbed_run(ce, c, p, k, noise, args.steps)
+        result = perturbed_run(ce, c, p, k, _noise_spec(args, budget, 1.0), args.steps)
         trace = result.trace
         out["stayed_in_tube"] = result.stayed_in_tube
         out["residual_decay_rate"] = result.residual_decay_rate
@@ -471,8 +471,7 @@ def _cmd_lp_check(args) -> int:
            "margin": margin, "feasible": cert is not None}
     if cert is not None:
         grads = cycle_gradients(cert.points, p)
-        res = interpolation_residuals(cert.points, grads,
-                                      np.zeros(args.K), c)
+        res = interpolation_residuals(cert.points, grads, np.zeros(args.K), c)
         out["nu"] = cert.nu
         # The diagonal is identically zero; the pairs are the constraints.
         out["max_residual"] = float(res[~np.eye(args.K, dtype=bool)].max())
@@ -485,17 +484,8 @@ def _cmd_robustness(args) -> int:
     p = HbParams(args.gamma, args.beta)
     ce = build_counterexample(p, c, args.K)
     budget = noise_budget(p, c, ce)
-    base = NoiseSpec(
-        init_radius=args.noise_init,
-        gamma_jitter=_parse_noise(args.noise_gamma, budget["gamma_jitter"] / 2,
-                                  "--noise-gamma"),
-        beta_jitter=_parse_noise(args.noise_beta, budget["beta_jitter"] / 2,
-                                 "--noise-beta"),
-        grad_noise=_parse_noise(args.noise_grad, budget["grad_noise"],
-                                "--noise-grad"),
-        mode=args.noise_mode,
-        seed=0,
-    )
+    # 'within-thm53' splits condition 2's budget between gamma and beta.
+    base = _noise_spec(args, budget, 0.5)
     seeded = [replace(base, seed=args.seed + i) for i in range(args.runs)]
     _check_runs(p, c, ce, budget, seeded)
 
@@ -546,13 +536,31 @@ def _add_class_flags(sp) -> None:
     sp.add_argument("--L", type=float, required=True)
 
 
-def _add_point_flags(sp) -> None:
+def _add_point_flags(sp, period: bool = False) -> None:
+    """--gamma, --beta, the class and, with ``period``, the cycle period --K."""
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     _add_class_flags(sp)
+    if period:
+        sp.add_argument("--K", type=int, required=True)
 
 
+def _add_noise_flags(sp, init, level) -> None:
+    """The perturbation flags, with the command's defaults for --noise-init
+    and the three channel levels.  A level is a number, or 'within-thm53'
+    ('auto') for the guaranteed-safe budget (see ``_noise_spec``)."""
+    sp.add_argument("--noise-init", type=float, default=init,
+                    help="initial offset as a fraction of kappa_P * r_max")
+    for channel in ("gamma", "beta", "grad"):
+        sp.add_argument(f"--noise-{channel}", default=level)
+    sp.add_argument("--noise-mode", choices=("uniform-random", "adversarial-sign"),
+                    default="uniform-random")
+    sp.add_argument("--seed", type=int, default=0)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after that."""
     parser = argparse.ArgumentParser(
         prog="hbcycles",
         description="Convergence and cycling landscape of the heavy-ball method")
@@ -566,12 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="grid sweep over (gamma, beta)")
     sp.add_argument("--mode", choices=SWEEP_MODES, required=True)
     _add_class_flags(sp)
-    sp.add_argument("--gamma-min", type=_finite_float, default=None)
-    sp.add_argument("--gamma-max", type=_finite_float, default=None)
-    sp.add_argument("--gamma-count", type=_positive_int, default=200)
-    sp.add_argument("--beta-min", type=_finite_float, default=0.0)
-    sp.add_argument("--beta-max", type=_finite_float, default=1.0)
-    sp.add_argument("--beta-count", type=_positive_int, default=200)
+    for axis, lo, hi in (("gamma", None, None), ("beta", 0.0, 1.0)):
+        sp.add_argument(f"--{axis}-min", type=_finite_float, default=lo)
+        sp.add_argument(f"--{axis}-max", type=_finite_float, default=hi)
+        sp.add_argument(f"--{axis}-count", type=_positive_int, default=200)
     sp.add_argument("--k-max", type=int, default=100, help="largest period, at least 3")
     sp.add_argument("--C", type=_finite_float, default=50.0 / 3.0 + 0.01,
                     help="rate constant for the sls-overlay mode")
@@ -585,45 +591,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cycle-demo",
                         help="simulate the counterexample cycle, optionally "
                              "smoothed, dilated or perturbed")
-    _add_point_flags(sp)
-    sp.add_argument("--K", type=int, required=True)
+    _add_point_flags(sp, period=True)
     sp.add_argument("--steps", type=_positive_int, default=10000)
     sp.add_argument("--tol", type=_nonnegative_float, default=1e-8,
                     help="cycle tolerance at unit scale; --lambda scales it")
     sp.add_argument("--smooth", type=_smooth_radius, default=None,
                     help="mollifier support radius, or 'auto' for r_max/2")
-    # Noise flags take a number; 'within-thm53'/'auto' selects the full
-    # guaranteed-safe per-channel budget.
     sp.add_argument("--lambda", "--scale", type=float, default=1.0, dest="scale",
                     help="dilation factor applied to the function and cycle")
-    sp.add_argument("--noise-init", type=float, default=None,
-                    help="initial offset as a fraction of kappa_P * r_max")
-    sp.add_argument("--noise-gamma", default=None)
-    sp.add_argument("--noise-beta", default=None)
-    sp.add_argument("--noise-grad", default=None)
-    sp.add_argument("--noise-mode", choices=("uniform-random", "adversarial-sign"),
-                    default="uniform-random")
-    sp.add_argument("--seed", type=int, default=0)
+    _add_noise_flags(sp, init=None, level=None)
     sp.add_argument("--out", default=None, help="trace CSV path")
     sp.set_defaults(func=_cmd_cycle_demo)
 
     sp = sub.add_parser("lp-check", help="linear-feasibility cycle test at one point")
-    _add_point_flags(sp)
-    sp.add_argument("--K", type=int, required=True)
+    _add_point_flags(sp, period=True)
     sp.set_defaults(func=_cmd_lp_check)
 
     sp = sub.add_parser("robustness", help="seeded perturbed runs around the cycle")
-    _add_point_flags(sp)
-    sp.add_argument("--K", type=int, required=True)
+    _add_point_flags(sp, period=True)
     sp.add_argument("--runs", type=_positive_int, default=100)
     sp.add_argument("--steps", type=_positive_int, default=1000)
-    sp.add_argument("--noise-init", type=float, default=0.5)
-    sp.add_argument("--noise-gamma", default="within-thm53")
-    sp.add_argument("--noise-beta", default="within-thm53")
-    sp.add_argument("--noise-grad", default="within-thm53")
-    sp.add_argument("--noise-mode", choices=("uniform-random", "adversarial-sign"),
-                    default="uniform-random")
-    sp.add_argument("--seed", type=int, default=0)
+    _add_noise_flags(sp, init=0.5, level="within-thm53")
     sp.add_argument("--max-overdrive", type=_finite_float, default=64.0)
     sp.set_defaults(func=_cmd_robustness)
 
@@ -635,8 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad_rates import FunctionClass, HbParams
+from .quad_rates import _UNIT_ROUNDOFF, FunctionClass, HbParams
 from .simplex import solve_canonical
 
 FEASIBILITY_TOL = 1e-9
@@ -67,7 +67,6 @@ INDETERMINATE_TOL = 1e-8
 # reports t* only up to its own tolerances; that a skipped solve would have
 # reported a margin on the same side is checked on the sweep grids, not proven.
 SCREEN_SLACK = 1e-10
-_UNIT_ROUNDOFF = 2.0 ** -53
 # lp_matrices' error bound per cell is this times the cell's magnitude (see
 # there): 212 units of roundoff to first order, rounded up to 256 to cover
 # the second-order terms and the rounding of the bound itself.

@@ -29,6 +29,10 @@ import numpy as np
 from .quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from .rou_region import CounterExample, CounterexampleFunction, rou_cycle
 
+# Relative slack of every tube check, so a bound met in full is not lost to
+# rounding.
+_TUBE_SLACK = 1.0 + 1e-12
+
 
 @dataclass
 class SimTrace:
@@ -277,8 +281,7 @@ def _tube_coefficients(p: HbParams, mu: float, kappa_p: float,
     return 4.0 / p.gamma + mu * kappa_p * r_max, 2.0 + 2.0 * kappa_p * r_max
 
 
-def noise_budget(p: HbParams, c: FunctionClass, ce: CounterExample,
-                 epsilon: float | None = None) -> dict:
+def noise_budget(p: HbParams, c: FunctionClass, ce: CounterExample) -> dict:
     """Maximal guaranteed-safe noise magnitudes around the cycle.
 
     The three tube conditions are
@@ -289,7 +292,7 @@ def noise_budget(p: HbParams, c: FunctionClass, ce: CounterExample,
     Returns the per-channel budgets (each assumes the shared budget of its
     condition is spent on that channel alone).
     """
-    sc = stability_constants(p, c.mu, epsilon)
+    sc = stability_constants(p, c.mu)
     slack = 0.5 * (1.0 - sc.rho_d) * sc.kappa_p * ce.r_max
     gamma_coeff, beta_coeff = _tube_coefficients(p, c.mu, sc.kappa_p, ce.r_max)
     return {
@@ -368,19 +371,19 @@ def _check_runs(p: HbParams, c: FunctionClass, ce: CounterExample, budget: dict,
     init, gamma_jitter, beta_jitter, grad_noise = np.array(
         [(n.init_radius, n.gamma_jitter, n.beta_jitter, n.grad_noise)
          for n in noises]).T
-    bad = np.flatnonzero(init > 1.0 + 1e-12)
+    bad = np.flatnonzero(init > _TUBE_SLACK)
     if bad.size:
         raise ValueError(
             "condition 1 violated: initial offset "
             f"{float(init[bad[0]])} * kappa_P * r_max exceeds kappa_P * r_max")
     gamma_coeff, beta_coeff = _tube_coefficients(p, c.mu, budget["kappa_p"], ce.r_max)
     spend = gamma_coeff * gamma_jitter + beta_coeff * beta_jitter
-    bad = np.flatnonzero(spend > budget["param_budget"] * (1.0 + 1e-12))
+    bad = np.flatnonzero(spend > budget["param_budget"] * _TUBE_SLACK)
     if bad.size:
         raise ValueError(
             f"condition 2 violated: parameter jitter spend {float(spend[bad[0]])} "
             f"exceeds budget {budget['param_budget']}")
-    bad = np.flatnonzero(grad_noise > budget["grad_noise"] * (1.0 + 1e-12))
+    bad = np.flatnonzero(grad_noise > budget["grad_noise"] * _TUBE_SLACK)
     if bad.size:
         raise ValueError(
             f"condition 3 violated: gradient noise {float(grad_noise[bad[0]])} "
@@ -547,7 +550,7 @@ def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
             zs[:2] = zs[span:span + 2]
 
     max_dev = np.sqrt(max_sq)
-    stayed = max_dev <= ce.r_max * (1.0 + 1e-12)
+    stayed = max_dev <= ce.r_max * _TUBE_SLACK
     iterates = np.ascontiguousarray(zs.transpose(0, 2, 1)) if record else None
     return TubeRuns(max_dev, stayed, iterates, params)
 
@@ -579,7 +582,7 @@ def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     # Row norms as the batch takes them, so the max is its max_dev bit for bit.
     dev = np.sqrt(_row_sq(trace.iterates - rou_cycle(k).points[np.arange(steps + 2) % k]))
     joint = np.sqrt(dev[1:] ** 2 + dev[:-1] ** 2)
-    return PerturbedRun(trace, bool(dev.max() <= ce.r_max * (1.0 + 1e-12)),
+    return PerturbedRun(trace, bool(dev.max() <= ce.r_max * _TUBE_SLACK),
                         _fit_decay(joint))
 
 

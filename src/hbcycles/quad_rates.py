@@ -28,6 +28,8 @@ import numpy as np
 # Absolute tolerance for classifying points sitting on a region boundary.
 # Rates agree across boundaries, so the tag choice only needs determinism.
 BOUNDARY_TOL = 1e-12
+# The unit roundoff u of IEEE doubles; machine epsilon, the gap above 1, is 2u.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class Region(str, Enum):

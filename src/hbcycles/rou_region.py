@@ -33,13 +33,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quad_rates import FunctionClass, HbParams, in_cv_closure, rate_grid, sublevel_set
+from .quad_rates import (
+    _UNIT_ROUNDOFF,
+    FunctionClass,
+    HbParams,
+    in_cv_closure,
+    rate_grid,
+    sublevel_set,
+)
 
 # Default cap for the membership search over periods; larger periods only
 # matter very close to beta = 1.
 DEFAULT_K_MAX = 100
 
-_UNIT_ROUNDOFF = 2.0 ** -53
 # Relative factor of the bound E on the rounding of the membership value at
 # |cos| <= 1, both by ``_membership_quadratic`` and in the coefficient form
 # of ``_candidate_periods``, and of that form's slope: each is at most 9u
@@ -47,8 +53,8 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # to 16u.
 MEMBERSHIP_ROUNDING = 16 * _UNIT_ROUNDOFF
 # Bound on |_cos_period(K) - cos(2*pi/K)|: the angle's rounding (3.2e-16)
-# plus libm's cos, at most 1 ulp (2.2e-16).
-_COS_ROUNDING = 4 * float(np.finfo(float).eps)
+# plus libm's cos, at most 1 ulp (2.2e-16), rounded up to 4 machine epsilons.
+_COS_ROUNDING = 8 * _UNIT_ROUNDOFF
 # Cells per call of the smallest-period kernel in ``member_any_grid``.
 _GRID_CHUNK = 16384
 # The ufunc behind np.clip, whose Python wrapper costs more than the clip
@@ -341,7 +347,7 @@ def build_counterexample(p: HbParams, c: FunctionClass, k: int) -> CounterExampl
     m = ((1.0 + p.beta - c.mu * p.gamma) * np.eye(2) - rot - p.beta * rot.T) \
         / ((c.ell - c.mu) * p.gamma)
     (a, m01), (b, m11) = m.tolist()
-    tol = 4.0 * float(np.finfo(float).eps) * (abs(a) + abs(b))
+    tol = 8.0 * _UNIT_ROUNDOFF * (abs(a) + abs(b))
     if not (k >= 3 and abs(a - m11) <= tol and abs(b + m01) <= tol and a * a + b * b > 0.0):
         raise ValueError(f"degenerate operator: the {k} images are not a regular polygon")
     hull = cyc.points @ m.T

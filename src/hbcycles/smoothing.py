@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hb_engine import run
-from .quad_rates import FunctionClass, HbParams
+from .quad_rates import _UNIT_ROUNDOFF, FunctionClass, HbParams
 from .rou_region import (
     CounterExample,
     CounterexampleFunction,
@@ -40,8 +40,8 @@ from .rou_region import (
     rou_member,
 )
 
-
-_EPS = float(np.finfo(float).eps)
+# Directions, over a half turn, of ``third_derivative_estimate``'s stencils.
+_TAU_DIRECTIONS = 8
 
 
 class QuadraturePrecisionWarning(UserWarning):
@@ -199,7 +199,7 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
     # Covers the rounding of the sector margin, which is of order eps times
     # the size of x and of the polygon, including the interior score read
     # from the edge of a cone whose ray the point is within rounding of.
-    slack = 64.0 * _EPS * (math.hypot(x0, x1) + ce.hull_radius)
+    slack = 128.0 * _UNIT_ROUNDOFF * (math.hypot(x0, x1) + ce.hull_radius)
     if _cell_margin(ce, t, x0, x1) > sce.moll.epsilon + slack:
         return np.array(_grad_one(ce, sce.fclass, t, x0, x1))
     return sce.weights @ _counterexample_batch(ce, sce.fclass, x[None, :] - sce.nodes,
@@ -271,14 +271,13 @@ def dilate(f, scale: float) -> DilatedFunction:
     return DilatedFunction(f.value, f.grad, scale)
 
 
-def third_derivative_estimate(grad_fn, points, h: float = 0.05,
-                              directions: int = 8) -> float:
+def third_derivative_estimate(grad_fn, points, h: float = 0.05) -> float:
     """Divided-difference bound proxy for the Hessian-Lipschitz constant.
 
-    Central second differences of the gradient along a fan of directions at
-    each sample point; the maximum norm over samples divided by h is an
-    empirical estimate, never claimed as the exact constant.  The centre
-    gradient is evaluated once per point.  ``h * h`` must be a normal
+    Central second differences of the gradient along ``_TAU_DIRECTIONS``
+    directions at each sample point; the maximum norm over samples divided
+    by h is an empirical estimate, never claimed as the exact constant.  The
+    centre gradient is evaluated once per point.  ``h * h`` must be a normal
     float (ValueError otherwise): a subnormal divisor loses its precision.
     """
     if not h * h >= sys.float_info.min:
@@ -287,8 +286,8 @@ def third_derivative_estimate(grad_fn, points, h: float = 0.05,
     best = 0.0
     for x in points:
         twice_centre = 2.0 * np.asarray(grad_fn(x))
-        for j in range(directions):
-            angle = math.pi * j / directions
+        for j in range(_TAU_DIRECTIONS):
+            angle = math.pi * j / _TAU_DIRECTIONS
             u = np.array([math.cos(angle), math.sin(angle)])
             second = (np.asarray(grad_fn(x + h * u))
                       - twice_centre

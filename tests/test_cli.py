@@ -612,6 +612,54 @@ class TestOthers:
                              text=True, check=True).stdout
         assert out.strip() == "[]"
 
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # In a fresh interpreter: importing the CLI builds no parser, the
+        # first main call builds one and the later calls reuse it, and a
+        # command repeated after a usage error and --version exits, prints
+        # and writes what its first call did.
+        commands = [
+            ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1", "--gamma-count",
+             "6", "--beta-count", "6", "--k-max", "12", "--out", "lp.csv"],
+            ["cycle-demo", *_TUBE_POINT, "--noise-init", "0.9", "--steps", "200",
+             "--out", "trace.csv"],
+            ["robustness", *_TUBE_POINT, "--runs", "3", "--steps", "100"],
+            ["robustness", *_TUBE_POINT, "--runs", "many"],
+            ["--version"],
+        ]
+        probe = (
+            "import argparse, contextlib, io, json, os, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import hbcycles.cli as cli\n"
+            "calls = [len(built)]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            code = cli.main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    files = {name: open(name).read() for name in sorted(os.listdir())}\n"
+            "    calls.append([code, out.getvalue(), err.getvalue(), files])\n"
+            "print(json.dumps([built.count('hbcycles'), calls]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argvs = commands + commands[:3]
+        out = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env,
+                             cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+        parsers, (at_import, *calls) = json.loads(out)
+        assert at_import == 0 and parsers == 1
+        assert [call[0] for call in calls] == [0, 0, 0, 2, 0, 0, 0, 0]
+        assert "argument --runs" in calls[3][2] and calls[3][1] == ""
+        assert calls[4][1].strip() == cli.__version__
+        for first, again in zip(calls[:3], calls[5:]):
+            assert again[:3] == first[:3]
+            assert {name: again[3][name] for name in first[3]} == first[3]
+
     def test_lp_check(self, capsys):
         code, out, _ = run_cli(capsys, "lp-check", "--gamma", "3.5",
                                "--beta", "0.75", "--mu", "0.005", "--L", "1",

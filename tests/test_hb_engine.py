@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import hbcycles.hb_engine as hb_engine
@@ -73,6 +73,9 @@ _noise_fractions = st.tuples(
     st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
     st.floats(0.0, 2.0), st.sampled_from(["uniform-random", "adversarial-sign"]),
     st.integers(0, 2**32 - 1))
+# The oracle comparisons run the sequential oracle per example, so shrinking
+# a failure takes minutes; without it a failure is reported in seconds.
+_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def _noise_specs(fractions, budget):
@@ -507,7 +510,7 @@ class TestPerturbedRun:
 class TestPerturbedRuns:
     # Runs of up to two noise chunks and a bit cross both kinds of draw
     # boundary: a full chunk and a short last one.
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
     @given(k=st.sampled_from([5, 7]), r=st.sampled_from([1, 3, 17]),
            steps=st.integers(1, 2 * _DRAW_CHUNK + 16), data=st.data())
     def test_batch_matches_sequential_oracle(self, k, r, steps, data):
@@ -535,7 +538,7 @@ class TestPerturbedRuns:
     # An unrecorded batch keeps one chunk of iterates and maxes its
     # deviations once per chunk; across two chunk boundaries or more, its
     # max_dev is the recorded batch's and the oracle's.
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, phases=_NO_SHRINK)
     @given(k=st.sampled_from([5, 7]), extra=st.integers(1, _DRAW_CHUNK),
            uniform=st.lists(_noise_fractions, min_size=1, max_size=3),
            adversarial=st.lists(_noise_fractions, min_size=1, max_size=3), data=st.data())
