@@ -88,10 +88,6 @@ def _emit_json(obj) -> None:
     print(json.dumps(_jsonable(obj), indent=2, sort_keys=True))
 
 
-def _args_echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
 def _write_csv(path, gammas, betas, value, tag) -> None:
     """Rows gamma-major: ``value`` and ``tag`` are (len(gammas), len(betas))."""
     bs = format_floats(betas).tolist()
@@ -102,16 +98,12 @@ def _write_csv(path, gammas, betas, value, tag) -> None:
             fh.writelines([f"{g},{b},{v},{t}\n" for b, v, t in zip(bs, vs, ts)])
 
 
-def _write_metadata(path, command: str, parameters: dict, extra: dict | None = None) -> None:
-    meta = {
-        "tool": "hbcycles",
-        "version": __version__,
-        "command": command,
-        "parameters": _jsonable(parameters),
-    }
-    if extra:
-        meta.update(_jsonable(extra))
-    with open(path, "w", newline="") as fh:
+def _write_metadata(args, extra: dict) -> None:
+    """The sidecar of ``args.out``: the tool, the command, every flag and ``extra``."""
+    parameters = {k: v for k, v in vars(args).items() if k != "func"}
+    meta = {"tool": "hbcycles", "version": __version__, "command": args.command,
+            "parameters": _jsonable(parameters), **_jsonable(extra)}
+    with open(str(args.out) + ".meta.json", "w", newline="") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True))
         fh.write("\n")
 
@@ -171,13 +163,25 @@ def render_svg(csv_path, svg_path, cells=None) -> None:
         fh.write("\n")
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _period(text: str) -> int:
+    """A cycle period: the cycle LP and the K-gon counterexample need K >= 3."""
+    value = _integer(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 3, got {value}")
     return value
 
 
@@ -218,10 +222,12 @@ def _parse_noise(value: str, budget: float, flag: str) -> float:
             f"{flag} expects a number or 'within-thm53', got {value!r}")
 
 
-def _noise_spec(args, budget: dict, jitter_share: float) -> NoiseSpec:
+def _noise_spec(args, budget: dict) -> NoiseSpec:
     """The perturbation the noise flags ask for.  'within-thm53' selects a
-    channel's guaranteed-safe budget, times ``jitter_share`` for the gamma
-    and beta jitter; an unset channel is noise-free."""
+    channel's guaranteed-safe budget; an unset channel is noise-free.  The
+    gamma and beta jitter share condition 2's budget: a jitter channel gets
+    half of it when the other jitter flag is set, all of it otherwise."""
+    jitter_share = 1.0 if None in (args.noise_gamma, args.noise_beta) else 0.5
     levels = []
     for channel, key, share in (("gamma", "gamma_jitter", jitter_share),
                                 ("beta", "beta_jitter", jitter_share),
@@ -292,9 +298,10 @@ def _cmd_sweep(args) -> int:
         tag = np.where((0.0 < g) & (g < 2.0 / c.ell) & (0.0 <= b) & (b < value),
                        "inside", "outside")
     elif args.mode == "lp-region":
-        rows, extra["lp_pairs"] = _lp_region_rows(g, b, c, args.k_max, args.workers)
-        value = np.array([row[2] for row in rows], dtype=float).reshape(g.shape)
-        tag = np.array([row[3] for row in rows]).reshape(g.shape)
+        period, unsure, extra["lp_pairs"] = _lp_region_cells(g, b, c, args.k_max, args.workers)
+        value = np.where(period > 0, period, math.nan).reshape(g.shape)
+        tag = np.where(period > 0, "member",
+                       np.where(unsure, "indeterminate", "none")).reshape(g.shape)
     else:  # sls-overlay
         value, codes = rate_grid(g, b, c)
         rho_target, in_sls = sublevel_set(value, codes, c, args.C)
@@ -311,25 +318,21 @@ def _cmd_sweep(args) -> int:
         }
 
     _write_csv(args.out, gammas, betas, value, tag)
-    _write_metadata(str(args.out) + ".meta.json", "sweep", _args_echo(args), extra)
+    _write_metadata(args, extra)
     if args.svg:
         render_svg(args.out, str(args.out) + ".svg", (g.ravel(), b.ravel(), tag.ravel()))
     print(f"wrote {g.size} rows to {args.out}")
     return 0
 
 
-# Matrix entries per screen evaluation: a block of cells at period K holds
-# this many // ((K-1)(K//2)) cells, at least one, so each of its arrays
-# stays near a megabyte up to K = 513 (26 cells at K = 100, every open cell
-# of a 16 x 16 grid at K <= 25).
-_SCREEN_ENTRIES = 2 ** 17
 # The sidecar's per-pair counters of an lp-region sweep.
 _LP_PAIR_COUNTERS = ("member_by_harmonic", "ruled_out_by_row_dual", "lp_margin_calls")
 
 
-def _lp_region_chunk(cells, mu, ell, k_max):
-    """Rows (gamma, beta, period, tag) of a run of lp-region cells, given as
-    (gamma, beta) pairs, and the run's per-pair counters.
+def _lp_region_chunk(gammas, betas, mu, ell, k_max):
+    """Per cell of a run of lp-region cells, given as arrays, the first
+    member period (0 for none) and whether a period was in doubt; and the
+    run's per-pair counters.
 
     Period by period over the cells still open: ``screen_periods`` proves a
     member or rules the period out where one entry of P decides, and
@@ -339,33 +342,23 @@ def _lp_region_chunk(cells, mu, ell, k_max):
     "member"; so is a cell with a margin too close to call.
     """
     c = FunctionClass(mu, ell)
-    gammas = np.array([gamma for gamma, _ in cells], dtype=float)
-    betas = np.array([beta for _, beta in cells], dtype=float)
-    period = [None] * len(cells)
-    unsure = [False] * len(cells)
+    period = np.zeros(len(gammas), dtype=int)
+    unsure = np.zeros(len(gammas), dtype=bool)
     counts = dict.fromkeys(_LP_PAIR_COUNTERS, 0)
     # One dual store per chunk of neighbouring cells, created here: nothing
     # carries over between chunks, sweeps or worker processes.
     duals = {}
-    open_cells = np.flatnonzero(in_cv_closure(gammas, betas, c)).tolist()
+    open_cells = np.flatnonzero(in_cv_closure(gammas, betas, c))
     for k in range(3, k_max + 1):
-        left = []
-        size = max(1, _SCREEN_ENTRIES // ((k - 1) * (k // 2)))
-        for start in range(0, len(open_cells), size):
-            block = open_cells[start:start + size]
-            member, ruled_out = screen_periods(gammas[block], betas[block], c, k)
-            for i, is_member, is_out in zip(block, member.tolist(), ruled_out.tolist()):
-                if is_member:
-                    period[i] = k
-                    counts["member_by_harmonic"] += 1
-                elif is_out:
-                    counts["ruled_out_by_row_dual"] += 1
-                else:
-                    left.append(i)
+        member, ruled_out = screen_periods(gammas[open_cells], betas[open_cells], c, k)
+        period[open_cells[member]] = k
+        left = open_cells[~(member | ruled_out)]
+        counts["member_by_harmonic"] += int(np.count_nonzero(member))
+        counts["ruled_out_by_row_dual"] += int(np.count_nonzero(ruled_out))
         counts["lp_margin_calls"] += len(left)
-        for i in left:
+        for i in left.tolist():
             try:
-                margin = lp_margin(HbParams(*cells[i]), c, k, duals)
+                margin = lp_margin(HbParams(float(gammas[i]), float(betas[i])), c, k, duals)
             except RuntimeError:
                 unsure[i] = True  # no margin: at best indeterminate
                 continue
@@ -373,31 +366,29 @@ def _lp_region_chunk(cells, mu, ell, k_max):
                 period[i] = k
             elif margin <= INDETERMINATE_TOL:
                 unsure[i] = True
-        open_cells = [i for i in open_cells if period[i] is None]
-    rows = [(gamma, beta, k, "member") if k is not None
-            else (gamma, beta, math.nan, "indeterminate" if doubt else "none")
-            for (gamma, beta), k, doubt in zip(cells, period, unsure)]
-    return rows, counts
+        open_cells = open_cells[period[open_cells] == 0]
+    return period, unsure, counts
 
 
-def _lp_region_rows(g, b, c, k_max, workers):
-    """Rows of the lp-region cells, gamma-major, and their summed counters.
-
-    The pool maps over contiguous chunks and preserves their order; a row
-    and its counters depend on its cell alone, so both are identical at any
+def _lp_region_cells(g, b, c, k_max, workers):
+    """``_lp_region_chunk`` over the lp-region cells, gamma-major.  The pool
+    maps over contiguous chunks and preserves their order; a cell's results
+    and counters depend on the cell alone, so all are identical at any
     worker count.  Four chunks per worker balance the load."""
-    cells = list(zip(g.ravel().tolist(), b.ravel().tolist()))
+    gammas, betas = g.ravel(), b.ravel()
     if workers <= 1:
-        return _lp_region_chunk(cells, c.mu, c.ell, k_max)
+        return _lp_region_chunk(gammas, betas, c.mu, c.ell, k_max)
     from concurrent.futures import ProcessPoolExecutor
 
-    size = -(-len(cells) // (4 * workers))
-    chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
-    chunk_rows = functools.partial(_lp_region_chunk, mu=c.mu, ell=c.ell, k_max=k_max)
+    size = -(-len(gammas) // (4 * workers))
+    starts = range(0, len(gammas), size)
+    chunk = functools.partial(_lp_region_chunk, mu=c.mu, ell=c.ell, k_max=k_max)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(chunk_rows, chunks))
-    rows = [row for part, _ in parts for row in part]
-    return rows, {key: sum(counts[key] for _, counts in parts) for key in _LP_PAIR_COUNTERS}
+        parts = list(pool.map(chunk, [gammas[i:i + size] for i in starts],
+                              [betas[i:i + size] for i in starts]))
+    period, unsure, counts = zip(*parts)
+    return (np.concatenate(period), np.concatenate(unsure),
+            {key: sum(part[key] for part in counts) for key in _LP_PAIR_COUNTERS})
 
 
 def _cmd_cycle_demo(args) -> int:
@@ -425,7 +416,7 @@ def _cmd_cycle_demo(args) -> int:
 
     if noisy:
         budget = noise_budget(p, c, ce)
-        result = perturbed_run(ce, c, p, k, _noise_spec(args, budget, 1.0), args.steps)
+        result = perturbed_run(ce, c, p, k, _noise_spec(args, budget), args.steps)
         trace = result.trace
         out["stayed_in_tube"] = result.stayed_in_tube
         out["residual_decay_rate"] = result.residual_decay_rate
@@ -458,7 +449,7 @@ def _cmd_cycle_demo(args) -> int:
 
     if args.out:
         write_trace_csv(trace, args.out, cycle=cycle_pts)
-        _write_metadata(str(args.out) + ".meta.json", "cycle-demo", _args_echo(args), out)
+        _write_metadata(args, out)
     _emit_json(out)
     return 0
 
@@ -484,8 +475,7 @@ def _cmd_robustness(args) -> int:
     p = HbParams(args.gamma, args.beta)
     ce = build_counterexample(p, c, args.K)
     budget = noise_budget(p, c, ce)
-    # 'within-thm53' splits condition 2's budget between gamma and beta.
-    base = _noise_spec(args, budget, 0.5)
+    base = _noise_spec(args, budget)
     seeded = [replace(base, seed=args.seed + i) for i in range(args.runs)]
     _check_runs(p, c, ce, budget, seeded)
 
@@ -542,7 +532,7 @@ def _add_point_flags(sp, period: bool = False) -> None:
     sp.add_argument("--beta", type=float, required=True)
     _add_class_flags(sp)
     if period:
-        sp.add_argument("--K", type=int, required=True)
+        sp.add_argument("--K", type=_period, required=True, help="cycle period, at least 3")
 
 
 def _add_noise_flags(sp, init, level) -> None:

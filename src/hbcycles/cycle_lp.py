@@ -209,12 +209,12 @@ def harmonic_gram(k: int, ell: int) -> HarmonicGram:
     return HarmonicGram(ell, k, np.cos(2.0 * np.pi * ell * np.abs(idx[:, None] - idx[None, :]) / k))
 
 
-def decompose_circulant(g: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def decompose_circulant(g: np.ndarray) -> np.ndarray:
     """Nonnegative harmonic weights nu with g = sum_ell nu_ell H_ell.
 
     ``g`` must be symmetric circulant with zero row sums; the weights come
-    from the inverse DFT of the first row.  A weight below -tol means ``g``
-    is not PSD-with-zero-row-sums and raises.
+    from the inverse DFT of the first row g_0.  A weight below
+    -1e-9 max(1, max|g_0|) means ``g`` is not PSD-with-zero-row-sums and raises.
     """
     g = np.asarray(g, dtype=float)
     k = g.shape[0]
@@ -239,7 +239,7 @@ def decompose_circulant(g: np.ndarray, tol: float = 1e-9) -> np.ndarray:
             nu[ell - 1] = spectrum[ell] / k
         else:
             nu[ell - 1] = 2.0 * spectrum[ell] / k
-    if np.any(nu < -tol * scale):
+    if np.any(nu < -1e-9 * scale):
         raise ValueError(f"not decomposable with nonnegative weights: min nu = {nu.min()}")
     return np.maximum(nu, 0.0)
 
@@ -273,8 +273,7 @@ class CycleCertificate:
     """Feasible harmonic weights and the symmetric cycle they reconstruct."""
 
     nu: np.ndarray      # (floor(K/2),) nonnegative, sums to 1
-    gram: np.ndarray    # (K, K) = sum_ell nu_ell H_ell
-    points: np.ndarray  # (K, K-1) cycle with Gram matrix ``gram``
+    points: np.ndarray  # (K, K-1) cycle with Gram matrix sum_ell nu_ell H_ell
     margin: float       # minimized constraint margin t* (<= tolerance)
 
 
@@ -357,6 +356,12 @@ def lp_matrices(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray, np
     return pm, LP_MATRIX_ROUNDING * (magnitude + rho)
 
 
+# Matrix entries per screen block: ``screen_periods`` builds P for this many
+# // ((K-1)(K//2)) cells at a time, at least one, so each array stays near a
+# megabyte up to K = 513 (26 cells at K = 100, 16 x 16 cells at K <= 25).
+_SCREEN_ENTRIES = 2 ** 17
+
+
 def screen_periods(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per cell, whether a single harmonic proves a period-``k`` cycle and
     whether a single row's dual rules period ``k`` out, on ``lp_matrices``.
@@ -366,10 +371,16 @@ def screen_periods(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray,
     ``FEASIBILITY_TOL``.  A row i whose minimum exceeds ``INDETERMINATE_TOL``
     plus the bound is the weak-duality certificate y = e_i: the exact t* is
     above ``INDETERMINATE_TOL``.  At most one of the two holds for a cell.
+    Each cell's verdicts depend on that cell alone, whatever the block size.
     """
-    pm, err = lp_matrices(gammas, betas, c, k)
-    member = (pm.max(axis=1) <= FEASIBILITY_TOL - err[:, None]).any(axis=1)
-    ruled_out = pm.min(axis=2).max(axis=1) > INDETERMINATE_TOL + err
+    member = np.zeros(len(gammas), dtype=bool)
+    ruled_out = np.zeros(len(gammas), dtype=bool)
+    size = max(1, _SCREEN_ENTRIES // max(1, (k - 1) * (k // 2)))
+    for start in range(0, len(gammas), size):
+        block = slice(start, start + size)
+        pm, err = lp_matrices(gammas[block], betas[block], c, k)
+        member[block] = (pm.max(axis=1) <= FEASIBILITY_TOL - err[:, None]).any(axis=1)
+        ruled_out[block] = pm.min(axis=2).max(axis=1) > INDETERMINATE_TOL + err
     return member, ruled_out
 
 
@@ -483,30 +494,25 @@ def lp_margin(p: HbParams, c: FunctionClass, k: int,
     return margin
 
 
-def lp_check(p: HbParams, c: FunctionClass, k: int,
-             eps_feas: float = FEASIBILITY_TOL) -> tuple[float, CycleCertificate | None]:
+def lp_check(p: HbParams, c: FunctionClass, k: int) -> tuple[float, CycleCertificate | None]:
     """Margin of the period-``k`` cycle LP and, from the same solve, the
     certificate that ``lp_feasible`` returns."""
     margin, raw, _ = _solve_cycle_lp(_cycle_lp_matrix(p, c, k), p)
-    if margin > eps_feas:
+    if margin > FEASIBILITY_TOL:
         return margin, None
     nu = np.maximum(raw, 0.0)
     total = nu.sum()
     if total <= 0.0:
         return margin, None
     nu /= total
-    m = k // 2
-    gram = sum(nu[ell - 1] * harmonic_gram(k, ell).h for ell in range(1, m + 1))
     points = reconstruct_symmetric_cycle(nu, k)
-    return margin, CycleCertificate(nu=nu, gram=gram, points=points, margin=margin)
+    return margin, CycleCertificate(nu=nu, points=points, margin=margin)
 
 
-def lp_feasible(p: HbParams, c: FunctionClass, k: int,
-                eps_feas: float = FEASIBILITY_TOL) -> CycleCertificate | None:
-    """Cycle certificate at period ``k``, or None when the LP margin is positive.
+def lp_feasible(p: HbParams, c: FunctionClass, k: int) -> CycleCertificate | None:
+    """Period-``k`` cycle certificate, or None when the margin exceeds ``FEASIBILITY_TOL``.
 
-    On success the certificate carries the normalized weights, the circulant
-    Gram matrix they induce, and the reconstructed symmetric cycle in
-    dimension K-1.
+    On success the certificate carries the normalized weights and the
+    reconstructed symmetric cycle in dimension K-1.
     """
-    return lp_check(p, c, k, eps_feas)[1]
+    return lp_check(p, c, k)[1]

@@ -113,24 +113,19 @@ def _run_xy(grad_xy, p: HbParams, x0: np.ndarray, x1: np.ndarray, steps: int,
     return SimTrace(np.array(flat).reshape(steps + 2, 2), steps, params)
 
 
-def detect_cycle(trace: SimTrace, k: int, tol: float,
-                 burn_in: int | None = None) -> tuple[bool, float]:
+def detect_cycle(trace: SimTrace, k: int, tol: float) -> tuple[bool, float]:
     """K-lag periodicity of the trace tail, guarded against converged runs.
 
-    Compares tail iterates with their K-lagged predecessors (burn-in
-    defaults to half the trace) and additionally requires the tail's
-    bounding-box diagonal to reach ``tol``: a converged sequence is
-    K-periodic for every K, so near-constant tails report False.
+    Compares the iterates of the trace's second half with their K-lagged
+    predecessors and additionally requires that tail's bounding-box
+    diagonal to reach ``tol``: a converged sequence is K-periodic for every
+    K, so near-constant tails report False.
     Returns (is_cycle, max K-lag deviation).
     """
     zs = trace.iterates
     if len(zs) < 2 * k + 2:
         raise ValueError("trace too short for the requested period")
-    if burn_in is None:
-        burn_in = len(zs) // 2
-    tail = zs[burn_in:]
-    if len(tail) <= k:
-        tail = zs[-(k + 1):]
+    tail = zs[len(zs) // 2:]  # at least k + 1 iterates
     dev = float(np.max(np.linalg.norm(tail[k:] - tail[:-k], axis=1)))
     # hypot scales before squaring, so the diagonal stays finite for
     # iterates up to the largest finite float (np.linalg.norm overflows

@@ -29,6 +29,7 @@ import numpy as np
 
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-8
+_MAX_ITER = 20000  # pivots per solve, over all passes, before "iteration_limit"
 
 
 @dataclass
@@ -85,7 +86,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
 
 
 def _optimize(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
-              basis: np.ndarray, max_iter: int) -> tuple[str, int, np.ndarray]:
+              basis: np.ndarray) -> tuple[str, int, np.ndarray]:
     """Iterate with periodic exact refactorization until a fresh tableau
     confirms optimality with zero further pivots.  The first tableau
     checks the starting basis: a singular or primal-infeasible one raises
@@ -102,7 +103,7 @@ def _optimize(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
         raise ValueError(f"starting basis is not primal feasible: min x_B = {x_basic.min()}")
     total = 0
     while True:
-        status, it = _iterate(tableau, basis, cost, max_iter - total)
+        status, it = _iterate(tableau, basis, cost, _MAX_ITER - total)
         total += it
         if status != "optimal" or it == 0:
             return status, total, tableau
@@ -111,7 +112,7 @@ def _optimize(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
             return "lost_feasibility", total, tableau
 
 
-def solve_canonical(cost, a_eq, b_eq, basis, max_iter: int = 20000) -> SimplexResult:
+def solve_canonical(cost, a_eq, b_eq, basis) -> SimplexResult:
     """Minimize cost.x subject to a_eq x = b_eq, x >= 0, from ``basis``.
 
     ``basis`` (one column index per row) is a primal-feasible starting
@@ -129,7 +130,7 @@ def solve_canonical(cost, a_eq, b_eq, basis, max_iter: int = 20000) -> SimplexRe
     b[flip] *= -1.0
     basis = _checked_basis(a, basis)
 
-    status, it, tableau = _optimize(a, b, c, basis, max_iter)
+    status, it, tableau = _optimize(a, b, c, basis)
     if status != "optimal":
         return SimplexResult(status, None, None, it)
     # The basis values of the confirming (feasibility-checked) fresh tableau.

@@ -59,6 +59,17 @@ def _undecided_lp_matrices(gammas, betas, c, k):
     return np.full((len(gammas), k - 1, k // 2), 5e-9), np.zeros(len(gammas))
 
 
+def _tags(period, unsure):
+    """The lp-region tag of each cell from ``_lp_region_chunk``'s arrays."""
+    return np.where(period > 0, "member", np.where(unsure, "indeterminate", "none")).tolist()
+
+
+def _cells(gammas, betas):
+    """The gamma-major cells of a grid as two flat arrays."""
+    g, b = np.meshgrid(gammas, betas, indexing="ij")
+    return g.ravel(), b.ravel()
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -197,28 +208,29 @@ class TestSweep:
         # member boundary, so cells next to it are on the grid.  With the
         # screens stubbed out every pair reaches lp_margin, with and without
         # the dual store; the screened sweep gives the same rows too.
-        cells = [(float(gamma), beta) for beta in (0.0, 0.3, 0.6, 0.9)
-                 for gamma in np.linspace(0.1, 1.0, 19) * 2.0 * (1.0 + beta)]
-        screened, _ = _lp_region_chunk(cells, 0.01, 1.0, 12)
+        betas = np.repeat([0.0, 0.3, 0.6, 0.9], 19)
+        gammas = np.tile(np.linspace(0.1, 1.0, 19), 4) * 2.0 * (1.0 + betas)
+        *screened, _ = _lp_region_chunk(gammas, betas, 0.01, 1.0, 12)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
-        stored, counts = _lp_region_chunk(cells, 0.01, 1.0, 12)
+        *stored, counts = _lp_region_chunk(gammas, betas, 0.01, 1.0, 12)
         monkeypatch.setattr(cli, "lp_margin",
                             lambda p, c, k, duals=None: cycle_lp.lp_margin(p, c, k))
-        plain, _ = _lp_region_chunk(cells, 0.01, 1.0, 12)
-        tags = [row[3] for row in stored]
+        *plain, _ = _lp_region_chunk(gammas, betas, 0.01, 1.0, 12)
+        tags = _tags(*stored)
         assert any(a != b for a, b in zip(tags, tags[1:]))
-        assert counts["lp_margin_calls"] > len(cells)
-        # The sides of the comparison are the same row tuples, NaN included.
-        assert repr(stored) == repr(plain) == repr(screened)
+        assert counts["lp_margin_calls"] > len(gammas)
+        for got in (plain, screened):
+            assert all(np.array_equal(a, b) for a, b in zip(got, stored))
 
     def test_lp_region_rows_do_not_depend_on_the_screen_block(self, monkeypatch):
-        # One cell per screen block, the size past K = 513, gives the rows
-        # and counters of the default blocks.
-        cells = [(float(gamma), float(beta)) for gamma in np.linspace(0.5, 3.5, 8)
-                 for beta in np.linspace(0.0, 0.9, 6)]
-        expected = _lp_region_chunk(cells, 0.01, 1.0, 12)
-        monkeypatch.setattr(cli, "_SCREEN_ENTRIES", 1)
-        assert repr(_lp_region_chunk(cells, 0.01, 1.0, 12)) == repr(expected)
+        # One cell per screen block, the size past K = 513, gives the
+        # results and counters of the default blocks.
+        cells = _cells(np.linspace(0.5, 3.5, 8), np.linspace(0.0, 0.9, 6))
+        *expected, expected_counts = _lp_region_chunk(*cells, 0.01, 1.0, 12)
+        monkeypatch.setattr(cycle_lp, "_SCREEN_ENTRIES", 1)
+        *got, counts = _lp_region_chunk(*cells, 0.01, 1.0, 12)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert counts == expected_counts
 
     def test_back_to_back_lp_sweeps_solve_alike(self, capsys, tmp_path, monkeypatch):
         # No dual store outlives its sweep.  The benchmark's grid: on it a
@@ -260,9 +272,8 @@ class TestSweep:
 
         monkeypatch.setattr(cycle_lp, "solve_canonical", counting)
         monkeypatch.setattr(cli, "lp_margin", recording)
-        cells = [(gamma, beta) for gamma in np.linspace(0.25, 4.0, 16).tolist()
-                 for beta in (np.arange(16) / 16.0).tolist()]
-        _lp_region_chunk(cells, 0.01, 1.0, 25)
+        _lp_region_chunk(*_cells(np.linspace(0.25, 4.0, 16), np.arange(16) / 16.0),
+                         0.01, 1.0, 25)
         assert pairs == [(2.5, 0.5, k) for k in (7, 11, 14, 15, 18, 19, 21, 22, 23, 25)]
         assert len(pivots) == 10 and sum(pivots) <= 80
 
@@ -302,9 +313,9 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "lp_margin", margin)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
-        (row,), counts = _lp_region_chunk([(1.0, 0.5)], 0.01, 1.0, 8)
-        gamma, beta, period, tag = row
-        assert (gamma, beta, tag) == (1.0, 0.5, "indeterminate") and math.isnan(period)
+        period, unsure, counts = _lp_region_chunk(np.array([1.0]), np.array([0.5]),
+                                                  0.01, 1.0, 8)
+        assert period.tolist() == [0] and _tags(period, unsure) == ["indeterminate"]
         assert counts == {"member_by_harmonic": 0, "ruled_out_by_row_dual": 0,
                           "lp_margin_calls": 6}
 
@@ -312,8 +323,8 @@ class TestSweep:
         monkeypatch.setattr(cli, "lp_margin",
                             lambda p, c, k, duals=None: 5e-9 if k == 6 else 1.0)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
-        rows, _ = _lp_region_chunk([(1.0, 0.5)], 0.01, 1.0, 8)
-        assert rows[0][3] == "indeterminate"
+        period, unsure, _ = _lp_region_chunk(np.array([1.0]), np.array([0.5]), 0.01, 1.0, 8)
+        assert _tags(period, unsure) == ["indeterminate"]
 
     def test_member_at_a_later_period_outranks_a_failed_solve(self, monkeypatch):
         def margin(p, c, k, duals=None):
@@ -323,8 +334,8 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "lp_margin", margin)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
-        rows, _ = _lp_region_chunk([(1.0, 0.5)], 0.01, 1.0, 8)
-        assert rows == [(1.0, 0.5, 7, "member")]
+        period, unsure, _ = _lp_region_chunk(np.array([1.0]), np.array([0.5]), 0.01, 1.0, 8)
+        assert period.tolist() == [7] and _tags(period, unsure) == ["member"]
 
     def test_period_92_lp_of_the_default_sweep_matches_highs_and_is_ruled_out_by_a_row_dual(self):
         # The default lp-region sweep (6 x 6, k-max 100) reaches this cell;
@@ -337,8 +348,9 @@ class TestSweep:
         assert expected > 0.07
         assert cycle_lp.lp_margin(p, c, 92) == pytest.approx(expected,
                                                              abs=1e-12 * np.abs(pm).max())
-        rows, counts = _lp_region_chunk([(p.gamma, p.beta)], c.mu, c.ell, 92)
-        assert rows[0][3] == "none"
+        period, unsure, counts = _lp_region_chunk(np.array([p.gamma]), np.array([p.beta]),
+                                                  c.mu, c.ell, 92)
+        assert _tags(period, unsure) == ["none"]
         assert counts["ruled_out_by_row_dual"] == 90 and counts["lp_margin_calls"] == 0
 
     @pytest.mark.parametrize("offset,tag", [(0.5, "member"), (4.0, "none")])
@@ -350,8 +362,8 @@ class TestSweep:
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
         beta = 0.5
         gamma = 2.0 * (1.0 + beta) + offset * BOUNDARY_TOL
-        rows, _ = _lp_region_chunk([(gamma, beta)], 0.01, 1.0, 5)
-        assert rows[0][3] == tag
+        period, unsure, _ = _lp_region_chunk(np.array([gamma]), np.array([beta]), 0.01, 1.0, 5)
+        assert _tags(period, unsure) == [tag]
 
     @pytest.mark.parametrize("argv,flag", [
         (("--beta-max", "1e308"), "--beta-max"),
@@ -492,6 +504,17 @@ class TestCycleDemo:
                              "--out", str(tmp_path / "trace.csv"))
         assert code == 0
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("beta", ["within-thm53", "1e-9"])
+    def test_two_jitter_flags_share_the_parameter_budget(self, capsys, beta):
+        # Each keyword jitter channel gets half of condition 2's budget when
+        # the other jitter flag is set, so together they stay within it.
+        code, out, err = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "600",
+                                 "--noise-init", "0.5", "--noise-grad", "within-thm53",
+                                 "--noise-gamma", "within-thm53", "--noise-beta", beta,
+                                 "--seed", "4")
+        assert code == 0 and err == ""
+        assert json.loads(out)["stayed_in_tube"] is True
 
     def test_smooth_dilated_run(self, capsys):
         code, out, _ = run_cli(capsys, "cycle-demo", "--gamma", "3.3",
@@ -765,6 +788,16 @@ class TestOthers:
             main(["cycle-demo", *_TUBE_POINT, "--noise-init", "0.5", "--steps", "0"])
         assert err.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,period", [("lp-check", "2"), ("cycle-demo", "2"),
+                                                ("robustness", "0")])
+    def test_period_below_three_is_usage_error(self, capsys, command, period):
+        with pytest.raises(SystemExit) as err:
+            main([command, *_TUBE_POINT[:-1], period])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --K: must be an integer of at least 3, got {period}" in captured.err
 
     def test_table4(self, capsys):
         code, out, _ = run_cli(capsys, "table4", "--mu", "1", "--L", "100")

@@ -339,10 +339,11 @@ class TestLpFeasible:
     def test_certificate_is_internally_consistent(self, fig4_setup):
         p, c, _ = fig4_setup
         cert = lp_feasible(p, c, 7)
-        eigs = np.linalg.eigvalsh(cert.gram)
+        gram = sum(cert.nu[ell - 1] * harmonic_gram(7, ell).h for ell in range(1, 4))
+        eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-9
-        assert np.abs(cert.gram.sum(axis=1)).max() <= 1e-9
-        assert np.abs(cert.points @ cert.points.T - cert.gram).max() <= 1e-9
+        assert np.abs(gram.sum(axis=1)).max() <= 1e-9
+        assert np.abs(cert.points @ cert.points.T - gram).max() <= 1e-9
 
     def test_certificate_end_to_end_residuals(self, fig4_setup):
         p, c, _ = fig4_setup

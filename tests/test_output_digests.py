@@ -1,0 +1,171 @@
+"""Byte identity of the command line's outputs against committed digests.
+
+Each case runs ``hbcycles.cli.main`` in this process, in a directory of its
+own, with relative output paths.  Its exit code, the SHA-256 digests of its
+stdout and stderr and of every file it writes, and the warnings it raises
+are compared with ``tests/output_digests.json``.  Float formatting and
+numpy's kernels may change between versions, so the manifest records the
+Python and numpy versions it was made with, and any other version fails.
+
+After a change that moves bytes on purpose, regenerate the manifest and
+list each moved digest, with its reason, in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_output_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import re
+import shlex
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hbcycles.cli as cli
+
+MANIFEST = Path(__file__).with_name("output_digests.json")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The counterexample point of bench/run.py's tube and smooth-cycle workloads.
+_POINT = ["--gamma", "3.3", "--beta", "0.75", "--mu", "0.005", "--L", "1", "--K", "7"]
+_SWEEP = ["sweep", "--mode", "sls-overlay", "--mu", "0.01", "--L", "1",
+          "--gamma-count", "5", "--beta-count", "5"]
+_LP_GRID = ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1",
+            "--gamma-count", "16", "--beta-count", "16", "--k-max", "25"]
+
+
+def readme_commands():
+    """The argument lists of the README's ``hbcycles`` shell commands."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("hbcycles ")]
+
+
+def _bench_commands():
+    """bench/run.py's workload commands at seed 0."""
+    def sweep(name, mode, mu, ell, n, *extra):
+        return ["sweep", "--mode", mode, "--mu", mu, "--L", ell, "--gamma-count", str(n),
+                "--beta-count", str(n), "--out", f"{name}.csv", *extra]
+    return [
+        [*_LP_GRID, "--workers", "1", "--out", "lp.csv"],
+        ["robustness", *_POINT, "--runs", "100", "--seed", "0"],
+        ["cycle-demo", *_POINT, "--noise-init", "0.9", "--seed", "0", "--steps", "2500",
+         "--out", "decay.csv"],
+        *(["cycle-demo", *_POINT, "--smooth", "auto", "--lambda", lam, "--steps", "500",
+           "--out", f"smooth-{lam}.csv"] for lam in ("1", "10")),
+        sweep("overlay-3", "sls-overlay", "1e-3", "1", 300),
+        sweep("overlay-4", "sls-overlay", "1e-4", "1", 300),
+        sweep("rate", "rate", "1", "25", 400, "--svg"),
+        sweep("rou", "rou-region", "0.01", "1", 400),
+    ]
+
+
+def _error_commands():
+    """The usage errors of tests/test_cli.py, bad periods and jitter budgets."""
+    return [
+        ["rate", "--gamma", "1", "--beta", "0", "--L", "25"],
+        *([*_SWEEP, *argv, "--out", "x.csv"] for argv in (
+            ("--beta-count", "0"), ("--gamma-count", "0"), ("--gamma-count", "-3"),
+            ("--workers", "0"), ("--gamma-max", "nan"), ("--gamma-min", "-inf"),
+            ("--beta-min", "inf"), ("--beta-max", "nan"), ("--C", "nan"))),
+        *(["sweep", "--mode", mode, "--mu", "0.01", "--L", "1", "--gamma-count", "5",
+           "--beta-count", "5", "--k-max", "2", "--out", "x.csv"] for mode in cli.SWEEP_MODES),
+        ["sweep", "--mode", "rou-region", "--mu", "0.01", "--L", "1", "--beta-min", "-0.5",
+         "--gamma-count", "5", "--beta-count", "5", "--out", "x.csv"],
+        *(["sweep", "--mode", "rate", "--mu", "0.01", "--L", "1", "--gamma-count", "2",
+           "--beta-count", "2", *argv, "--out", "x.csv"] for argv in (
+            ("--beta-max", "1e308"), ("--gamma-min=-1e308", "--gamma-max", "1e308"),
+            ("--beta-min=-1e308", "--beta-max", "1e308", "--gamma-max", "1"))),
+        *(["cycle-demo", *_POINT, "--steps", "50", "--smooth", token]
+          for token in ("nan", "inf", "abc", "0", "-0.01")),
+        *(["cycle-demo", *_POINT, "--steps", "50", "--tol", token]
+          for token in ("nan", "-1", "inf", "abc")),
+        *(["robustness", *_POINT, *argv] for argv in (
+            ("--runs", "-3"), ("--runs", "0"), ("--steps", "-5"), ("--steps", "0"),
+            ("--runs", "2.5"), ("--max-overdrive", "inf"))),
+        ["cycle-demo", *_POINT, "--noise-init", "0.5", "--steps", "0"],
+        ["cycle-demo", *_POINT, "--steps", "50", "--noise-grad", "bogus"],
+        *([command, *_POINT[:-1], period] for command, period in (
+            ("lp-check", "2"), ("cycle-demo", "1"), ("cycle-demo", "2"),
+            ("robustness", "0"), ("robustness", "2.5"))),
+        *(["cycle-demo", *_POINT, "--noise-init", "0.5", "--noise-grad", "within-thm53",
+           "--noise-gamma", "within-thm53", "--noise-beta", beta, "--seed", "4",
+           "--steps", "600"] for beta in ("within-thm53", "1e-9")),
+    ]
+
+
+def cases() -> dict:
+    """Every case by its argument list, joined with spaces."""
+    commands = [*readme_commands(), *_bench_commands(),
+                ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1",
+                 "--gamma-count", "6", "--beta-count", "6", "--k-max", "100",
+                 "--out", "lp6.csv", "--svg"],
+                [*_LP_GRID, "--workers", "2", "--out", "lp.csv"],
+                *_error_commands()]
+    return {" ".join(argv): argv for argv in commands}
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv, directory: Path) -> dict:
+    """Exit code, output digests and warnings of one command run in ``directory``."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    files = {path.relative_to(directory).as_posix(): _sha256(path.read_bytes())
+             for path in sorted(directory.rglob("*")) if path.is_file()}
+    return {"exit": code, "stdout": _sha256(out.getvalue().encode()),
+            "stderr": _sha256(err.getvalue().encode()), "files": files,
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]}
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    recorded = json.loads(MANIFEST.read_text())
+    assert recorded["versions"] == versions(), (
+        f"{MANIFEST.name} was made with {recorded['versions']}, this run has "
+        f"{versions()}: regenerate it with this file as a script on the parent commit")
+    return recorded["cases"]
+
+
+def test_manifest_lists_every_case(manifest):
+    assert sorted(manifest) == sorted(cases())
+
+
+@pytest.mark.parametrize("argv", list(cases().values()), ids=list(cases()))
+def test_outputs_match_the_manifest(manifest, tmp_path, argv):
+    assert run_case(argv, tmp_path) == manifest[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    recorded = {}
+    for key, argv in cases().items():
+        with tempfile.TemporaryDirectory() as directory:
+            recorded[key] = run_case(argv, Path(directory))
+    MANIFEST.write_text(json.dumps({"versions": versions(), "cases": recorded},
+                                   indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(recorded)} cases to {MANIFEST}", file=sys.stderr)
