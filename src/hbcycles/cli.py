@@ -416,11 +416,15 @@ def _cmd_cycle_demo(args) -> int:
 
     if noisy:
         budget = noise_budget(p, c, ce)
-        result = perturbed_run(ce, c, p, k, _noise_spec(args, budget), args.steps)
+        spec = _noise_spec(args, budget)
+        result = perturbed_run(ce, c, p, k, spec, args.steps)
         trace = result.trace
         out["stayed_in_tube"] = result.stayed_in_tube
         out["residual_decay_rate"] = result.residual_decay_rate
         out["guaranteed_bounds"] = budget
+        # The levels the run used, once each keyword is resolved and shared.
+        out["noise_levels"] = {key: getattr(spec, key) for key in
+                               ("init_radius", "gamma_jitter", "beta_jitter", "grad_noise")}
         cycle_pts = cyc.points
     else:
         if args.smooth:

@@ -33,7 +33,13 @@ one DFT of the gradient stencil, with a bound on each cell's rounding error;
   is ruled out.
 
 Each threshold is moved by the cell's rounding bound, so a screened verdict
-holds for the exact P; the pairs neither screen decides are solved.
+holds for the exact P; the pairs neither screen decides are solved.  The
+screen reads row K-1 (lag -1) of every cell first, O(K) entries a cell,
+and builds the full (K-1) x (K//2) matrix only for the cells that row does
+not rule out: a ruled-out row has no entry low enough for a member column,
+so the verdicts equal those of the full screen, at a fraction of the cost
+(on the bench and README sweep grids row K-1 rules out every pair that
+some row does; near beta = 1 at larger kappa another row may be needed).
 
 The tolerances of the cycle tests, in one place:
 
@@ -311,9 +317,12 @@ def _dft_table(k: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def lp_matrices(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray, np.ndarray]:
+def lp_matrices(gammas, betas, c: FunctionClass, k: int,
+                rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """The period-``k`` matrices P of many cells, (n, K-1, K//2), in closed
     form, and for each cell a bound on the rounding error of its entries.
+    ``rows`` selects rows of P (default all K-1): each entry is computed
+    alone, so a selected row has the bits it has in the full matrix.
 
     With w = exp(2 pi i / K), the row-0 gradient stencil has the DFT
     u0_ell = ((1+beta) - w^ell - beta w^-ell) / gamma, and with
@@ -349,8 +358,8 @@ def lp_matrices(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray, np
     im = -(1.0 - b) * sin / g
     z = 1.0 - re / c.ell
     a = (re * re + im * im) / c.ell + q * (z * z + (im / c.ell) ** 2) - re
-    pm = a[:, None, :] * one_minus_cos_phi
-    pm += im[:, None, :] * sin_phi
+    pm = a[:, None, :] * one_minus_cos_phi[rows]
+    pm += im[:, None, :] * sin_phi[rows]
     rho = (2.0 * np.abs(1.0 + b[:, 0]) + np.abs(1.0 - b[:, 0])) / np.abs(g[:, 0])
     magnitude = rho * rho / c.ell + 2.0 * q * (1.0 + rho / c.ell) ** 2 + rho
     return pm, LP_MATRIX_ROUNDING * (magnitude + rho)
@@ -358,8 +367,14 @@ def lp_matrices(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray, np
 
 # Matrix entries per screen block: ``screen_periods`` builds P for this many
 # // ((K-1)(K//2)) cells at a time, at least one, so each array stays near a
-# megabyte up to K = 513 (26 cells at K = 100, 16 x 16 cells at K <= 25).
+# megabyte up to K = 513 (26 cells at K = 100, 16 x 16 cells at K <= 25);
+# its row K-1 alone for this many // (K//2) cells.
 _SCREEN_ENTRIES = 2 ** 17
+
+
+def _cells_per_block(entries: int) -> int:
+    """Cells of ``entries`` matrix entries each in one screen block."""
+    return max(1, _SCREEN_ENTRIES // max(1, entries))
 
 
 def screen_periods(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,16 +386,31 @@ def screen_periods(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray,
     ``FEASIBILITY_TOL``.  A row i whose minimum exceeds ``INDETERMINATE_TOL``
     plus the bound is the weak-duality certificate y = e_i: the exact t* is
     above ``INDETERMINATE_TOL``.  At most one of the two holds for a cell.
-    Each cell's verdicts depend on that cell alone, whatever the block size.
+
+    Row K-1 (lag -1) is screened first, on every cell, at O(K) entries per
+    cell; on the bench and README sweep grids it rules out every pair that
+    some row rules out.  The full P, O(K^2) entries, is built only for the
+    cells it leaves.  A cell it rules out has no column at or below
+    ``FEASIBILITY_TOL`` less the bound, and the full screen would rule it
+    out too, so the verdicts are those of screening all of P.  Each cell's
+    verdicts depend on that cell alone, whatever the block size.
     """
+    gammas = np.asarray(gammas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
     member = np.zeros(len(gammas), dtype=bool)
     ruled_out = np.zeros(len(gammas), dtype=bool)
-    size = max(1, _SCREEN_ENTRIES // max(1, (k - 1) * (k // 2)))
+    size = _cells_per_block(k // 2)
     for start in range(0, len(gammas), size):
         block = slice(start, start + size)
-        pm, err = lp_matrices(gammas[block], betas[block], c, k)
-        member[block] = (pm.max(axis=1) <= FEASIBILITY_TOL - err[:, None]).any(axis=1)
-        ruled_out[block] = pm.min(axis=2).max(axis=1) > INDETERMINATE_TOL + err
+        row, err = lp_matrices(gammas[block], betas[block], c, k, rows=slice(-1, None))
+        ruled_out[block] = row[:, 0].min(axis=1) > INDETERMINATE_TOL + err
+    left = np.flatnonzero(~ruled_out)
+    size = _cells_per_block((k - 1) * (k // 2))
+    for start in range(0, len(left), size):
+        cells = left[start:start + size]
+        pm, err = lp_matrices(gammas[cells], betas[cells], c, k)
+        member[cells] = (pm.max(axis=1) <= FEASIBILITY_TOL - err[:, None]).any(axis=1)
+        ruled_out[cells] = pm.min(axis=2).max(axis=1) > INDETERMINATE_TOL + err
     return member, ruled_out
 
 

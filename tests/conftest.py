@@ -19,7 +19,9 @@ forms must reproduce byte for byte.
 The rational closed form of beta_minus and the one-sided membership search
 are second derivations of what ``rou_region`` computes.  The HiGHS margin
 (scipy, for tests only) is the independent solve of the cycle LP that the
-simplex and the lp-region screens are checked against.
+simplex and the lp-region screens are checked against, and the full-matrix
+screen, every row and column of P read for every cell, is the reference
+of ``screen_periods``' row-(K-1)-first form.
 """
 
 import csv
@@ -30,6 +32,7 @@ import numpy as np
 import pytest
 
 from hbcycles.cli import _TAG_COLORS, _emit_json, _parse_noise
+from hbcycles.cycle_lp import FEASIBILITY_TOL, INDETERMINATE_TOL, lp_matrices
 from hbcycles.hb_engine import NoiseSpec, noise_budget, perturbed_runs
 from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from hbcycles.rou_region import (
@@ -472,3 +475,14 @@ def highs_margin(pm):
                   bounds=[(0, None)] * m + [(None, None)], method="highs")
     assert res.status == 0
     return res.fun
+
+
+def full_matrix_screen_periods(gammas, betas, c, k):
+    """``screen_periods`` on the whole (K-1) x (K//2) matrix P of every
+    cell: a member where some column is at most ``FEASIBILITY_TOL`` less the
+    rounding bound, ruled out where some row is above ``INDETERMINATE_TOL``
+    plus the bound."""
+    pm, err = lp_matrices(np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float), c, k)
+    member = (pm.max(axis=1) <= FEASIBILITY_TOL - err[:, None]).any(axis=1)
+    ruled_out = pm.min(axis=2).max(axis=1) > INDETERMINATE_TOL + err
+    return member, ruled_out

@@ -53,10 +53,12 @@ _ROBUSTNESS_GOLDEN = """{
 """
 
 
-def _undecided_lp_matrices(gammas, betas, c, k):
-    """Every entry of P between the two tolerances and no rounding error:
-    neither screen decides, so each pair reaches ``lp_margin``."""
-    return np.full((len(gammas), k - 1, k // 2), 5e-9), np.zeros(len(gammas))
+def _undecided_lp_matrices(gammas, betas, c, k, rows=slice(None)):
+    """Every entry of P (of the ``rows`` asked for) between the two
+    tolerances and no rounding error: neither screen decides, so each pair
+    reaches ``lp_margin``."""
+    shape = (len(gammas), len(range(k - 1)[rows]), k // 2)
+    return np.full(shape, 5e-9), np.zeros(len(gammas))
 
 
 def _tags(period, unsure):
@@ -338,7 +340,8 @@ class TestSweep:
         assert period.tolist() == [7] and _tags(period, unsure) == ["member"]
 
     def test_period_92_lp_of_the_default_sweep_matches_highs_and_is_ruled_out_by_a_row_dual(self):
-        # The default lp-region sweep (6 x 6, k-max 100) reaches this cell;
+        # The lp-region sweep at --gamma-count 6 --beta-count 6 --k-max 100
+        # (the flag defaults are 200 x 200) reaches this cell;
         # under Bland's rule its period-92 LP ended at the iteration limit.
         # The solve now gives HiGHS's margin, and the sweep never needs it: a
         # single row of P proves the margin positive at every period.
@@ -515,6 +518,26 @@ class TestCycleDemo:
                                  "--seed", "4")
         assert code == 0 and err == ""
         assert json.loads(out)["stayed_in_tube"] is True
+
+    def test_noise_levels_report_what_the_run_used(self, capsys, tmp_path):
+        # --noise-beta within-thm53 and 1e-9 run different traces; the
+        # JSON and the sidecar name the resolved levels, so they differ too.
+        p, c = HbParams(3.3, 0.75), FunctionClass(0.005, 1.0)
+        budget = noise_budget(p, c, build_counterexample(p, c, 7))
+        printed = []
+        for beta, beta_level in (("within-thm53", budget["beta_jitter"] * 0.5), ("1e-9", 1e-9)):
+            code, out, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "600",
+                                   "--noise-init", "0.5", "--noise-grad", "within-thm53",
+                                   "--noise-gamma", "within-thm53", "--noise-beta", beta,
+                                   "--seed", "4", "--out", str(tmp_path / "trace.csv"))
+            assert code == 0
+            levels = json.loads(out)["noise_levels"]
+            assert levels == {"init_radius": 0.5, "gamma_jitter": budget["gamma_jitter"] * 0.5,
+                              "beta_jitter": beta_level, "grad_noise": budget["grad_noise"]}
+            sidecar = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+            assert sidecar["noise_levels"] == levels
+            printed.append(out)
+        assert printed[0] != printed[1]
 
     def test_smooth_dilated_run(self, capsys):
         code, out, _ = run_cli(capsys, "cycle-demo", "--gamma", "3.3",

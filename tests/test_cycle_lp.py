@@ -24,7 +24,7 @@ from hbcycles.cycle_lp import (
 from hbcycles.quad_rates import FunctionClass, HbParams, ghadimi_beta_bound
 from hbcycles.rou_region import rou_cycle, rou_member, rou_member_any
 
-from conftest import highs_margin
+from conftest import full_matrix_screen_periods, highs_margin
 
 LESSARD_POINTS = np.array([792.0, -2208.0, 2592.0]) / 1225.0
 LESSARD_TUNING = HbParams(1.0 / 9.0, 4.0 / 9.0)
@@ -554,6 +554,46 @@ def test_lp_matrices_rounding_bound_holds_in_exact_arithmetic(cell, kappa, ell, 
     # The exact entries are rounded once more, by half an ulp at most.
     exact = exact_lp_matrix(p, c, k)
     assert np.all(np.abs(pm[0] - exact) <= err[0] + np.spacing(np.abs(exact)))
+
+
+@pytest.mark.parametrize("ell", [0.5, 1.0, 25.0])
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(edge_cells, min_size=1, max_size=6),
+       kappa=st.floats(1e-4, 0.98), k=matrix_periods)
+# Row 3 alone rules out the first cell, row K-1 does not; rows 2-6 rule out
+# the second: the full matrix must still be read where row K-1 fails.
+@example(cells=[(0.625, 0.96875), (0.25, 0.5)], kappa=0.5, k=7)
+def test_row_first_screen_matches_the_full_matrix_screen(cells, kappa, ell, k):
+    c = FunctionClass(kappa * ell, ell)
+    gammas = [frac * 2.0 * (1.0 + beta) / ell for frac, beta in cells]
+    betas = [beta for _, beta in cells]
+    row, row_err = lp_matrices(gammas, betas, c, k, rows=slice(-1, None))
+    pm, err = lp_matrices(gammas, betas, c, k)
+    assert row.shape == (len(cells), 1, k // 2)
+    assert np.array_equal(row[:, 0], pm[:, -1]) and np.array_equal(row_err, err)
+    got = screen_periods(gammas, betas, c, k)
+    for a, b in zip(got, full_matrix_screen_periods(gammas, betas, c, k)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k_max, count", [(25, 16), (100, 6)])
+def test_row_first_screen_matches_the_full_matrix_screen_on_sweep_grids(k_max, count):
+    # The bench grid and the 6 x 6 grid at k-max 100, every cell of the
+    # closure at every period: both verdicts occur, and in one call the row
+    # screen rules out some cells and leaves others to the full matrix.
+    gammas, betas = np.meshgrid(np.linspace(4.0 / count, 4.0, count),
+                                np.arange(count) / count, indexing="ij")
+    gammas, betas = gammas.ravel(), betas.ravel()
+    inside = gammas <= 2.0 * (1.0 + betas)
+    gammas, betas = gammas[inside], betas[inside]
+    seen = np.zeros(2, dtype=int)
+    for k in range(3, k_max + 1):
+        member, ruled_out = screen_periods(gammas, betas, SCREEN_CLASS, k)
+        expected = full_matrix_screen_periods(gammas, betas, SCREEN_CLASS, k)
+        assert np.array_equal(member, expected[0])
+        assert np.array_equal(ruled_out, expected[1])
+        seen += member.any(), ruled_out.any() and not ruled_out.all()
+    assert seen.min() > 0
 
 
 def test_lp_matrices_reject_degenerate_inputs():
