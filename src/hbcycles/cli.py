@@ -31,6 +31,7 @@ from .cycle_lp import (
 from .hb_engine import (
     NoiseSpec,
     _check_runs,
+    cycle_distances,
     detect_cycle,
     format_floats,
     noise_budget,
@@ -396,36 +397,37 @@ def _cmd_cycle_demo(args) -> int:
     p = HbParams(args.gamma, args.beta)
     k = args.K
     ce = build_counterexample(p, c, k)
-    cyc = rou_cycle(k)
     scale = args.scale
     out: dict = {"r_max": ce.r_max, "K": k}
 
-    noisy = any(v not in (None, 0.0) for v in
-                (args.noise_init, args.noise_gamma, args.noise_beta, args.noise_grad))
+    # The levels the run uses, once each keyword is resolved and shared; a
+    # level of zero, given or resolved, is no noise.
+    levels = {}
+    if any(v is not None for v in
+           (args.noise_init, args.noise_gamma, args.noise_beta, args.noise_grad)):
+        budget = noise_budget(p, c, ce)
+        spec = _noise_spec(args, budget)
+        levels = {key: getattr(spec, key) for key in
+                  ("init_radius", "gamma_jitter", "beta_jitter", "grad_noise")}
+    noisy = any(levels.values())
     if noisy and (args.smooth or scale != 1.0):
         raise argparse.ArgumentTypeError(
             "noise flags apply to the exact counterexample run only")
 
-    try:
-        sc = stability_constants(p, c.mu)
-        out["kappa_p"] = sc.kappa_p
-        out["rho_d"] = sc.rho_d
-        out["stability_region"] = sc.region_used
-    except ValueError:
-        sc = None
+    # Member points only (build_counterexample): there the matrix contracts.
+    sc = stability_constants(p, c.mu)
+    out["kappa_p"] = sc.kappa_p
+    out["rho_d"] = sc.rho_d
+    out["stability_region"] = sc.region_used
 
     if noisy:
-        budget = noise_budget(p, c, ce)
-        spec = _noise_spec(args, budget)
         result = perturbed_run(ce, c, p, k, spec, args.steps)
         trace = result.trace
         out["stayed_in_tube"] = result.stayed_in_tube
         out["residual_decay_rate"] = result.residual_decay_rate
         out["guaranteed_bounds"] = budget
-        # The levels the run used, once each keyword is resolved and shared.
-        out["noise_levels"] = {key: getattr(spec, key) for key in
-                               ("init_radius", "gamma_jitter", "beta_jitter", "grad_noise")}
-        cycle_pts = cyc.points
+        out["noise_levels"] = levels
+        cycle_pts = rou_cycle(k).points
     else:
         if args.smooth:
             eps = ce.r_max / 2.0 if args.smooth == "auto" else args.smooth
@@ -442,13 +444,12 @@ def _cmd_cycle_demo(args) -> int:
             oracle = CounterexampleFunction(ce, c)
             if scale != 1.0:
                 oracle = dilate(oracle, scale).grad
-        cycle_pts = scale * cyc.points
+        cycle_pts = scale * rou_cycle(k).points
         trace = run(oracle, p, cycle_pts[0], cycle_pts[1], args.steps)
         # Dilation scales the cycle, its deviations and its diameter alike.
         is_cycle, max_dev = detect_cycle(trace, k, tol=args.tol * scale)
         out["verdict"] = "cycles" if is_cycle else "no-cycle"
-        out["max_dev"] = float(np.max(np.linalg.norm(
-            trace.iterates - cycle_pts[np.arange(len(trace.iterates)) % k], axis=1)))
+        out["max_dev"] = float(np.max(cycle_distances(trace.iterates, cycle_pts)))
         out["k_lag_deviation"] = max_dev
 
     if args.out:

@@ -14,8 +14,8 @@ The lift matrices are derived programmatically from the gradient stencil
 (transcribing closed-form entries would invite errors).  Their identity with
 the direct vector-space evaluation is algebraic in (p, c, K), so the test
 suite checks it and no call repeats the check.  The cosine and lag tables of
-the harmonic blocks depend on the period alone and are computed once per
-period.
+the harmonic blocks depend on the period alone and are cached for the
+most recently used periods.
 
 Weak duality makes non-existence cheap to prove: any row weighting y >= 0
 gives t* >= min_ell (y^T P)_ell / sum(y).  ``lp_margin`` with a dual store
@@ -56,7 +56,6 @@ The tolerances of the cycle tests, in one place:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +76,10 @@ SCREEN_SLACK = 1e-10
 # there): 212 units of roundoff to first order, rounded up to 256 to cover
 # the second-order terms and the rounding of the bound itself.
 LP_MATRIX_ROUNDING = 256 * _UNIT_ROUNDOFF
+# Periods whose cosine and lag tables stay cached: each holds O(K^2)
+# entries, so unbounded caches grow as k-max^3 over a sweep (853 MB at k-max
+# 600, 274 MB at 400 against 76 MB with this bound).
+_PERIOD_TABLES = 32
 
 
 def cycle_gradients(points: np.ndarray, p: HbParams) -> np.ndarray:
@@ -129,6 +132,22 @@ def interpolation_residuals(points, grads, values, c: FunctionClass) -> np.ndarr
     return f[None, :] - f[:, None] + lin + quad_g + quad_z
 
 
+def _check_cycle_lp(gamma, c: FunctionClass, k: int) -> None:
+    """Every cycle-LP entry point's checks; ``gamma`` is one step size or an array."""
+    if k < 3:
+        raise ValueError(f"period must be >= 3, got {k}")
+    if c.mu >= c.ell:
+        raise ValueError("cycle feasibility needs mu < ell")
+    if (np.asarray(gamma) == 0.0).any():
+        raise ZeroDivisionError("gamma must be nonzero")
+
+
+def _circulant(first: np.ndarray) -> np.ndarray:
+    """The circulant matrix whose row i is ``first`` shifted right by i."""
+    idx = np.arange(len(first))
+    return first[(idx[None, :] - idx[:, None]) % len(first)]
+
+
 def _gradient_stencils(k: int, p: HbParams) -> np.ndarray:
     """Row i: coefficients of g_i over the cycle points (K-periodic indices).
 
@@ -139,8 +158,7 @@ def _gradient_stencils(k: int, p: HbParams) -> np.ndarray:
     u0[0] = (1.0 + p.beta) / p.gamma
     u0[1 % k] -= 1.0 / p.gamma
     u0[-1] -= p.beta / p.gamma
-    idx = np.arange(k)
-    return u0[(idx[None, :] - idx[:, None]) % k]
+    return _circulant(u0)
 
 
 def lift_matrices(p: HbParams, c: FunctionClass, k: int) -> np.ndarray:
@@ -184,13 +202,9 @@ def symmetrize_gram(g0: np.ndarray) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if not np.allclose(g, g.T, atol=1e-10 * max(1.0, np.abs(g).max())):
         raise ValueError("expected a symmetric matrix")
-    k = g.shape[0]
-    idx = np.arange(k)
-    acc = np.zeros_like(g)
-    for s in range(k):
-        shifted = (idx + s) % k
-        acc += g[np.ix_(shifted, shifted)]
-    return acc / k
+    # Entry (i, j) depends on j - i alone; row 0 is each wrapped diagonal's mean.
+    idx = np.arange(g.shape[0])
+    return _circulant(g[idx[:, None], (idx[:, None] + idx) % len(idx)].mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -211,8 +225,8 @@ def harmonic_gram(k: int, ell: int) -> HarmonicGram:
     """
     if not 1 <= ell <= k // 2:
         raise ValueError(f"need 1 <= ell <= k//2, got ell={ell}, k={k}")
-    idx = np.arange(k)
-    return HarmonicGram(ell, k, np.cos(2.0 * np.pi * ell * np.abs(idx[:, None] - idx[None, :]) / k))
+    table, lags = _lag_table(k)
+    return HarmonicGram(ell, k, table[ell - 1, lags].reshape(k, k))
 
 
 def decompose_circulant(g: np.ndarray) -> np.ndarray:
@@ -223,14 +237,12 @@ def decompose_circulant(g: np.ndarray) -> np.ndarray:
     -1e-9 max(1, max|g_0|) means ``g`` is not PSD-with-zero-row-sums and raises.
     """
     g = np.asarray(g, dtype=float)
-    k = g.shape[0]
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("expected a square matrix")
+    k = g.shape[0]
     first = g[0]
     scale = max(1.0, np.abs(first).max())
-    idx = np.arange(k)
-    expected = first[(idx[None, :] - idx[:, None]) % k]
-    if not np.allclose(g, expected, atol=1e-9 * scale):
+    if not np.allclose(g, _circulant(first), atol=1e-9 * scale):
         raise ValueError("matrix is not circulant")
     if not np.allclose(g, g.T, atol=1e-9 * scale):
         raise ValueError("matrix is not symmetric")
@@ -238,13 +250,10 @@ def decompose_circulant(g: np.ndarray) -> np.ndarray:
     if abs(spectrum[0]) > 1e-7 * scale * k:
         raise ValueError("matrix must have zero row sums")
 
-    m = k // 2
-    nu = np.empty(m)
-    for ell in range(1, m + 1):
-        if k % 2 == 0 and ell == m:
-            nu[ell - 1] = spectrum[ell] / k
-        else:
-            nu[ell - 1] = 2.0 * spectrum[ell] / k
+    # Harmonic ell and K - ell share a block; at ell = K/2 it is alone.
+    nu = 2.0 * spectrum[1:k // 2 + 1] / k
+    if k % 2 == 0:
+        nu[-1] = spectrum[k // 2] / k
     if np.any(nu < -1e-9 * scale):
         raise ValueError(f"not decomposable with nonnegative weights: min nu = {nu.min()}")
     return np.maximum(nu, 0.0)
@@ -261,16 +270,12 @@ def reconstruct_symmetric_cycle(nu: np.ndarray, k: int) -> np.ndarray:
     if nu.shape != (m,):
         raise ValueError(f"expected {m} weights for period {k}")
     t = np.arange(k)
-    cols = []
-    n_pairs = (k - 1) // 2
-    for ell in range(1, n_pairs + 1):
-        radius = math.sqrt(max(nu[ell - 1], 0.0))
-        angle = 2.0 * np.pi * ell * t / k
-        cols.append(radius * np.cos(angle))
-        cols.append(radius * np.sin(angle))
+    radius = np.sqrt(np.maximum(nu, 0.0))
+    angle = 2.0 * np.pi * np.arange(1, (k + 1) // 2)[:, None] * t / k
+    circles = radius[:len(angle), None, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    cols = list(circles.reshape(-1, k))
     if k % 2 == 0:
-        radius = math.sqrt(max(nu[m - 1], 0.0))
-        cols.append(radius * (-1.0) ** t)
+        cols.append(radius[m - 1] * (-1.0) ** t)
     return np.stack(cols, axis=1)
 
 
@@ -283,7 +288,7 @@ class CycleCertificate:
     margin: float       # minimized constraint margin t* (<= tolerance)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_PERIOD_TABLES)
 def _lag_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Entry (ell, d) cos(2 pi ell d / K), the value of H_ell at lag d, and
     the lag |a-b| of every entry (a, b) of a K x K matrix; read-only, as the
@@ -302,7 +307,7 @@ def build_lp_matrix(p: HbParams, c: FunctionClass, k: int) -> np.ndarray:
     return lift_matrices(p, c, k).reshape(k - 1, k * k) @ table[:, lags].T
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_PERIOD_TABLES)
 def _dft_table(k: int) -> tuple[np.ndarray, ...]:
     """Per period, with theta_ell = 2 pi ell / K for ell = 1..K//2 and
     phi_{i, ell} = 2 pi (i ell mod K) / K for i = 1..K-1: 1 - cos theta,
@@ -344,14 +349,9 @@ def lp_matrices(gammas, betas, c: FunctionClass, k: int,
     gives |P_float - P| <= (m + rho)(5 eta + 52u) = 212u (m + rho) for every
     entry; ``LP_MATRIX_ROUNDING`` rounds 212u up.
     """
-    if k < 3:
-        raise ValueError(f"period must be >= 3, got {k}")
-    if c.mu >= c.ell:
-        raise ValueError("cycle feasibility needs mu < ell")
     g = np.asarray(gammas, dtype=float)[:, None]
     b = np.asarray(betas, dtype=float)[:, None]
-    if not np.all(g != 0.0):
-        raise ZeroDivisionError("gamma must be nonzero")
+    _check_cycle_lp(g, c, k)
     one_minus_cos, sin, one_minus_cos_phi, sin_phi = _dft_table(k)
     q = c.mu * c.ell / (c.ell - c.mu)
     re = (1.0 + b) * one_minus_cos / g
@@ -433,17 +433,6 @@ def dual_lower_bound(pm: np.ndarray, y: np.ndarray) -> float:
     return float(lower.min() / y.sum())
 
 
-def _cycle_lp_matrix(p: HbParams, c: FunctionClass, k: int) -> np.ndarray:
-    """``build_lp_matrix`` after the checks every cycle-LP entry point makes."""
-    if k < 3:
-        raise ValueError(f"period must be >= 3, got {k}")
-    if c.mu >= c.ell:
-        raise ValueError("cycle feasibility needs mu < ell")
-    if p.gamma == 0.0:
-        raise ZeroDivisionError("gamma must be nonzero")
-    return build_lp_matrix(p, c, k)
-
-
 def _lp_scale(pm: np.ndarray) -> float:
     return max(float(np.abs(pm).max()), 1.0)
 
@@ -513,7 +502,8 @@ def lp_margin(p: HbParams, c: FunctionClass, k: int,
     above ``INDETERMINATE_TOL`` too.  Otherwise the LP is solved on the same
     matrix and its dual replaces the stored one.
     """
-    pm = _cycle_lp_matrix(p, c, k)
+    _check_cycle_lp(p.gamma, c, k)
+    pm = build_lp_matrix(p, c, k)
     if duals is not None and k in duals:
         bound = dual_lower_bound(pm, duals[k])
         if bound > INDETERMINATE_TOL + SCREEN_SLACK * _lp_scale(pm):
@@ -527,7 +517,8 @@ def lp_margin(p: HbParams, c: FunctionClass, k: int,
 def lp_check(p: HbParams, c: FunctionClass, k: int) -> tuple[float, CycleCertificate | None]:
     """Margin of the period-``k`` cycle LP and, from the same solve, the
     certificate that ``lp_feasible`` returns."""
-    margin, raw, _ = _solve_cycle_lp(_cycle_lp_matrix(p, c, k), p)
+    _check_cycle_lp(p.gamma, c, k)
+    margin, raw, _ = _solve_cycle_lp(build_lp_matrix(p, c, k), p)
     if margin > FEASIBILITY_TOL:
         return margin, None
     nu = np.maximum(raw, 0.0)

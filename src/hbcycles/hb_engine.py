@@ -158,9 +158,13 @@ def estimate_rate(trace: SimTrace, reference) -> float:
         tail = tail[:cut[0]]
     if tail.size < 2 or np.any(tail <= 0.0):
         raise ValueError("tail distances must be strictly positive to fit a rate")
-    t = np.arange(tail.size, dtype=float)
-    slope = np.polyfit(t, np.log(tail), 1)[0]
-    return float(math.exp(slope))
+    return _fitted_rate(tail)
+
+
+def _fitted_rate(dist: np.ndarray) -> float:
+    """exp of the least-squares slope of log(dist) against the step index."""
+    t = np.arange(dist.size, dtype=float)
+    return float(math.exp(np.polyfit(t, np.log(dist), 1)[0]))
 
 
 @dataclass(frozen=True)
@@ -349,9 +353,7 @@ def _fit_decay(norms: np.ndarray) -> float | None:
     window = window[max(2, int(0.4 * window.size)):]
     if window.size < 5 or np.any(window <= 0.0):
         return None
-    t = np.arange(window.size, dtype=float)
-    slope = np.polyfit(t, np.log(window), 1)[0]
-    return float(math.exp(slope))
+    return _fitted_rate(window)
 
 
 def _check_runs(p: HbParams, c: FunctionClass, ce: CounterExample, budget: dict,
@@ -398,6 +400,8 @@ def _start_batch(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not noises:
         raise ValueError("a batch needs at least one noise spec")
+    if k != ce.k:
+        raise ValueError(f"period {k} does not match the counterexample's period {ce.k}")
     budget = noise_budget(p, c, ce)
     _check_runs(p, c, ce, budget, noises, strict)
     cyc = rou_cycle(k).points
@@ -414,6 +418,11 @@ def _start_batch(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
 def _row_sq(x: np.ndarray) -> np.ndarray:
     """Squared row norms, summed as np.linalg.norm(x, axis=1) sums them."""
     return np.add.reduce(x * x, axis=1)
+
+
+def cycle_distances(iterates: np.ndarray, cycle: np.ndarray) -> np.ndarray:
+    """||z_t - cycle[t mod K]|| per row z_t, with np.linalg.norm(axis=1)'s bits."""
+    return np.sqrt(_row_sq(iterates - cycle[np.arange(len(iterates)) % len(cycle)]))
 
 
 def _uniform(low, high, u):
@@ -532,9 +541,9 @@ def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
             np.subtract(z, step, out=nxt)
             np.multiply(beta_c[j], momentum, out=momentum)
             np.add(nxt, momentum, out=nxt)
-        # The squared norms as _row_sq sums them: one addition of the two
-        # squares (np.add.reduce over a length-2 axis would pay its set-up
-        # once per run and step).
+        # The squared norms as _row_sq sums them, in place, not through
+        # cycle_distances, as this is the hot loop: np.add.reduce over a
+        # length-2 axis would pay its set-up once per run and step.
         dev = zc[2:span + 2] - cyc[np.arange(t0 + 1, t0 + span + 1) % k, :, None]
         dev *= dev
         np.maximum(max_sq, (dev[:, 0] + dev[:, 1]).max(axis=0), out=max_sq)
@@ -574,8 +583,7 @@ def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
         trace = SimTrace(runs.iterates[:, 0], steps, runs.params_used[:, 0])
         if not noise_free:
             return PerturbedRun(trace, bool(runs.stayed_in_tube[0]), None)
-    # Row norms as the batch takes them, so the max is its max_dev bit for bit.
-    dev = np.sqrt(_row_sq(trace.iterates - rou_cycle(k).points[np.arange(steps + 2) % k]))
+    dev = cycle_distances(trace.iterates, rou_cycle(k).points)
     joint = np.sqrt(dev[1:] ** 2 + dev[:-1] ** 2)
     return PerturbedRun(trace, bool(dev.max() <= ce.r_max * _TUBE_SLACK),
                         _fit_decay(joint))
@@ -602,7 +610,7 @@ def write_trace_csv(trace: SimTrace, path, cycle: np.ndarray | None = None) -> N
     dist = [""] * n
     if cycle is not None:
         diff = zs - cycle[np.arange(n) % len(cycle)]
-        # vecdot, unlike norm(axis=1), sums each row as a lone norm() does.
+        # vecdot, unlike cycle_distances, sums each row as a lone norm() does.
         dist = format_floats(np.sqrt(np.vecdot(diff, diff))).tolist()
     params = trace.params_used[:n - 2]
     tail = [""] * (n - 2 - len(params))

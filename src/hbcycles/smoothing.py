@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hb_engine import run
+from .hb_engine import cycle_distances, run
 from .quad_rates import _UNIT_ROUNDOFF, FunctionClass, HbParams
 from .rou_region import (
     CounterExample,
@@ -232,8 +232,7 @@ def cycle_check_smoothed(sce: SmoothedCounterExample, p: HbParams, k: int,
     cyc = rou_cycle(k)
     trace = run(lambda z: smoothed_grad(sce, z), p,
                 cyc.points[0], cyc.points[1], steps)
-    idx = np.arange(len(trace.iterates)) % k
-    return float(np.max(np.linalg.norm(trace.iterates - cyc.points[idx], axis=1)))
+    return float(np.max(cycle_distances(trace.iterates, cyc.points)))
 
 
 @dataclass(frozen=True)

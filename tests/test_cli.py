@@ -197,6 +197,16 @@ class TestSweep:
         tags = {line.split(",")[-1] for line in out.read_text().splitlines()[1:]}
         assert "member" in tags and "none" in tags
 
+    def test_lp_region_period_tables_stay_bounded(self):
+        # The sweep visits 58 periods; only the last 32 keep their tables.
+        for cache in (cycle_lp._dft_table, cycle_lp._lag_table):
+            cache.cache_clear()
+        _lp_region_chunk(*_cells(np.linspace(0.5, 3.5, 4), np.linspace(0.0, 0.9, 3)),
+                         0.01, 1.0, 60)
+        assert cycle_lp._dft_table.cache_info().misses == 58
+        for cache in (cycle_lp._dft_table, cycle_lp._lag_table):
+            assert cache.cache_info().currsize <= 32
+
     def test_lp_region_worker_pool_is_order_stable(self, capsys, tmp_path):
         args = ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1",
                 "--gamma-count", "7", "--beta-count", "5", "--k-max", "8"]
@@ -538,6 +548,15 @@ class TestCycleDemo:
             assert sidecar["noise_levels"] == levels
             printed.append(out)
         assert printed[0] != printed[1]
+
+    @pytest.mark.parametrize("smooth", [(), ("--smooth", "auto")])
+    def test_zero_noise_level_is_no_noise(self, capsys, smooth):
+        argv = ("cycle-demo", *_TUBE_POINT, "--steps", "50", *smooth)
+        exact = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--noise-grad", "0") == exact
+        assert exact[0] == 0 and "verdict" in json.loads(exact[1])
+        code, _, err = run_cli(capsys, *argv, "--noise-grad", "1e-9")
+        assert (code, "noise flags" in err) == ((2, True) if smooth else (0, False))
 
     def test_smooth_dilated_run(self, capsys):
         code, out, _ = run_cli(capsys, "cycle-demo", "--gamma", "3.3",

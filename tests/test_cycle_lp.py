@@ -305,6 +305,11 @@ class TestDecomposeCirculant:
         with pytest.raises(ValueError, match="circulant"):
             decompose_circulant(g)
 
+    @pytest.mark.parametrize("g", [np.float64(1.0), np.ones(3), np.ones((2, 3))])
+    def test_rejects_a_non_square_input(self, g):
+        with pytest.raises(ValueError, match="square"):
+            decompose_circulant(g)
+
     def test_rejects_nonzero_row_sums(self):
         with pytest.raises(ValueError, match="row sums"):
             decompose_circulant(np.eye(4))
@@ -382,6 +387,9 @@ class TestLpFeasible:
             lp_feasible(HbParams(0.5, 0.2), FunctionClass(1.0, 1.0), 5)
         with pytest.raises(ValueError):
             lp_margin(HbParams(0.5, 0.2), FunctionClass(0.01, 1.0), 2)
+        for solve in (lp_margin, lp_feasible):
+            with pytest.raises(ZeroDivisionError, match="gamma must be nonzero"):
+                solve(HbParams(0.0, 0.2), FunctionClass(0.01, 1.0), 5)
 
 
 def test_lp_matrix_shape():

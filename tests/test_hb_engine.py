@@ -506,6 +506,12 @@ class TestPerturbedRun:
         iso = rate_on_quadratics(p, FunctionClass(c.mu, c.mu))
         assert res.residual_decay_rate == pytest.approx(iso.rho, abs=2e-2)
 
+    def test_rejects_a_period_other_than_the_counterexamples(self, interior_setup):
+        p, c, ce = interior_setup
+        for noise in (NoiseSpec(init_radius=0.5), NoiseSpec(grad_noise=1e-9)):
+            with pytest.raises(ValueError, match="period 5 does not match .* period 7"):
+                perturbed_run(ce, c, p, 5, noise, 200)
+
 
 class TestPerturbedRuns:
     # Runs of up to two noise chunks and a bit cross both kinds of draw
@@ -584,6 +590,11 @@ class TestPerturbedRuns:
                 perturbed_run(ce, _MEMBER_CLASS, p, 7, NoiseSpec(), steps)
         with pytest.raises(ValueError, match="at least one noise spec"):
             perturbed_runs(ce, _MEMBER_CLASS, p, 7, [], 10)
+
+    def test_rejects_a_period_other_than_the_counterexamples(self):
+        p, ce, _ = _member_setup(7)
+        with pytest.raises(ValueError, match="period 5 does not match .* period 7"):
+            perturbed_runs(ce, _MEMBER_CLASS, p, 5, [NoiseSpec(init_radius=0.5)], 200)
 
 
 class TestNoiseFreeRun:

@@ -8,7 +8,8 @@ numpy's kernels may change between versions, so the manifest records the
 Python and numpy versions it was made with, and any other version fails.
 
 After a change that moves bytes on purpose, regenerate the manifest and
-list each moved digest, with its reason, in CHANGES.md:
+list each moved digest, with its reason, in CHANGES.md; the script prints
+each case it adds, removes or changes against the manifest it replaces:
 
     PYTHONPATH=src python tests/test_output_digests.py
 """
@@ -109,8 +110,31 @@ def cases() -> dict:
                  "--gamma-count", "6", "--beta-count", "6", "--k-max", "100",
                  "--out", "lp6.csv", "--svg"],
                 [*_LP_GRID, "--workers", "2", "--out", "lp.csv"],
+                # A zero noise level is no noise, so it goes with --smooth.
+                *(["cycle-demo", *_POINT, "--steps", "50", *argv] for argv in (
+                    ("--noise-grad", "0"), ("--smooth", "auto", "--noise-grad", "0"),
+                    ("--smooth", "auto", "--noise-grad", "1e-9"))),
                 *_error_commands()]
     return {" ".join(argv): argv for argv in commands}
+
+
+def moved_cases(old: dict, new: dict) -> list[str]:
+    """One line per case added, removed or changed from ``old`` to ``new``,
+    naming the fields of a changed case that differ."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            lines.append(f"added: {key}")
+        elif key not in new:
+            lines.append(f"removed: {key}")
+        elif old[key] != new[key]:
+            a, b = old[key], new[key]
+            moved = [name for name in ("exit", "stdout", "stderr", "warnings")
+                     if a[name] != b[name]]
+            moved += sorted(name for name in a["files"].keys() | b["files"].keys()
+                            if a["files"].get(name) != b["files"].get(name))
+            lines.append(f"changed: {key} ({', '.join(moved)})")
+    return lines
 
 
 def versions() -> dict:
@@ -166,6 +190,11 @@ if __name__ == "__main__":
     for key, argv in cases().items():
         with tempfile.TemporaryDirectory() as directory:
             recorded[key] = run_case(argv, Path(directory))
+    committed = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    if committed.get("versions", versions()) != versions():
+        print(f"versions: {committed['versions']} -> {versions()}", file=sys.stderr)
+    for line in moved_cases(committed.get("cases", {}), recorded):
+        print(line, file=sys.stderr)
     MANIFEST.write_text(json.dumps({"versions": versions(), "cases": recorded},
                                    indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(recorded)} cases to {MANIFEST}", file=sys.stderr)
