@@ -432,19 +432,18 @@ def _cmd_cycle_demo(args) -> int:
         if args.smooth:
             eps = ce.r_max / 2.0 if args.smooth == "auto" else args.smooth
             sce = smooth_counterexample(ce, c, eps)
-            fn = dilate(sce, scale) if scale != 1.0 else sce
+            oracle = dilate(sce, scale) if scale != 1.0 else sce
             out["smooth_epsilon"] = eps
             out["mass_defect"] = sce.mass_defect
             edge_mid = scale * 0.5 * (ce.hull[0] + ce.hull[1])
             out["tau_estimate"] = third_derivative_estimate(
-                fn.grad, edge_mid[None, :], h=0.05 * scale)
-            oracle = fn.grad
+                oracle.grad, edge_mid[None, :], h=0.05 * scale)
         else:
-            # The plain counterexample goes in whole: ``run`` steps its grad_xy.
             oracle = CounterexampleFunction(ce, c)
             if scale != 1.0:
-                oracle = dilate(oracle, scale).grad
+                oracle = dilate(oracle, scale)
         cycle_pts = scale * rou_cycle(k).points
+        # Every oracle goes in whole: ``run`` steps its grad_xy in floats.
         trace = run(oracle, p, cycle_pts[0], cycle_pts[1], args.steps)
         # Dilation scales the cycle, its deviations and its diameter alike.
         is_cycle, max_dev = detect_cycle(trace, k, tol=args.tol * scale)

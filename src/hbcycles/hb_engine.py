@@ -49,17 +49,18 @@ def run(oracle, p: HbParams, x0, x1, steps: int) -> SimTrace:
 
     Deterministic given its inputs.  The oracle is a callable or an object
     with a method ``grad_xy(x0, x1) -> (g0, g1)``, the gradient at a 2-D
-    point as a pair of floats (``CounterexampleFunction`` has one).  A
+    point as a pair of floats (``CounterexampleFunction``,
+    ``SmoothedCounterExample`` and the dilation of either have one).  A
     callable gets the row ``iterates[t]`` and returns the gradient as an
     array, sequence or scalar with as many entries as the iterate; any
     other size raises ValueError.  A ``grad_xy`` object is stepped in
     Python floats throughout, with no array per step; its starts must be
     2-D points (ValueError otherwise).  Either way the step runs per
     coordinate in Python floats, in the order of the expression above, so
-    it has the bits of the same step on numpy arrays; for a
-    ``CounterexampleFunction`` fn, ``run(fn, ...)`` is ``run(fn.grad, ...)``
-    bit for bit.  A non-finite oracle value truncates the trace and sets
-    the ``truncated`` flag instead of raising.
+    it has the bits of the same step on numpy arrays; for each of those
+    objects fn, ``run(fn, ...)`` is ``run(fn.grad, ...)`` bit for bit.  A
+    non-finite oracle value truncates the trace and sets the ``truncated``
+    flag instead of raising.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -616,7 +617,8 @@ def write_trace_csv(trace: SimTrace, path, cycle: np.ndarray | None = None) -> N
     tail = [""] * (n - 2 - len(params))
     gamma_t, beta_t = (["", ""] + format_floats(col).tolist() + tail for col in params.T)
     columns = zip(range(n), *format_floats(zs.T).tolist(), dist, gamma_t, beta_t)
+    row = ",".join(["%d", *["%s"] * (d + 3)]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t", *(f"x{i}" for i in range(d)),
                            "dist_to_cycle", "gamma_t", "beta_t"]) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in columns)
+        fh.writelines(map(row.__mod__, columns))

@@ -406,8 +406,10 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     give the same bits, except within rounding of a ray between cones,
     where math.atan2 and np.arctan2 may round apart and take neighbouring
     edges: both then give the closest point to rounding.  The one-point
-    gradients of ``CounterexampleFunction.grad`` and ``smoothed_grad``
-    call ``_project_one`` through ``_grad_one`` instead.
+    gradients (``CounterexampleFunction.grad`` and ``grad_xy``, the exact
+    branch of ``smoothed_grad``, and so the float steps of the plain,
+    smoothed and dilated runs) call ``_project_one`` through ``_grad_one``
+    instead.
     """
     if len(x) == 1:
         x0, x1 = x[0].tolist()

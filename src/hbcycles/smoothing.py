@@ -21,7 +21,9 @@ support, so the fixed grid converges fast.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -42,6 +44,9 @@ from .rou_region import (
 
 # Directions, over a half turn, of ``third_derivative_estimate``'s stencils.
 _TAU_DIRECTIONS = 8
+# Radial node counts whose Gauss-Legendre rules stay cached (64 nodes by
+# default: about 1 KB each, and a rule is the same at every radius).
+_GAUSS_RULES = 4
 
 
 class QuadraturePrecisionWarning(UserWarning):
@@ -100,8 +105,24 @@ class SmoothedCounterExample:
     def grad(self, x) -> np.ndarray:
         return smoothed_grad(self, x)
 
+    def grad_xy(self, x0: float, x1: float) -> list[float]:
+        """``grad`` at the point (x0, x1), as the float pair [g0, g1]."""
+        return smoothed_grad(self, (x0, x1)).tolist()
+
     def value(self, x) -> float:
         return smoothed_value(self, x)
+
+
+@functools.lru_cache(maxsize=_GAUSS_RULES)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1];
+    read-only, as the cache hands them to every caller."""
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(n)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
 def smooth_counterexample(ce: CounterExample, c: FunctionClass, epsilon: float,
@@ -110,17 +131,19 @@ def smooth_counterexample(ce: CounterExample, c: FunctionClass, epsilon: float,
 
     The radius cap keeps every support ball inside the locally quadratic
     neighborhood of its cycle point, which is what preserves the cycle.
-    Raises ValueError for a radius that is not positive and finite, that
-    exceeds r_max, or that leaves the quadrature weights non-finite.
+    Raises ValueError for a node count that is not a positive integer, and
+    for a radius that is not positive and finite, that exceeds r_max, or
+    that leaves the quadrature weights non-finite.
     """
+    for name, count in (("n_radial", n_radial), ("n_angular", n_angular)):
+        if not (isinstance(count, numbers.Integral) and count > 0):
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
     moll = make_mollifier(epsilon)
     if epsilon > ce.r_max:
         raise ValueError(
             f"support radius {epsilon} exceeds the safety radius {ce.r_max}")
 
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(n_radial)
+    x, w = _gauss_legendre(int(n_radial))
     radii = 0.5 * (x + 1.0) * epsilon
     w_rad = 0.5 * epsilon * w
     angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
@@ -181,20 +204,22 @@ def _cell_margin(ce: CounterExample, t: int, x0: float, x1: float) -> float:
 def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
     """Gradient of the mollified counterexample: integral of grad(x - y) density(y).
 
-    When the support ball B(x, epsilon) lies inside one projection feature
-    cell, with a rounding slack, this is the base gradient at ``x``
-    exactly (affine integrand, unit-mass zero-mean density): the one-point
-    float kernel on the cone found once for both the margin and the
-    projection, with the bits of ``CounterexampleFunction.grad``.
-    Otherwise it is the polar quadrature, accurate to about the mass defect.
+    ``x`` is a 2-D point, an array or a pair of floats; the point is read
+    into two Python floats, so ``SmoothedCounterExample.grad_xy`` hands
+    its pair over with no array.  When the support ball B(x, epsilon) lies
+    inside one projection feature cell, with a rounding slack, this is the
+    base gradient at ``x`` exactly (affine integrand, unit-mass zero-mean
+    density): the one-point float kernel on the cone found once for both
+    the margin and the projection, with the bits of
+    ``CounterexampleFunction.grad``.  Otherwise it is the polar quadrature,
+    accurate to about the mass defect.
     """
     if sce.mass_defect > 1e-6:
         warnings.warn(
             f"quadrature mass defect {sce.mass_defect:.2e} exceeds 1e-6; "
             "increase the node counts", QuadraturePrecisionWarning, stacklevel=2)
     ce = sce.base
-    x = np.asarray(x, dtype=float)
-    x0, x1 = x.tolist()
+    x0, x1 = map(float, x)
     t = _sector(ce, x0, x1)
     # Covers the rounding of the sector margin, which is of order eps times
     # the size of x and of the polygon, including the interior score read
@@ -202,8 +227,8 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
     slack = 128.0 * _UNIT_ROUNDOFF * (math.hypot(x0, x1) + ce.hull_radius)
     if _cell_margin(ce, t, x0, x1) > sce.moll.epsilon + slack:
         return np.array(_grad_one(ce, sce.fclass, t, x0, x1))
-    return sce.weights @ _counterexample_batch(ce, sce.fclass, x[None, :] - sce.nodes,
-                                               value=False)[1]
+    return sce.weights @ _counterexample_batch(
+        ce, sce.fclass, np.array([[x0, x1]]) - sce.nodes, value=False)[1]
 
 
 def smoothed_value(sce: SmoothedCounterExample, x) -> float:
@@ -230,8 +255,7 @@ def cycle_check_smoothed(sce: SmoothedCounterExample, p: HbParams, k: int,
     if not rou_member(p, sce.fclass, k) or sce.base.r_max <= 0.0:
         raise ValueError("smoothed cycle check needs an interior member point")
     cyc = rou_cycle(k)
-    trace = run(lambda z: smoothed_grad(sce, z), p,
-                cyc.points[0], cyc.points[1], steps)
+    trace = run(sce, p, cyc.points[0], cyc.points[1], steps)
     return float(np.max(cycle_distances(trace.iterates, cyc.points)))
 
 
@@ -241,6 +265,9 @@ class DilatedFunction:
 
     Hessians are unchanged; derivatives of order r scale by s^{2-r}, so a
     large scale shrinks the Hessian-Lipschitz constant proportionally.
+    ``dilate`` of a function with ``grad_xy`` returns a dilation with
+    ``grad_xy`` too (``_DilatedXYFunction``), which ``run`` steps in Python
+    floats; this class has none, so ``run`` steps it on arrays.
     """
 
     inner_value: callable
@@ -254,6 +281,20 @@ class DilatedFunction:
         return self.scale * self.inner_grad(np.asarray(x, float) / self.scale)
 
 
+@dataclass(frozen=True)
+class _DilatedXYFunction(DilatedFunction):
+    """Dilation of a function with ``grad_xy``, with one of its own."""
+
+    inner_grad_xy: callable
+
+    def grad_xy(self, x0: float, x1: float) -> tuple[float, float]:
+        """``grad`` at the point (x0, x1), as the float pair (g0, g1): the
+        same division and product per coordinate, so the same bits."""
+        scale = self.scale
+        g0, g1 = self.inner_grad_xy(x0 / scale, x1 / scale)
+        return scale * g0, scale * g1
+
+
 def dilate(f, scale: float) -> DilatedFunction:
     """Dilation by ``scale`` > 0 of any object exposing value(x) and grad(x).
 
@@ -261,13 +302,18 @@ def dilate(f, scale: float) -> DilatedFunction:
     over the scaled set (from scaled starting points).  The value carries
     scale^2, and squared norms of the scaled points are of that order, so
     scale^2 must be a normal finite float: past it the squares overflow or
-    lose their precision, and ValueError is raised.
+    lose their precision, and ValueError is raised.  The dilation has a
+    ``grad_xy(x0, x1)`` exactly when ``f`` has one, so ``run`` steps it in
+    Python floats just as it steps ``f``.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     if not sys.float_info.min <= scale * scale <= sys.float_info.max:
         raise ValueError(f"scale squared must be a normal finite float, got scale {scale}")
-    return DilatedFunction(f.value, f.grad, scale)
+    grad_xy = getattr(f, "grad_xy", None)
+    if grad_xy is None:
+        return DilatedFunction(f.value, f.grad, scale)
+    return _DilatedXYFunction(f.value, f.grad, scale, grad_xy)
 
 
 def third_derivative_estimate(grad_fn, points, h: float = 0.05) -> float:

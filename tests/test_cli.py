@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
+import hbcycles.hb_engine as hb_engine
 import hbcycles.smoothing as smoothing
 from hbcycles.cli import SWEEP_MODES, _lp_region_chunk, _write_csv, main, render_svg
 from hbcycles.hb_engine import NoiseSpec, noise_budget, write_trace_csv
@@ -662,6 +663,22 @@ class TestCycleDemo:
                                  "--smooth", "auto", "--lambda", scale)
             assert code == 0
         assert calls == {"run": 2, "smoothed_grad": 2 * (50 + 17)}
+
+    @pytest.mark.parametrize("flags", [(), ("--smooth", "auto"), ("--lambda", "10"),
+                                       ("--smooth", "auto", "--lambda", "10")])
+    def test_every_exact_run_steps_in_floats(self, capsys, monkeypatch, flags):
+        # The plain, smoothed, dilated and smoothed-dilated oracles all go
+        # to ``run`` whole, which steps their grad_xy.
+        calls = []
+        inner = hb_engine._run_xy
+
+        def spy(grad_xy, *args):
+            calls.append(grad_xy)
+            return inner(grad_xy, *args)
+        monkeypatch.setattr(hb_engine, "_run_xy", spy)
+        code, out, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "50", *flags)
+        assert code == 0 and json.loads(out)["verdict"] == "cycles"
+        assert len(calls) == 1
 
 
 class TestOthers:

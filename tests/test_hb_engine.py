@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hbcycles.hb_engine import (
 from hbcycles.quad_rates import FunctionClass, HbParams, rate_on_quadratics
 from hbcycles.rou_region import (
     CounterexampleFunction,
+    _counterexample_batch,
     build_counterexample,
     rou_cycle,
 )
@@ -209,6 +211,20 @@ def _blowing_up(blow_up_at, d):
     return oracle
 
 
+class _BlowingUpXY:
+    """``_blowing_up`` at 2-D points, with a ``grad_xy`` of the same values
+    on the same call count."""
+
+    def __init__(self, blow_up_at):
+        self.grad = _blowing_up(blow_up_at, 2)
+
+    def value(self, x):
+        return 0.15 * float(x @ x)
+
+    def grad_xy(self, x0, x1):
+        return tuple(self.grad(np.array([x0, x1])).tolist())
+
+
 class TestRunMatchesNumpyLoop:
     """The float step gives the numpy loop's bits: iterates, parameters,
     call count and truncation."""
@@ -228,6 +244,51 @@ class TestRunMatchesNumpyLoop:
         x0, x1 = scale * rou_cycle(7).points[:2]
         assert _trace_bits(run(oracle, p, x0, x1, 500)) == _reference_bits(
             oracle, p, x0, x1, 500)
+
+    @pytest.mark.parametrize("start", [1.0, 0.7, 1.3])
+    @pytest.mark.parametrize("kind,scale", [
+        ("smoothed", 1.0), *((kind, scale) for kind in ("smoothed", "plain")
+                             for scale in (1e-3, 7.5, 10.0))])
+    def test_float_path_matches_array_path(self, interior_setup, kind, scale, start):
+        # run(obj) steps obj.grad_xy in floats, run(obj.grad) the array
+        # path.  Starts off the cycle reach the smoothed quadrature.
+        p, c, ce = interior_setup
+        fn = CounterexampleFunction(ce, c)
+        if kind == "smoothed":
+            fn = smooth_counterexample(ce, c, ce.r_max / 2)
+        if scale != 1.0:
+            fn = dilate(fn, scale)
+        x0, x1 = start * scale * rou_cycle(7).points[:2]
+        with mock.patch("hbcycles.smoothing._counterexample_batch",
+                        side_effect=_counterexample_batch) as quadrature:
+            new = run(fn, p, x0, x1, 200)
+        assert _trace_bits(new) == _trace_bits(run(fn.grad, p, x0, x1, 200))
+        if kind == "smoothed" and start != 1.0:
+            assert quadrature.call_count > 0
+
+    @pytest.mark.parametrize("blow_up_at", [1, 2, 5])
+    def test_dilated_float_path_truncates_alike(self, blow_up_at):
+        p = HbParams(0.9, 0.5)
+        new = run(dilate(_BlowingUpXY(blow_up_at), 7.5), p, [1.0, -0.0], [0.5, 1e-310], 8)
+        old = run(dilate(_BlowingUpXY(blow_up_at), 7.5).grad, p, [1.0, -0.0], [0.5, 1e-310], 8)
+        assert new.truncated and new.grad_calls == blow_up_at
+        assert _trace_bits(new) == _trace_bits(old)
+
+    def test_dilation_without_grad_xy_steps_on_arrays(self):
+        a = np.array([[0.9, -0.3, 0.0], [0.2, 1.1, 0.4], [0.0, -0.5, 0.7]])
+
+        class Linear:
+            def value(self, x):
+                return 0.5 * float(x @ a @ x)
+
+            def grad(self, x):
+                return a @ x
+
+        fn = dilate(Linear(), 7.5)
+        assert getattr(fn, "grad_xy", None) is None
+        p, x0, x1 = HbParams(0.9, 0.5), [1.0, -0.0, 2.5], [0.5, 1e-310, -3.0]
+        assert _trace_bits(run(fn.grad, p, x0, x1, 40)) == _reference_bits(
+            fn.grad, p, x0, x1, 40)
 
     def test_decay_run(self):
         # The tube workload's init-only run: the batch engine, the float

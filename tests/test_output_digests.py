@@ -37,6 +37,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The counterexample point of bench/run.py's tube and smooth-cycle workloads.
 _POINT = ["--gamma", "3.3", "--beta", "0.75", "--mu", "0.005", "--L", "1", "--K", "7"]
+# The safety radius r_max at _POINT, as ``repr`` prints it.
+_R_MAX = "0.06410380488729384"
 _SWEEP = ["sweep", "--mode", "sls-overlay", "--mu", "0.01", "--L", "1",
           "--gamma-count", "5", "--beta-count", "5"]
 _LP_GRID = ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1",
@@ -114,6 +116,12 @@ def cases() -> dict:
                 *(["cycle-demo", *_POINT, "--steps", "50", *argv] for argv in (
                     ("--noise-grad", "0"), ("--smooth", "auto", "--noise-grad", "0"),
                     ("--smooth", "auto", "--noise-grad", "1e-9"))),
+                ["cycle-demo", *_POINT, "--steps", "500", "--lambda", "10",
+                 "--out", "dilated.csv"],
+                # eps = r_max: most support balls reach a cell boundary, so
+                # most steps take the quadrature branch.
+                *(["cycle-demo", *_POINT, "--steps", "50", "--smooth", _R_MAX, *argv]
+                  for argv in ((), ("--lambda", "10"))),
                 *_error_commands()]
     return {" ".join(argv): argv for argv in commands}
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbcycles.hb_engine import run
+from hbcycles.hb_engine import cycle_distances, run
 from hbcycles.quad_rates import FunctionClass, HbParams
 from hbcycles.rou_region import (
     CounterexampleFunction,
@@ -163,6 +163,26 @@ class TestMollifier:
         _, c, ce = interior_setup
         with pytest.raises(ValueError, match="positive and finite"):
             smooth_counterexample(ce, c, epsilon)
+
+    @pytest.mark.parametrize("counts,name", [
+        ((0, 64), "n_radial"), ((2.5, 64), "n_radial"), ((-1, 64), "n_radial"),
+        ((64, 0), "n_angular"), ((64, 2.5), "n_angular"), ((64, -1), "n_angular")])
+    def test_rejects_bad_node_counts(self, interior_setup, counts, name):
+        # Checked before the rule is looked up, so no bad key is cached.
+        _, c, ce = interior_setup
+        with mock.patch.object(smoothing, "_gauss_legendre", side_effect=AssertionError), \
+                pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            smooth_counterexample(ce, c, ce.r_max / 2, *counts)
+
+    def test_cached_rule_is_read_only_and_the_same_every_time(self, interior_setup):
+        from numpy.polynomial.legendre import leggauss
+        _, c, ce = interior_setup
+        for cached, fresh in zip(smoothing._gauss_legendre(64), leggauss(64)):
+            assert not cached.flags.writeable
+            assert cached.tobytes() == fresh.tobytes()
+        first, second = (smooth_counterexample(ce, c, ce.r_max / 2) for _ in range(2))
+        assert first.nodes.tobytes() == second.nodes.tobytes()
+        assert first.weights.tobytes() == second.weights.tobytes()
 
     def test_smoothing_rejects_underflowing_radius(self, interior_setup):
         # epsilon^2 underflows, so the density normalizer is zero.
@@ -334,6 +354,17 @@ class TestSmoothedCycle:
     def test_cycle_survives_smoothing(self, smoothed):
         p, c, ce, sce = smoothed
         assert cycle_check_smoothed(sce, p, 7, 500) <= 1e-3
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    def test_cycle_check_matches_the_array_path(self, interior_setup, fraction):
+        # The check runs the object, stepped in floats; at eps = r_max most
+        # steps take the quadrature.
+        p, c, ce = interior_setup
+        sce = smooth_counterexample(ce, c, fraction * ce.r_max)
+        cyc = rou_cycle(7)
+        trace = run(lambda z: smoothed_grad(sce, z), p, cyc.points[0], cyc.points[1], 100)
+        assert cycle_check_smoothed(sce, p, 7, 100) == float(
+            np.max(cycle_distances(trace.iterates, cyc.points)))
 
     def test_plain_counterexample_cycles_tighter(self, interior_setup):
         # The unsmoothed function is the epsilon -> 0 limit.
