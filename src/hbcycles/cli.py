@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -49,9 +50,9 @@ from .quad_rates import (
     in_cv_closure,
     rate_grid,
     rate_on_quadratics,
+    reference_rates,
     sublevel_set,
 )
-from .rate_table import reference_rates
 from .rou_region import (
     CounterexampleFunction,
     build_counterexample,
@@ -375,8 +376,13 @@ def _lp_region_cells(g, b, c, k_max, workers):
     """``_lp_region_chunk`` over the lp-region cells, gamma-major.  The pool
     maps over contiguous chunks and preserves their order; a cell's results
     and counters depend on the cell alone, so all are identical at any
-    worker count.  Four chunks per worker balance the load."""
+    worker count.  Four chunks per worker balance the load.  The pool starts
+    all its processes at once, so the worker count is capped at the CPUs
+    this process may use and the pool at the number of chunks."""
     gammas, betas = g.ravel(), b.ravel()
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, cpus)
     if workers <= 1:
         return _lp_region_chunk(gammas, betas, c.mu, c.ell, k_max)
     from concurrent.futures import ProcessPoolExecutor
@@ -384,7 +390,7 @@ def _lp_region_cells(g, b, c, k_max, workers):
     size = -(-len(gammas) // (4 * workers))
     starts = range(0, len(gammas), size)
     chunk = functools.partial(_lp_region_chunk, mu=c.mu, ell=c.ell, k_max=k_max)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
         parts = list(pool.map(chunk, [gammas[i:i + size] for i in starts],
                               [betas[i:i + size] for i in starts]))
     period, unsure, counts = zip(*parts)

@@ -13,8 +13,8 @@ steps go in chunks: the noise and step sizes of a chunk are made at once,
 each step is a few in-place array operations on one contiguous (2, R)
 block per quantity, and the deviations from the cycle are maxed once per
 chunk.  ``perturbed_run`` is its single-run form with the full
-trace; a strict noise-free run there (seeded start only) is plain heavy
-ball, stepped by ``run`` in Python floats through the counterexample's
+trace; a noise-free run there (seeded start only) is plain heavy ball,
+stepped by ``run`` in Python floats through the counterexample's
 ``grad_xy``, with no array per step.  Both draw the seeded starts and
 apply the run guards through ``_start_batch``.
 """
@@ -181,8 +181,8 @@ class StabilityConstants:
     kappa_p: float
     rho_d: float
     region_used: str
-    p_matrix: np.ndarray = field(repr=False, default=None)
-    d_matrix: np.ndarray = field(repr=False, default=None)
+    p_matrix: np.ndarray = field(repr=False)
+    d_matrix: np.ndarray = field(repr=False)
 
 
 def _condition_constants(p_mat: np.ndarray) -> float:
@@ -194,14 +194,13 @@ def _condition_constants(p_mat: np.ndarray) -> float:
     return tau - math.sqrt(tau * tau - 1.0)
 
 
-def stability_constants(p: HbParams, mu: float,
-                        epsilon: float | None = None) -> StabilityConstants:
+def stability_constants(p: HbParams, mu: float) -> StabilityConstants:
     """Decompose [[1+beta-mu*gamma, -beta], [1, 0]] as P D P^{-1}, ||D|| < 1.
 
     Real-diagonalizable, complex-conjugate, and defective (boundary) cases
     are handled separately; in the boundary case gamma = (1-sqrt(beta))^2/mu
-    the Jordan block needs an epsilon in (0, (1-beta)/sqrt(beta)), defaulting
-    to the midpoint (1-beta)/(2 sqrt(beta)).  Raises when the matrix does not
+    the Jordan block needs an epsilon in (0, (1-beta)/sqrt(beta)), and takes
+    the midpoint (1-beta)/(2 sqrt(beta)).  Raises when the matrix does not
     contract.
     """
     gamma, beta = p.gamma, p.beta
@@ -213,11 +212,7 @@ def stability_constants(p: HbParams, mu: float,
         if beta <= 0.0:
             raise ValueError("boundary decomposition needs beta > 0")
         sb = math.sqrt(beta)
-        limit = (1.0 - beta) / sb
-        if epsilon is None:
-            epsilon = limit / 2.0
-        if not 0.0 < epsilon < limit:
-            raise ValueError(f"epsilon must lie in (0, {limit}), got {epsilon}")
+        epsilon = (1.0 - beta) / sb / 2.0
         rho_d = sb * (epsilon / 2.0 + math.sqrt(1.0 + epsilon * epsilon / 4.0))
         if rho_d >= 1.0:
             raise ValueError(f"no contraction: rho_d = {rho_d} >= 1")
@@ -561,29 +556,27 @@ def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
 
 
 def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
-                  noise: NoiseSpec, steps: int,
-                  strict: bool = True) -> PerturbedRun:
+                  noise: NoiseSpec, steps: int) -> PerturbedRun:
     """Run heavy ball on the counterexample under bounded perturbations.
 
-    The single-run form of ``perturbed_runs``: the same seeded start, noise
-    and strict guarantee checks, with the full trace kept.  Reports whether
-    every iterate stayed within r_max of its cycle point.  With parameter
-    and gradient noise both zero the residual contraction factor is fitted
-    and returned (it matches the rate of heavy ball on the isotropic
-    mu-quadratic), and a strict run is plain heavy ball from its seeded
-    start: ``run`` steps the exact gradient's ``grad_xy`` in Python floats,
-    with the bits of the batch.  Its start obeys condition 1, so it provably
-    stays in the tube and ``run`` never truncates it.
+    The single-run form of strict ``perturbed_runs``: the same seeded
+    start, noise and guarantee checks, with the full trace kept.  Reports
+    whether every iterate stayed within r_max of its cycle point.  With
+    parameter and gradient noise both zero the residual contraction factor
+    is fitted and returned (it matches the rate of heavy ball on the
+    isotropic mu-quadratic), and the run is plain heavy ball from its
+    seeded start: ``run`` steps the exact gradient's ``grad_xy`` in Python
+    floats, with the bits of the batch.  Its start obeys condition 1, so it
+    provably stays in the tube and ``run`` never truncates it.  A run
+    outside the guarantee is ``perturbed_runs`` with ``strict=False`` and
+    ``record=True``.
     """
-    noise_free = noise.gamma_jitter == noise.beta_jitter == noise.grad_noise == 0.0
-    if noise_free and strict:
-        _, starts = _start_batch(ce, c, p, k, [noise], steps, strict)
-        trace = run(CounterexampleFunction(ce, c), p, starts[0, 0], starts[1, 0], steps)
-    else:
-        runs = perturbed_runs(ce, c, p, k, [noise], steps, strict, record=True)
+    if not noise.gamma_jitter == noise.beta_jitter == noise.grad_noise == 0.0:
+        runs = perturbed_runs(ce, c, p, k, [noise], steps, record=True)
         trace = SimTrace(runs.iterates[:, 0], steps, runs.params_used[:, 0])
-        if not noise_free:
-            return PerturbedRun(trace, bool(runs.stayed_in_tube[0]), None)
+        return PerturbedRun(trace, bool(runs.stayed_in_tube[0]), None)
+    _, starts = _start_batch(ce, c, p, k, [noise], steps, strict=True)
+    trace = run(CounterexampleFunction(ce, c), p, starts[0, 0], starts[1, 0], steps)
     dev = cycle_distances(trace.iterates, rou_cycle(k).points)
     joint = np.sqrt(dev[1:] ** 2 + dev[:-1] ** 2)
     return PerturbedRun(trace, bool(dev.max() <= ce.r_max * _TUBE_SLACK),
@@ -599,20 +592,18 @@ def format_floats(x) -> np.ndarray:
     return text[inverse].reshape(x.shape)
 
 
-def write_trace_csv(trace: SimTrace, path, cycle: np.ndarray | None = None) -> None:
+def write_trace_csv(trace: SimTrace, path, cycle: np.ndarray) -> None:
     """Trace export: t, coordinates, distance to the cycle, per-step params.
 
-    ``cycle`` (K, d), when given, fills the distance column with
-    ||z_t - cycle[t mod K]||; it is empty otherwise.  The two initial rows
-    carry no step parameters.
+    The distance column holds ||z_t - cycle[t mod K]|| for the cycle
+    points ``cycle`` (K, d).  The two initial rows, and the rows of a
+    truncated trace past its last step, carry no step parameters.
     """
     zs = trace.iterates
     n, d = zs.shape
-    dist = [""] * n
-    if cycle is not None:
-        diff = zs - cycle[np.arange(n) % len(cycle)]
-        # vecdot, unlike cycle_distances, sums each row as a lone norm() does.
-        dist = format_floats(np.sqrt(np.vecdot(diff, diff))).tolist()
+    diff = zs - cycle[np.arange(n) % len(cycle)]
+    # vecdot, unlike cycle_distances, sums each row as a lone norm() does.
+    dist = format_floats(np.sqrt(np.vecdot(diff, diff))).tolist()
     params = trace.params_used[:n - 2]
     tail = [""] * (n - 2 - len(params))
     gamma_t, beta_t = (["", ""] + format_floats(col).tolist() + tail for col in params.T)

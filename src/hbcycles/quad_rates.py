@@ -13,8 +13,10 @@ splits into three convergence regions (plus a divergent remainder):
 * knife edge -- large step-sizes; the rate is driven by the L-eigenspace.
 
 Level sets of the rate over the plane are closed triangles whose common
-corner pattern pins down the optimal tuning.  Everything here is a pure
-function; the grid variant broadcasts over numpy arrays.
+corner pattern pins down the optimal tuning.  ``reference_rates`` tables
+the known worst-case rates of standard tunings beside heavy ball's.
+Everything here is a pure function; the grid variant broadcasts over numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -305,3 +307,49 @@ def ghadimi_optimum(c: FunctionClass) -> tuple[HbParams, float]:
     beta = sb * sb
     gamma = 2.0 * (1.0 + beta) / (c.ell + c.mu)
     return HbParams(gamma, beta), sb
+
+
+def reference_rates(c: FunctionClass) -> dict:
+    """Known worst-case asymptotic rates at this class's condition ratio.
+
+    Rates are on ||x_t - x*|| as functions of kappa = mu/L, for the
+    quadratic class and for general smooth strongly convex functions.
+    Entries that are open questions are None; the quadratic-optimal
+    heavy-ball tuning has no rate on the general class (it cycles).
+    """
+    k = c.kappa
+    sk = math.sqrt(k)
+    return {
+        "gd_step_1_over_L": {
+            "quadratics": 1.0 - k,
+            "smooth_strongly_convex": 1.0 - k,
+        },
+        "gd_step_2_over_L_plus_mu": {
+            "quadratics": (1.0 - k) / (1.0 + k),
+            "smooth_strongly_convex": (1.0 - k) / (1.0 + k),
+        },
+        "chebyshev": {
+            "quadratics": (1.0 - sk) / (1.0 + sk),
+            "smooth_strongly_convex": None,
+        },
+        "hb_quadratic_optimal": {
+            "quadratics": (1.0 - sk) / (1.0 + sk),
+            "smooth_strongly_convex": "cycles",
+        },
+        "nag": {
+            "quadratics": 1.0 - sk,
+            "smooth_strongly_convex": math.sqrt(1.0 - sk),
+        },
+        "information_theoretic_exact": {
+            "quadratics": 1.0 - sk,
+            "smooth_strongly_convex": 1.0 - sk,
+        },
+        "triple_momentum": {
+            "quadratics": 1.0 - sk,
+            "smooth_strongly_convex": 1.0 - sk,
+        },
+        "lower_bound": {
+            "quadratics": (1.0 - sk) / (1.0 + sk),
+            "smooth_strongly_convex": 1.0 - sk,
+        },
+    }

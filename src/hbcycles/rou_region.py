@@ -17,10 +17,10 @@ sublevel-set triangle of rate 1 - O(kappa).
 The smallest member period is found in closed form.  In x = cos(2*pi/K)
 the membership quadratic is A x^2 + B x + C with A = 4 kappa beta >= 0, so
 the member periods of a cell are the K whose cos(2*pi/K) lies in one
-interval.  ``rou_member_any`` and ``member_any_grid`` bound that interval,
-allowing for a bound E on the rounding of the float value
-(``MEMBERSHIP_ROUNDING``) and for the rounding of the cosines
-(``_COS_ROUNDING``), then run the float kernel at the few periods inside,
+interval.  ``member_any_grid`` (and ``rou_member_any``, its one-cell form)
+bounds that interval, allowing for a bound E on the rounding of the float
+value (``MEMBERSHIP_ROUNDING``) and for the rounding of the cosines
+(``_COS_ROUNDING``), then runs the float kernel at the few periods inside,
 in K order.  The result is the K, bit for bit, of testing every period
 from 3 to k_max, at a cost that does not grow with k_max.  The search
 starts at K = 3: period 2, the step-size edge, is not searched.
@@ -254,36 +254,25 @@ def _smallest_member_period(mg, beta, kappa: float, k_max: int) -> np.ndarray:
 def rou_member_any(p: HbParams, c: FunctionClass,
                    k_max: int = DEFAULT_K_MAX) -> int | None:
     """Smallest period K in [3, k_max] whose cycling region contains ``p``,
-    None if none.
-
-    The closed form of the module docstring, on one cell: the float
-    membership value is tested only at the periods whose cos(2*pi/K) can
-    give a value <= 0, allowing for its rounding bound E, and the first in
-    K order wins; so K is that of testing every period from 3 up.
-    """
-    if k_max < 3:
-        raise ValueError(f"k_max must be >= 3, got {k_max}")
-    if p.beta < 0.0:
-        raise ValueError("cycling membership is only defined for beta >= 0")
-    if not in_cv_closure(p.gamma, p.beta, c):
-        return None
-    k = _smallest_member_period(np.array([c.mu * p.gamma]), np.array([p.beta], dtype=float),
-                                c.kappa, k_max)[0]
-    return int(k) if k else None
+    None if none: ``member_any_grid`` on the one cell, with its checks."""
+    return int(member_any_grid(p.gamma, p.beta, c, k_max)) or None
 
 
 def member_any_grid(gammas, betas, c: FunctionClass,
                     k_max: int = DEFAULT_K_MAX) -> np.ndarray:
-    """Vectorized ``rou_member_any``: smallest member period in [3, k_max]
-    per cell, 0 if none.
+    """Smallest member period in [3, k_max] per cell of the (gamma, beta)
+    grid, 0 if none.
 
-    Each cell in the convergence-region closure tests the float membership
-    value only at its candidate periods, those whose cos(2*pi/K) lies in
-    the interval where the membership quadratic A x^2 + B x + C is within
-    its rounding bound E of <= 0, in K order; so each period is that of
-    testing every K from 3, and the cost does not grow with k_max.
-    Requires beta >= 0 everywhere on the grid.
+    The closed form of the module docstring: each cell in the
+    convergence-region closure tests the float membership value only at its
+    candidate periods, those whose cos(2*pi/K) lies in the interval where
+    the membership quadratic A x^2 + B x + C is within its rounding bound E
+    of <= 0, in K order; so each period is that of testing every K from 3,
+    and the cost does not grow with k_max.  Raises ValueError for a k_max
+    below 3 and for a negative beta anywhere on the grid.
     """
+    if k_max < 3:
+        raise ValueError(f"k_max must be >= 3, got {k_max}")
     g, b = np.broadcast_arrays(np.asarray(gammas, dtype=float),
                                np.asarray(betas, dtype=float))
     if np.any(b < 0.0):
@@ -319,11 +308,11 @@ class CounterExample:
     m: np.ndarray
     hull: np.ndarray
     r_max: float
-    edges: np.ndarray = field(repr=False, default=None)
-    hull_radius: float = field(repr=False, default=None)
-    _edge_floats: tuple = field(repr=False, default=None)
-    phi: float = field(repr=False, default=None)
-    _edge_table: np.ndarray = field(repr=False, default=None)
+    edges: np.ndarray = field(repr=False)
+    hull_radius: float = field(repr=False)
+    _edge_floats: tuple = field(repr=False)
+    phi: float = field(repr=False)
+    _edge_table: np.ndarray = field(repr=False)
 
 
 def build_counterexample(p: HbParams, c: FunctionClass, k: int) -> CounterExample:

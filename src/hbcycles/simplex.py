@@ -117,17 +117,15 @@ def solve_canonical(cost, a_eq, b_eq, basis) -> SimplexResult:
 
     ``basis`` (one column index per row) is a primal-feasible starting
     basis; one that is singular or whose values break x >= 0 raises
-    ValueError.  An optimal result also carries ``dual``, the row prices
-    c_B B^-1 of the confirming basis in the rows of ``a_eq`` as given:
-    ``dual @ b_eq`` is the objective and ``cost - dual @ a_eq`` the
-    (nonnegative) reduced costs.
+    ValueError.  ``b_eq`` may have negative entries: B^-1 b and the
+    tableau B^-1 [A | b] do not depend on the signs of the rows.  An
+    optimal result also carries ``dual``, the row prices c_B B^-1 of the
+    confirming basis: ``dual @ b_eq`` is the objective and
+    ``cost - dual @ a_eq`` the (nonnegative) reduced costs.
     """
-    a = np.array(a_eq, dtype=float)
-    b = np.array(b_eq, dtype=float)
-    c = np.array(cost, dtype=float)
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
+    a = np.asarray(a_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
+    c = np.asarray(cost, dtype=float)
     basis = _checked_basis(a, basis)
 
     status, it, tableau = _optimize(a, b, c, basis)
@@ -137,7 +135,6 @@ def solve_canonical(cost, a_eq, b_eq, basis) -> SimplexResult:
     x = np.zeros(a.shape[1])
     x[basis] = tableau[:, -1]
     dual = np.linalg.solve(a[:, basis].T, c[basis])
-    dual[flip] *= -1.0
     return SimplexResult("optimal", x, float(c @ x), it, dual)
 
 

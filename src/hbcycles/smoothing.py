@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -44,9 +43,8 @@ from .rou_region import (
 
 # Directions, over a half turn, of ``third_derivative_estimate``'s stencils.
 _TAU_DIRECTIONS = 8
-# Radial node counts whose Gauss-Legendre rules stay cached (64 nodes by
-# default: about 1 KB each, and a rule is the same at every radius).
-_GAUSS_RULES = 4
+# Radii (Gauss-Legendre) and angles (uniform) of the polar quadrature grid.
+_QUADRATURE_NODES = 64
 
 
 class QuadraturePrecisionWarning(UserWarning):
@@ -88,19 +86,18 @@ def make_mollifier(epsilon: float) -> Mollifier:
 class SmoothedCounterExample:
     """Mollified counterexample with a fixed polar quadrature.
 
-    Nodes and weights are precomputed at construction; ``mass_defect``
-    records |quadrature(density) - 1| and is the error proxy attached to
-    gradient evaluations.
+    Nodes and weights of the 64 x 64 polar grid are precomputed by
+    ``smooth_counterexample``; ``mass_defect`` records
+    |quadrature(density) - 1| and is the error proxy attached to gradient
+    evaluations.
     """
 
     base: CounterExample
     fclass: FunctionClass
     moll: Mollifier
-    n_radial: int
-    n_angular: int
-    nodes: np.ndarray = field(repr=False, default=None)    # (n_r * n_a, 2)
-    weights: np.ndarray = field(repr=False, default=None)  # (n_r * n_a,)
-    mass_defect: float = 0.0
+    nodes: np.ndarray = field(repr=False)    # (64 * 64, 2)
+    weights: np.ndarray = field(repr=False)  # (64 * 64,)
+    mass_defect: float
 
     def grad(self, x) -> np.ndarray:
         return smoothed_grad(self, x)
@@ -113,41 +110,38 @@ class SmoothedCounterExample:
         return smoothed_value(self, x)
 
 
-@functools.lru_cache(maxsize=_GAUSS_RULES)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1];
-    read-only, as the cache hands them to every caller."""
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_QUADRATURE_NODES``-point Gauss-Legendre
+    rule on [-1, 1]; read-only, as the cache hands them to every caller."""
     from numpy.polynomial.legendre import leggauss
 
-    rule = leggauss(n)
+    rule = leggauss(_QUADRATURE_NODES)
     for array in rule:
         array.setflags(write=False)
     return rule
 
 
-def smooth_counterexample(ce: CounterExample, c: FunctionClass, epsilon: float,
-                          n_radial: int = 64, n_angular: int = 64) -> SmoothedCounterExample:
+def smooth_counterexample(ce: CounterExample, c: FunctionClass,
+                          epsilon: float) -> SmoothedCounterExample:
     """Mollify the counterexample at support radius ``epsilon`` <= r_max.
 
     The radius cap keeps every support ball inside the locally quadratic
     neighborhood of its cycle point, which is what preserves the cycle.
-    Raises ValueError for a node count that is not a positive integer, and
-    for a radius that is not positive and finite, that exceeds r_max, or
-    that leaves the quadrature weights non-finite.
+    The quadrature grid has 64 Gauss-Legendre radii by 64 uniform angles.
+    Raises ValueError for a radius that is not positive and finite, that
+    exceeds r_max, or that leaves the quadrature weights non-finite.
     """
-    for name, count in (("n_radial", n_radial), ("n_angular", n_angular)):
-        if not (isinstance(count, numbers.Integral) and count > 0):
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
     moll = make_mollifier(epsilon)
     if epsilon > ce.r_max:
         raise ValueError(
             f"support radius {epsilon} exceeds the safety radius {ce.r_max}")
 
-    x, w = _gauss_legendre(int(n_radial))
+    x, w = _gauss_legendre()
     radii = 0.5 * (x + 1.0) * epsilon
     w_rad = 0.5 * epsilon * w
-    angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    w_ang = 2.0 * math.pi / n_angular
+    angles = 2.0 * math.pi * np.arange(_QUADRATURE_NODES) / _QUADRATURE_NODES
+    w_ang = 2.0 * math.pi / _QUADRATURE_NODES
 
     r_grid, a_grid = np.meshgrid(radii, angles, indexing="ij")
     nodes = np.stack([(r_grid * np.cos(a_grid)).ravel(),
@@ -160,8 +154,7 @@ def smooth_counterexample(ce: CounterExample, c: FunctionClass, epsilon: float,
         mass_defect = float(abs(weights.sum() - 1.0))
     if not math.isfinite(mass_defect):
         raise ValueError(f"quadrature weights are not finite at support radius {epsilon}")
-    return SmoothedCounterExample(ce, c, moll, n_radial, n_angular,
-                                  nodes, weights, mass_defect)
+    return SmoothedCounterExample(ce, c, moll, nodes, weights, mass_defect)
 
 
 def _cell_margin(ce: CounterExample, t: int, x0: float, x1: float) -> float:
@@ -217,7 +210,8 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
     if sce.mass_defect > 1e-6:
         warnings.warn(
             f"quadrature mass defect {sce.mass_defect:.2e} exceeds 1e-6; "
-            "increase the node counts", QuadraturePrecisionWarning, stacklevel=2)
+            "the smoothed gradient is accurate only to about it",
+            QuadraturePrecisionWarning, stacklevel=2)
     ce = sce.base
     x0, x1 = map(float, x)
     t = _sector(ce, x0, x1)
@@ -249,9 +243,12 @@ def cycle_check_smoothed(sce: SmoothedCounterExample, p: HbParams, k: int,
     The smoothed and base gradients coincide on the cycle, and there the
     gradient takes the exact branch unless epsilon is within rounding of
     r_max, so the deviation is rounding (else quadrature) noise, reported
-    rather than hidden.  Requires an
-    interior member point (positive safety radius).
+    rather than hidden.  Requires ``k`` to be the counterexample's period
+    and an interior member point (positive safety radius).
     """
+    if k != sce.base.k:
+        raise ValueError(
+            f"period {k} does not match the counterexample's period {sce.base.k}")
     if not rou_member(p, sce.fclass, k) or sce.base.r_max <= 0.0:
         raise ValueError("smoothed cycle check needs an interior member point")
     cyc = rou_cycle(k)

@@ -393,7 +393,7 @@ def parsed_render_svg(csv_path, svg_path) -> None:
         fh.write("\n")
 
 
-def rowwise_write_trace_csv(trace, path, cycle=None) -> None:
+def rowwise_write_trace_csv(trace, path, cycle) -> None:
     """Trace CSV one ``csv.writer`` row and one 1-D norm at a time."""
     zs = trace.iterates
     d = zs.shape[1]
@@ -402,10 +402,7 @@ def rowwise_write_trace_csv(trace, path, cycle=None) -> None:
         writer.writerow(["t", *(f"x{i}" for i in range(d)),
                          "dist_to_cycle", "gamma_t", "beta_t"])
         for t, z in enumerate(zs):
-            if cycle is not None:
-                dist = format(float(np.linalg.norm(z - cycle[t % len(cycle)])), ".17g")
-            else:
-                dist = ""
+            dist = format(float(np.linalg.norm(z - cycle[t % len(cycle)])), ".17g")
             if t >= 2 and t - 2 < len(trace.params_used):
                 gamma_t = format(trace.params_used[t - 2, 0], ".17g")
                 beta_t = format(trace.params_used[t - 2, 1], ".17g")

@@ -247,8 +247,7 @@ def test_criterion_09_robustness_tube():
 def test_criterion_10_smoothed_coincidence_and_dilation():
     ce = build_counterexample(FIG4_PARAMS, FIG4_CLASS, FIG4_K)
     fn = CounterexampleFunction(ce, FIG4_CLASS)
-    sce = smooth_counterexample(ce, FIG4_CLASS, ce.r_max / 2,
-                                n_radial=64, n_angular=64)
+    sce = smooth_counterexample(ce, FIG4_CLASS, ce.r_max / 2)
     cyc = rou_cycle(FIG4_K)
     coincidence = max(np.linalg.norm(smoothed_grad(sce, x) - fn.grad(x))
                       for x in cyc.points)

@@ -208,6 +208,48 @@ class TestSweep:
         for cache in (cycle_lp._dft_table, cycle_lp._lag_table):
             assert cache.cache_info().currsize <= 32
 
+    @pytest.mark.parametrize("affinity", [True, False])
+    @pytest.mark.parametrize("cpus,n_beta,pool", [(3, 5, 3), (8, 1, 6), (1, 5, None)])
+    def test_lp_region_pool_is_capped_at_the_cpus_and_the_chunks(
+            self, monkeypatch, affinity, cpus, n_beta, pool):
+        # The pool forks all its processes at its first task, so --workers
+        # 100000 must not reach it as such.  A stand-in records the pool
+        # size and maps in this process; no process is started.
+        import concurrent.futures
+
+        sizes, chunks = [], []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *parts):
+                chunks.extend(parts[0])
+                return map(fn, *parts)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        g, b = np.meshgrid(np.linspace(0.5, 3.5, 6), np.linspace(0.0, 0.9, n_beta),
+                           indexing="ij")
+        c = FunctionClass(0.01, 1.0)
+        want = cli._lp_region_chunk(g.ravel(), b.ravel(), 0.01, 1.0, 8)
+        got = cli._lp_region_cells(g, b, c, 8, 100_000)
+        assert sizes == ([] if pool is None else [pool])
+        assert len(chunks) <= 4 * cpus
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
     def test_lp_region_worker_pool_is_order_stable(self, capsys, tmp_path):
         args = ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1",
                 "--gamma-count", "7", "--beta-count", "5", "--k-max", "8"]

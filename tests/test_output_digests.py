@@ -122,6 +122,11 @@ def cases() -> dict:
                 # most steps take the quadrature branch.
                 *(["cycle-demo", *_POINT, "--steps", "50", "--smooth", _R_MAX, *argv]
                   for argv in ((), ("--lambda", "10"))),
+                ["robustness", *_POINT, "--runs", "5", "--steps", "200",
+                 "--noise-mode", "adversarial-sign"],
+                ["cycle-demo", *_POINT, "--noise-init", "0.5", "--noise-grad", "within-thm53",
+                 "--noise-mode", "adversarial-sign", "--seed", "4", "--steps", "200",
+                 "--out", "adv.csv"],
                 *_error_commands()]
     return {" ".join(argv): argv for argv in commands}
 

@@ -205,6 +205,16 @@ class TestRouMemberAny:
                 lower = rou_member_any_lower_only(p, c, 60)
                 assert (both is None) == (lower is None), (gamma, beta)
 
+    @pytest.mark.parametrize("k_max", [2, 0, -5])
+    def test_k_max_below_three_raises_for_a_cell_and_a_grid(self, k_max):
+        # A grid once answered 0 (no member period) at every cell instead.
+        c = FunctionClass(0.01, 1.0)
+        message = f"k_max must be >= 3, got {k_max}"
+        with pytest.raises(ValueError, match=message):
+            member_any_grid([1.0, 2.0], [0.5, 0.9], c, k_max=k_max)
+        with pytest.raises(ValueError, match=message):
+            rou_member_any(HbParams(1.0, 0.5), c, k_max)
+
     def test_grid_variant_matches_scalar(self):
         c = FunctionClass(0.01, 1.0)
         gammas = np.linspace(0.05, 3.9, 25)
@@ -600,6 +610,13 @@ class TestIncompatibilityScan:
     def test_empty_intersection_at_moderate_kappa(self):
         assert incompatibility_scan(FunctionClass(0.01, 1.0), 50 / 3 + 0.01,
                                     resolution=(120, 120))
+
+    def test_k_max_below_three_raises(self):
+        # At k_max 2 no period was searched, and the scan answered False as
+        # if the sublevel set met the complement; at k_max 100 it is True.
+        c = FunctionClass(1e-3, 1.0)
+        with pytest.raises(ValueError, match="k_max must be >= 3, got 2"):
+            incompatibility_scan(c, 50 / 3 + 0.01, k_max=2)
 
     def test_trivial_for_large_kappa(self):
         # sqrt(kappa) <= (3+sqrt(5)) kappa makes the statement vacuous here.

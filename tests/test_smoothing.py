@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -16,6 +17,7 @@ from hbcycles.rou_region import (
     _sector,
     build_counterexample,
     rou_cycle,
+    rou_member,
 )
 import hbcycles.smoothing as smoothing
 from hbcycles.smoothing import (
@@ -164,20 +166,10 @@ class TestMollifier:
         with pytest.raises(ValueError, match="positive and finite"):
             smooth_counterexample(ce, c, epsilon)
 
-    @pytest.mark.parametrize("counts,name", [
-        ((0, 64), "n_radial"), ((2.5, 64), "n_radial"), ((-1, 64), "n_radial"),
-        ((64, 0), "n_angular"), ((64, 2.5), "n_angular"), ((64, -1), "n_angular")])
-    def test_rejects_bad_node_counts(self, interior_setup, counts, name):
-        # Checked before the rule is looked up, so no bad key is cached.
-        _, c, ce = interior_setup
-        with mock.patch.object(smoothing, "_gauss_legendre", side_effect=AssertionError), \
-                pytest.raises(ValueError, match=f"{name} must be a positive integer"):
-            smooth_counterexample(ce, c, ce.r_max / 2, *counts)
-
     def test_cached_rule_is_read_only_and_the_same_every_time(self, interior_setup):
         from numpy.polynomial.legendre import leggauss
         _, c, ce = interior_setup
-        for cached, fresh in zip(smoothing._gauss_legendre(64), leggauss(64)):
+        for cached, fresh in zip(smoothing._gauss_legendre(), leggauss(64)):
             assert not cached.flags.writeable
             assert cached.tobytes() == fresh.tobytes()
         first, second = (smooth_counterexample(ce, c, ce.r_max / 2) for _ in range(2))
@@ -227,7 +219,7 @@ class TestSmoothedGradient:
 
     def test_coarse_quadrature_warns(self, interior_setup):
         p, c, ce = interior_setup
-        sce = smooth_counterexample(ce, c, ce.r_max / 2, n_radial=2, n_angular=3)
+        sce = dataclasses.replace(smooth_counterexample(ce, c, ce.r_max / 2), mass_defect=1e-3)
         assert sce.mass_defect > 1e-6
         with pytest.warns(QuadraturePrecisionWarning):
             smoothed_grad(sce, np.array([1.0, 0.0]))
@@ -342,7 +334,7 @@ class TestExactBranch:
 
     def test_coarse_quadrature_warns_on_the_exact_branch(self, interior_setup):
         p, c, ce = interior_setup
-        sce = smooth_counterexample(ce, c, ce.r_max / 2, n_radial=2, n_angular=3)
+        sce = dataclasses.replace(smooth_counterexample(ce, c, ce.r_max / 2), mass_defect=1e-3)
         x = rou_cycle(7).points[0]
         assert _margin(ce, x) > 1.5 * sce.moll.epsilon
         with pytest.warns(QuadraturePrecisionWarning):
@@ -354,6 +346,15 @@ class TestSmoothedCycle:
     def test_cycle_survives_smoothing(self, smoothed):
         p, c, ce, sce = smoothed
         assert cycle_check_smoothed(sce, p, 7, 500) <= 1e-3
+
+    def test_cycle_check_rejects_another_period(self, smoothed):
+        # (3.3, 0.75) is a period-5 member too: without the period check the
+        # 5-cycle would run on the 7-gon's function and deviate by about 1.45.
+        p, c, ce, sce = smoothed
+        assert rou_member(p, c, 5)
+        with pytest.raises(ValueError, match="period 5 does not match the "
+                                             "counterexample's period 7"):
+            cycle_check_smoothed(sce, p, 5, 50)
 
     @pytest.mark.parametrize("fraction", [0.5, 1.0])
     def test_cycle_check_matches_the_array_path(self, interior_setup, fraction):
