@@ -4,7 +4,8 @@ Subcommands: rate, sweep, cycle-demo, lp-check, robustness, table4.
 All data outputs are deterministic: CSV with 17 significant digits and UNIX
 newlines, JSON metadata sidecars with sorted keys and a full parameter
 echo, and SVG renderings that are pure functions of the CSV.
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error (an output path that cannot be
+written included), 3 numerical failure or not enough memory.
 """
 
 from __future__ import annotations
@@ -296,9 +297,8 @@ def _cmd_sweep(args) -> int:
         value = np.where(member > 0, member, math.nan)
         tag = np.where(member > 0, "member", "none")
     elif args.mode == "ghadimi":
-        value = np.broadcast_to([[ghadimi_beta_bound(c, x)] for x in gammas.tolist()], g.shape)
-        tag = np.where((0.0 < g) & (g < 2.0 / c.ell) & (0.0 <= b) & (b < value),
-                       "inside", "outside")
+        value = np.broadcast_to(ghadimi_beta_bound(c, gammas)[:, None], g.shape)
+        tag = np.where((0.0 <= b) & (b < value), "inside", "outside")
     elif args.mode == "lp-region":
         period, unsure, extra["lp_pairs"] = _lp_region_cells(g, b, c, args.k_max, args.workers)
         value = np.where(period > 0, period, math.nan).reshape(g.shape)
@@ -399,10 +399,9 @@ def _lp_region_cells(g, b, c, k_max, workers):
 
 
 def _cmd_cycle_demo(args) -> int:
-    c = FunctionClass(args.mu, args.L)
-    p = HbParams(args.gamma, args.beta)
-    k = args.K
-    ce = build_counterexample(p, c, k)
+    ce = build_counterexample(HbParams(args.gamma, args.beta),
+                              FunctionClass(args.mu, args.L), args.K)
+    p, k = ce.p, ce.k
     scale = args.scale
     out: dict = {"r_max": ce.r_max, "K": k}
 
@@ -411,7 +410,7 @@ def _cmd_cycle_demo(args) -> int:
     levels = {}
     if any(v is not None for v in
            (args.noise_init, args.noise_gamma, args.noise_beta, args.noise_grad)):
-        budget = noise_budget(p, c, ce)
+        budget = noise_budget(ce)
         spec = _noise_spec(args, budget)
         levels = {key: getattr(spec, key) for key in
                   ("init_radius", "gamma_jitter", "beta_jitter", "grad_noise")}
@@ -421,13 +420,13 @@ def _cmd_cycle_demo(args) -> int:
             "noise flags apply to the exact counterexample run only")
 
     # Member points only (build_counterexample): there the matrix contracts.
-    sc = stability_constants(p, c.mu)
+    sc = stability_constants(p, ce.c.mu)
     out["kappa_p"] = sc.kappa_p
     out["rho_d"] = sc.rho_d
     out["stability_region"] = sc.region_used
 
     if noisy:
-        result = perturbed_run(ce, c, p, k, spec, args.steps)
+        result = perturbed_run(ce, spec, args.steps)
         trace = result.trace
         out["stayed_in_tube"] = result.stayed_in_tube
         out["residual_decay_rate"] = result.residual_decay_rate
@@ -437,7 +436,7 @@ def _cmd_cycle_demo(args) -> int:
     else:
         if args.smooth:
             eps = ce.r_max / 2.0 if args.smooth == "auto" else args.smooth
-            sce = smooth_counterexample(ce, c, eps)
+            sce = smooth_counterexample(ce, eps)
             oracle = dilate(sce, scale) if scale != 1.0 else sce
             out["smooth_epsilon"] = eps
             out["mass_defect"] = sce.mass_defect
@@ -445,7 +444,7 @@ def _cmd_cycle_demo(args) -> int:
             out["tau_estimate"] = third_derivative_estimate(
                 oracle.grad, edge_mid[None, :], h=0.05 * scale)
         else:
-            oracle = CounterexampleFunction(ce, c)
+            oracle = CounterexampleFunction(ce)
             if scale != 1.0:
                 oracle = dilate(oracle, scale)
         cycle_pts = scale * rou_cycle(k).points
@@ -481,13 +480,12 @@ def _cmd_lp_check(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    c = FunctionClass(args.mu, args.L)
-    p = HbParams(args.gamma, args.beta)
-    ce = build_counterexample(p, c, args.K)
-    budget = noise_budget(p, c, ce)
+    ce = build_counterexample(HbParams(args.gamma, args.beta),
+                              FunctionClass(args.mu, args.L), args.K)
+    budget = noise_budget(ce)
     base = _noise_spec(args, budget)
     seeded = [replace(base, seed=args.seed + i) for i in range(args.runs)]
-    _check_runs(p, c, ce, budget, seeded)
+    _check_runs(ce, budget, seeded)
 
     # Observed tolerance: scale the gradient-noise budget up until the tube
     # breaks (the guarantee is sufficient, not necessary).  The factors run
@@ -504,8 +502,7 @@ def _cmd_robustness(args) -> int:
     # are never read.  The seeded rows meet the three conditions, so they
     # provably stay in the tube and never overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        runs = perturbed_runs(ce, c, p, args.K, seeded + overdrive, args.steps,
-                              strict=False)
+        runs = perturbed_runs(ce, seeded + overdrive, args.steps, strict=False)
     stayed = int(np.count_nonzero(runs.stayed_in_tube[:args.runs]))
     observed = 1.0
     for factor, ok in zip(factors, runs.stayed_in_tube[args.runs:]):
@@ -626,11 +623,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, OSError) as exc:
+        # An OSError is an --out path that cannot be written; it names the path.
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -16,7 +16,8 @@ chunk.  ``perturbed_run`` is its single-run form with the full
 trace; a noise-free run there (seeded start only) is plain heavy ball,
 stepped by ``run`` in Python floats through the counterexample's
 ``grad_xy``, with no array per step.  Both draw the seeded starts and
-apply the run guards through ``_start_batch``.
+apply the run guards through ``_start_batch``.  Each runs at the (gamma,
+beta), class and period its counterexample was built for.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
+from .quad_rates import BOUNDARY_TOL, HbParams
 from .rou_region import CounterExample, CounterexampleFunction, rou_cycle
 
 # Relative slack of every tube check, so a bound met in full is not lost to
@@ -222,26 +223,19 @@ def stability_constants(p: HbParams, mu: float) -> StabilityConstants:
         return StabilityConstants(_condition_constants(p_mat), rho_d, "Boundary",
                                   p_mat, d_mat)
 
+    # A real pair (Lazy, real matrices) or a complex-conjugate pair
+    # (Robust, of modulus sqrt(beta)); P's columns are the eigenvectors.
+    root = math.sqrt(abs(disc))
     if disc > 0.0:
-        root = math.sqrt(disc)
-        lam_hi, lam_lo = half_trace + root, half_trace - root
-        rho_d = max(abs(lam_hi), abs(lam_lo))
-        if rho_d >= 1.0:
-            raise ValueError(f"no contraction: spectral radius = {rho_d} >= 1")
-        p_mat = np.array([[lam_hi, lam_lo], [1.0, 1.0]])
-        d_mat = np.diag([lam_hi, lam_lo])
-        return StabilityConstants(_condition_constants(p_mat), rho_d, "Lazy",
-                                  p_mat, d_mat)
-
-    root = math.sqrt(-disc)
-    lam = complex(half_trace, root)
-    rho_d = abs(lam)  # = sqrt(beta)
+        lam, region = (half_trace + root, half_trace - root), "Lazy"
+    else:
+        lam, region = (complex(half_trace, root), complex(half_trace, -root)), "Robust"
+    rho_d = max(abs(lam[0]), abs(lam[1]))
     if rho_d >= 1.0:
         raise ValueError(f"no contraction: spectral radius = {rho_d} >= 1")
-    p_mat = np.array([[lam, lam.conjugate()], [1.0, 1.0]], dtype=complex)
-    d_mat = np.diag([lam, lam.conjugate()])
-    return StabilityConstants(_condition_constants(p_mat), rho_d, "Robust",
-                              p_mat, d_mat)
+    p_mat = np.array([lam, (1.0, 1.0)])
+    return StabilityConstants(_condition_constants(p_mat), rho_d, region,
+                              p_mat, np.diag(lam))
 
 
 @dataclass(frozen=True)
@@ -270,14 +264,15 @@ class NoiseSpec:
             raise ValueError(f"unknown noise mode {self.mode!r}")
 
 
-def _tube_coefficients(p: HbParams, mu: float, kappa_p: float,
-                       r_max: float) -> tuple[float, float]:
-    """Weights of |dgamma| and |dbeta| in tube condition 2."""
-    return 4.0 / p.gamma + mu * kappa_p * r_max, 2.0 + 2.0 * kappa_p * r_max
+def _tube_coefficients(ce: CounterExample, kappa_p: float) -> tuple[float, float]:
+    """Weights of |dgamma| and |dbeta| in tube condition 2 around ``ce``."""
+    return (4.0 / ce.p.gamma + ce.c.mu * kappa_p * ce.r_max,
+            2.0 + 2.0 * kappa_p * ce.r_max)
 
 
-def noise_budget(p: HbParams, c: FunctionClass, ce: CounterExample) -> dict:
-    """Maximal guaranteed-safe noise magnitudes around the cycle.
+def noise_budget(ce: CounterExample) -> dict:
+    """Maximal guaranteed-safe noise magnitudes around the cycle of ``ce``,
+    at the parameters and class it was built for.
 
     The three tube conditions are
       1. sqrt(||d0||^2 + ||d1||^2) <= kappa_P * r_max,
@@ -287,9 +282,9 @@ def noise_budget(p: HbParams, c: FunctionClass, ce: CounterExample) -> dict:
     Returns the per-channel budgets (each assumes the shared budget of its
     condition is spent on that channel alone).
     """
-    sc = stability_constants(p, c.mu)
+    sc = stability_constants(ce.p, ce.c.mu)
     slack = 0.5 * (1.0 - sc.rho_d) * sc.kappa_p * ce.r_max
-    gamma_coeff, beta_coeff = _tube_coefficients(p, c.mu, sc.kappa_p, ce.r_max)
+    gamma_coeff, beta_coeff = _tube_coefficients(ce, sc.kappa_p)
     return {
         "kappa_p": sc.kappa_p,
         "rho_d": sc.rho_d,
@@ -297,7 +292,7 @@ def noise_budget(p: HbParams, c: FunctionClass, ce: CounterExample) -> dict:
         "param_budget": slack,
         "gamma_jitter": slack / gamma_coeff,
         "beta_jitter": slack / beta_coeff,
-        "grad_noise": c.ell * slack / 4.0,
+        "grad_noise": ce.c.ell * slack / 4.0,
     }
 
 
@@ -352,8 +347,8 @@ def _fit_decay(norms: np.ndarray) -> float | None:
     return _fitted_rate(window)
 
 
-def _check_runs(p: HbParams, c: FunctionClass, ce: CounterExample, budget: dict,
-                noises: list[NoiseSpec], strict: bool = True) -> None:
+def _check_runs(ce: CounterExample, budget: dict, noises: list[NoiseSpec],
+                strict: bool = True) -> None:
     """Raise unless the runs have a tube to stay in (r_max > 0) and, in
     strict mode, every spec meets the three guarantee conditions; the first
     violated condition is named, with the first spec violating it."""
@@ -369,7 +364,7 @@ def _check_runs(p: HbParams, c: FunctionClass, ce: CounterExample, budget: dict,
         raise ValueError(
             "condition 1 violated: initial offset "
             f"{float(init[bad[0]])} * kappa_P * r_max exceeds kappa_P * r_max")
-    gamma_coeff, beta_coeff = _tube_coefficients(p, c.mu, budget["kappa_p"], ce.r_max)
+    gamma_coeff, beta_coeff = _tube_coefficients(ce, budget["kappa_p"])
     spend = gamma_coeff * gamma_jitter + beta_coeff * beta_jitter
     bad = np.flatnonzero(spend > budget["param_budget"] * _TUBE_SLACK)
     if bad.size:
@@ -383,9 +378,8 @@ def _check_runs(p: HbParams, c: FunctionClass, ce: CounterExample, budget: dict,
             f"exceeds budget {budget['grad_noise']}")
 
 
-def _start_batch(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
-                 noises: list[NoiseSpec], steps: int, strict: bool):
-    """The guards and seeded starts of a batch of runs.
+def _start_batch(ce: CounterExample, noises: list[NoiseSpec], steps: int, strict: bool):
+    """The guards and seeded starts of a batch of runs around ``ce``'s cycle.
 
     Returns (rngs, starts): ``starts`` (2, R, 2) holds each run's
     first two points, the cycle's displaced by a joint offset of norm
@@ -396,11 +390,9 @@ def _start_batch(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not noises:
         raise ValueError("a batch needs at least one noise spec")
-    if k != ce.k:
-        raise ValueError(f"period {k} does not match the counterexample's period {ce.k}")
-    budget = noise_budget(p, c, ce)
-    _check_runs(p, c, ce, budget, noises, strict)
-    cyc = rou_cycle(k).points
+    budget = noise_budget(ce)
+    _check_runs(ce, budget, noises, strict)
+    cyc = rou_cycle(ce.k).points
     starts = np.empty((2, len(noises), 2))
     rngs = [np.random.default_rng(n.seed) for n in noises]
     for i, (rng, noise) in enumerate(zip(rngs, noises)):
@@ -445,10 +437,10 @@ def _adversarial_noise(residual: np.ndarray, grad: np.ndarray, momentum: np.ndar
     return dgamma, dbeta, -grad_noise[:, None] * direction
 
 
-def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
-                   noises: list[NoiseSpec], steps: int, strict: bool = True,
-                   record: bool = False) -> TubeRuns:
-    """Run heavy ball on the counterexample under R perturbations at once.
+def perturbed_runs(ce: CounterExample, noises: list[NoiseSpec], steps: int,
+                   strict: bool = True, record: bool = False) -> TubeRuns:
+    """Run heavy ball on the counterexample under R perturbations at once,
+    at the parameters, class and period ``ce`` was built for.
 
     Run r starts from the cycle's first two points displaced by a joint
     offset of norm init_radius * kappa_P * r_max, drawn from
@@ -468,12 +460,13 @@ def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     is named otherwise.  Rows are independent, so specs of any noise,
     checked or not, may share a batch.
     """
-    rngs, starts = _start_batch(ce, c, p, k, noises, steps, strict)
+    rngs, starts = _start_batch(ce, noises, steps, strict)
     gamma_jitter, beta_jitter, grad_noise = np.array(
         [(n.gamma_jitter, n.beta_jitter, n.grad_noise) for n in noises]).T
 
+    p, k = ce.p, ce.k
     cyc = rou_cycle(k).points
-    fn = CounterexampleFunction(ce, c)
+    fn = CounterexampleFunction(ce)
     r = len(noises)
     chunk = min(_DRAW_CHUNK, steps)
     # The state is coordinate-major: z[0] holds the runs' first coordinates
@@ -555,9 +548,9 @@ def perturbed_runs(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     return TubeRuns(max_dev, stayed, iterates, params)
 
 
-def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
-                  noise: NoiseSpec, steps: int) -> PerturbedRun:
-    """Run heavy ball on the counterexample under bounded perturbations.
+def perturbed_run(ce: CounterExample, noise: NoiseSpec, steps: int) -> PerturbedRun:
+    """Run heavy ball on the counterexample under bounded perturbations, at
+    the parameters, class and period it was built for.
 
     The single-run form of strict ``perturbed_runs``: the same seeded
     start, noise and guarantee checks, with the full trace kept.  Reports
@@ -572,12 +565,12 @@ def perturbed_run(ce: CounterExample, c: FunctionClass, p: HbParams, k: int,
     ``record=True``.
     """
     if not noise.gamma_jitter == noise.beta_jitter == noise.grad_noise == 0.0:
-        runs = perturbed_runs(ce, c, p, k, [noise], steps, record=True)
+        runs = perturbed_runs(ce, [noise], steps, record=True)
         trace = SimTrace(runs.iterates[:, 0], steps, runs.params_used[:, 0])
         return PerturbedRun(trace, bool(runs.stayed_in_tube[0]), None)
-    _, starts = _start_batch(ce, c, p, k, [noise], steps, strict=True)
-    trace = run(CounterexampleFunction(ce, c), p, starts[0, 0], starts[1, 0], steps)
-    dev = cycle_distances(trace.iterates, rou_cycle(k).points)
+    _, starts = _start_batch(ce, [noise], steps, strict=True)
+    trace = run(CounterexampleFunction(ce), ce.p, starts[0, 0], starts[1, 0], steps)
+    dev = cycle_distances(trace.iterates, rou_cycle(ce.k).points)
     joint = np.sqrt(dev[1:] ** 2 + dev[:-1] ** 2)
     return PerturbedRun(trace, bool(dev.max() <= ce.r_max * _TUBE_SLACK),
                         _fit_decay(joint))

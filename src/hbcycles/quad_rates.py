@@ -269,24 +269,24 @@ def sublevel_contains(c: FunctionClass, rho: float, p: HbParams) -> bool:
             and report.rho <= rho + BOUNDARY_TOL)
 
 
-def ghadimi_beta_bound(c: FunctionClass, gamma: float) -> float:
+def ghadimi_beta_bound(c: FunctionClass, gamma):
     """Strict upper bound on beta for the descent-Lyapunov convergence region.
 
     The Ghadimi region (global convergence on smooth strongly convex
     functions via a descent Lyapunov function) is gamma in (0, 2/L) together
-    with 0 <= beta < bound(gamma).  Returns 0.0 outside the gamma range.
+    with 0 <= beta < bound(gamma).  A float or an array, as ``gamma`` is;
+    0.0 outside the gamma range, where no beta >= 0 passes.
     """
-    mu, L = c.mu, c.ell
-    if not 0.0 < gamma < 2.0 / L:
-        return 0.0
-    half = mu * gamma / 4.0
-    return half + math.sqrt(half * half + 1.0 - L * gamma / 2.0)
+    gamma = np.asarray(gamma, dtype=float)
+    half = c.mu * gamma / 4.0
+    with np.errstate(invalid="ignore"):
+        bound = np.where((0.0 < gamma) & (gamma < 2.0 / c.ell),
+                         half + np.sqrt(half * half + 1.0 - c.ell * gamma / 2.0), 0.0)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def ghadimi_contains(c: FunctionClass, p: HbParams) -> bool:
     """Membership in the Ghadimi convergence region (strict beta bound)."""
-    if not 0.0 < p.gamma < 2.0 / c.ell:
-        return False
     return 0.0 <= p.beta < ghadimi_beta_bound(c, p.gamma)
 
 

@@ -12,7 +12,8 @@ counterexample
 its exact gradient via closest-point projection onto the polygon, the
 safety radius r_max of the locally quadratic neighborhoods around the cycle
 points, and the grid scan showing the region's complement misses every
-sublevel-set triangle of rate 1 - O(kappa).
+sublevel-set triangle of rate 1 - O(kappa).  A counterexample keeps the
+(gamma, beta), class and period it was built for.
 
 The smallest member period is found in closed form.  In x = cos(2*pi/K)
 the membership quadratic is A x^2 + B x + C with A = 4 kappa beta >= 0, so
@@ -292,7 +293,8 @@ def member_any_grid(gammas, betas, c: FunctionClass,
 class CounterExample:
     """Counterexample geometry at a cycling parameter point.
 
-    ``m`` is the linear operator whose images of the cycle points form the
+    ``p``, ``c`` and ``k`` are the parameters, class and period it was
+    built for.  ``m`` is the linear operator whose images of the cycle points form the
     polygon, a scaled rotation a*I + b*J; so ``hull``, the K vertices in
     counter-clockwise (cycle) order, is a regular K-gon centred at the
     origin with vertex t at angle ``phi`` + 2*pi*t/K.  ``r_max`` is the
@@ -304,6 +306,8 @@ class CounterExample:
     ``_edge_table`` holds the first five as (5, K) rows, for the batch.
     """
 
+    p: HbParams
+    c: FunctionClass
     k: int
     m: np.ndarray
     hull: np.ndarray
@@ -349,7 +353,7 @@ def build_counterexample(p: HbParams, c: FunctionClass, k: int) -> CounterExampl
     edge_sq = np.einsum("ij,ij->i", edges, edges)
     table = np.vstack([hull.T, edges.T, edge_sq])
     edge_floats = tuple(zip(*table.tolist(), np.sqrt(edge_sq).tolist()))
-    return CounterExample(k=k, m=m, hull=hull, r_max=r_max, edges=edges,
+    return CounterExample(p=p, c=c, k=k, m=m, hull=hull, r_max=r_max, edges=edges,
                           hull_radius=float(np.linalg.norm(hull, axis=1).max()),
                           _edge_floats=edge_floats, phi=math.atan2(b, a), _edge_table=table)
 
@@ -432,30 +436,31 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     return proj
 
 
-def _grad_one(ce: CounterExample, c: FunctionClass, t: int,
-              x0: float, x1: float) -> tuple[float, float]:
+def _grad_one(ce: CounterExample, t: int, x0: float, x1: float) -> tuple[float, float]:
     """Exact counterexample gradient L x - (L-mu)(x - proj(x)) at one point
-    of cone ``t``, in Python floats.
+    of cone ``t``, in Python floats, with (mu, L) the class of ``ce``.
 
     ``_counterexample_batch``'s expressions in the same order, so one row
     gives the same bits either way.
     """
     p0, p1 = _project_one(ce, t, x0, x1)
-    ell = c.ell
-    drop = ell - c.mu
+    ell = ce.c.ell
+    drop = ell - ce.c.mu
     return ell * x0 - drop * (x0 - p0), ell * x1 - drop * (x1 - p1)
 
 
-def _counterexample_batch(ce: CounterExample, c: FunctionClass, x: np.ndarray,
+def _counterexample_batch(ce: CounterExample, x: np.ndarray,
                           value: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Values (n,) and exact gradients (n, 2) of the counterexample at the
-    rows of ``x``; the values are None unless ``value``.
+    rows of ``x``, on the class (mu, L) of ``ce``; the values are None
+    unless ``value``.
 
     value(x) = (L/2)||x||^2 - ((L-mu)/2) dist(x, hull)^2 and
     grad(x)  = L x - (L-mu)(x - proj(x)).  Inside the hull the distance term
     vanishes and the gradient is exactly L x; in the vertex regions the
     Hessian is mu*I.
     """
+    c = ce.c
     gap = x - polygon_project_batch(ce, x)
     grad = c.ell * x - (c.ell - c.mu) * gap
     if not value:
@@ -464,23 +469,22 @@ def _counterexample_batch(ce: CounterExample, c: FunctionClass, x: np.ndarray,
             - 0.5 * (c.ell - c.mu) * np.einsum("ij,ij->i", gap, gap)), grad
 
 
-def eval_counterexample(ce: CounterExample, c: FunctionClass,
-                        x: np.ndarray) -> tuple[float, np.ndarray]:
+def eval_counterexample(ce: CounterExample, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and exact gradient of the piecewise-quadratic counterexample at
-    one point."""
-    value, grad = _counterexample_batch(ce, c, np.asarray(x, dtype=float)[None, :])
+    one point, on the class it was built for."""
+    value, grad = _counterexample_batch(ce, np.asarray(x, dtype=float)[None, :])
     return float(value[0]), grad[0]
 
 
 class CounterexampleFunction:
-    """Callable value/gradient pair for the counterexample function."""
+    """Callable value/gradient pair for the counterexample function, on the
+    class the counterexample was built for."""
 
-    def __init__(self, ce: CounterExample, c: FunctionClass):
+    def __init__(self, ce: CounterExample):
         self.ce = ce
-        self.fclass = c
 
     def value(self, x) -> float:
-        return eval_counterexample(self.ce, self.fclass, x)[0]
+        return eval_counterexample(self.ce, x)[0]
 
     def grad(self, x) -> np.ndarray:
         """Exact gradient at one point, in Python floats (``_grad_one``)."""
@@ -489,13 +493,13 @@ class CounterexampleFunction:
 
     def grad_xy(self, x0: float, x1: float) -> tuple[float, float]:
         """``grad`` at the point (x0, x1), as the float pair (g0, g1)."""
-        return _grad_one(self.ce, self.fclass, _sector(self.ce, x0, x1), x0, x1)
+        return _grad_one(self.ce, _sector(self.ce, x0, x1), x0, x1)
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
-        return _counterexample_batch(self.ce, self.fclass, x, value=False)[1]
+        return _counterexample_batch(self.ce, x, value=False)[1]
 
     def value_batch(self, x: np.ndarray) -> np.ndarray:
-        return _counterexample_batch(self.ce, self.fclass, x)[0]
+        return _counterexample_batch(self.ce, x)[0]
 
 
 def incompatibility_scan(c: FunctionClass, big_c: float,

@@ -7,6 +7,8 @@ gradient is affine on the support balls around the cycle points) leaves the
 gradients on the cycle untouched, so the cycle survives.  Dilating by
 lambda scales the cycle by lambda and divides every derivative of order
 r >= 3 by lambda^{r-2}, defeating any prescribed Hessian-Lipschitz bound.
+The smoothed counterexample takes the (gamma, beta), class and period of
+the counterexample it mollifies, so its functions need nothing else.
 
 The smoothed gradient uses the same fact wherever it holds.  The base
 gradient L x - (L - mu)(x - proj x) is affine on each feature cell of the
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hb_engine import cycle_distances, run
-from .quad_rates import _UNIT_ROUNDOFF, FunctionClass, HbParams
+from .quad_rates import _UNIT_ROUNDOFF
 from .rou_region import (
     CounterExample,
     CounterexampleFunction,
@@ -38,7 +40,6 @@ from .rou_region import (
     _grad_one,
     _sector,
     rou_cycle,
-    rou_member,
 )
 
 # Directions, over a half turn, of ``third_derivative_estimate``'s stencils.
@@ -89,11 +90,10 @@ class SmoothedCounterExample:
     Nodes and weights of the 64 x 64 polar grid are precomputed by
     ``smooth_counterexample``; ``mass_defect`` records
     |quadrature(density) - 1| and is the error proxy attached to gradient
-    evaluations.
+    evaluations.  The parameters, class and period are those of ``base``.
     """
 
     base: CounterExample
-    fclass: FunctionClass
     moll: Mollifier
     nodes: np.ndarray = field(repr=False)    # (64 * 64, 2)
     weights: np.ndarray = field(repr=False)  # (64 * 64,)
@@ -122,9 +122,9 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def smooth_counterexample(ce: CounterExample, c: FunctionClass,
-                          epsilon: float) -> SmoothedCounterExample:
-    """Mollify the counterexample at support radius ``epsilon`` <= r_max.
+def smooth_counterexample(ce: CounterExample, epsilon: float) -> SmoothedCounterExample:
+    """Mollify the counterexample at support radius ``epsilon`` <= r_max, on
+    the class it was built for.
 
     The radius cap keeps every support ball inside the locally quadratic
     neighborhood of its cycle point, which is what preserves the cycle.
@@ -154,7 +154,7 @@ def smooth_counterexample(ce: CounterExample, c: FunctionClass,
         mass_defect = float(abs(weights.sum() - 1.0))
     if not math.isfinite(mass_defect):
         raise ValueError(f"quadrature weights are not finite at support radius {epsilon}")
-    return SmoothedCounterExample(ce, c, moll, nodes, weights, mass_defect)
+    return SmoothedCounterExample(ce, moll, nodes, weights, mass_defect)
 
 
 def _cell_margin(ce: CounterExample, t: int, x0: float, x1: float) -> float:
@@ -220,9 +220,9 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
     # from the edge of a cone whose ray the point is within rounding of.
     slack = 128.0 * _UNIT_ROUNDOFF * (math.hypot(x0, x1) + ce.hull_radius)
     if _cell_margin(ce, t, x0, x1) > sce.moll.epsilon + slack:
-        return np.array(_grad_one(ce, sce.fclass, t, x0, x1))
+        return np.array(_grad_one(ce, t, x0, x1))
     return sce.weights @ _counterexample_batch(
-        ce, sce.fclass, np.array([[x0, x1]]) - sce.nodes, value=False)[1]
+        ce, np.array([[x0, x1]]) - sce.nodes, value=False)[1]
 
 
 def smoothed_value(sce: SmoothedCounterExample, x) -> float:
@@ -232,27 +232,24 @@ def smoothed_value(sce: SmoothedCounterExample, x) -> float:
     where the base function is quadratic on the whole support ball.
     """
     x = np.asarray(x, dtype=float)
-    fn = CounterexampleFunction(sce.base, sce.fclass)
+    fn = CounterexampleFunction(sce.base)
     return float(sce.weights @ fn.value_batch(x[None, :] - sce.nodes))
 
 
-def cycle_check_smoothed(sce: SmoothedCounterExample, p: HbParams, k: int,
-                         steps: int) -> float:
-    """Max deviation from the cycle when iterating on the smoothed gradient.
+def cycle_check_smoothed(sce: SmoothedCounterExample, steps: int) -> float:
+    """Max deviation from the cycle when iterating on the smoothed gradient,
+    at the parameters and period of its counterexample.
 
     The smoothed and base gradients coincide on the cycle, and there the
     gradient takes the exact branch unless epsilon is within rounding of
     r_max, so the deviation is rounding (else quadrature) noise, reported
-    rather than hidden.  Requires ``k`` to be the counterexample's period
-    and an interior member point (positive safety radius).
+    rather than hidden.  Requires an interior member point (positive safety
+    radius); ``build_counterexample`` has already checked membership.
     """
-    if k != sce.base.k:
-        raise ValueError(
-            f"period {k} does not match the counterexample's period {sce.base.k}")
-    if not rou_member(p, sce.fclass, k) or sce.base.r_max <= 0.0:
+    if sce.base.r_max <= 0.0:
         raise ValueError("smoothed cycle check needs an interior member point")
-    cyc = rou_cycle(k)
-    trace = run(sce, p, cyc.points[0], cyc.points[1], steps)
+    cyc = rou_cycle(sce.base.k)
+    trace = run(sce, sce.base.p, cyc.points[0], cyc.points[1], steps)
     return float(np.max(cycle_distances(trace.iterates, cyc.points)))
 
 

@@ -104,7 +104,7 @@ def interior_setup():
     return p, c, ce
 
 
-def sequential_perturbed_run(ce, c, p, k, noise, steps):
+def sequential_perturbed_run(ce, noise, steps):
     """One perturbed run, one point per step: the reference for the batch.
 
     The per-step loop the engine ran before it was batched, with the same
@@ -112,10 +112,11 @@ def sequential_perturbed_run(ce, c, p, k, noise, steps):
     angle and radius uniforms.  Returns (iterates, params_used, max_dev,
     stayed), max_dev the largest ||z_t - cycle[t mod K]||.
     """
-    budget = noise_budget(p, c, ce)
+    p, k = ce.p, ce.k
+    budget = noise_budget(ce)
     rng = np.random.default_rng(noise.seed)
     cyc = rou_cycle(k)
-    fn = CounterexampleFunction(ce, c)
+    fn = CounterexampleFunction(ce)
     offset = rng.normal(size=4)
     offset *= noise.init_radius * budget["init_norm"] / np.linalg.norm(offset)
     zs = np.empty((steps + 2, 2))
@@ -158,7 +159,7 @@ def two_batch_robustness(args) -> int:
     c = FunctionClass(args.mu, args.L)
     p = HbParams(args.gamma, args.beta)
     ce = build_counterexample(p, c, args.K)
-    budget = noise_budget(p, c, ce)
+    budget = noise_budget(ce)
     base = NoiseSpec(
         init_radius=args.noise_init,
         gamma_jitter=_parse_noise(args.noise_gamma, budget["gamma_jitter"] / 2,
@@ -170,8 +171,7 @@ def two_batch_robustness(args) -> int:
         mode=args.noise_mode,
         seed=0,
     )
-    runs = perturbed_runs(ce, c, p, args.K,
-                          [replace(base, seed=args.seed + i) for i in range(args.runs)],
+    runs = perturbed_runs(ce, [replace(base, seed=args.seed + i) for i in range(args.runs)],
                           args.steps)
     stayed = int(np.count_nonzero(runs.stayed_in_tube))
     factors = []
@@ -183,9 +183,8 @@ def two_batch_robustness(args) -> int:
     if factors:
         with np.errstate(over="ignore", invalid="ignore"):
             overdrive = perturbed_runs(
-                ce, c, p, args.K,
-                [replace(base, grad_noise=budget["grad_noise"] * f, seed=args.seed)
-                 for f in factors],
+                ce, [replace(base, grad_noise=budget["grad_noise"] * f, seed=args.seed)
+                     for f in factors],
                 args.steps, strict=False)
         for factor, ok in zip(factors, overdrive.stayed_in_tube):
             if not ok:

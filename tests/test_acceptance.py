@@ -96,7 +96,7 @@ def test_criterion_02_optimal_tuning():
 
 def test_criterion_03_cycle_exactness():
     ce = build_counterexample(FIG4_PARAMS, FIG4_CLASS, FIG4_K)
-    fn = CounterexampleFunction(ce, FIG4_CLASS)
+    fn = CounterexampleFunction(ce)
     cyc = rou_cycle(FIG4_K)
     t0 = time.perf_counter()
     trace = run(fn.grad, FIG4_PARAMS, cyc.points[0], cyc.points[1], 10000)
@@ -111,7 +111,7 @@ def test_criterion_03_cycle_exactness():
 
 def test_criterion_04_gradient_correctness():
     ce = build_counterexample(FIG4_PARAMS, FIG4_CLASS, FIG4_K)
-    fn = CounterexampleFunction(ce, FIG4_CLASS)
+    fn = CounterexampleFunction(ce)
     rng = np.random.default_rng(2024)
     band = 1e-4
     worst = 0.0
@@ -221,19 +221,18 @@ def test_criterion_08_lp_analytic_identity():
 
 def test_criterion_09_robustness_tube():
     ce = build_counterexample(FIG4_PARAMS, FIG4_CLASS, FIG4_K)
-    budget = noise_budget(FIG4_PARAMS, FIG4_CLASS, ce)
+    budget = noise_budget(ce)
     noises = [NoiseSpec(init_radius=0.9,
                         gamma_jitter=budget["gamma_jitter"] * 0.45,
                         beta_jitter=budget["beta_jitter"] * 0.45,
                         grad_noise=budget["grad_noise"],
                         mode="uniform-random", seed=seed)
               for seed in range(100)]
-    runs = perturbed_runs(ce, FIG4_CLASS, FIG4_PARAMS, FIG4_K, noises, 1000)
+    runs = perturbed_runs(ce, noises, 1000)
     stayed = int(np.count_nonzero(runs.stayed_in_tube))
     assert stayed == 100
 
-    decay_run = perturbed_run(ce, FIG4_CLASS, FIG4_PARAMS, FIG4_K,
-                              NoiseSpec(init_radius=0.9, seed=17), 2500)
+    decay_run = perturbed_run(ce, NoiseSpec(init_radius=0.9, seed=17), 2500)
     from hbcycles.quad_rates import rate_on_quadratics
     iso = rate_on_quadratics(FIG4_PARAMS,
                              FunctionClass(FIG4_CLASS.mu, FIG4_CLASS.mu))
@@ -246,8 +245,8 @@ def test_criterion_09_robustness_tube():
 
 def test_criterion_10_smoothed_coincidence_and_dilation():
     ce = build_counterexample(FIG4_PARAMS, FIG4_CLASS, FIG4_K)
-    fn = CounterexampleFunction(ce, FIG4_CLASS)
-    sce = smooth_counterexample(ce, FIG4_CLASS, ce.r_max / 2)
+    fn = CounterexampleFunction(ce)
+    sce = smooth_counterexample(ce, ce.r_max / 2)
     cyc = rou_cycle(FIG4_K)
     coincidence = max(np.linalg.norm(smoothed_grad(sce, x) - fn.grad(x))
                       for x in cyc.points)

@@ -576,7 +576,7 @@ class TestCycleDemo:
         # --noise-beta within-thm53 and 1e-9 run different traces; the
         # JSON and the sidecar name the resolved levels, so they differ too.
         p, c = HbParams(3.3, 0.75), FunctionClass(0.005, 1.0)
-        budget = noise_budget(p, c, build_counterexample(p, c, 7))
+        budget = noise_budget(build_counterexample(p, c, 7))
         printed = []
         for beta, beta_level in (("within-thm53", budget["beta_jitter"] * 0.5), ("1e-9", 1e-9)):
             code, out, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "600",
@@ -629,8 +629,8 @@ class TestCycleDemo:
         # tau stencil around the edge midpoint (9 gradients) integrates.
         calls = []
         monkeypatch.setattr(smoothing, "_counterexample_batch",
-                            lambda ce, c, x, value: calls.append(len(x))
-                            or _counterexample_batch(ce, c, x, value))
+                            lambda ce, x, value: calls.append(len(x))
+                            or _counterexample_batch(ce, x, value))
         code, out, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "500",
                                "--smooth", "auto")
         assert code == 0
@@ -835,11 +835,11 @@ class TestOthers:
 
         c, p = FunctionClass(0.005, 1.0), HbParams(3.3, 0.75)
         ce = build_counterexample(p, c, 7)
-        budget = noise_budget(p, c, ce)
+        budget = noise_budget(ce)
         worst = max(sequential_perturbed_run(
-            ce, c, p, 7, NoiseSpec(0.5, budget["gamma_jitter"] / 2,
-                                   budget["beta_jitter"] / 2, budget["grad_noise"],
-                                   mode, seed + i), 300)[2] for i in range(4))
+            ce, NoiseSpec(0.5, budget["gamma_jitter"] / 2,
+                          budget["beta_jitter"] / 2, budget["grad_noise"],
+                          mode, seed + i), 300)[2] for i in range(4))
         assert float(ratio_line.group(1)) == pytest.approx(worst / ce.r_max, rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["uniform-random", "adversarial-sign"])
@@ -920,3 +920,28 @@ class TestOthers:
                                "--mu", "-1", "--L", "25")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--mode", "rate", "--mu", "0.01", "--L", "1", "--gamma-count", "3",
+         "--beta-count", "3"),
+        ("cycle-demo", *_TUBE_POINT, "--steps", "50")])
+    @pytest.mark.parametrize("target,message", [
+        ("nodir/out.csv", "No such file or directory"), (".", "Is a directory")])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv, target, message):
+        path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, *argv, "--out", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and message in err and repr(path) in err
+        assert "Traceback" not in err
+
+    def test_refused_memory_is_an_error(self, capsys, monkeypatch):
+        # The refusal is simulated: a test never asks for the memory.
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 71.1 PiB for an array")
+
+        monkeypatch.setattr(cli, "lp_check", refuse)
+        code, out, err = run_cli(capsys, "lp-check", *_TUBE_POINT[:-1], "100000000")
+        assert code == 3
+        assert out == ""
+        assert err == "error: not enough memory: Unable to allocate 71.1 PiB for an array\n"

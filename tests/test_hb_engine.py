@@ -48,7 +48,7 @@ _MEMBER_CLASS = FunctionClass(0.005, 1.0)
 def _member_setup(k):
     p = _MEMBERS[k]
     ce = build_counterexample(p, _MEMBER_CLASS, k)
-    return p, ce, noise_budget(p, _MEMBER_CLASS, ce)
+    return p, ce, noise_budget(ce)
 
 
 def _assert_matches_oracle(batch, noises, k, steps):
@@ -59,8 +59,7 @@ def _assert_matches_oracle(batch, noises, k, steps):
     """
     p, ce, _ = _member_setup(k)
     for i, noise in enumerate(noises):
-        zs, params, _, stayed = sequential_perturbed_run(ce, _MEMBER_CLASS, p, k,
-                                                         noise, steps)
+        zs, params, _, stayed = sequential_perturbed_run(ce, noise, steps)
         assert bool(batch.stayed_in_tube[i]) == stayed
         if noise.mode == "uniform-random":
             assert np.array_equal(batch.iterates[:, i], zs)
@@ -114,7 +113,7 @@ class TestRun:
     def test_counterexample_cycles_exactly(self, fig4_setup):
         p, c, ce = fig4_setup
         cyc = rou_cycle(7)
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         trace = run(fn.grad, p, cyc.points[0], cyc.points[1], 10000)
         idx = np.arange(len(trace.iterates)) % 7
         dev = np.linalg.norm(trace.iterates - cyc.points[idx], axis=1)
@@ -165,7 +164,7 @@ class TestRunOnGradXy:
         ([1e-310, -0.0], [-5e-324, 0.7], 50)])
     def test_matches_the_callable_path(self, interior_setup, x0, x1, steps):
         p, c, ce = interior_setup
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         new = run(fn, p, x0, x1, steps)
         assert _trace_bits(new) == _trace_bits(run(fn.grad, p, x0, x1, steps))
         assert new.truncated == (not math.isfinite(x0[0] + x1[0]))
@@ -173,9 +172,8 @@ class TestRunOnGradXy:
     @pytest.mark.parametrize("seed", [0, 24])
     def test_decay_run(self, seed):
         p, ce, _ = _member_setup(7)
-        _, starts = hb_engine._start_batch(ce, _MEMBER_CLASS, p, 7,
-                                           [NoiseSpec(init_radius=0.9, seed=seed)], 2500, True)
-        fn = CounterexampleFunction(ce, _MEMBER_CLASS)
+        _, starts = hb_engine._start_batch(ce, [NoiseSpec(init_radius=0.9, seed=seed)], 2500, True)
+        fn = CounterexampleFunction(ce)
         x0, x1 = starts[:, 0]
         assert _trace_bits(run(fn, p, x0, x1, 2500)) == _trace_bits(run(fn.grad, p, x0, x1, 2500))
 
@@ -185,7 +183,7 @@ class TestRunOnGradXy:
     def test_start_of_another_shape_raises(self, interior_setup, x0, x1):
         p, c, ce = interior_setup
         with pytest.raises(ValueError, match="a grad_xy oracle needs 2-D starting points"):
-            run(CounterexampleFunction(ce, c), p, x0, x1, 3)
+            run(CounterexampleFunction(ce), p, x0, x1, 3)
 
 
 def _trace_bits(trace):
@@ -232,14 +230,14 @@ class TestRunMatchesNumpyLoop:
     def test_criterion_3_trace(self, fig4_setup):
         p, c, ce = fig4_setup
         cyc = rou_cycle(7)
-        new = run(CounterexampleFunction(ce, c).grad, p, cyc.points[0], cyc.points[1], 10000)
+        new = run(CounterexampleFunction(ce).grad, p, cyc.points[0], cyc.points[1], 10000)
         assert _trace_bits(new) == _reference_bits(
             numpy_counterexample_grad(ce, c), p, cyc.points[0], cyc.points[1], 10000)
 
     @pytest.mark.parametrize("scale", [1.0, 10.0])
     def test_smoothed_trace(self, interior_setup, scale):
         p, c, ce = interior_setup
-        sce = smooth_counterexample(ce, c, ce.r_max / 2)
+        sce = smooth_counterexample(ce, ce.r_max / 2)
         oracle = dilate(sce, scale).grad if scale != 1.0 else sce.grad
         x0, x1 = scale * rou_cycle(7).points[:2]
         assert _trace_bits(run(oracle, p, x0, x1, 500)) == _reference_bits(
@@ -253,9 +251,9 @@ class TestRunMatchesNumpyLoop:
         # run(obj) steps obj.grad_xy in floats, run(obj.grad) the array
         # path.  Starts off the cycle reach the smoothed quadrature.
         p, c, ce = interior_setup
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         if kind == "smoothed":
-            fn = smooth_counterexample(ce, c, ce.r_max / 2)
+            fn = smooth_counterexample(ce, ce.r_max / 2)
         if scale != 1.0:
             fn = dilate(fn, scale)
         x0, x1 = start * scale * rou_cycle(7).points[:2]
@@ -295,9 +293,9 @@ class TestRunMatchesNumpyLoop:
         # step and the numpy loop give the same 2,500 steps.
         p, ce, _ = _member_setup(7)
         c = _MEMBER_CLASS
-        decay = perturbed_run(ce, c, p, 7, NoiseSpec(init_radius=0.9, seed=24), 2500)
+        decay = perturbed_run(ce, NoiseSpec(init_radius=0.9, seed=24), 2500)
         zs = decay.trace.iterates
-        new = run(CounterexampleFunction(ce, c).grad, p, zs[0], zs[1], 2500)
+        new = run(CounterexampleFunction(ce).grad, p, zs[0], zs[1], 2500)
         assert new.iterates.tobytes() == zs.tobytes()
         assert _trace_bits(new) == _reference_bits(
             numpy_counterexample_grad(ce, c), p, zs[0], zs[1], 2500)
@@ -326,7 +324,7 @@ class TestDetectCycle:
     def test_detects_counterexample_cycle(self, fig4_setup):
         p, c, ce = fig4_setup
         cyc = rou_cycle(7)
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         trace = run(fn.grad, p, cyc.points[0], cyc.points[1], 500)
         is_cycle, dev = detect_cycle(trace, 7, tol=1e-8)
         assert is_cycle and dev <= 1e-12
@@ -343,7 +341,7 @@ class TestDetectCycle:
         # No contract beyond reporting: a far start yields a finite
         # deviation number quantifying attraction or escape.
         p, c, ce = fig4_setup
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         trace = run(fn.grad, p, [4.0, -3.0], [4.2, -2.9], 300)
         is_cycle, dev = detect_cycle(trace, 7, tol=1e-8)
         assert np.isfinite(dev)
@@ -371,7 +369,7 @@ class TestEstimateRate:
     def test_cycling_trace_rates_one(self, fig4_setup):
         p, c, ce = fig4_setup
         cyc = rou_cycle(7)
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         trace = run(fn.grad, p, cyc.points[0], cyc.points[1], 800)
         assert estimate_rate(trace, [0.0, 0.0]) == pytest.approx(1.0, abs=1e-3)
 
@@ -455,7 +453,7 @@ class TestStabilityConstants:
 class TestPerturbedRun:
     def test_zero_noise_reproduces_exact_cycle(self, interior_setup):
         p, c, ce = interior_setup
-        res = perturbed_run(ce, c, p, 7, NoiseSpec(), 300)
+        res = perturbed_run(ce, NoiseSpec(), 300)
         cyc = rou_cycle(7)
         idx = np.arange(len(res.trace.iterates)) % 7
         dev = np.linalg.norm(res.trace.iterates - cyc.points[idx], axis=1)
@@ -464,35 +462,33 @@ class TestPerturbedRun:
 
     def test_same_seed_bit_identical(self, interior_setup):
         p, c, ce = interior_setup
-        budget = noise_budget(p, c, ce)
+        budget = noise_budget(ce)
         noise = NoiseSpec(0.5, budget["gamma_jitter"] / 3, budget["beta_jitter"] / 3,
                           budget["grad_noise"], seed=11)
-        a = perturbed_run(ce, c, p, 7, noise, 200)
-        b = perturbed_run(ce, c, p, 7, noise, 200)
+        a = perturbed_run(ce, noise, 200)
+        b = perturbed_run(ce, noise, 200)
         assert np.array_equal(a.trace.iterates, b.trace.iterates)
         assert np.array_equal(a.trace.params_used, b.trace.params_used)
 
     def test_compliant_noise_stays_in_tube_both_modes(self, interior_setup):
         p, c, ce = interior_setup
-        budget = noise_budget(p, c, ce)
+        budget = noise_budget(ce)
         for mode in ("uniform-random", "adversarial-sign"):
             noise = NoiseSpec(0.9, budget["gamma_jitter"] * 0.45,
                               budget["beta_jitter"] * 0.45,
                               budget["grad_noise"], mode=mode, seed=5)
-            res = perturbed_run(ce, c, p, 7, noise, 800)
+            res = perturbed_run(ce, noise, 800)
             assert res.stayed_in_tube
 
     def test_violated_conditions_are_named(self, interior_setup):
         p, c, ce = interior_setup
-        budget = noise_budget(p, c, ce)
+        budget = noise_budget(ce)
         with pytest.raises(ValueError, match="condition 1"):
-            perturbed_run(ce, c, p, 7, NoiseSpec(init_radius=1.5), 10)
+            perturbed_run(ce, NoiseSpec(init_radius=1.5), 10)
         with pytest.raises(ValueError, match="condition 2"):
-            perturbed_run(ce, c, p, 7,
-                          NoiseSpec(gamma_jitter=budget["gamma_jitter"] * 2), 10)
+            perturbed_run(ce, NoiseSpec(gamma_jitter=budget["gamma_jitter"] * 2), 10)
         with pytest.raises(ValueError, match="condition 3"):
-            perturbed_run(ce, c, p, 7,
-                          NoiseSpec(grad_noise=budget["grad_noise"] * 2), 10)
+            perturbed_run(ce, NoiseSpec(grad_noise=budget["grad_noise"] * 2), 10)
 
     def test_boundary_member_rejected(self, interior_setup):
         # r_max = 0 at the region's edge: no tube to speak of.
@@ -500,13 +496,13 @@ class TestPerturbedRun:
         p, c, ce = interior_setup
         flat = dataclasses.replace(ce, r_max=0.0)
         with pytest.raises(ValueError, match="r_max"):
-            perturbed_run(flat, c, p, 7, NoiseSpec(), 10)
+            perturbed_run(flat, NoiseSpec(), 10)
 
     def test_residual_follows_isotropic_dynamics(self, interior_setup):
         # Inside the tube the residual recursion is exactly the heavy-ball
         # update on the isotropic mu-quadratic.
         p, c, ce = interior_setup
-        res = perturbed_run(ce, c, p, 7, NoiseSpec(init_radius=0.9, seed=2), 400)
+        res = perturbed_run(ce, NoiseSpec(init_radius=0.9, seed=2), 400)
         cyc = rou_cycle(7)
         zs = res.trace.iterates
         delta = zs - cyc.points[np.arange(len(zs)) % 7]
@@ -529,11 +525,11 @@ class TestPerturbedRun:
             k = 3
             ce = build_counterexample(p, c, k)
         sc = stability_constants(p, c.mu)
-        budget = noise_budget(p, c, ce)
+        budget = noise_budget(ce)
         noise = NoiseSpec(0.9, budget["gamma_jitter"] * 0.4,
                           budget["beta_jitter"] * 0.4,
                           budget["grad_noise"], seed=8)
-        res = perturbed_run(ce, c, p, k, noise, 500)
+        res = perturbed_run(ce, noise, 500)
         cyc = rou_cycle(k)
         zs = res.trace.iterates
         delta = zs - cyc.points[np.arange(len(zs)) % k]
@@ -546,15 +542,9 @@ class TestPerturbedRun:
 
     def test_init_only_decay_matches_isotropic_rate(self, interior_setup):
         p, c, ce = interior_setup
-        res = perturbed_run(ce, c, p, 7, NoiseSpec(init_radius=0.9, seed=1), 2000)
+        res = perturbed_run(ce, NoiseSpec(init_radius=0.9, seed=1), 2000)
         iso = rate_on_quadratics(p, FunctionClass(c.mu, c.mu))
         assert res.residual_decay_rate == pytest.approx(iso.rho, abs=2e-2)
-
-    def test_rejects_a_period_other_than_the_counterexamples(self, interior_setup):
-        p, c, ce = interior_setup
-        for noise in (NoiseSpec(init_radius=0.5), NoiseSpec(grad_noise=1e-9)):
-            with pytest.raises(ValueError, match="period 5 does not match .* period 7"):
-                perturbed_run(ce, c, p, 5, noise, 200)
 
 
 class TestPerturbedRuns:
@@ -567,17 +557,15 @@ class TestPerturbedRuns:
         fractions = data.draw(st.lists(_noise_fractions, min_size=r, max_size=r))
         p, ce, budget = _member_setup(k)
         noises = _noise_specs(fractions, budget)
-        batch = perturbed_runs(ce, _MEMBER_CLASS, p, k, noises, steps,
-                               strict=False, record=True)
+        batch = perturbed_runs(ce, noises, steps, strict=False, record=True)
         _assert_matches_oracle(batch, noises, k, steps)
 
     def test_rolling_state_gives_the_recorded_verdicts(self):
         p, ce, budget = _member_setup(7)
         noises = _noise_specs([(0.9, 1.0, 1.0, g, "uniform-random", s)
                                for s, g in enumerate([0.5, 1.0, 200.0])], budget)
-        rolled = perturbed_runs(ce, _MEMBER_CLASS, p, 7, noises, 300, strict=False)
-        recorded = perturbed_runs(ce, _MEMBER_CLASS, p, 7, noises, 300,
-                                  strict=False, record=True)
+        rolled = perturbed_runs(ce, noises, 300, strict=False)
+        recorded = perturbed_runs(ce, noises, 300, strict=False, record=True)
         assert rolled.iterates is None and rolled.params_used is None
         assert np.array_equal(rolled.max_dev, recorded.max_dev)
         assert rolled.stayed_in_tube.tolist() == [True, True, False]
@@ -600,14 +588,13 @@ class TestPerturbedRuns:
             + [(*f[:4], "adversarial-sign", f[5]) for f in adversarial]))
         p, ce, budget = _member_setup(k)
         noises = _noise_specs(fractions, budget)
-        rolled = perturbed_runs(ce, _MEMBER_CLASS, p, k, noises, steps, strict=False)
-        recorded = perturbed_runs(ce, _MEMBER_CLASS, p, k, noises, steps,
-                                  strict=False, record=True)
+        rolled = perturbed_runs(ce, noises, steps, strict=False)
+        recorded = perturbed_runs(ce, noises, steps, strict=False, record=True)
         assert rolled.max_dev.tobytes() == recorded.max_dev.tobytes()
         assert rolled.stayed_in_tube.tolist() == recorded.stayed_in_tube.tolist()
         cyc = rou_cycle(k).points[np.arange(steps + 2) % k]
         for i, noise in enumerate(noises):
-            _, _, max_dev, _ = sequential_perturbed_run(ce, _MEMBER_CLASS, p, k, noise, steps)
+            _, _, max_dev, _ = sequential_perturbed_run(ce, noise, steps)
             if noise.mode == "uniform-random":
                 assert rolled.max_dev[i].tobytes() == np.float64(max_dev).tobytes()
             else:
@@ -625,20 +612,15 @@ class TestPerturbedRuns:
                   NoiseSpec(grad_noise=budget["grad_noise"] * 3)]
         with pytest.raises(ValueError, match="condition 3 violated: gradient noise "
                                              + str(budget["grad_noise"] * 3)):
-            perturbed_runs(ce, _MEMBER_CLASS, p, 7, noises, 10)
+            perturbed_runs(ce, noises, 10)
 
     def test_rejects_empty_runs(self):
         p, ce, _ = _member_setup(7)
         for steps in (0, -5):
             with pytest.raises(ValueError, match="steps must be >= 1"):
-                perturbed_run(ce, _MEMBER_CLASS, p, 7, NoiseSpec(), steps)
+                perturbed_run(ce, NoiseSpec(), steps)
         with pytest.raises(ValueError, match="at least one noise spec"):
-            perturbed_runs(ce, _MEMBER_CLASS, p, 7, [], 10)
-
-    def test_rejects_a_period_other_than_the_counterexamples(self):
-        p, ce, _ = _member_setup(7)
-        with pytest.raises(ValueError, match="period 5 does not match .* period 7"):
-            perturbed_runs(ce, _MEMBER_CLASS, p, 5, [NoiseSpec(init_radius=0.5)], 200)
+            perturbed_runs(ce, [], 10)
 
 
 class TestNoiseFreeRun:
@@ -652,10 +634,9 @@ class TestNoiseFreeRun:
     def test_matches_batch_and_sequential_oracle(self, mode, seed, init_radius, steps):
         p, ce, _ = _member_setup(7)
         noise = NoiseSpec(init_radius=init_radius, mode=mode, seed=seed)
-        res = perturbed_run(ce, _MEMBER_CLASS, p, 7, noise, steps)
-        batch = perturbed_runs(ce, _MEMBER_CLASS, p, 7, [noise], steps, record=True)
-        zs, params, _, stayed = sequential_perturbed_run(ce, _MEMBER_CLASS, p, 7,
-                                                         noise, steps)
+        res = perturbed_run(ce, noise, steps)
+        batch = perturbed_runs(ce, [noise], steps, record=True)
+        zs, params, _, stayed = sequential_perturbed_run(ce, noise, steps)
         for iterates in (batch.iterates[:, 0], zs):
             assert res.trace.iterates.tobytes() == iterates.tobytes()
         for params_used in (batch.params_used[:, 0], params):
@@ -676,23 +657,22 @@ class TestNoiseFreeRun:
 
     def test_does_not_reach_the_batch(self, no_batch):
         p, ce, _ = _member_setup(7)
-        res = perturbed_run(ce, _MEMBER_CLASS, p, 7, NoiseSpec(init_radius=0.9), 50)
+        res = perturbed_run(ce, NoiseSpec(init_radius=0.9), 50)
         assert res.stayed_in_tube and res.trace.iterates.shape == (52, 2)
 
     def test_guards_raise_from_the_float_path(self, no_batch):
         import dataclasses
 
         p, ce, _ = _member_setup(7)
-        c = _MEMBER_CLASS
         with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
-            perturbed_run(ce, c, p, 7, NoiseSpec(init_radius=0.9), 0)
+            perturbed_run(ce, NoiseSpec(init_radius=0.9), 0)
         with pytest.raises(ValueError, match=re.escape(
                 "perturbation analysis needs r_max > 0 (interior member)")):
-            perturbed_run(dataclasses.replace(ce, r_max=0.0), c, p, 7, NoiseSpec(), 10)
+            perturbed_run(dataclasses.replace(ce, r_max=0.0), NoiseSpec(), 10)
         with pytest.raises(ValueError, match=re.escape(
                 "condition 1 violated: initial offset 1.5 * kappa_P * r_max "
                 "exceeds kappa_P * r_max")):
-            perturbed_run(ce, c, p, 7, NoiseSpec(init_radius=1.5), 10)
+            perturbed_run(ce, NoiseSpec(init_radius=1.5), 10)
 
 
 class TestNoiseSpec:
@@ -715,7 +695,7 @@ class TestTraceCsv:
     def test_schema_and_roundtrip(self, tmp_path, interior_setup):
         p, c, ce = interior_setup
         cyc = rou_cycle(7)
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         trace = run(fn.grad, p, cyc.points[0], cyc.points[1], 20)
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path, cycle=cyc.points)

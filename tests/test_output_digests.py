@@ -39,6 +39,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 _POINT = ["--gamma", "3.3", "--beta", "0.75", "--mu", "0.005", "--L", "1", "--K", "7"]
 # The safety radius r_max at _POINT, as ``repr`` prints it.
 _R_MAX = "0.06410380488729384"
+# A member point whose residual matrix has a complex eigenvalue pair, so
+# ``stability_constants`` takes its Robust branch (r_max 0.0666).
+_ROBUST_POINT = ["--gamma", "1", "--beta", "0.95", "--mu", "0.005", "--L", "1", "--K", "7"]
 _SWEEP = ["sweep", "--mode", "sls-overlay", "--mu", "0.01", "--L", "1",
           "--gamma-count", "5", "--beta-count", "5"]
 _LP_GRID = ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1",
@@ -72,7 +75,8 @@ def _bench_commands():
 
 
 def _error_commands():
-    """The usage errors of tests/test_cli.py, bad periods and jitter budgets."""
+    """The usage errors of tests/test_cli.py, bad periods, jitter budgets and
+    unwritable output paths."""
     return [
         ["rate", "--gamma", "1", "--beta", "0", "--L", "25"],
         *([*_SWEEP, *argv, "--out", "x.csv"] for argv in (
@@ -102,6 +106,10 @@ def _error_commands():
         *(["cycle-demo", *_POINT, "--noise-init", "0.5", "--noise-grad", "within-thm53",
            "--noise-gamma", "within-thm53", "--noise-beta", beta, "--seed", "4",
            "--steps", "600"] for beta in ("within-thm53", "1e-9")),
+        # Output paths that cannot be written: a missing directory, a directory.
+        *(["sweep", "--mode", "rate", "--mu", "0.01", "--L", "1", "--gamma-count", "3",
+           "--beta-count", "3", "--out", out] for out in ("nodir/x.csv", ".")),
+        ["cycle-demo", *_POINT, "--steps", "50", "--out", "nodir/t.csv"],
     ]
 
 
@@ -127,6 +135,9 @@ def cases() -> dict:
                 ["cycle-demo", *_POINT, "--noise-init", "0.5", "--noise-grad", "within-thm53",
                  "--noise-mode", "adversarial-sign", "--seed", "4", "--steps", "200",
                  "--out", "adv.csv"],
+                ["cycle-demo", *_ROBUST_POINT, "--noise-init", "0.5", "--noise-grad",
+                 "within-thm53", "--seed", "4", "--steps", "200"],
+                ["robustness", *_ROBUST_POINT, "--runs", "5", "--steps", "200"],
                 *_error_commands()]
     return {" ".join(argv): argv for argv in commands}
 

@@ -201,6 +201,15 @@ class TestGhadimi:
         assert not ghadimi_contains(c, HbParams(2 / 25, 0.0))
         assert not ghadimi_contains(c, HbParams(-0.1, 0.0))
 
+    def test_bound_of_an_array_is_the_bound_of_each_float(self):
+        c = FunctionClass(0.01, 1.0)
+        gammas = np.array([-0.1, 0.0, 1e-3, 0.7, 1.5, np.nextafter(2.0, 0.0), 2.0, 3.0])
+        bounds = ghadimi_beta_bound(c, gammas)
+        singles = [ghadimi_beta_bound(c, g) for g in gammas.tolist()]
+        assert all(type(b) is float for b in singles)
+        assert bounds.tobytes() == np.array(singles).tobytes()
+        assert bounds[[0, 1, 6, 7]].tolist() == [0.0] * 4 and (bounds[2:6] > 0).all()
+
     def test_asymptotic_gap_constant(self):
         c = FunctionClass(1e-4, 1.0)
         _, rho = ghadimi_optimum(c)

@@ -490,7 +490,7 @@ class TestProjection:
         # from a non-finite start truncates.
         ce = _member_ce(member)
         c = FunctionClass(0.005, 1.0)
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         inf, nan = math.inf, math.nan
         bad = np.array([(nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0), (-inf, 0.0),
                         (0.0, -inf), (inf, inf), (-inf, inf), (inf, -inf), (-inf, -inf),
@@ -514,7 +514,7 @@ class TestCounterexampleFunction:
     def test_gradient_is_l_x_inside_hull(self, interior_setup):
         _, c, ce = interior_setup
         x = 0.5 * ce.hull.mean(axis=0) + 0.3 * ce.hull[2]
-        value, grad = eval_counterexample(ce, c, x)
+        value, grad = eval_counterexample(ce, x)
         assert np.allclose(grad, c.ell * x, atol=1e-14)
         assert value == pytest.approx(0.5 * c.ell * x @ x, abs=1e-14)
 
@@ -524,7 +524,7 @@ class TestCounterexampleFunction:
         forced = ((1 + p.beta) * np.eye(2) - cyc.rotation
                   - p.beta * cyc.rotation.T) / p.gamma
         for t in range(7):
-            _, grad = eval_counterexample(ce, c, cyc.points[t])
+            _, grad = eval_counterexample(ce, cyc.points[t])
             assert np.allclose(grad, forced @ cyc.points[t], atol=1e-10)
 
     @pytest.mark.parametrize("member", _SECTOR_MEMBERS)
@@ -536,7 +536,7 @@ class TestCounterexampleFunction:
         # edge slabs and in the vertex wedges.
         ce = _member_ce(member)
         c = FunctionClass(0.005, 1.0)
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         x = np.random.default_rng(5).normal(size=(2000, 2)) * ce.hull_radius
         want = fn.grad_batch(x)
         reference = numpy_counterexample_grad(ce, c)
@@ -550,7 +550,7 @@ class TestCounterexampleFunction:
         # difference stencil straddles two smooth pieces are excluded with a
         # 1e-4 guard band probed at the stencil corners.
         _, c, ce = interior_setup
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         rng = np.random.default_rng(7)
         band = 1e-4
         checked = 0
@@ -570,7 +570,7 @@ class TestCounterexampleFunction:
         # Divided differences of the gradient: Lipschitz above, strongly
         # monotone below, over random segments crossing all pieces.
         _, c, ce = interior_setup
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         rng = np.random.default_rng(13)
         for _ in range(300):
             x = rng.uniform(-2, 2, size=2)
@@ -592,7 +592,7 @@ class TestCounterexampleFunction:
         if not rou_member(p, c, k):
             pytest.skip("not a member configuration")
         ce = build_counterexample(p, c, k)
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         cyc = rou_cycle(k)
         z_prev, z = cyc.points[0].copy(), cyc.points[1].copy()
         worst = 0.0

@@ -17,7 +17,6 @@ from hbcycles.rou_region import (
     _sector,
     build_counterexample,
     rou_cycle,
-    rou_member,
 )
 import hbcycles.smoothing as smoothing
 from hbcycles.smoothing import (
@@ -46,7 +45,7 @@ def _member(gamma, beta, k):
     """Class, counterexample and its mollification at r_max / 2."""
     c = FunctionClass(0.005, 1.0)
     ce = build_counterexample(HbParams(gamma, beta), c, k)
-    return c, ce, smooth_counterexample(ce, c, ce.r_max / 2)
+    return c, ce, smooth_counterexample(ce, ce.r_max / 2)
 
 
 def _outward_normals(ce):
@@ -94,7 +93,7 @@ def _assert_sector_margin(ce, x):
 
 
 def _forced_quadrature(sce, x):
-    fn = CounterexampleFunction(sce.base, sce.fclass)
+    fn = CounterexampleFunction(sce.base)
     return sce.weights @ fn.grad_batch(x[None, :] - sce.nodes)
 
 
@@ -120,7 +119,7 @@ def _cell_points(draw):
 @pytest.fixture(scope="module")
 def smoothed(interior_setup):
     p, c, ce = interior_setup
-    return p, c, ce, smooth_counterexample(ce, c, ce.r_max / 2)
+    return p, c, ce, smooth_counterexample(ce, ce.r_max / 2)
 
 
 class TestMollifier:
@@ -164,7 +163,7 @@ class TestMollifier:
     def test_smoothing_rejects_non_finite_radius(self, interior_setup, epsilon):
         _, c, ce = interior_setup
         with pytest.raises(ValueError, match="positive and finite"):
-            smooth_counterexample(ce, c, epsilon)
+            smooth_counterexample(ce, epsilon)
 
     def test_cached_rule_is_read_only_and_the_same_every_time(self, interior_setup):
         from numpy.polynomial.legendre import leggauss
@@ -172,7 +171,7 @@ class TestMollifier:
         for cached, fresh in zip(smoothing._gauss_legendre(), leggauss(64)):
             assert not cached.flags.writeable
             assert cached.tobytes() == fresh.tobytes()
-        first, second = (smooth_counterexample(ce, c, ce.r_max / 2) for _ in range(2))
+        first, second = (smooth_counterexample(ce, ce.r_max / 2) for _ in range(2))
         assert first.nodes.tobytes() == second.nodes.tobytes()
         assert first.weights.tobytes() == second.weights.tobytes()
 
@@ -180,21 +179,21 @@ class TestMollifier:
         # epsilon^2 underflows, so the density normalizer is zero.
         _, c, ce = interior_setup
         with pytest.raises(ValueError, match="not finite"):
-            smooth_counterexample(ce, c, 1e-300)
+            smooth_counterexample(ce, 1e-300)
 
 
 class TestSmoothedGradient:
     def test_coincides_on_cycle_points(self, smoothed):
         p, c, ce, sce = smoothed
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         for x in rou_cycle(7).points:
             assert np.linalg.norm(smoothed_grad(sce, x) - fn.grad(x)) <= 1e-4
 
     def test_coincidence_for_every_admissible_radius(self, interior_setup):
         p, c, ce = interior_setup
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         for frac in (0.25, 0.5, 0.99):
-            sce = smooth_counterexample(ce, c, ce.r_max * frac)
+            sce = smooth_counterexample(ce, ce.r_max * frac)
             worst = max(np.linalg.norm(smoothed_grad(sce, x) - fn.grad(x))
                         for x in rou_cycle(7).points)
             assert worst <= 1e-4
@@ -219,14 +218,14 @@ class TestSmoothedGradient:
 
     def test_coarse_quadrature_warns(self, interior_setup):
         p, c, ce = interior_setup
-        sce = dataclasses.replace(smooth_counterexample(ce, c, ce.r_max / 2), mass_defect=1e-3)
+        sce = dataclasses.replace(smooth_counterexample(ce, ce.r_max / 2), mass_defect=1e-3)
         assert sce.mass_defect > 1e-6
         with pytest.warns(QuadraturePrecisionWarning):
             smoothed_grad(sce, np.array([1.0, 0.0]))
 
     def test_value_matches_pointwise_quadrature(self, smoothed):
         p, c, ce, sce = smoothed
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         for x in (np.array([0.3, -0.8]), rou_cycle(7).points[2], 0.5 * ce.hull[4]):
             pointwise = float(sce.weights @ np.array([fn.value(y) for y in x - sce.nodes]))
             assert smoothed_value(sce, x) == pytest.approx(pointwise, rel=1e-15, abs=1e-15)
@@ -310,7 +309,7 @@ class TestExactBranch:
             # relative to the integrand's size on the support ball.
             scale = c.ell * (np.linalg.norm(x) + sce.moll.epsilon)
             assert spy.call_count == 0
-            assert grad.tobytes() == CounterexampleFunction(ce, c).grad(x).tobytes()
+            assert grad.tobytes() == CounterexampleFunction(ce).grad(x).tobytes()
             assert np.linalg.norm(grad - quadrature) <= 1e-12 * scale
         else:
             assert spy.call_count == 1
@@ -334,43 +333,34 @@ class TestExactBranch:
 
     def test_coarse_quadrature_warns_on_the_exact_branch(self, interior_setup):
         p, c, ce = interior_setup
-        sce = dataclasses.replace(smooth_counterexample(ce, c, ce.r_max / 2), mass_defect=1e-3)
+        sce = dataclasses.replace(smooth_counterexample(ce, ce.r_max / 2), mass_defect=1e-3)
         x = rou_cycle(7).points[0]
         assert _margin(ce, x) > 1.5 * sce.moll.epsilon
         with pytest.warns(QuadraturePrecisionWarning):
             grad = smoothed_grad(sce, x)
-        assert np.array_equal(grad, CounterexampleFunction(ce, c).grad(x))
+        assert np.array_equal(grad, CounterexampleFunction(ce).grad(x))
 
 
 class TestSmoothedCycle:
     def test_cycle_survives_smoothing(self, smoothed):
         p, c, ce, sce = smoothed
-        assert cycle_check_smoothed(sce, p, 7, 500) <= 1e-3
-
-    def test_cycle_check_rejects_another_period(self, smoothed):
-        # (3.3, 0.75) is a period-5 member too: without the period check the
-        # 5-cycle would run on the 7-gon's function and deviate by about 1.45.
-        p, c, ce, sce = smoothed
-        assert rou_member(p, c, 5)
-        with pytest.raises(ValueError, match="period 5 does not match the "
-                                             "counterexample's period 7"):
-            cycle_check_smoothed(sce, p, 5, 50)
+        assert cycle_check_smoothed(sce, 500) <= 1e-3
 
     @pytest.mark.parametrize("fraction", [0.5, 1.0])
     def test_cycle_check_matches_the_array_path(self, interior_setup, fraction):
         # The check runs the object, stepped in floats; at eps = r_max most
         # steps take the quadrature.
         p, c, ce = interior_setup
-        sce = smooth_counterexample(ce, c, fraction * ce.r_max)
+        sce = smooth_counterexample(ce, fraction * ce.r_max)
         cyc = rou_cycle(7)
         trace = run(lambda z: smoothed_grad(sce, z), p, cyc.points[0], cyc.points[1], 100)
-        assert cycle_check_smoothed(sce, p, 7, 100) == float(
+        assert cycle_check_smoothed(sce, 100) == float(
             np.max(cycle_distances(trace.iterates, cyc.points)))
 
     def test_plain_counterexample_cycles_tighter(self, interior_setup):
         # The unsmoothed function is the epsilon -> 0 limit.
         p, c, ce = interior_setup
-        fn = CounterexampleFunction(ce, c)
+        fn = CounterexampleFunction(ce)
         cyc = rou_cycle(7)
         trace = run(fn.grad, p, cyc.points[0], cyc.points[1], 2000)
         idx = np.arange(len(trace.iterates)) % 7
@@ -380,7 +370,7 @@ class TestSmoothedCycle:
     def test_oversized_support_rejected(self, interior_setup):
         p, c, ce = interior_setup
         with pytest.raises(ValueError, match="safety radius"):
-            smooth_counterexample(ce, c, ce.r_max * 1.01)
+            smooth_counterexample(ce, ce.r_max * 1.01)
 
 
 class TestDilation:
@@ -479,7 +469,7 @@ class TestDilation:
 
     def test_works_on_plain_counterexample(self, interior_setup):
         p, c, ce = interior_setup
-        fn = dilate(CounterexampleFunction(ce, c), 3.0)
+        fn = dilate(CounterexampleFunction(ce), 3.0)
         cyc = rou_cycle(7)
         scaled = 3.0 * cyc.points
         trace = run(fn.grad, p, scaled[0], scaled[1], 1000)
