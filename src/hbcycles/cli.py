@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -180,6 +179,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _period(text: str) -> int:
     """A cycle period: the cycle LP and the K-gon counterexample need K >= 3."""
     value = _integer(text)
@@ -219,10 +225,14 @@ def _parse_noise(value: str, budget: float, flag: str) -> float:
     if value in ("within-thm53", "auto"):
         return budget
     try:
-        return float(value)
+        level = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{flag} expects a number or 'within-thm53', got {value!r}")
+    if not (math.isfinite(level) and level >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"{flag} must be a finite nonnegative number, got {value}")
+    return level
 
 
 def _noise_spec(args, budget: dict) -> NoiseSpec:
@@ -300,7 +310,8 @@ def _cmd_sweep(args) -> int:
         value = np.broadcast_to(ghadimi_beta_bound(c, gammas)[:, None], g.shape)
         tag = np.where((0.0 <= b) & (b < value), "inside", "outside")
     elif args.mode == "lp-region":
-        period, unsure, extra["lp_pairs"] = _lp_region_cells(g, b, c, args.k_max, args.workers)
+        period, unsure, extra["lp_pairs"] = _lp_region_chunk(g.ravel(), b.ravel(), c,
+                                                             args.k_max)
         value = np.where(period > 0, period, math.nan).reshape(g.shape)
         tag = np.where(period > 0, "member",
                        np.where(unsure, "indeterminate", "none")).reshape(g.shape)
@@ -327,28 +338,23 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-# The sidecar's per-pair counters of an lp-region sweep.
-_LP_PAIR_COUNTERS = ("member_by_harmonic", "ruled_out_by_row_dual", "lp_margin_calls")
-
-
-def _lp_region_chunk(gammas, betas, mu, ell, k_max):
-    """Per cell of a run of lp-region cells, given as arrays, the first
+def _lp_region_chunk(gammas, betas, c, k_max):
+    """Per cell of the lp-region sweep, given as flat arrays, the first
     member period (0 for none) and whether a period was in doubt; and the
-    run's per-pair counters.
+    sweep's per-pair counters.  The sweep runs in this process.
 
     Period by period over the cells still open: ``screen_periods`` proves a
     member or rules the period out where one entry of P decides, and
     ``lp_margin`` decides the rest, in period order, so the first member
     period is the smallest.  A period whose LP solve fails proves nothing
     either way: the cell is "indeterminate" unless a later period proves
-    "member"; so is a cell with a margin too close to call.
+    "member"; so is a cell with a margin too close to call.  One dual store
+    serves the whole sweep; it is created here, so nothing carries over
+    between sweeps.
     """
-    c = FunctionClass(mu, ell)
     period = np.zeros(len(gammas), dtype=int)
     unsure = np.zeros(len(gammas), dtype=bool)
-    counts = dict.fromkeys(_LP_PAIR_COUNTERS, 0)
-    # One dual store per chunk of neighbouring cells, created here: nothing
-    # carries over between chunks, sweeps or worker processes.
+    counts = {"member_by_harmonic": 0, "ruled_out_by_row_dual": 0, "lp_margin_calls": 0}
     duals = {}
     open_cells = np.flatnonzero(in_cv_closure(gammas, betas, c))
     for k in range(3, k_max + 1):
@@ -372,32 +378,6 @@ def _lp_region_chunk(gammas, betas, mu, ell, k_max):
     return period, unsure, counts
 
 
-def _lp_region_cells(g, b, c, k_max, workers):
-    """``_lp_region_chunk`` over the lp-region cells, gamma-major.  The pool
-    maps over contiguous chunks and preserves their order; a cell's results
-    and counters depend on the cell alone, so all are identical at any
-    worker count.  Four chunks per worker balance the load.  The pool starts
-    all its processes at once, so the worker count is capped at the CPUs
-    this process may use and the pool at the number of chunks."""
-    gammas, betas = g.ravel(), b.ravel()
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(workers, cpus)
-    if workers <= 1:
-        return _lp_region_chunk(gammas, betas, c.mu, c.ell, k_max)
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = -(-len(gammas) // (4 * workers))
-    starts = range(0, len(gammas), size)
-    chunk = functools.partial(_lp_region_chunk, mu=c.mu, ell=c.ell, k_max=k_max)
-    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        parts = list(pool.map(chunk, [gammas[i:i + size] for i in starts],
-                              [betas[i:i + size] for i in starts]))
-    period, unsure, counts = zip(*parts)
-    return (np.concatenate(period), np.concatenate(unsure),
-            {key: sum(part[key] for part in counts) for key in _LP_PAIR_COUNTERS})
-
-
 def _cmd_cycle_demo(args) -> int:
     ce = build_counterexample(HbParams(args.gamma, args.beta),
                               FunctionClass(args.mu, args.L), args.K)
@@ -418,6 +398,10 @@ def _cmd_cycle_demo(args) -> int:
     if noisy and (args.smooth or scale != 1.0):
         raise argparse.ArgumentTypeError(
             "noise flags apply to the exact counterexample run only")
+    # The cycle verdict compares the trace's second half with its K-lag.
+    if not noisy and args.steps < 2 * k:
+        raise argparse.ArgumentTypeError(
+            f"--steps must be at least 2K = {2 * k} for a noise-free run, got {args.steps}")
 
     # Member points only (build_counterexample): there the matrix contracts.
     sc = stability_constants(p, ce.c.mu)
@@ -546,13 +530,13 @@ def _add_noise_flags(sp, init, level) -> None:
     """The perturbation flags, with the command's defaults for --noise-init
     and the three channel levels.  A level is a number, or 'within-thm53'
     ('auto') for the guaranteed-safe budget (see ``_noise_spec``)."""
-    sp.add_argument("--noise-init", type=float, default=init,
+    sp.add_argument("--noise-init", type=_nonnegative_float, default=init,
                     help="initial offset as a fraction of kappa_P * r_max")
     for channel in ("gamma", "beta", "grad"):
         sp.add_argument(f"--noise-{channel}", default=level)
     sp.add_argument("--noise-mode", choices=("uniform-random", "adversarial-sign"),
                     default="uniform-random")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
 
 
 @functools.cache
@@ -580,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rate constant for the sls-overlay mode")
     sp.add_argument("--label", default="")
     sp.add_argument("--workers", type=_positive_int, default=1,
-                    help="worker processes for the lp-region mode")
+                    help="accepted for compatibility and echoed in the sidecar; "
+                         "lp-region always runs in this process")
     sp.add_argument("--out", required=True)
     sp.add_argument("--svg", action="store_true")
     sp.set_defaults(func=_cmd_sweep)

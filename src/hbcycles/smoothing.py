@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +47,6 @@ _TAU_DIRECTIONS = 8
 _QUADRATURE_NODES = 64
 
 
-class QuadraturePrecisionWarning(UserWarning):
-    """Raised as a warning when the quadrature mass defect exceeds tolerance."""
-
-
 # integral over [0,1] of exp(-1/(1-r^2)) r dr: 256-point Gauss-Legendre, to
 # near machine accuracy (a test recomputes it).
 _UNIT_RADIAL_MASS = 0.07424775338796104
@@ -64,7 +59,6 @@ class Mollifier:
     """Smooth bump density with support in the epsilon-ball, unit mass, zero mean."""
 
     epsilon: float
-    normalization: float  # planar integral of the un-normalized unit bump
 
     def density(self, y: np.ndarray) -> np.ndarray:
         """Density values at rows of ``y`` (zero outside the support)."""
@@ -73,14 +67,14 @@ class Mollifier:
         out = np.zeros(len(y))
         inside = s2 < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
-        out /= self.normalization * self.epsilon * self.epsilon
+        out /= UNIT_BUMP_MASS * self.epsilon * self.epsilon
         return out
 
 
 def make_mollifier(epsilon: float) -> Mollifier:
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"support radius must be positive and finite, got {epsilon}")
-    return Mollifier(epsilon, UNIT_BUMP_MASS)
+    return Mollifier(epsilon)
 
 
 @dataclass(frozen=True)
@@ -89,8 +83,8 @@ class SmoothedCounterExample:
 
     Nodes and weights of the 64 x 64 polar grid are precomputed by
     ``smooth_counterexample``; ``mass_defect`` records
-    |quadrature(density) - 1| and is the error proxy attached to gradient
-    evaluations.  The parameters, class and period are those of ``base``.
+    |quadrature(density) - 1|, the error proxy of the quadrature, checked
+    once there.  The parameters, class and period are those of ``base``.
     """
 
     base: CounterExample
@@ -130,7 +124,8 @@ def smooth_counterexample(ce: CounterExample, epsilon: float) -> SmoothedCounter
     neighborhood of its cycle point, which is what preserves the cycle.
     The quadrature grid has 64 Gauss-Legendre radii by 64 uniform angles.
     Raises ValueError for a radius that is not positive and finite, that
-    exceeds r_max, or that leaves the quadrature weights non-finite.
+    exceeds r_max, or whose quadrature mass defect is not at most 1e-6
+    (non-finite weights included).
     """
     moll = make_mollifier(epsilon)
     if epsilon > ce.r_max:
@@ -148,12 +143,15 @@ def smooth_counterexample(ce: CounterExample, epsilon: float) -> SmoothedCounter
                       (r_grid * np.sin(a_grid)).ravel()], axis=1)
     # A radius whose square underflows makes the density normalizer zero;
     # any non-finite weight makes the defect non-finite, which is rejected.
+    # The defect is scale-free (about 1e-14 at radii from 1e-150 to r_max),
+    # so one check here stands for every gradient the quadrature gives.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dens = moll.density(nodes)
         weights = dens * (r_grid * w_rad[:, None]).ravel() * w_ang
         mass_defect = float(abs(weights.sum() - 1.0))
-    if not math.isfinite(mass_defect):
-        raise ValueError(f"quadrature weights are not finite at support radius {epsilon}")
+    if not mass_defect <= 1e-6:
+        raise ValueError(f"quadrature weights are not finite or miss unit mass by "
+                         f"{mass_defect:.2e} > 1e-6 at support radius {epsilon}")
     return SmoothedCounterExample(ce, moll, nodes, weights, mass_defect)
 
 
@@ -207,11 +205,6 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
     ``CounterexampleFunction.grad``.  Otherwise it is the polar quadrature,
     accurate to about the mass defect.
     """
-    if sce.mass_defect > 1e-6:
-        warnings.warn(
-            f"quadrature mass defect {sce.mass_defect:.2e} exceeds 1e-6; "
-            "the smoothed gradient is accurate only to about it",
-            QuadraturePrecisionWarning, stacklevel=2)
     ce = sce.base
     x0, x1 = map(float, x)
     t = _sector(ce, x0, x1)

@@ -29,6 +29,9 @@ from conftest import (
     two_batch_robustness,
 )
 
+# The class of the lp-region sweeps of these tests.
+_CLASS = FunctionClass(0.01, 1.0)
+
 _TUBE_POINT = ("--gamma", "3.3", "--beta", "0.75", "--mu", "0.005", "--L", "1",
                "--K", "7")
 
@@ -203,60 +206,34 @@ class TestSweep:
         for cache in (cycle_lp._dft_table, cycle_lp._lag_table):
             cache.cache_clear()
         _lp_region_chunk(*_cells(np.linspace(0.5, 3.5, 4), np.linspace(0.0, 0.9, 3)),
-                         0.01, 1.0, 60)
+                         _CLASS, 60)
         assert cycle_lp._dft_table.cache_info().misses == 58
         for cache in (cycle_lp._dft_table, cycle_lp._lag_table):
             assert cache.cache_info().currsize <= 32
 
-    @pytest.mark.parametrize("affinity", [True, False])
-    @pytest.mark.parametrize("cpus,n_beta,pool", [(3, 5, 3), (8, 1, 6), (1, 5, None)])
-    def test_lp_region_pool_is_capped_at_the_cpus_and_the_chunks(
-            self, monkeypatch, affinity, cpus, n_beta, pool):
-        # The pool forks all its processes at its first task, so --workers
-        # 100000 must not reach it as such.  A stand-in records the pool
-        # size and maps in this process; no process is started.
+    def test_lp_region_runs_in_this_process_at_any_worker_count(
+            self, capsys, tmp_path, monkeypatch):
+        # --workers is accepted and echoed, and starts no process: with the
+        # pool made to fail, --workers 2 writes the rows and counters of
+        # --workers 1.
         import concurrent.futures
 
-        sizes, chunks = [], []
+        def no_pool(*args, **kwargs):
+            raise AssertionError("ProcessPoolExecutor called")
 
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *parts):
-                chunks.extend(parts[0])
-                return map(fn, *parts)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        if affinity:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        g, b = np.meshgrid(np.linspace(0.5, 3.5, 6), np.linspace(0.0, 0.9, n_beta),
-                           indexing="ij")
-        c = FunctionClass(0.01, 1.0)
-        want = cli._lp_region_chunk(g.ravel(), b.ravel(), 0.01, 1.0, 8)
-        got = cli._lp_region_cells(g, b, c, 8, 100_000)
-        assert sizes == ([] if pool is None else [pool])
-        assert len(chunks) <= 4 * cpus
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-
-    def test_lp_region_worker_pool_is_order_stable(self, capsys, tmp_path):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         args = ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1",
                 "--gamma-count", "7", "--beta-count", "5", "--k-max", "8"]
-        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-        run_cli(capsys, *args, "--out", str(seq))
-        run_cli(capsys, *args, "--workers", "2", "--out", str(par))
-        assert seq.read_bytes() == par.read_bytes()
+        pairs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"lp{workers}.csv"
+            code, _, _ = run_cli(capsys, *args, "--workers", workers, "--out", str(out))
+            assert code == 0
+            meta = json.loads((tmp_path / f"lp{workers}.csv.meta.json").read_text())
+            assert meta["parameters"]["workers"] == int(workers)
+            pairs[workers] = meta["lp_pairs"]
+        assert (tmp_path / "lp1.csv").read_bytes() == (tmp_path / "lp2.csv").read_bytes()
+        assert pairs["1"] == pairs["2"]
 
     def test_lp_region_rows_do_not_depend_on_the_dual_store(self, monkeypatch):
         # Lines of beta, gamma up to the step-size edge: each crosses the
@@ -265,12 +242,12 @@ class TestSweep:
         # the dual store; the screened sweep gives the same rows too.
         betas = np.repeat([0.0, 0.3, 0.6, 0.9], 19)
         gammas = np.tile(np.linspace(0.1, 1.0, 19), 4) * 2.0 * (1.0 + betas)
-        *screened, _ = _lp_region_chunk(gammas, betas, 0.01, 1.0, 12)
+        *screened, _ = _lp_region_chunk(gammas, betas, _CLASS, 12)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
-        *stored, counts = _lp_region_chunk(gammas, betas, 0.01, 1.0, 12)
+        *stored, counts = _lp_region_chunk(gammas, betas, _CLASS, 12)
         monkeypatch.setattr(cli, "lp_margin",
                             lambda p, c, k, duals=None: cycle_lp.lp_margin(p, c, k))
-        *plain, _ = _lp_region_chunk(gammas, betas, 0.01, 1.0, 12)
+        *plain, _ = _lp_region_chunk(gammas, betas, _CLASS, 12)
         tags = _tags(*stored)
         assert any(a != b for a, b in zip(tags, tags[1:]))
         assert counts["lp_margin_calls"] > len(gammas)
@@ -281,9 +258,9 @@ class TestSweep:
         # One cell per screen block, the size past K = 513, gives the
         # results and counters of the default blocks.
         cells = _cells(np.linspace(0.5, 3.5, 8), np.linspace(0.0, 0.9, 6))
-        *expected, expected_counts = _lp_region_chunk(*cells, 0.01, 1.0, 12)
+        *expected, expected_counts = _lp_region_chunk(*cells, _CLASS, 12)
         monkeypatch.setattr(cycle_lp, "_SCREEN_ENTRIES", 1)
-        *got, counts = _lp_region_chunk(*cells, 0.01, 1.0, 12)
+        *got, counts = _lp_region_chunk(*cells, _CLASS, 12)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         assert counts == expected_counts
 
@@ -328,7 +305,7 @@ class TestSweep:
         monkeypatch.setattr(cycle_lp, "solve_canonical", counting)
         monkeypatch.setattr(cli, "lp_margin", recording)
         _lp_region_chunk(*_cells(np.linspace(0.25, 4.0, 16), np.arange(16) / 16.0),
-                         0.01, 1.0, 25)
+                         _CLASS, 25)
         assert pairs == [(2.5, 0.5, k) for k in (7, 11, 14, 15, 18, 19, 21, 22, 23, 25)]
         assert len(pivots) == 10 and sum(pivots) <= 80
 
@@ -369,7 +346,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "lp_margin", margin)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
         period, unsure, counts = _lp_region_chunk(np.array([1.0]), np.array([0.5]),
-                                                  0.01, 1.0, 8)
+                                                  _CLASS, 8)
         assert period.tolist() == [0] and _tags(period, unsure) == ["indeterminate"]
         assert counts == {"member_by_harmonic": 0, "ruled_out_by_row_dual": 0,
                           "lp_margin_calls": 6}
@@ -378,7 +355,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "lp_margin",
                             lambda p, c, k, duals=None: 5e-9 if k == 6 else 1.0)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
-        period, unsure, _ = _lp_region_chunk(np.array([1.0]), np.array([0.5]), 0.01, 1.0, 8)
+        period, unsure, _ = _lp_region_chunk(np.array([1.0]), np.array([0.5]), _CLASS, 8)
         assert _tags(period, unsure) == ["indeterminate"]
 
     def test_member_at_a_later_period_outranks_a_failed_solve(self, monkeypatch):
@@ -389,7 +366,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "lp_margin", margin)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
-        period, unsure, _ = _lp_region_chunk(np.array([1.0]), np.array([0.5]), 0.01, 1.0, 8)
+        period, unsure, _ = _lp_region_chunk(np.array([1.0]), np.array([0.5]), _CLASS, 8)
         assert period.tolist() == [7] and _tags(period, unsure) == ["member"]
 
     def test_period_92_lp_of_the_default_sweep_matches_highs_and_is_ruled_out_by_a_row_dual(self):
@@ -405,7 +382,7 @@ class TestSweep:
         assert cycle_lp.lp_margin(p, c, 92) == pytest.approx(expected,
                                                              abs=1e-12 * np.abs(pm).max())
         period, unsure, counts = _lp_region_chunk(np.array([p.gamma]), np.array([p.beta]),
-                                                  c.mu, c.ell, 92)
+                                                  c, 92)
         assert _tags(period, unsure) == ["none"]
         assert counts["ruled_out_by_row_dual"] == 90 and counts["lp_margin_calls"] == 0
 
@@ -418,7 +395,7 @@ class TestSweep:
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
         beta = 0.5
         gamma = 2.0 * (1.0 + beta) + offset * BOUNDARY_TOL
-        period, unsure, _ = _lp_region_chunk(np.array([gamma]), np.array([beta]), 0.01, 1.0, 5)
+        period, unsure, _ = _lp_region_chunk(np.array([gamma]), np.array([beta]), _CLASS, 5)
         assert _tags(period, unsure) == [tag]
 
     @pytest.mark.parametrize("argv,flag", [
@@ -877,12 +854,45 @@ class TestOthers:
         assert err.value.code == 2
         assert f"argument {argv[0]}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--noise-init", "--noise-grad"])
-    def test_robustness_nan_noise_is_an_error(self, capsys, flag):
-        code, out, err = run_cli(capsys, "robustness", *_TUBE_POINT, "--runs", "2",
-                                 "--steps", "10", flag, "nan")
-        assert code == 3 and out == ""
-        assert "noise bounds must be nonnegative" in err
+    @pytest.mark.parametrize("base", [
+        ("robustness", *_TUBE_POINT, "--runs", "2", "--steps", "10"),
+        ("cycle-demo", *_TUBE_POINT, "--steps", "10", "--noise-init", "0.5"),
+        ("cycle-demo", *_TUBE_POINT, "--steps", "50")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"), ("--noise-init", "-0.5"), ("--noise-init", "nan"),
+        ("--noise-grad", "nan"), ("--noise-grad", "-1"), ("--noise-grad", "inf"),
+        ("--noise-gamma", "-1e-9"), ("--noise-beta", "inf")])
+    def test_bad_seed_or_noise_level_is_usage_error(self, capsys, base, flag, value):
+        # A malformed value, at parse time or once the keywords resolve,
+        # names its flag; the last value of a repeated flag is the one read.
+        # A noise-free cycle-demo ignores --seed, but a negative one is
+        # still refused.
+        try:
+            code = main([*base, flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert flag in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("extra", [(), ("--smooth", "auto"), ("--lambda", "10"),
+                                       ("--noise-grad", "0")])
+    def test_noise_free_cycle_demo_needs_two_periods_of_steps(self, capsys, monkeypatch,
+                                                               extra):
+        # The cycle verdict needs 2K steps (14 at K = 7); fewer are refused
+        # before the run.
+        def no_run(*args, **kwargs):
+            raise AssertionError("run called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run", no_run)
+            code, out, err = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "13",
+                                     *extra)
+        assert code == 2 and out == ""
+        assert err == "usage error: --steps must be at least 2K = 14 for a noise-free " \
+                      "run, got 13\n"
+        code, out, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "14", *extra)
+        assert code == 0 and json.loads(out)["verdict"] == "cycles"
 
     def test_noisy_cycle_demo_rejects_zero_steps(self, capsys):
         with pytest.raises(SystemExit) as err:

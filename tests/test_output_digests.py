@@ -110,6 +110,17 @@ def _error_commands():
         *(["sweep", "--mode", "rate", "--mu", "0.01", "--L", "1", "--gamma-count", "3",
            "--beta-count", "3", "--out", out] for out in ("nodir/x.csv", ".")),
         ["cycle-demo", *_POINT, "--steps", "50", "--out", "nodir/t.csv"],
+        # A negative seed and malformed noise levels name their flag.
+        *(["robustness", *_POINT, "--runs", "2", "--steps", "10", *argv] for argv in (
+            ("--seed", "-1"), ("--noise-init", "-0.5"), ("--noise-grad", "nan"),
+            ("--noise-grad", "-1"), ("--noise-grad", "inf"), ("--noise-init", "2"))),
+        *(["cycle-demo", *_POINT, "--steps", "50", *argv, "--seed", "-1"]
+          for argv in (("--noise-init", "0.5"), ())),
+        # A noise-free run needs 2K steps to judge its cycle; a noisy one does not.
+        *(["cycle-demo", *_POINT, "--steps", steps, *argv]
+          for steps in ("13", "14")
+          for argv in ((), ("--smooth", "auto"), ("--lambda", "10"))),
+        ["cycle-demo", *_POINT, "--steps", "3", "--noise-init", "0.5"],
     ]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import warnings
@@ -21,7 +20,6 @@ from hbcycles.rou_region import (
 import hbcycles.smoothing as smoothing
 from hbcycles.smoothing import (
     DilatedFunction,
-    QuadraturePrecisionWarning,
     _cell_margin,
     cycle_check_smoothed,
     dilate,
@@ -216,12 +214,14 @@ class TestSmoothedGradient:
                      - smoothed_grad(sce, x - h * u)) @ u / (2 * h)
             assert c.mu - 1e-3 * c.ell <= slope <= c.ell + 1e-3 * c.ell
 
-    def test_coarse_quadrature_warns(self, interior_setup):
+    def test_coarse_quadrature_is_rejected(self, interior_setup, monkeypatch):
+        # An 8-point radial rule misses unit mass by about 3.3e-4.
+        from numpy.polynomial.legendre import leggauss
+
         p, c, ce = interior_setup
-        sce = dataclasses.replace(smooth_counterexample(ce, ce.r_max / 2), mass_defect=1e-3)
-        assert sce.mass_defect > 1e-6
-        with pytest.warns(QuadraturePrecisionWarning):
-            smoothed_grad(sce, np.array([1.0, 0.0]))
+        monkeypatch.setattr(smoothing, "_gauss_legendre", lambda: leggauss(8))
+        with pytest.raises(ValueError, match="miss unit mass by 3.3"):
+            smooth_counterexample(ce, ce.r_max / 2)
 
     def test_value_matches_pointwise_quadrature(self, smoothed):
         p, c, ce, sce = smoothed
@@ -331,14 +331,12 @@ class TestExactBranch:
         assert spy.call_count == 1
         assert np.array_equal(grad, _forced_quadrature(sce, x))
 
-    def test_coarse_quadrature_warns_on_the_exact_branch(self, interior_setup):
+    def test_exact_branch_is_the_base_gradient(self, interior_setup):
         p, c, ce = interior_setup
-        sce = dataclasses.replace(smooth_counterexample(ce, ce.r_max / 2), mass_defect=1e-3)
+        sce = smooth_counterexample(ce, ce.r_max / 2)
         x = rou_cycle(7).points[0]
         assert _margin(ce, x) > 1.5 * sce.moll.epsilon
-        with pytest.warns(QuadraturePrecisionWarning):
-            grad = smoothed_grad(sce, x)
-        assert np.array_equal(grad, CounterexampleFunction(ce).grad(x))
+        assert np.array_equal(smoothed_grad(sce, x), CounterexampleFunction(ce).grad(x))
 
 
 class TestSmoothedCycle:
