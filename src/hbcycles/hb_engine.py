@@ -15,7 +15,9 @@ block per quantity, and the deviations from the cycle are maxed once per
 chunk.  ``perturbed_run`` is its single-run form with the full
 trace; a noise-free run there (seeded start only) is plain heavy ball,
 stepped by ``run`` in Python floats through the counterexample's
-``grad_xy``, with no array per step.  Both draw the seeded starts and
+``grad_xy``, with no array per step, and once the state (x_{t-1}, x_t)
+repeats bit for bit, as it does on a cycle in floats, the period is
+copied instead of stepped again.  Both draw the seeded starts and
 apply the run guards through ``_start_batch``.  Each runs at the (gamma,
 beta), class and period its counterexample was built for.
 """
@@ -23,21 +25,43 @@ beta), class and period its counterexample was built for.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .quad_rates import BOUNDARY_TOL, HbParams
-from .rou_region import CounterExample, CounterexampleFunction, rou_cycle
+from .rou_region import (
+    CounterExample,
+    CounterexampleFunction,
+    _BatchWork,
+    _counterexample_batch,
+    rou_cycle,
+)
 
 # Relative slack of every tube check, so a bound met in full is not lost to
 # rounding.
 _TUBE_SLACK = 1.0 + 1e-12
 
+# Most states ``_run_xy`` remembers to find a repeat.  From the cycle at
+# (3.3, 0.75), mu 0.005, K 7 the state repeats at step 56 (period 49), and
+# at step 352 (period 273) dilated by 10; at the README's (3.5, 0.75) at
+# step 398 (period 364); the benchmark's decay runs from noisy starts by
+# step 430.  A period of at most the cap is found within twice the cap
+# steps of its first state, clears included.
+_REPLAY_STATES = 4096
+# The bit pattern of a state (x_{t-1}, x_t) of a 2-D run.
+_STATE = struct.Struct("4d")
+
 
 @dataclass
 class SimTrace:
-    """Iterates of one run: two initial points plus one row per step."""
+    """Iterates of one run: two initial points plus one row per step.
+
+    ``grad_calls`` is the number of steps the trace holds, the step whose
+    oracle value truncated it included: a step ``run`` replayed from an
+    earlier period counts, though the oracle was not called for it.
+    """
 
     iterates: np.ndarray     # (steps + 2, d), shorter if truncated
     grad_calls: int
@@ -62,6 +86,14 @@ def run(oracle, p: HbParams, x0, x1, steps: int) -> SimTrace:
     objects fn, ``run(fn, ...)`` is ``run(fn.grad, ...)`` bit for bit.  A
     non-finite oracle value truncates the trace and sets the ``truncated``
     flag instead of raising.
+
+    A ``grad_xy`` must be a function of its point alone, as those of the
+    library and their dilations are: its values may not depend on earlier
+    calls.  Then each step is a function of the state (x_{t-1}, x_t), and
+    once a state repeats bit for bit (a cycle in floats), the rest of the
+    trace is the period between the two, copied by index without further
+    calls; ``grad_calls`` still counts every step.  A callable is called
+    at every step.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -95,7 +127,10 @@ def run(oracle, p: HbParams, x0, x1, steps: int) -> SimTrace:
 def _run_xy(grad_xy, p: HbParams, x0: np.ndarray, x1: np.ndarray, steps: int,
             params: np.ndarray) -> SimTrace:
     """``run`` on a ``grad_xy`` oracle: the same step and truncation, with
-    the iterates kept as Python floats until the trace is built."""
+    the iterates kept as Python floats until the trace is built, and the
+    replay.  States are keyed by their packed bits, never by float
+    equality (-0.0 == 0.0, NaN != NaN), in a table of at most
+    ``_REPLAY_STATES`` entries, cleared when full."""
     if x0.shape != (2,) or x1.shape != (2,):
         raise ValueError("a grad_xy oracle needs 2-D starting points, got shapes "
                          f"{x0.shape} and {x1.shape}")
@@ -104,7 +139,22 @@ def _run_xy(grad_xy, p: HbParams, x0: np.ndarray, x1: np.ndarray, steps: int,
     b0, b1 = x1.tolist()
     flat = [a0, a1, b0, b1]
     isfinite = math.isfinite
+    pack = _STATE.pack
+    seen = {}
     for t in range(1, steps + 1):
+        key = pack(a0, a1, b0, b1)
+        first = seen.get(key)
+        if first is not None:
+            # Rows first-1, first repeat as rows t-1, t: row i > t is row
+            # first + (i - first) mod (t - first).
+            zs = np.empty((steps + 2, 2))
+            zs[:t + 1] = np.array(flat).reshape(t + 1, 2)
+            zs[t + 1:] = zs[first + (np.arange(t + 1 - first, steps + 2 - first)
+                                     % (t - first))]
+            return SimTrace(zs, steps, params)
+        if len(seen) == _REPLAY_STATES:
+            seen.clear()
+        seen[key] = t
         g0, g1 = grad_xy(b0, b1)
         if not (isfinite(g0) and isfinite(g1)):
             return SimTrace(np.array(flat).reshape(t + 1, 2), t, params[:t - 1],
@@ -451,7 +501,8 @@ def perturbed_runs(ce: CounterExample, noises: list[NoiseSpec], steps: int,
     seed's draws are its sequential stream taken in chunks, so run r is the
     run it would be alone.  The (R, 2) state advances with one batched
     gradient call per step, written in place into a buffer of one chunk of
-    ``_DRAW_CHUNK`` steps (of the whole run if ``record`` is set).  What a
+    ``_DRAW_CHUNK`` steps (of the whole run if ``record`` is set); the
+    gradient kernels work in buffers made once per call.  What a
     step does not need to compute is done per chunk: the draws, each step's
     gamma_t, beta_t and gradient noise (adversarial runs fill theirs in at
     their step), and, after the chunk, the running max of squared
@@ -466,7 +517,6 @@ def perturbed_runs(ce: CounterExample, noises: list[NoiseSpec], steps: int,
 
     p, k = ce.p, ce.k
     cyc = rou_cycle(k).points
-    fn = CounterexampleFunction(ce)
     r = len(noises)
     chunk = min(_DRAW_CHUNK, steps)
     # The state is coordinate-major: z[0] holds the runs' first coordinates
@@ -495,6 +545,8 @@ def perturbed_runs(ce: CounterExample, noises: list[NoiseSpec], steps: int,
     dgrad_c = np.empty((chunk, 2, r))
     step = np.empty((2, r))
     momentum = np.empty((2, r))
+    # The gradient kernels' buffers, shaped like the (R, 2) batch z.T.
+    work = _BatchWork(zs[0].T)
     for t0 in range(1, steps + 1, chunk):
         span = min(chunk, steps - t0 + 1)
         if uni.size:
@@ -514,7 +566,7 @@ def perturbed_runs(ce: CounterExample, noises: list[NoiseSpec], steps: int,
         zc = zs[t0 - 1:t0 + span + 1] if record else zs
         for j in range(span):
             z_prev, z, nxt = zc[j], zc[j + 1], zc[j + 2]
-            grad = fn.grad_batch(z.T).T
+            grad = _counterexample_batch(ce, z.T, False, work)[1].T
             np.subtract(z, z_prev, out=momentum)
             if adv.size:
                 z_a, grad_a, momentum_a = z[:, adv].T, grad[:, adv].T, momentum[:, adv].T

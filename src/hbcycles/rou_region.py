@@ -382,7 +382,47 @@ def _project_one(ce: CounterExample, t: int, x0: float, x1: float) -> tuple[floa
     return t * e0 + h0, t * e1 + h1
 
 
-def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
+class _BatchWork:
+    """Buffers of ``polygon_project_batch`` and ``_counterexample_batch``
+    for batches shaped like ``x`` (n, 2), with their row views built once.
+
+    The float buffers are rows of one block, so a workspace is one
+    allocation (a few small ones aside): with an array per buffer, each
+    4,096-point workspace freed made glibc trim the heap and the next
+    fault it back in.  The projection, gap and gradient
+    are (n, 2) views, F-ordered like an F-ordered ``x`` and C-ordered
+    otherwise.  A caller that steps many batches of one shape makes one
+    and hands it to every call; each result is then one of its buffers,
+    valid until the next call.
+    """
+
+    def __init__(self, x: np.ndarray):
+        n = len(x)
+        rows = np.empty((16, n))
+        self.sector = rows[0]
+        self.cone = np.empty(n, dtype=np.intp)
+        # Rows h0, h1, e0, e1, edge_sq of each point's edge.
+        self.edge = rows[1:6]
+        self.h = rows[1:3]
+        self.e0, self.e1, self.edge_sq = rows[3], rows[4], rows[5]
+        self.e = rows[3:5]
+        self.e_rev = rows[4:2:-1]
+        self.rel = rows[6:8]
+        self.rel0, self.rel1 = rows[6], rows[7]
+        self.cross = rows[8:10]
+        self.cross0, self.cross1 = rows[8], rows[9]
+        self.inside = np.empty(n, dtype=bool)
+        self.inside_col = self.inside[:, None]
+        f_order = x.flags.f_contiguous and not x.flags.c_contiguous
+        self.proj, self.gap, self.grad = (rows[i:i + 2].T if f_order
+                                          else rows[i:i + 2].reshape(n, 2)
+                                          for i in (10, 12, 14))
+        self.proj_t = self.proj.T
+        self.proj0, self.proj1 = self.proj_t
+
+
+def polygon_project_batch(ce: CounterExample, x: np.ndarray,
+                          work: _BatchWork | None = None) -> np.ndarray:
     """Exact closest-point projections onto the polygon, batched.
 
     The polygon is a regular K-gon centred at the origin, so each point
@@ -395,7 +435,11 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     point runs in Python floats (numpy's per-call overhead dwarfs its
     arithmetic there), more points as (2, n) arrays, one row per
     coordinate (contiguous when ``x`` is F-ordered, as the transposed
-    state of ``perturbed_runs`` is).  The two
+    state of ``perturbed_runs`` is), in the buffers of ``work``, a
+    ``_BatchWork`` made for ``x``'s shape: the result is then its
+    projection buffer, valid until the next call with it.  Without
+    ``work`` the call makes its own, so the result is a new array; the
+    operations and so the bits are the same either way.  The two branches
     give the same bits, except within rounding of a ray between cones,
     where math.atan2 and np.arctan2 may round apart and take neighbouring
     edges: both then give the closest point to rounding.  The one-point
@@ -407,32 +451,34 @@ def polygon_project_batch(ce: CounterExample, x: np.ndarray) -> np.ndarray:
     if len(x) == 1:
         x0, x1 = x[0].tolist()
         return np.array([_project_one(ce, _sector(ce, x0, x1), x0, x1)], dtype=float)
+    if work is None:
+        work = _BatchWork(x)
     x_t = x.T
-    sector = np.arctan2(x_t[1], x_t[0])
+    sector = np.arctan2(x_t[1], x_t[0], out=work.sector)
     sector -= ce.phi
     sector *= 0.5 * ce.k / math.pi
     # fmax turns NaN into cone -K = 0 (mod K): the cast would warn on NaN.
     # As -K is an integer, flooring after it is flooring before it.
     np.fmax(sector, -ce.k, out=sector)
-    cone = np.floor(sector, out=np.empty(len(x), dtype=np.intp), casting="unsafe")
-    edge = ce._edge_table.take(cone, axis=1, mode="wrap")
-    h, e, edge_sq = edge[:2], edge[2:4], edge[4]
-    rel = x_t - h
+    cone = np.floor(sector, out=work.cone, casting="unsafe")
+    ce._edge_table.take(cone, axis=1, out=work.edge, mode="wrap")
+    h, rel, cross1 = work.h, work.rel, work.cross1
+    np.subtract(x_t, h, out=rel)
     # cross = (e1 rel0, e0 rel1): the point is inside iff e0 rel1 - e1 rel0 >= 0.
-    cross = e[::-1] * rel
-    inside = cross[1] - cross[0] >= 0.0
-    rel *= e
-    t = np.add(rel[0], rel[1], out=sector)
-    t /= edge_sq
+    np.multiply(work.e_rev, rel, out=work.cross)
+    np.subtract(cross1, work.cross0, out=cross1)
+    np.greater_equal(cross1, 0.0, out=work.inside)
+    rel *= work.e
+    t = np.add(work.rel0, work.rel1, out=sector)
+    t /= work.edge_sq
     # Unlike np.maximum and np.minimum, clip keeps -0.0, as _project_one's
     # clamp does.
     _clip(t, 0.0, 1.0, out=t)
-    proj = np.empty_like(x)
-    proj_t = proj.T
-    np.multiply(t, e[0], out=proj_t[0])
-    np.multiply(t, e[1], out=proj_t[1])
+    proj, proj_t = work.proj, work.proj_t
+    np.multiply(t, work.e0, out=work.proj0)
+    np.multiply(t, work.e1, out=work.proj1)
     proj_t += h
-    np.copyto(proj, x, where=inside[:, None])
+    np.copyto(proj, x, where=work.inside_col)
     return proj
 
 
@@ -449,8 +495,9 @@ def _grad_one(ce: CounterExample, t: int, x0: float, x1: float) -> tuple[float, 
     return ell * x0 - drop * (x0 - p0), ell * x1 - drop * (x1 - p1)
 
 
-def _counterexample_batch(ce: CounterExample, x: np.ndarray,
-                          value: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+def _counterexample_batch(ce: CounterExample, x: np.ndarray, value: bool = True,
+                          work: _BatchWork | None = None
+                          ) -> tuple[np.ndarray | None, np.ndarray]:
     """Values (n,) and exact gradients (n, 2) of the counterexample at the
     rows of ``x``, on the class (mu, L) of ``ce``; the values are None
     unless ``value``.
@@ -458,15 +505,20 @@ def _counterexample_batch(ce: CounterExample, x: np.ndarray,
     value(x) = (L/2)||x||^2 - ((L-mu)/2) dist(x, hull)^2 and
     grad(x)  = L x - (L-mu)(x - proj(x)).  Inside the hull the distance term
     vanishes and the gradient is exactly L x; in the vertex regions the
-    Hessian is mu*I.
+    Hessian is mu*I.  The gradient is the gradient buffer of ``work``
+    (see ``polygon_project_batch``), of a new one without it.
     """
     c = ce.c
-    gap = x - polygon_project_batch(ce, x)
-    grad = c.ell * x - (c.ell - c.mu) * gap
-    if not value:
-        return None, grad
-    return (0.5 * c.ell * np.einsum("ij,ij->i", x, x)
-            - 0.5 * (c.ell - c.mu) * np.einsum("ij,ij->i", gap, gap)), grad
+    if work is None:
+        work = _BatchWork(x)
+    gap = np.subtract(x, polygon_project_batch(ce, x, work), out=work.gap)
+    values = None
+    if value:
+        values = (0.5 * c.ell * np.einsum("ij,ij->i", x, x)
+                  - 0.5 * (c.ell - c.mu) * np.einsum("ij,ij->i", gap, gap))
+    grad = np.multiply(c.ell, x, out=work.grad)
+    grad -= np.multiply(c.ell - c.mu, gap, out=gap)
+    return values, grad
 
 
 def eval_counterexample(ce: CounterExample, x: np.ndarray) -> tuple[float, np.ndarray]:

@@ -35,6 +35,7 @@ from .quad_rates import _UNIT_ROUNDOFF
 from .rou_region import (
     CounterExample,
     CounterexampleFunction,
+    _BatchWork,
     _counterexample_batch,
     _grad_one,
     _sector,
@@ -85,6 +86,9 @@ class SmoothedCounterExample:
     ``smooth_counterexample``; ``mass_defect`` records
     |quadrature(density) - 1|, the error proxy of the quadrature, checked
     once there.  The parameters, class and period are those of ``base``.
+    Each instance owns the buffers of its quadrature, the shifted nodes and
+    the gradient kernels' (made once, in the (n, 2) layout of ``nodes``),
+    so its gradients are not to be taken from two threads at once.
     """
 
     base: CounterExample
@@ -92,6 +96,13 @@ class SmoothedCounterExample:
     nodes: np.ndarray = field(repr=False)    # (64 * 64, 2)
     weights: np.ndarray = field(repr=False)  # (64 * 64,)
     mass_defect: float
+    _shifted: np.ndarray = field(init=False, repr=False, compare=False)
+    _work: _BatchWork = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shifted = np.empty_like(self.nodes)
+        object.__setattr__(self, "_shifted", shifted)
+        object.__setattr__(self, "_work", _BatchWork(shifted))
 
     def grad(self, x) -> np.ndarray:
         return smoothed_grad(self, x)
@@ -203,7 +214,7 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
     density): the one-point float kernel on the cone found once for both
     the margin and the projection, with the bits of
     ``CounterexampleFunction.grad``.  Otherwise it is the polar quadrature,
-    accurate to about the mass defect.
+    accurate to about the mass defect, taken in the buffers ``sce`` owns.
     """
     ce = sce.base
     x0, x1 = map(float, x)
@@ -214,8 +225,8 @@ def smoothed_grad(sce: SmoothedCounterExample, x) -> np.ndarray:
     slack = 128.0 * _UNIT_ROUNDOFF * (math.hypot(x0, x1) + ce.hull_radius)
     if _cell_margin(ce, t, x0, x1) > sce.moll.epsilon + slack:
         return np.array(_grad_one(ce, t, x0, x1))
-    return sce.weights @ _counterexample_batch(
-        ce, np.array([[x0, x1]]) - sce.nodes, value=False)[1]
+    shifted = np.subtract(np.array([[x0, x1]]), sce.nodes, out=sce._shifted)
+    return sce.weights @ _counterexample_batch(ce, shifted, False, sce._work)[1]
 
 
 def smoothed_value(sce: SmoothedCounterExample, x) -> float:

@@ -12,7 +12,9 @@ and the (n, K, 2) all-edge projection kernel
 and the per-edge array form of the cell margin are the oracles of their
 sector-indexed forms: the same
 bits inside the polygon and on edge interiors (the same edge, the same
-expressions), and agreement to rounding elsewhere.  The
+expressions), and agreement to rounding elsewhere.  The projection kernel
+as it was before it took a workspace, a new array per temporary, is the
+bit-for-bit reference of the workspace form.  The
 row-at-a-time CSV writers, the SVG renderer that re-reads its CSV and the
 full-grid membership loop are the output and membership code the array
 forms must reproduce byte for byte.
@@ -230,6 +232,34 @@ def numpy_counterexample_grad(ce, c):
         gap = x - polygon_project_batch(ce, x)
         return (c.ell * x - (c.ell - c.mu) * gap)[0]
     return grad
+
+
+def allocating_project_batch(ce, x):
+    """The many-point branch of ``polygon_project_batch`` as it was before
+    it took a workspace, with a new array for every temporary: the
+    reference of the workspace form's bits."""
+    x_t = x.T
+    sector = np.arctan2(x_t[1], x_t[0])
+    sector -= ce.phi
+    sector *= 0.5 * ce.k / math.pi
+    np.fmax(sector, -ce.k, out=sector)
+    cone = np.floor(sector, out=np.empty(len(x), dtype=np.intp), casting="unsafe")
+    edge = ce._edge_table.take(cone, axis=1, mode="wrap")
+    h, e, edge_sq = edge[:2], edge[2:4], edge[4]
+    rel = x_t - h
+    cross = e[::-1] * rel
+    inside = cross[1] - cross[0] >= 0.0
+    rel *= e
+    t = np.add(rel[0], rel[1], out=sector)
+    t /= edge_sq
+    np.clip(t, 0.0, 1.0, out=t)
+    proj = np.empty_like(x)
+    proj_t = proj.T
+    np.multiply(t, e[0], out=proj_t[0])
+    np.multiply(t, e[1], out=proj_t[1])
+    proj_t += h
+    np.copyto(proj, x, where=inside[:, None])
+    return proj
 
 
 def polygon_project(ce, x):

@@ -8,6 +8,7 @@ layer that the traced run requires.  The module is loaded by file path, as
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
 from hbcycles.quad_rates import FunctionClass, HbParams
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACING = _BENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +57,30 @@ def test_bench_lp_sweep_reaches_every_traced_lp_layer(tracing, tmp_path, capsys)
     for span in ("cycle_lp.lp_margin", "cycle_lp.build_lp_matrix",
                  "cycle_lp.lift_matrices", "simplex.solve_canonical"):
         assert tracer.calls[span] >= 1, span
+
+
+@pytest.mark.parametrize("workload", ["tube", "smooth-cycle"])
+def test_bench_heavy_ball_commands_reach_every_traced_layer(workload, tmp_path, capsys,
+                                                            monkeypatch):
+    # The benchmark's own commands and required layers, traced as its
+    # rounds are: a kernel that bypasses a patched global (such as an
+    # inlined projection) zeroes a layer there, and fails the traced run.
+    monkeypatch.syspath_prepend(str(_BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", _BENCH / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", bench_run)  # for its dataclasses
+    spec.loader.exec_module(bench_run)
+    bench = bench_run.WORKLOADS[workload]
+    tracer = bench_run.tracing.Tracer()
+    main = tracer.wrap("cli", cli.main)
+    with bench_run.tracing.patched(tracer):
+        for command in bench.commands(0, tmp_path):
+            assert main(command.argv) == 0, command.name
+    capsys.readouterr()
+    values = tracer.layer_values()
+    assert values["rou_region.polygon_project_batch.points"] > 0
+    assert tracer.calls["hb_engine.noise_budget" if workload == "tube"
+                        else "smoothing.smoothed_grad"] > 0
+    for name in bench.layers:
+        if name != "cli.rows_written":  # counted from the output files
+            assert values[name] > 0, name

@@ -606,8 +606,8 @@ class TestCycleDemo:
         # tau stencil around the edge midpoint (9 gradients) integrates.
         calls = []
         monkeypatch.setattr(smoothing, "_counterexample_batch",
-                            lambda ce, x, value: calls.append(len(x))
-                            or _counterexample_batch(ce, x, value))
+                            lambda ce, x, *args: calls.append(len(x))
+                            or _counterexample_batch(ce, x, *args))
         code, out, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "500",
                                "--smooth", "auto")
         assert code == 0

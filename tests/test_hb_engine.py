@@ -1,6 +1,8 @@
 import functools
 import math
 import re
+import struct
+import sys
 from unittest import mock
 
 import numpy as np
@@ -320,6 +322,112 @@ class TestRunMatchesNumpyLoop:
         assert _trace_bits(new) == _reference_bits(_blowing_up(blow_up_at, d), p, x0, x1, 8)
 
 
+class _QuarterTurn:
+    """Gradient x - R x, R the quarter turn: at gamma 1 and beta 0 a step
+    maps x to R x, exactly from axis points, so the state repeats."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def grad_xy(self, x0, x1):
+        self.calls += 1
+        return x0 + x1, x1 - x0  # (x0 - (-x1), x1 - x0)
+
+    def grad(self, x):
+        return np.array(self.grad_xy(*np.asarray(x, dtype=float).tolist()))
+
+
+class _Watched:
+    """A ``grad_xy`` oracle that records, at each call, the size of the
+    replay table of the ``_run_xy`` calling it (its local ``seen``)."""
+
+    def __init__(self, fn):
+        self.inner = fn.grad_xy
+        self.sizes = []
+
+    def grad_xy(self, x0, x1):
+        self.sizes.append(len(sys._getframe(1).f_locals["seen"]))
+        return self.inner(x0, x1)
+
+
+def _first_repeats(zs):
+    """First steps t whose state (z_{t-1}, z_t) repeats an earlier one as
+    floats and in its bits."""
+    floats, bits = {}, {}
+    first_float = first_bits = None
+    for t in range(1, len(zs)):
+        state = tuple(zs[t - 1]) + tuple(zs[t])
+        if first_float is None and state in floats:
+            first_float = t
+        if first_bits is None and struct.pack("4d", *state) in bits:
+            first_bits = t
+        floats.setdefault(state, t)
+        bits.setdefault(struct.pack("4d", *state), t)
+    return first_float, first_bits
+
+
+class TestReplay:
+    """Once the state of a float run repeats bit for bit, ``run`` copies
+    the period instead of stepping it, with the array path's bits."""
+
+    @pytest.mark.parametrize("x0,x1", [
+        ((1.0, 0.0), (0.0, 1.0)), ((0.0, -1.0), (-1.0, 0.0)), ((0.0, 2.0), (-4.0, 0.0))])
+    def test_exact_repeat(self, x0, x1):
+        p = HbParams(1.0, 0.0)
+        oracle = _QuarterTurn()
+        new = run(oracle, p, x0, x1, 1000)
+        assert oracle.calls <= 5
+        assert new.grad_calls == 1000 and not new.truncated
+        assert _trace_bits(new) == _trace_bits(run(_QuarterTurn().grad, p, x0, x1, 1000))
+        assert _trace_bits(new) == _reference_bits(_QuarterTurn().grad, p, x0, x1, 1000)
+
+    def test_a_zero_of_the_other_sign_is_another_state(self):
+        # From the first start the state at step 6 is that of step 2 as
+        # floats, not in the sign of a zero: the replay waits for the bits
+        # to repeat.  The second start differs from the first only by the
+        # signs of its zeros and keeps a trace of its own.
+        p = HbParams(1.0, 0.0)
+        traces = []
+        for x0, x1 in [((-0.0, -0.0), (1.0, -0.0)), ((0.0, 0.0), (1.0, 0.0))]:
+            oracle = _QuarterTurn()
+            new = run(oracle, p, x0, x1, 100)
+            ref = _reference_bits(_QuarterTurn().grad, p, x0, x1, 100)
+            assert _trace_bits(new) == ref
+            first_float, first_bits = _first_repeats(new.iterates)
+            assert oracle.calls == first_bits - 1
+            traces.append((new, first_float, first_bits))
+        assert traces[0][1] < traces[0][2]
+        assert traces[0][0].iterates.tobytes() != traces[1][0].iterates.tobytes()
+
+    def test_full_table_is_cleared(self, interior_setup, monkeypatch):
+        # A smoothed run off the cycle has no repeat in 500 steps; with a
+        # cap of 8 its table is filled and cleared again and again.
+        monkeypatch.setattr(hb_engine, "_REPLAY_STATES", 8)
+        p, c, ce = interior_setup
+        sce = smooth_counterexample(ce, ce.r_max / 2)
+        x0, x1 = 1.3 * rou_cycle(7).points[:2]
+        watched = _Watched(sce)
+        new = run(watched, p, x0, x1, 500)
+        assert _trace_bits(new) == _trace_bits(run(sce.grad, p, x0, x1, 500))
+        assert len(watched.sizes) == 500
+        assert max(watched.sizes) == 8 and watched.sizes.count(1) == 63
+
+    @pytest.mark.parametrize("kind,scale,steps", [
+        ("plain", 1.0, 10000), ("fig4", 1.0, 10000), ("smoothed", 10.0, 3000)])
+    def test_long_runs_replay_their_cycle(self, interior_setup, fig4_setup, kind, scale,
+                                          steps):
+        p, c, ce = fig4_setup if kind == "fig4" else interior_setup
+        fn = CounterexampleFunction(ce)
+        if kind == "smoothed":
+            fn = dilate(smooth_counterexample(ce, ce.r_max / 2), scale)
+        x0, x1 = scale * rou_cycle(7).points[:2]
+        watched = _Watched(fn)
+        new = run(watched, p, x0, x1, steps)
+        assert _trace_bits(new) == _trace_bits(run(fn.grad, p, x0, x1, steps))
+        assert len(watched.sizes) < 400
+        assert max(watched.sizes) <= hb_engine._REPLAY_STATES
+
+
 class TestDetectCycle:
     def test_detects_counterexample_cycle(self, fig4_setup):
         p, c, ce = fig4_setup
@@ -605,6 +713,40 @@ class TestPerturbedRuns:
                 own = np.linalg.norm(recorded.iterates[:, i] - cyc, axis=1).max()
                 assert rolled.max_dev[i].tobytes() == own.tobytes()
                 assert abs(rolled.max_dev[i] - max_dev) <= 1e-12
+
+    @pytest.mark.parametrize("r", [1, 2, 106])
+    def test_mixed_rows_match_the_sequential_oracle(self, r):
+        # Rows of every kind in one batch: one whose jitter makes it blow
+        # up to NaN, adversarial, uniform within the budgets, and the
+        # gradient-noise overdrive of ``robustness``, 2 to 128 times it.
+        p, ce, budget = _member_setup(7)
+        kinds = [
+            lambda s: NoiseSpec(0.5, 5.0, 50.0, 1.0, seed=s),
+            lambda s: NoiseSpec(0.5, budget["gamma_jitter"] / 2, budget["beta_jitter"] / 2,
+                                budget["grad_noise"], "adversarial-sign", s),
+            lambda s: NoiseSpec(0.9, budget["gamma_jitter"] / 2, budget["beta_jitter"] / 2,
+                                budget["grad_noise"], seed=s),
+            lambda s: NoiseSpec(0.9, grad_noise=budget["grad_noise"] * 2 ** (s % 7 + 1),
+                                seed=s),
+        ]
+        noises = [kinds[s % 4](s) for s in range(r)]
+        steps = 300
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = perturbed_runs(ce, noises, steps, strict=False, record=True)
+            rolled = perturbed_runs(ce, noises, steps, strict=False)
+            assert rolled.max_dev.tobytes() == batch.max_dev.tobytes()
+            for i, noise in enumerate(noises):
+                zs, params, max_dev, stayed = sequential_perturbed_run(ce, noise, steps)
+                assert bool(batch.stayed_in_tube[i]) == stayed
+                if noise.mode == "uniform-random":
+                    assert batch.iterates[:, i].tobytes() == zs.tobytes()
+                    assert batch.params_used[:, i].tobytes() == params.tobytes()
+                    # A NaN max may come out of the two with either sign.
+                    assert (batch.max_dev[i].tobytes() == np.float64(max_dev).tobytes()
+                            or np.isnan(batch.max_dev[i]) and np.isnan(max_dev))
+                else:
+                    assert np.abs(batch.iterates[:, i] - zs).max() <= 1e-12
+        assert np.isnan(batch.iterates[-1, 0]).all()
 
     def test_strict_check_names_the_violating_spec(self):
         p, ce, budget = _member_setup(7)

@@ -137,6 +137,11 @@ def cases() -> dict:
                     ("--smooth", "auto", "--noise-grad", "1e-9"))),
                 ["cycle-demo", *_POINT, "--steps", "500", "--lambda", "10",
                  "--out", "dilated.csv"],
+                # Long float runs that repeat their state many times over.
+                ["cycle-demo", *_POINT, "--steps", "3000", "--lambda", "10",
+                 "--out", "dilated-long.csv"],
+                ["cycle-demo", *_POINT, "--noise-init", "0.9", "--seed", "5",
+                 "--steps", "5000", "--out", "decay5.csv"],
                 # eps = r_max: most support balls reach a cell boundary, so
                 # most steps take the quadrature branch.
                 *(["cycle-demo", *_POINT, "--steps", "50", "--smooth", _R_MAX, *argv]

@@ -12,7 +12,9 @@ from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
 from hbcycles.rou_region import (
     MEMBERSHIP_ROUNDING,
     CounterexampleFunction,
+    _BatchWork,
     _candidate_periods,
+    _counterexample_batch,
     _membership_quadratic,
     RouCycle,
     beta_minus,
@@ -30,6 +32,7 @@ from hbcycles.rou_region import (
 from hbcycles.hb_engine import run
 from hbcycles.quad_rates import ghadimi_beta_bound
 from conftest import (
+    allocating_project_batch,
     central_difference_grad,
     edge_sq,
     full_grid_member_any_grid,
@@ -508,6 +511,57 @@ class TestProjection:
         with np.errstate(invalid="ignore", over="ignore"):
             trace = run(fn.grad, HbParams(member[0], member[1]), (nan, 0.0), (0.0, 1.0), 5)
         assert trace.truncated
+
+
+def _workspace_batches(ce, n):
+    """Batches of ``n`` points (shuffled, the last one short of rows padded
+    from the first): non-finite points, signed zeros, points on the rays
+    between cones and one ulp either side of them, and a normal cloud."""
+    inf, nan = math.inf, math.nan
+    special = np.array([(nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0), (-inf, 0.0),
+                        (0.0, -inf), (inf, inf), (-inf, inf), (nan, -inf), (-0.0, 0.0),
+                        (0.0, -0.0), (-0.0, -0.0), (ce.hull[0, 0], -0.0), (-0.0, 5e-324)])
+    rays = ray_points(ce, ce.hull_radius)
+    rng = np.random.default_rng(29)
+    x = np.concatenate([special, rays, np.nextafter(rays, inf), np.nextafter(rays, -inf),
+                        ce.hull_radius * rng.normal(size=(300, 2))])
+    x = np.concatenate([x[rng.permutation(len(x))], x[:-len(x) % n]])
+    return x.reshape(-1, n, 2)
+
+
+class TestBatchWorkspace:
+    """A workspace reused across calls gives the bits of a call with its
+    own buffers and of the kernel that made a new array per temporary."""
+
+    @pytest.mark.parametrize("member", [m for m in _SECTOR_MEMBERS if m[2] in (3, 7, 100)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_reused_workspace_gives_the_fresh_bits(self, member, order):
+        ce = _member_ce(member)
+        fn = CounterexampleFunction(ce)
+        batches = [np.asarray(x, order=order) for x in _workspace_batches(ce, 64)]
+        work = _BatchWork(batches[0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for x in batches:
+                fresh = polygon_project_batch(ce, x)
+                reused = polygon_project_batch(ce, x, work)
+                assert reused is work.proj and fresh is not work.proj
+                assert reused.tobytes(order="A") == fresh.tobytes(order="A")
+                assert reused.tobytes() == allocating_project_batch(ce, x).tobytes()
+                grad = _counterexample_batch(ce, x, False, work)[1]
+                assert grad is work.grad
+                assert grad.tobytes() == fn.grad_batch(x).tobytes()
+                assert grad.flags.f_contiguous == (order == "F")
+
+    def test_one_point_batch_ignores_the_projection_buffer(self, interior_setup):
+        _, _, ce = interior_setup
+        x = np.array([[0.3, -0.2]])
+        work = _BatchWork(x)
+        proj = polygon_project_batch(ce, x, work)
+        assert proj is not work.proj
+        assert proj.tobytes() == polygon_project(ce, x[0]).tobytes()
+        grad = _counterexample_batch(ce, x, False, work)[1]
+        assert grad is work.grad
+        assert grad.tobytes() == CounterexampleFunction(ce).grad_batch(x).tobytes()
 
 
 class TestCounterexampleFunction:
