@@ -65,8 +65,6 @@ from .smoothing import (
     third_derivative_estimate,
 )
 
-_REGION_NAMES = np.array([region.value for region in _REGION_BY_CODE])
-
 SWEEP_MODES = ("rate", "rou-region", "lp-region", "ghadimi", "sls-overlay")
 
 
@@ -90,14 +88,33 @@ def _emit_json(obj) -> None:
     print(json.dumps(_jsonable(obj), indent=2, sort_keys=True))
 
 
-def _write_csv(path, gammas, betas, value, tag) -> None:
-    """Rows gamma-major: ``value`` and ``tag`` are (len(gammas), len(betas))."""
-    bs = format_floats(betas).tolist()
+# Cells joined into one string at a time by the CSV and SVG writers.
+_BLOCK_CELLS = 1 << 16
+
+
+def _write_csv(path, gammas, betas, value, names, codes) -> None:
+    """Rows gamma-major: ``value`` and ``codes`` are (len(gammas), len(betas)),
+    and a cell's tag is ``names[code]``.
+
+    Each distinct float is formatted once.  A block of whole gamma rows, about
+    ``_BLOCK_CELLS`` cells, is interleaved from those pieces and written as
+    one string, so memory stays bounded on large grids."""
+    g_text = format_floats(gammas) + ","
+    b_text = format_floats(betas) + ","
+    v_text = format_floats(value)
+    tails = np.array([f",{name}\n" for name in names], dtype=object)
+    rows = max(1, _BLOCK_CELLS // len(betas))
+    pieces = np.empty((min(rows, len(gammas)), len(betas), 4), dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write("gamma,beta,value,tag\n")
-        for g, vs, ts in zip(format_floats(gammas).tolist(), format_floats(value).tolist(),
-                             tag.tolist()):
-            fh.writelines([f"{g},{b},{v},{t}\n" for b, v, t in zip(bs, vs, ts)])
+        for start in range(0, len(gammas), rows):
+            block = slice(start, start + rows)
+            out = pieces[:len(g_text[block])]
+            out[..., 0] = g_text[block, None]
+            out[..., 1] = b_text
+            out[..., 2] = v_text[block]
+            out[..., 3] = tails.take(codes[block])
+            fh.write("".join(out.ravel().tolist()))
 
 
 def _write_metadata(args, extra: dict) -> None:
@@ -131,37 +148,51 @@ _TAG_COLORS = {
 def render_svg(csv_path, svg_path, cells=None) -> None:
     """Filled-region raster of a sweep CSV; a pure function of the file.
 
-    ``cells``, the file's gamma, beta and tag columns as arrays, skips reading it."""
+    ``cells`` skips reading the file: ``(gammas, betas, names, codes)``, where
+    the gamma, beta and code arrays broadcast together to the file's rows in
+    order, and a row's tag is ``names[code]``.  The file's tags are read as
+    the names and codes of ``np.unique``, so both ways draw alike.  Each rect
+    is joined from prebuilt pieces, ``_BLOCK_CELLS`` at a time.  The legend
+    lists the tags that some row has, sorted by name."""
     if cells is None:
         with open(csv_path) as fh:
             if fh.readline().strip() != "gamma,beta,value,tag":
                 raise ValueError(f"unexpected CSV header in {csv_path}")
             rows = [line.rstrip("\n").split(",") for line in fh]
         cols = np.array(rows, str).reshape(len(rows), 4)
-        cells = (cols[:, 0].astype(float), cols[:, 1].astype(float), cols[:, 3])
-    # Each column's sorted distinct values; -0.0 and 0.0 share a cell.
-    (xs, xi), (ys, yi), (tags, ti) = (np.unique(col, return_inverse=True) for col in cells)
+        cells = (cols[:, 0].astype(float), cols[:, 1].astype(float),
+                 *np.unique(cols[:, 3], return_inverse=True))
+    gammas, betas, names, codes = cells
+    # Each axis's sorted distinct values; -0.0 and 0.0 share a cell.
+    (xs, xi), (ys, yi) = (np.unique(axis, return_inverse=True) for axis in (gammas, betas))
+    xi, yi, codes = (a.ravel() for a in np.broadcast_arrays(
+        xi.reshape(np.shape(gammas)), yi.reshape(np.shape(betas)), codes))
     cell_w, cell_h, legend_h = 4, 4, 18
     width, height = cell_w * len(xs), cell_h * len(ys)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height + legend_h}" shape-rendering="crispEdges">'
-    ]
-    x_text = [f'<rect x="{i * cell_w}" y="' for i in range(len(xs))]
-    y_text = [f'{height - (j + 1) * cell_h}" width="{cell_w}" height="{cell_h}" fill="'
-              for j in range(len(ys))]
-    colors = [_TAG_COLORS.get(tag, "#999999") for tag in tags.tolist()]
-    parts += [x_text[i] + y_text[j] + colors[t] + '"/>'
-              for i, j, t in zip(xi.tolist(), yi.tolist(), ti.tolist())]
-    for i, (tag, color) in enumerate(zip(tags.tolist(), colors)):
+    colors = [_TAG_COLORS.get(name, "#999999") for name in names]
+    heads = np.array([f'<rect x="{i * cell_w}" y="' for i in range(len(xs))], dtype=object)
+    # One tail per (beta row, tag): the rest of the rect and its line break.
+    tails = np.array([f'{height - (j + 1) * cell_h}" width="{cell_w}" height="{cell_h}" '
+                      f'fill="{color}"/>\n' for j in range(len(ys)) for color in colors],
+                     dtype=object)
+    legend = []
+    for i, name in enumerate(sorted({names[k] for k in np.unique(codes).tolist()})):
         x = 4 + i * 110
-        parts.append(f'<rect x="{x}" y="{height + 4}" width="10" height="10" '
-                     f'fill="{color}"/>')
-        parts.append(f'<text x="{x + 14}" y="{height + 13}" font-size="10" '
-                     f'font-family="monospace">{tag}</text>')
-    parts.append("</svg>")
+        legend.append(f'<rect x="{x}" y="{height + 4}" width="10" height="10" '
+                      f'fill="{_TAG_COLORS.get(name, "#999999")}"/>')
+        legend.append(f'<text x="{x + 14}" y="{height + 13}" font-size="10" '
+                      f'font-family="monospace">{name}</text>')
+    pieces = np.empty((min(_BLOCK_CELLS, len(codes)), 2), dtype=object)
     with open(svg_path, "w", newline="") as fh:
-        fh.write("\n".join(parts))
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                 f'height="{height + legend_h}" shape-rendering="crispEdges">\n')
+        for start in range(0, len(codes), _BLOCK_CELLS):
+            block = slice(start, start + _BLOCK_CELLS)
+            out = pieces[:len(codes[block])]
+            out[:, 0] = heads.take(xi[block])
+            out[:, 1] = tails.take(yi[block] * len(names) + codes[block])
+            fh.write("".join(out.ravel().tolist()))
+        fh.write("\n".join([*legend, "</svg>"]))
         fh.write("\n")
 
 
@@ -299,29 +330,28 @@ def _cmd_sweep(args) -> int:
                       "beta": [float(betas[0]), float(betas[-1]), len(betas)]},
              "label": args.label}
 
+    # Each mode tags a cell with names[code].
     if args.mode == "rate":
         value, codes = rate_grid(g, b, c)
-        tag = _REGION_NAMES[codes]
+        names = tuple(region.value for region in _REGION_BY_CODE)
     elif args.mode == "rou-region":
         member = member_any_grid(g, b, c, k_max=args.k_max)
         value = np.where(member > 0, member, math.nan)
-        tag = np.where(member > 0, "member", "none")
+        names, codes = ("none", "member"), member > 0
     elif args.mode == "ghadimi":
         value = np.broadcast_to(ghadimi_beta_bound(c, gammas)[:, None], g.shape)
-        tag = np.where((0.0 <= b) & (b < value), "inside", "outside")
+        names, codes = ("outside", "inside"), (0.0 <= b) & (b < value)
     elif args.mode == "lp-region":
         period, unsure, extra["lp_pairs"] = _lp_region_chunk(g.ravel(), b.ravel(), c,
                                                              args.k_max)
         value = np.where(period > 0, period, math.nan).reshape(g.shape)
-        tag = np.where(period > 0, "member",
-                       np.where(unsure, "indeterminate", "none")).reshape(g.shape)
+        names = ("none", "member", "indeterminate")
+        codes = np.where(period > 0, 1, 2 * unsure).reshape(g.shape)
     else:  # sls-overlay
         value, codes = rate_grid(g, b, c)
         rho_target, in_sls = sublevel_set(value, codes, c, args.C)
         member = member_any_grid(g, b, c, k_max=args.k_max) > 0
-        tag = np.where(in_sls & member, "both",
-                       np.where(in_sls, "sls-only",
-                                np.where(member, "cycle-only", "neither")))
+        names, codes = ("neither", "cycle-only", "sls-only", "both"), 2 * in_sls + member
         overlap = int(np.sum(in_sls & ~member))
         extra["verdict"] = {
             "rho_target": rho_target,
@@ -330,10 +360,11 @@ def _cmd_sweep(args) -> int:
             "empty_intersection": overlap == 0,
         }
 
-    _write_csv(args.out, gammas, betas, value, tag)
+    _write_csv(args.out, gammas, betas, value, names, codes)
     _write_metadata(args, extra)
     if args.svg:
-        render_svg(args.out, str(args.out) + ".svg", (g.ravel(), b.ravel(), tag.ravel()))
+        render_svg(args.out, str(args.out) + ".svg",
+                   (gammas[:, None], betas[None, :], names, codes))
     print(f"wrote {g.size} rows to {args.out}")
     return 0
 

@@ -447,6 +447,32 @@ def _grid(data, gammas, betas, allow_nan=True):
     return np.array(value).reshape(shape), np.array(tag).reshape(shape)
 
 
+# The tags of each sweep mode, in code order.
+_MODE_NAMES = {
+    "rate": ("Lazy", "Robust", "KnifesEdge", "NoConvergence"),
+    "rou-region": ("none", "member"),
+    "ghadimi": ("outside", "inside"),
+    "lp-region": ("none", "member", "indeterminate"),
+    "sls-overlay": ("neither", "cycle-only", "sls-only", "both"),
+}
+
+
+def _assert_writers_match_oracles(path, gammas, betas, value, names, codes):
+    """The CSV and the three ways to draw its SVG against the conftest oracles."""
+    gammas, betas = np.array(gammas), np.array(betas)
+    g, b = np.meshgrid(gammas, betas, indexing="ij")
+    tag = np.array(names, dtype=object)[codes]
+    _write_csv(path / "new.csv", gammas, betas, value, names, codes)
+    rowwise_write_csv(path / "old.csv", zip(g.ravel(), b.ravel(), value.ravel(), tag.ravel()))
+    assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+    parsed_render_svg(path / "old.csv", path / "oracle.svg")
+    oracle = (path / "oracle.svg").read_bytes()
+    for cells in ((gammas[:, None], betas[None, :], names, codes),
+                  (g.ravel(), b.ravel(), names, codes.ravel()), None):
+        render_svg(path / "new.csv", path / "new.svg", cells)
+        assert (path / "new.svg").read_bytes() == oracle
+
+
 class TestSweepOutput:
     """The array writers against the row-at-a-time oracles in conftest."""
 
@@ -454,9 +480,11 @@ class TestSweepOutput:
     @given(gammas=_axes(), betas=_axes(), data=st.data())
     def test_csv_matches_rowwise_writer(self, tmp_path_factory, gammas, betas, data):
         value, tag = _grid(data, gammas, betas)
+        names, codes = np.unique(tag, return_inverse=True)
         g, b = np.meshgrid(gammas, betas, indexing="ij")
         path = tmp_path_factory.mktemp("csv")
-        _write_csv(path / "new.csv", np.array(gammas), np.array(betas), value, tag)
+        _write_csv(path / "new.csv", np.array(gammas), np.array(betas), value, names,
+                   codes.reshape(tag.shape))
         rowwise_write_csv(path / "old.csv", zip(g.ravel(), b.ravel(), value.ravel(), tag.ravel()))
         assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
@@ -467,15 +495,67 @@ class TestSweepOutput:
     @given(gammas=_axes(allow_nan=False), betas=_axes(allow_nan=False), data=st.data())
     def test_svg_matches_parsing_renderer(self, tmp_path_factory, gammas, betas, data):
         value, tag = _grid(data, gammas, betas)
+        names, codes = np.unique(tag, return_inverse=True)
         g, b = np.meshgrid(gammas, betas, indexing="ij")
         path = tmp_path_factory.mktemp("svg")
-        _write_csv(path / "s.csv", np.array(gammas), np.array(betas), value, tag)
-        render_svg(path / "s.csv", path / "arrays.svg", (g.ravel(), b.ravel(), tag.ravel()))
+        _write_csv(path / "s.csv", np.array(gammas), np.array(betas), value, names,
+                   codes.reshape(tag.shape))
+        render_svg(path / "s.csv", path / "arrays.svg",
+                   (g.ravel(), b.ravel(), names, codes.ravel()))
         render_svg(path / "s.csv", path / "parsed.svg")
         parsed_render_svg(path / "s.csv", path / "oracle.svg")
         oracle = (path / "oracle.svg").read_bytes()
         assert (path / "arrays.svg").read_bytes() == oracle
         assert (path / "parsed.svg").read_bytes() == oracle
+
+    # Names in any order, some of them on no cell: the legend still lists
+    # only the tags present, sorted by name.
+    @settings(max_examples=100, deadline=None)
+    @given(gammas=_axes(allow_nan=False), betas=_axes(allow_nan=False), data=st.data())
+    def test_names_in_any_order_some_unused(self, tmp_path_factory, gammas, betas, data):
+        names = data.draw(st.lists(st.sampled_from(_TAGS), min_size=1, unique=True))
+        size = len(gammas) * len(betas)
+        codes = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=size,
+                                   max_size=size))
+        value, _ = _grid(data, gammas, betas)
+        _assert_writers_match_oracles(tmp_path_factory.mktemp("names"), gammas, betas,
+                                      value, tuple(names),
+                                      np.array(codes).reshape(value.shape))
+
+    # Every code, only the first, and all but the first.
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    @pytest.mark.parametrize("used", ["all", "first", "not-first"])
+    def test_each_modes_names(self, tmp_path, mode, used):
+        names = _MODE_NAMES[mode]
+        gammas, betas = [0.5, -0.0, 2.0, 1.5, 3.0], [0.25, 0.0, 0.75]
+        cycle = np.arange(15).reshape(5, 3)
+        codes = {"all": cycle % len(names), "first": 0 * cycle,
+                 "not-first": 1 + cycle % (len(names) - 1)}[used]
+        value = np.linspace(-1.0, 1.0, 15).reshape(5, 3)
+        _assert_writers_match_oracles(tmp_path, gammas, betas, value, names, codes)
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_each_modes_sweep_draws_its_csv(self, capsys, tmp_path, mode):
+        out = tmp_path / "s.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--mode", mode, "--mu", "0.01", "--L", "1",
+                             "--gamma-count", "7", "--beta-count", "5", "--k-max", "12",
+                             "--C", "1", "--out", str(out), "--svg")
+        assert code == 0
+        tags = {line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]}
+        assert tags <= set(_MODE_NAMES[mode])
+        parsed_render_svg(out, tmp_path / "oracle.svg")
+        assert (tmp_path / "s.csv.svg").read_bytes() == (tmp_path / "oracle.svg").read_bytes()
+
+    # One row (or one rect) per block, a block size that does not divide the
+    # rows, and one block larger than the grid all write the same bytes.
+    @pytest.mark.parametrize("block", [1, 2, 3 * 7, 7 * 11 + 5, 10_000])
+    def test_block_size_moves_no_byte(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", block)
+        names = _MODE_NAMES["sls-overlay"]
+        gammas, betas = np.linspace(0.1, 2.0, 11), np.linspace(0.0, 0.9, 7)
+        codes = (np.arange(77).reshape(11, 7) * 5) % 4
+        value = np.sin(np.arange(77.0)).reshape(11, 7)
+        _assert_writers_match_oracles(tmp_path, gammas, betas, value, names, codes)
 
     def test_svg_rejects_malformed_rows(self, tmp_path):
         path = tmp_path / "bad.csv"

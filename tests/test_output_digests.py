@@ -131,6 +131,14 @@ def cases() -> dict:
                  "--gamma-count", "6", "--beta-count", "6", "--k-max", "100",
                  "--out", "lp6.csv", "--svg"],
                 [*_LP_GRID, "--workers", "2", "--out", "lp.csv"],
+                # The SVG of every tagging mode.  sls-overlay at C 1 has all
+                # four of its tags, whose code order is not their name order;
+                # at mu 1e-3 and C 5 it has no sls-only cell.
+                *(["sweep", "--mode", mode, "--mu", "0.01", "--L", "1", "--gamma-count", "8",
+                   "--beta-count", "8", *argv, "--out", "s.csv", "--svg"] for mode, argv in (
+                    ("rou-region", ()), ("ghadimi", ()), ("sls-overlay", ("--C", "1")))),
+                ["sweep", "--mode", "sls-overlay", "--mu", "1e-3", "--L", "1", "--gamma-count",
+                 "8", "--beta-count", "8", "--C", "5", "--out", "s.csv", "--svg"],
                 # A zero noise level is no noise, so it goes with --smooth.
                 *(["cycle-demo", *_POINT, "--steps", "50", *argv] for argv in (
                     ("--noise-grad", "0"), ("--smooth", "auto", "--noise-grad", "0"),
