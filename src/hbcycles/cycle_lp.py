@@ -19,8 +19,10 @@ most recently used periods.
 
 Weak duality makes non-existence cheap to prove: any row weighting y >= 0
 gives t* >= min_ell (y^T P)_ell / sum(y).  ``lp_margin`` with a dual store
-first tries the last optimal dual at the same period; when that bound, less
-its rounding error, clears ``INDETERMINATE_TOL`` the solve is skipped.
+first tries the last optimal dual at the same period, then the most recently
+solved dual of another period, moved onto this period's rows by signed lag;
+when either bound, less its rounding error, clears ``INDETERMINATE_TOL`` the
+solve is skipped.
 
 ``lp_matrices`` builds P for many cells at one period in closed form, from
 one DFT of the gradient stencil, with a bound on each cell's rounding error;
@@ -47,8 +49,10 @@ The tolerances of the cycle tests, in one place:
 - ``INDETERMINATE_TOL``: a margin at most this, but above
   ``FEASIBILITY_TOL``, is too close to call ("indeterminate");
 - ``SCREEN_SLACK``: the margin, in units of the LP scale max(1, max|P|), by
-  which a stored dual's bound must clear ``INDETERMINATE_TOL`` to skip a
-  solve (it absorbs the roundings ``dual_lower_bound`` leaves out);
+  which a stored or lag-mapped dual's bound must clear ``INDETERMINATE_TOL``
+  to skip a solve (it absorbs the roundings ``dual_lower_bound`` leaves
+  out); the lp-region rows with skipped solves equal those of solving every
+  pair on the bench and README grids and on four more sweep grids;
 - ``LP_MATRIX_ROUNDING``: the relative factor of ``lp_matrices``' rounding
   bound per cell, which moves each screen threshold.
 """
@@ -70,7 +74,10 @@ INDETERMINATE_TOL = 1e-8
 # its gamma_n term leaves out (see dual_lower_bound).  So the exact t* of P
 # is above INDETERMINATE_TOL whenever the screen skips a solve.  The simplex
 # reports t* only up to its own tolerances; that a skipped solve would have
-# reported a margin on the same side is checked on the sweep grids, not proven.
+# reported a margin on the same side is checked, not proven: the lp-region
+# CSV and sidecar match those of solving every pair on the bench 16 x 16 and
+# README 60 x 60 grids (k-max 25, mu 0.01, L 1), the 200 x 200 defaults, mu
+# 1e-4 and mu 0.2 with L 2 (100 x 100, k-max 60) and mu 0.3 (50 x 50).
 SCREEN_SLACK = 1e-10
 # lp_matrices' error bound per cell is this times the cell's magnitude (see
 # there): 212 units of roundoff to first order, rounded up to 256 to cover
@@ -486,6 +493,20 @@ def _solve_cycle_lp(pm: np.ndarray, p: HbParams) -> tuple[float, np.ndarray, np.
     return scale * res.objective, res.x[:m], y / y.sum()
 
 
+def _lag_mapped_dual(y: np.ndarray, k: int) -> np.ndarray:
+    """Row weights ``y`` of a period-K' LP (K' = len(y) + 1) moved onto the
+    K-1 rows of period ``k`` by signed lag.
+
+    Row i of period K' is lag i when 2i <= K' and lag i - K' otherwise (row
+    K'-j is lag -j).  The weight on lag l goes to row l mod K: weights on
+    lags that are 0 mod K are dropped, and weights landing on one row add.
+    """
+    k_from = len(y) + 1
+    rows = np.arange(1, k_from)
+    lags = np.where(2 * rows <= k_from, rows, rows - k_from)
+    return np.bincount(lags % k, weights=y, minlength=k)[1:]
+
+
 def lp_margin(p: HbParams, c: FunctionClass, k: int,
               duals: dict[int, np.ndarray] | None = None) -> float:
     """Optimal margin t* of the period-``k`` cycle feasibility LP.
@@ -494,22 +515,39 @@ def lp_margin(p: HbParams, c: FunctionClass, k: int,
     The sum-to-one normalization replaces the homogeneous nu != 0
     constraint; the problem is scale-invariant so nothing is lost.
 
-    ``duals`` is an optional caller-owned store of the last dual weights at
-    each period.  With it, the stored weights at ``k`` are tried first: if
-    their ``dual_lower_bound`` exceeds ``INDETERMINATE_TOL`` by
-    ``SCREEN_SLACK`` times the LP scale, that proven lower bound is returned
-    and no LP is solved: the exact t* of P is at least that bound, so it is
-    above ``INDETERMINATE_TOL`` too.  Otherwise the LP is solved on the same
-    matrix and its dual replaces the stored one.
+    ``duals`` is an optional caller-owned store of the last solved dual
+    weights at each period, keyed by period, in the order the periods were
+    last solved: its last key is the most recent solve.  With it, up to two
+    candidate weights are tried before any solve, and the first whose
+    ``dual_lower_bound`` exceeds ``INDETERMINATE_TOL`` by ``SCREEN_SLACK``
+    times the LP scale is returned as a proven lower bound, with no LP
+    solved (the exact t* of P is at least that bound, so it is above
+    ``INDETERMINATE_TOL`` too):
+
+    - the weights stored at ``k``;
+    - the most recent weights, when they are of another period K', moved
+      onto this period's rows by ``_lag_mapped_dual``; weights that all
+      land on lags 0 mod ``k`` leave nothing to try.
+
+    Any y >= 0, not all zero, is a weak-duality certificate, so the
+    candidates change only how often a solve is skipped.  Otherwise the LP
+    is solved on the same matrix, and its dual replaces the one stored at
+    ``k`` and becomes the most recent.
     """
     _check_cycle_lp(p.gamma, c, k)
     pm = build_lp_matrix(p, c, k)
-    if duals is not None and k in duals:
-        bound = dual_lower_bound(pm, duals[k])
-        if bound > INDETERMINATE_TOL + SCREEN_SLACK * _lp_scale(pm):
+    if duals:
+        floor = INDETERMINATE_TOL + SCREEN_SLACK * _lp_scale(pm)
+        if k in duals and (bound := dual_lower_bound(pm, duals[k])) > floor:
             return bound
+        last = next(reversed(duals))
+        if last != k:
+            y = _lag_mapped_dual(duals[last], k)
+            if y.any() and (bound := dual_lower_bound(pm, y)) > floor:
+                return bound
     margin, _, y = _solve_cycle_lp(pm, p)
     if duals is not None:
+        duals.pop(k, None)
         duals[k] = y
     return margin
 

@@ -253,6 +253,19 @@ class TestSweep:
         assert counts["lp_margin_calls"] > len(gammas)
         for got in (plain, screened):
             assert all(np.array_equal(a, b) for a, b in zip(got, stored))
+        # The bench and README grids at k-max 25, screens in place: the
+        # pairs they leave give the same rows and counters with the store
+        # as with a store-free lp_margin.
+        monkeypatch.undo()
+        for n in (16, 60):
+            cells = _cells(np.linspace(4.0 / n, 4.0, n), np.linspace(0.0, 1.0, n, endpoint=False))
+            *stored, counts = _lp_region_chunk(*cells, _CLASS, 25)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "lp_margin",
+                              lambda p, c, k, duals=None: cycle_lp.lp_margin(p, c, k))
+                *plain, plain_counts = _lp_region_chunk(*cells, _CLASS, 25)
+            assert counts == plain_counts and counts["lp_margin_calls"] > 0
+            assert all(np.array_equal(a, b) for a, b in zip(plain, stored))
 
     def test_lp_region_rows_do_not_depend_on_the_screen_block(self, monkeypatch):
         # One cell per screen block, the size past K = 513, gives the
@@ -286,16 +299,19 @@ class TestSweep:
         assert counts[0] == counts[1] > 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_benchmark_grid_leaves_ten_lps_of_few_pivots(self, monkeypatch):
-        # The pairs of the benchmark's grid that pass both screens, all at
-        # (2.5, 0.5), take at most 80 pivots between them (162 under
-        # Bland's rule): a pivot count, not a clock.
-        pivots, pairs = [], []
+    def test_benchmark_grid_solves_two_of_its_ten_lps_in_few_pivots(self, monkeypatch):
+        # The pairs of the benchmark's grid that pass both screens are all at
+        # (2.5, 0.5).  Their duals weigh the lags +3 and -1, so the K = 7
+        # dual, mapped by lag, rules out K = 11, and the K = 14 dual every
+        # later period: two solves, at most 80 pivots between them (the ten
+        # solves took 63, and 162 under Bland's rule): a count, not a clock.
+        pivots, pairs, solved = [], [], []
         solve, margin = cycle_lp.solve_canonical, cli.lp_margin
 
         def counting(*args, **kwargs):
             res = solve(*args, **kwargs)
             pivots.append(res.iterations)
+            solved.append(pairs[-1][2])
             return res
 
         def recording(p, c, k, duals=None):
@@ -307,7 +323,7 @@ class TestSweep:
         _lp_region_chunk(*_cells(np.linspace(0.25, 4.0, 16), np.arange(16) / 16.0),
                          _CLASS, 25)
         assert pairs == [(2.5, 0.5, k) for k in (7, 11, 14, 15, 18, 19, 21, 22, 23, 25)]
-        assert len(pivots) == 10 and sum(pivots) <= 80
+        assert solved == [7, 14] and sum(pivots) <= 80
 
     @pytest.mark.parametrize("grid", [("8", "6", "10"), ("16", "16", "25")])
     def test_lp_region_pair_counters(self, capsys, tmp_path, grid):

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hbcycles.cycle_lp as cycle_lp
@@ -490,26 +492,60 @@ def test_returned_dual_is_optimal(p, k):
     assert dual_lower_bound(pm, y) == pytest.approx(margin, rel=1e-9, abs=1e-12 * scale)
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=in_region, kappa=st.floats(1e-4, 0.9), k_from=st.integers(3, 60),
+       k=st.integers(3, 60))
+# The bench grid's solved cell: its K' = 7 dual proves K = 11.
+@example(p=HbParams(2.5, 0.5), kappa=0.01, k_from=7, k=11)
+def test_a_lag_mapped_dual_that_clears_the_floor_is_below_highs(p, kappa, k_from, k):
+    # The dual is the one lp_margin would store; a failed solve stores none.
+    c = FunctionClass(kappa, 1.0)
+    try:
+        _, _, y = cycle_lp._solve_cycle_lp(build_lp_matrix(p, c, k_from), p)
+    except RuntimeError:
+        assume(False)
+    mapped = cycle_lp._lag_mapped_dual(y, k)
+    assume(mapped.any())
+    pm = build_lp_matrix(p, c, k)
+    scale = max(np.abs(pm).max(), 1.0)
+    bound = dual_lower_bound(pm, mapped)
+    if bound > INDETERMINATE_TOL + cycle_lp.SCREEN_SLACK * scale:
+        margin = highs_margin(pm)
+        assert margin > INDETERMINATE_TOL and margin >= bound - 1e-9 * scale
+
+
+def counted_solves(monkeypatch):
+    """A list that gains one entry per simplex solve of the cycle LP."""
+    calls = []
+    solve = cycle_lp.solve_canonical
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cycle_lp, "solve_canonical", counting)
+    return calls
+
+
 class TestDualStore:
-    def test_first_call_solves_like_the_plain_margin_and_stores(self):
+    def test_first_call_solves_like_the_plain_margin_and_stores(self, monkeypatch):
         p = HbParams(1.2, 0.3)
         duals = {}
-        for k in (5, 6):
-            assert lp_margin(p, SCREEN_CLASS, k, duals) == lp_margin(p, SCREEN_CLASS, k)
-        assert sorted(duals) == [5, 6]
+        calls = counted_solves(monkeypatch)
+        assert lp_margin(p, SCREEN_CLASS, 5, duals) == lp_margin(p, SCREEN_CLASS, 5)
+        assert len(calls) == 2 and list(duals) == [5]
+        # The K = 5 dual, all of its weight on lag -1, mapped onto the rows
+        # of K = 6 proves that period out without a solve.
+        calls.clear()
+        bound = lp_margin(p, SCREEN_CLASS, 6, duals)
+        assert calls == [] and list(duals) == [5]
+        assert INDETERMINATE_TOL < bound <= lp_margin(p, SCREEN_CLASS, 6)
 
     def test_screened_periods_skip_the_solve(self, monkeypatch):
         duals = {}
         lp_margin(HbParams(1.2, 0.3), SCREEN_CLASS, 7, duals)
         stored = duals[7]
-        calls = []
-        solve = cycle_lp.solve_canonical
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(cycle_lp, "solve_canonical", counting)
+        calls = counted_solves(monkeypatch)
         p = HbParams(1.25, 0.3)
         bound = lp_margin(p, SCREEN_CLASS, 7, duals)
         assert calls == []
@@ -523,6 +559,46 @@ class TestDualStore:
         margin = lp_margin(p, FunctionClass(0.005, 1.0), k, duals)
         assert margin == lp_margin(p, FunctionClass(0.005, 1.0), k) < 0.0
         assert not np.array_equal(duals[k], np.full(k - 1, 1.0 / (k - 1)))
+
+    def test_a_re_solved_period_becomes_the_most_recent(self):
+        # A member cell at K = 7: neither its own stored dual nor the K = 5
+        # one mapped by lag clears, so K = 7 is solved and moves to the end.
+        p, c = HbParams(3.5, 0.75), FunctionClass(0.005, 1.0)
+        duals = {7: np.full(6, 1.0 / 6.0), 5: np.full(4, 0.25)}
+        lp_margin(p, c, 7, duals)
+        assert list(duals) == [5, 7]
+
+    def test_a_dual_with_every_weight_dropped_falls_back_to_the_solve(self, monkeypatch):
+        # At K = 3 the K' = 7 weight on lag 3 lands on lag 0 and is dropped:
+        # nothing is left to bound with, and nothing divides by its zero sum.
+        p = HbParams(1.2, 0.3)
+        duals = {7: np.eye(6)[2]}
+        calls = counted_solves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            margin = lp_margin(p, SCREEN_CLASS, 3, duals)
+        assert len(calls) == 1 and list(duals) == [7, 3]
+        assert margin == lp_margin(p, SCREEN_CLASS, 3)
+
+
+class TestLagMappedDual:
+    def test_lags_of_period_7_land_on_the_rows_of_period_11(self):
+        # Row 3 of K' = 7 is lag +3 (row 3 at K = 11); row 6 is lag -1 (row 10).
+        y = np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.9])
+        expected = np.zeros(10)
+        expected[[2, 9]] = 0.1, 0.9
+        assert np.array_equal(cycle_lp._lag_mapped_dual(y, 11), expected)
+
+    def test_the_middle_row_of_an_even_period_is_a_positive_lag(self):
+        # Row 4 of K' = 8 is lag +4 (row 4 at K = 6); row 5 is lag -3 (row 3).
+        eye = np.eye(7)
+        assert np.array_equal(cycle_lp._lag_mapped_dual(eye[3], 6), np.eye(5)[3])
+        assert np.array_equal(cycle_lp._lag_mapped_dual(eye[4], 6), np.eye(5)[2])
+
+    def test_weights_on_lags_zero_mod_the_period_are_dropped_and_shared_rows_add(self):
+        # K' = 7 to K = 3: lag 3 is dropped; lags -1 and 2 both land on row 2.
+        y = np.array([0.0, 0.2, 0.3, 0.0, 0.0, 0.5])
+        assert np.array_equal(cycle_lp._lag_mapped_dual(y, 3), [0.0, 0.7])
 
 
 # The batched closed form.  Step-sizes up to and on the edge 2(1+beta)/L,
