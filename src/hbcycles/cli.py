@@ -379,14 +379,14 @@ def _lp_region_chunk(gammas, betas, c, k_max):
     ``lp_margin`` decides the rest, in period order, so the first member
     period is the smallest.  A period whose LP solve fails proves nothing
     either way: the cell is "indeterminate" unless a later period proves
-    "member"; so is a cell with a margin too close to call.  One dual store
+    "member"; so is a cell with a margin too close to call.  One prior dual
     serves the whole sweep; it is created here, so nothing carries over
     between sweeps.
     """
     period = np.zeros(len(gammas), dtype=int)
     unsure = np.zeros(len(gammas), dtype=bool)
     counts = {"member_by_harmonic": 0, "ruled_out_by_row_dual": 0, "lp_margin_calls": 0}
-    duals = {}
+    prior = []
     open_cells = np.flatnonzero(in_cv_closure(gammas, betas, c))
     for k in range(3, k_max + 1):
         member, ruled_out = screen_periods(gammas[open_cells], betas[open_cells], c, k)
@@ -397,7 +397,7 @@ def _lp_region_chunk(gammas, betas, c, k_max):
         counts["lp_margin_calls"] += len(left)
         for i in left.tolist():
             try:
-                margin = lp_margin(HbParams(float(gammas[i]), float(betas[i])), c, k, duals)
+                margin = lp_margin(HbParams(float(gammas[i]), float(betas[i])), c, k, prior)
             except RuntimeError:
                 unsure[i] = True  # no margin: at best indeterminate
                 continue

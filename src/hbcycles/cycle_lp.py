@@ -18,11 +18,10 @@ the harmonic blocks depend on the period alone and are cached for the
 most recently used periods.
 
 Weak duality makes non-existence cheap to prove: any row weighting y >= 0
-gives t* >= min_ell (y^T P)_ell / sum(y).  ``lp_margin`` with a dual store
-first tries the last optimal dual at the same period, then the most recently
-solved dual of another period, moved onto this period's rows by signed lag;
-when either bound, less its rounding error, clears ``INDETERMINATE_TOL`` the
-solve is skipped.
+gives t* >= min_ell (y^T P)_ell / sum(y).  ``lp_margin`` with a prior dual
+moves the last solve's optimal dual onto this period's rows by signed lag
+(the identity at the same period); when its bound, less its rounding error,
+clears ``INDETERMINATE_TOL`` the solve is skipped.
 
 ``lp_matrices`` builds P for many cells at one period in closed form, from
 one DFT of the gradient stencil, with a bound on each cell's rounding error;
@@ -49,10 +48,11 @@ The tolerances of the cycle tests, in one place:
 - ``INDETERMINATE_TOL``: a margin at most this, but above
   ``FEASIBILITY_TOL``, is too close to call ("indeterminate");
 - ``SCREEN_SLACK``: the margin, in units of the LP scale max(1, max|P|), by
-  which a stored or lag-mapped dual's bound must clear ``INDETERMINATE_TOL``
-  to skip a solve (it absorbs the roundings ``dual_lower_bound`` leaves
-  out); the lp-region rows with skipped solves equal those of solving every
-  pair on the bench and README grids and on four more sweep grids;
+  which the bound of the prior dual, mapped by lag, must clear
+  ``INDETERMINATE_TOL`` to skip a solve (it absorbs the roundings
+  ``dual_lower_bound`` leaves out); the lp-region rows with skipped solves
+  equal those of solving every pair on the bench and README grids and on
+  four more sweep grids;
 - ``LP_MATRIX_ROUNDING``: the relative factor of ``lp_matrices``' rounding
   bound per cell, which moves each screen threshold.
 """
@@ -69,15 +69,16 @@ from .simplex import solve_canonical
 
 FEASIBILITY_TOL = 1e-9
 INDETERMINATE_TOL = 1e-8
-# A screened bound must clear INDETERMINATE_TOL by this much times the LP
-# scale max(1, max|P|), which absorbs the few roundings of the bound that
-# its gamma_n term leaves out (see dual_lower_bound).  So the exact t* of P
-# is above INDETERMINATE_TOL whenever the screen skips a solve.  The simplex
-# reports t* only up to its own tolerances; that a skipped solve would have
-# reported a margin on the same side is checked, not proven: the lp-region
-# CSV and sidecar match those of solving every pair on the bench 16 x 16 and
-# README 60 x 60 grids (k-max 25, mu 0.01, L 1), the 200 x 200 defaults, mu
-# 1e-4 and mu 0.2 with L 2 (100 x 100, k-max 60) and mu 0.3 (50 x 50).
+# The bound of the prior dual, mapped by lag, must clear INDETERMINATE_TOL
+# by this much times the LP scale max(1, max|P|), which absorbs the few
+# roundings of the bound that its gamma_n term leaves out (see
+# dual_lower_bound).  So the exact t* of P is above INDETERMINATE_TOL
+# whenever the bound skips a solve.  The simplex reports t* only up to its
+# own tolerances; that a skipped solve would have reported a margin on the
+# same side is checked, not proven: the lp-region CSV and sidecar match
+# those of solving every pair on the bench 16 x 16 and README 60 x 60 grids
+# (k-max 25, mu 0.01, L 1), the 200 x 200 defaults, mu 1e-4 and mu 0.2 with
+# L 2 (100 x 100, k-max 60) and mu 0.3 (50 x 50).
 SCREEN_SLACK = 1e-10
 # lp_matrices' error bound per cell is this times the cell's magnitude (see
 # there): 212 units of roundoff to first order, rounded up to 256 to cover
@@ -500,55 +501,45 @@ def _lag_mapped_dual(y: np.ndarray, k: int) -> np.ndarray:
     Row i of period K' is lag i when 2i <= K' and lag i - K' otherwise (row
     K'-j is lag -j).  The weight on lag l goes to row l mod K: weights on
     lags that are 0 mod K are dropped, and weights landing on one row add.
+    At K = K' every row keeps its weight, bit for bit.
     """
     k_from = len(y) + 1
-    rows = np.arange(1, k_from)
-    lags = np.where(2 * rows <= k_from, rows, rows - k_from)
-    return np.bincount(lags % k, weights=y, minlength=k)[1:]
+    lags = np.arange(1, k_from)
+    lags[k_from // 2:] -= k_from
+    lags %= k
+    return np.bincount(lags, weights=y, minlength=k)[1:]
 
 
 def lp_margin(p: HbParams, c: FunctionClass, k: int,
-              duals: dict[int, np.ndarray] | None = None) -> float:
+              prior: list[np.ndarray] | None = None) -> float:
     """Optimal margin t* of the period-``k`` cycle feasibility LP.
 
     Nonpositive (up to tolerance) exactly when a period-``k`` cycle exists.
     The sum-to-one normalization replaces the homogeneous nu != 0
     constraint; the problem is scale-invariant so nothing is lost.
 
-    ``duals`` is an optional caller-owned store of the last solved dual
-    weights at each period, keyed by period, in the order the periods were
-    last solved: its last key is the most recent solve.  With it, up to two
-    candidate weights are tried before any solve, and the first whose
+    ``prior`` is an optional caller-owned holder of the dual weights of the
+    last solve, at most one array; their period is their length plus one.
+    Before any solve they are moved onto this period's rows by
+    ``_lag_mapped_dual`` (the identity at the same period), and when their
     ``dual_lower_bound`` exceeds ``INDETERMINATE_TOL`` by ``SCREEN_SLACK``
-    times the LP scale is returned as a proven lower bound, with no LP
-    solved (the exact t* of P is at least that bound, so it is above
-    ``INDETERMINATE_TOL`` too):
-
-    - the weights stored at ``k``;
-    - the most recent weights, when they are of another period K', moved
-      onto this period's rows by ``_lag_mapped_dual``; weights that all
-      land on lags 0 mod ``k`` leave nothing to try.
-
-    Any y >= 0, not all zero, is a weak-duality certificate, so the
-    candidates change only how often a solve is skipped.  Otherwise the LP
-    is solved on the same matrix, and its dual replaces the one stored at
-    ``k`` and becomes the most recent.
+    times the LP scale, that bound is returned with no LP solved: the exact
+    t* of P is at least the bound, so it is above ``INDETERMINATE_TOL`` too.
+    Any y >= 0, not all zero, is a weak-duality certificate, so the prior
+    changes only how often a solve is skipped.  Otherwise (weights that all
+    land on lags 0 mod ``k`` leave nothing to try) the LP is solved on the
+    same matrix, and its dual replaces the one held.
     """
     _check_cycle_lp(p.gamma, c, k)
     pm = build_lp_matrix(p, c, k)
-    if duals:
+    if prior:
+        y = _lag_mapped_dual(prior[0], k)
         floor = INDETERMINATE_TOL + SCREEN_SLACK * _lp_scale(pm)
-        if k in duals and (bound := dual_lower_bound(pm, duals[k])) > floor:
+        if y.any() and (bound := dual_lower_bound(pm, y)) > floor:
             return bound
-        last = next(reversed(duals))
-        if last != k:
-            y = _lag_mapped_dual(duals[last], k)
-            if y.any() and (bound := dual_lower_bound(pm, y)) > floor:
-                return bound
     margin, _, y = _solve_cycle_lp(pm, p)
-    if duals is not None:
-        duals.pop(k, None)
-        duals[k] = y
+    if prior is not None:
+        prior[:] = [y]
     return margin
 
 

@@ -548,6 +548,8 @@ class CounterexampleFunction:
         return _grad_one(self.ce, _sector(self.ce, x0, x1), x0, x1)
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
+        """Exact gradients at the rows of the (n, 2) array ``x``.  Public API
+        of a class named in ``__init__``; no command calls it."""
         return _counterexample_batch(self.ce, x, value=False)[1]
 
     def value_batch(self, x: np.ndarray) -> np.ndarray:

@@ -177,17 +177,18 @@ def test_criterion_08_lp_analytic_identity():
     lp_member = np.zeros_like(analytic)
     worst_residual = 0.0
     n_certificates = 0
-    # Periods are ruled out through lp_margin with a dual store (a screened
-    # period's bound is above FEASIBILITY_TOL, as its margin is); the
-    # certificate comes from lp_feasible at the first period left.
-    duals = {}
+    # Periods are ruled out through lp_margin with one prior dual, the last
+    # solve's, mapped by lag onto each period's rows (a bound that skips a
+    # solve is above FEASIBILITY_TOL, as the margin is); the certificate
+    # comes from lp_feasible at the first period left.
+    prior = []
     for i in range(n):
         for j in range(n):
             if not in_cv[i, j]:
                 continue
             p = HbParams(float(g[i, j]), float(b[i, j]))
             for k in range(3, k_max + 1):
-                if lp_margin(p, c, k, duals) > FEASIBILITY_TOL:
+                if lp_margin(p, c, k, prior) > FEASIBILITY_TOL:
                     continue
                 cert = lp_feasible(p, c, k)
                 if cert is not None:

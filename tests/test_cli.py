@@ -70,6 +70,13 @@ def _tags(period, unsure):
     return np.where(period > 0, "member", np.where(unsure, "indeterminate", "none")).tolist()
 
 
+def _verdict(margin):
+    """The verdict class of one ``lp_margin`` result."""
+    if margin <= cycle_lp.FEASIBILITY_TOL:
+        return "member"
+    return "indeterminate" if margin <= cycle_lp.INDETERMINATE_TOL else "none"
+
+
 def _cells(gammas, betas):
     """The gamma-major cells of a grid as two flat arrays."""
     g, b = np.meshgrid(gammas, betas, indexing="ij")
@@ -239,33 +246,48 @@ class TestSweep:
         # Lines of beta, gamma up to the step-size edge: each crosses the
         # member boundary, so cells next to it are on the grid.  With the
         # screens stubbed out every pair reaches lp_margin, with and without
-        # the dual store; the screened sweep gives the same rows too.
+        # the prior dual; the screened sweep gives the same rows too.
         betas = np.repeat([0.0, 0.3, 0.6, 0.9], 19)
         gammas = np.tile(np.linspace(0.1, 1.0, 19), 4) * 2.0 * (1.0 + betas)
         *screened, _ = _lp_region_chunk(gammas, betas, _CLASS, 12)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
-        *stored, counts = _lp_region_chunk(gammas, betas, _CLASS, 12)
+        *with_prior, counts = _lp_region_chunk(gammas, betas, _CLASS, 12)
         monkeypatch.setattr(cli, "lp_margin",
-                            lambda p, c, k, duals=None: cycle_lp.lp_margin(p, c, k))
+                            lambda p, c, k, prior=None: cycle_lp.lp_margin(p, c, k))
         *plain, _ = _lp_region_chunk(gammas, betas, _CLASS, 12)
-        tags = _tags(*stored)
+        tags = _tags(*with_prior)
         assert any(a != b for a, b in zip(tags, tags[1:]))
         assert counts["lp_margin_calls"] > len(gammas)
         for got in (plain, screened):
-            assert all(np.array_equal(a, b) for a, b in zip(got, stored))
+            assert all(np.array_equal(a, b) for a, b in zip(got, with_prior))
         # The bench and README grids at k-max 25, screens in place: the
-        # pairs they leave give the same rows and counters with the store
-        # as with a store-free lp_margin.
+        # pairs they leave give the same rows and counters with the prior
+        # dual as with a prior-free lp_margin.
         monkeypatch.undo()
         for n in (16, 60):
             cells = _cells(np.linspace(4.0 / n, 4.0, n), np.linspace(0.0, 1.0, n, endpoint=False))
-            *stored, counts = _lp_region_chunk(*cells, _CLASS, 25)
+            *with_prior, counts = _lp_region_chunk(*cells, _CLASS, 25)
             with monkeypatch.context() as patch:
                 patch.setattr(cli, "lp_margin",
-                              lambda p, c, k, duals=None: cycle_lp.lp_margin(p, c, k))
+                              lambda p, c, k, prior=None: cycle_lp.lp_margin(p, c, k))
                 *plain, plain_counts = _lp_region_chunk(*cells, _CLASS, 25)
             assert counts == plain_counts and counts["lp_margin_calls"] > 0
-            assert all(np.array_equal(a, b) for a, b in zip(plain, stored))
+            assert all(np.array_equal(a, b) for a, b in zip(plain, with_prior))
+        # Criterion 8's order on the bench grid, cells outer and periods
+        # inner up to the first member period: the prior dual is then
+        # another cell's, mostly of another period.  Each call's verdict
+        # equals a prior-free lp_margin's.
+        gammas, betas = _cells(np.linspace(0.25, 4.0, 16), np.arange(16) / 16.0)
+        inside = in_cv_closure(gammas, betas, _CLASS)
+        prior, verdicts = [], []
+        for gamma, beta in zip(gammas[inside].tolist(), betas[inside].tolist()):
+            p = HbParams(gamma, beta)
+            for k in range(3, 26):
+                verdicts.append(_verdict(cycle_lp.lp_margin(p, _CLASS, k, prior)))
+                assert verdicts[-1] == _verdict(cycle_lp.lp_margin(p, _CLASS, k))
+                if verdicts[-1] == "member":
+                    break
+        assert "member" in verdicts and "none" in verdicts and len(prior) == 1
 
     def test_lp_region_rows_do_not_depend_on_the_screen_block(self, monkeypatch):
         # One cell per screen block, the size past K = 513, gives the
@@ -278,7 +300,7 @@ class TestSweep:
         assert counts == expected_counts
 
     def test_back_to_back_lp_sweeps_solve_alike(self, capsys, tmp_path, monkeypatch):
-        # No dual store outlives its sweep.  The benchmark's grid: on it a
+        # No prior dual outlives its sweep.  The benchmark's grid: on it a
         # few pairs pass both screens and reach the solver.
         calls = []
         solve = cycle_lp.solve_canonical
@@ -314,9 +336,9 @@ class TestSweep:
             solved.append(pairs[-1][2])
             return res
 
-        def recording(p, c, k, duals=None):
+        def recording(p, c, k, prior=None):
             pairs.append((p.gamma, p.beta, k))
-            return margin(p, c, k, duals)
+            return margin(p, c, k, prior)
 
         monkeypatch.setattr(cycle_lp, "solve_canonical", counting)
         monkeypatch.setattr(cli, "lp_margin", recording)
@@ -354,7 +376,7 @@ class TestSweep:
         assert counts["ruled_out_by_row_dual"] > 0
 
     def test_failed_lp_solve_makes_the_cell_indeterminate(self, monkeypatch):
-        def margin(p, c, k, duals=None):
+        def margin(p, c, k, prior=None):
             if k == 5:
                 raise RuntimeError("LP solve failed: status=iteration_limit")
             return 1.0
@@ -369,13 +391,13 @@ class TestSweep:
 
     def test_margin_too_close_to_call_makes_the_cell_indeterminate(self, monkeypatch):
         monkeypatch.setattr(cli, "lp_margin",
-                            lambda p, c, k, duals=None: 5e-9 if k == 6 else 1.0)
+                            lambda p, c, k, prior=None: 5e-9 if k == 6 else 1.0)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
         period, unsure, _ = _lp_region_chunk(np.array([1.0]), np.array([0.5]), _CLASS, 8)
         assert _tags(period, unsure) == ["indeterminate"]
 
     def test_member_at_a_later_period_outranks_a_failed_solve(self, monkeypatch):
-        def margin(p, c, k, duals=None):
+        def margin(p, c, k, prior=None):
             if k == 5:
                 raise RuntimeError("LP solve failed: status=iteration_limit")
             return -1.0 if k == 7 else 1.0
@@ -407,7 +429,7 @@ class TestSweep:
         # Every period a cycle: the tag then says which side of the closed
         # step-size edge gamma = 2(1+beta)/L, widened by BOUNDARY_TOL, the
         # cell is on.
-        monkeypatch.setattr(cli, "lp_margin", lambda p, c, k, duals=None: -1.0)
+        monkeypatch.setattr(cli, "lp_margin", lambda p, c, k, prior=None: -1.0)
         monkeypatch.setattr(cycle_lp, "lp_matrices", _undecided_lp_matrices)
         beta = 0.5
         gamma = 2.0 * (1.0 + beta) + offset * BOUNDARY_TOL

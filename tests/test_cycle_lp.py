@@ -498,7 +498,7 @@ def test_returned_dual_is_optimal(p, k):
 # The bench grid's solved cell: its K' = 7 dual proves K = 11.
 @example(p=HbParams(2.5, 0.5), kappa=0.01, k_from=7, k=11)
 def test_a_lag_mapped_dual_that_clears_the_floor_is_below_highs(p, kappa, k_from, k):
-    # The dual is the one lp_margin would store; a failed solve stores none.
+    # The dual is the one lp_margin would hold; a failed solve holds none.
     c = FunctionClass(kappa, 1.0)
     try:
         _, _, y = cycle_lp._solve_cycle_lp(build_lp_matrix(p, c, k_from), p)
@@ -530,54 +530,61 @@ def counted_solves(monkeypatch):
 class TestDualStore:
     def test_first_call_solves_like_the_plain_margin_and_stores(self, monkeypatch):
         p = HbParams(1.2, 0.3)
-        duals = {}
+        prior = []
         calls = counted_solves(monkeypatch)
-        assert lp_margin(p, SCREEN_CLASS, 5, duals) == lp_margin(p, SCREEN_CLASS, 5)
-        assert len(calls) == 2 and list(duals) == [5]
+        assert lp_margin(p, SCREEN_CLASS, 5, prior) == lp_margin(p, SCREEN_CLASS, 5)
+        assert len(calls) == 2 and [len(y) for y in prior] == [4]
         # The K = 5 dual, all of its weight on lag -1, mapped onto the rows
         # of K = 6 proves that period out without a solve.
+        held = prior[0]
         calls.clear()
-        bound = lp_margin(p, SCREEN_CLASS, 6, duals)
-        assert calls == [] and list(duals) == [5]
+        bound = lp_margin(p, SCREEN_CLASS, 6, prior)
+        assert calls == [] and len(prior) == 1 and prior[0] is held
         assert INDETERMINATE_TOL < bound <= lp_margin(p, SCREEN_CLASS, 6)
 
     def test_screened_periods_skip_the_solve(self, monkeypatch):
-        duals = {}
-        lp_margin(HbParams(1.2, 0.3), SCREEN_CLASS, 7, duals)
-        stored = duals[7]
+        # At the same period the lag map is the identity: the bound is that
+        # of the held weights themselves.
+        prior = []
+        lp_margin(HbParams(1.2, 0.3), SCREEN_CLASS, 7, prior)
+        held = prior[0]
         calls = counted_solves(monkeypatch)
         p = HbParams(1.25, 0.3)
-        bound = lp_margin(p, SCREEN_CLASS, 7, duals)
+        bound = lp_margin(p, SCREEN_CLASS, 7, prior)
         assert calls == []
+        assert bound == dual_lower_bound(build_lp_matrix(p, SCREEN_CLASS, 7), held)
         assert INDETERMINATE_TOL < bound <= lp_margin(p, SCREEN_CLASS, 7)
-        assert duals[7] is stored
+        assert len(prior) == 1 and prior[0] is held
 
     def test_unclear_bound_falls_back_to_the_solve(self):
         # A member cell: no dual can prove a positive margin there.
         p, k = HbParams(3.5, 0.75), 7
-        duals = {k: np.full(k - 1, 1.0 / (k - 1))}
-        margin = lp_margin(p, FunctionClass(0.005, 1.0), k, duals)
+        uniform = np.full(k - 1, 1.0 / (k - 1))
+        prior = [uniform]
+        margin = lp_margin(p, FunctionClass(0.005, 1.0), k, prior)
         assert margin == lp_margin(p, FunctionClass(0.005, 1.0), k) < 0.0
-        assert not np.array_equal(duals[k], np.full(k - 1, 1.0 / (k - 1)))
+        assert len(prior) == 1 and not np.array_equal(prior[0], uniform)
 
     def test_a_re_solved_period_becomes_the_most_recent(self):
-        # A member cell at K = 7: neither its own stored dual nor the K = 5
-        # one mapped by lag clears, so K = 7 is solved and moves to the end.
+        # A member cell at K = 7: the K = 5 dual mapped by lag does not
+        # clear, so K = 7 is solved and its dual is the only one held.
         p, c = HbParams(3.5, 0.75), FunctionClass(0.005, 1.0)
-        duals = {7: np.full(6, 1.0 / 6.0), 5: np.full(4, 0.25)}
-        lp_margin(p, c, 7, duals)
-        assert list(duals) == [5, 7]
+        prior = [np.full(4, 0.25)]
+        lp_margin(p, c, 7, prior)
+        assert len(prior) == 1 and len(prior[0]) == 6
+        _, _, y = cycle_lp._solve_cycle_lp(build_lp_matrix(p, c, 7), p)
+        assert np.array_equal(prior[0], y)
 
     def test_a_dual_with_every_weight_dropped_falls_back_to_the_solve(self, monkeypatch):
         # At K = 3 the K' = 7 weight on lag 3 lands on lag 0 and is dropped:
         # nothing is left to bound with, and nothing divides by its zero sum.
         p = HbParams(1.2, 0.3)
-        duals = {7: np.eye(6)[2]}
+        prior = [np.eye(6)[2]]
         calls = counted_solves(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            margin = lp_margin(p, SCREEN_CLASS, 3, duals)
-        assert len(calls) == 1 and list(duals) == [7, 3]
+            margin = lp_margin(p, SCREEN_CLASS, 3, prior)
+        assert len(calls) == 1 and len(prior) == 1 and len(prior[0]) == 2
         assert margin == lp_margin(p, SCREEN_CLASS, 3)
 
 
@@ -599,6 +606,18 @@ class TestLagMappedDual:
         # K' = 7 to K = 3: lag 3 is dropped; lags -1 and 2 both land on row 2.
         y = np.array([0.0, 0.2, 0.3, 0.0, 0.0, 0.5])
         assert np.array_equal(cycle_lp._lag_mapped_dual(y, 3), [0.0, 0.7])
+
+    def test_matches_a_row_by_row_loop_and_keeps_every_bit_at_the_same_period(self):
+        rng = np.random.default_rng(31)
+        for k_from in range(3, 41):
+            y = rng.random(k_from - 1)
+            assert np.array_equal(cycle_lp._lag_mapped_dual(y, k_from), y)
+            for k in range(3, 41):
+                expected = np.zeros(k)
+                for i in range(1, k_from):
+                    lag = i if 2 * i <= k_from else i - k_from
+                    expected[lag % k] += y[i - 1]
+                assert np.array_equal(cycle_lp._lag_mapped_dual(y, k), expected[1:])
 
 
 # The batched closed form.  Step-sizes up to and on the edge 2(1+beta)/L,

@@ -131,6 +131,15 @@ def cases() -> dict:
                  "--gamma-count", "6", "--beta-count", "6", "--k-max", "100",
                  "--out", "lp6.csv", "--svg"],
                 [*_LP_GRID, "--workers", "2", "--out", "lp.csv"],
+                # A member that only a solve finds: neither screen decides
+                # the cell at K = 13, and its margin is about -4e-6.
+                ["sweep", "--mode", "lp-region", "--mu", "0.01", "--L", "1",
+                 "--gamma-min", "1.4200000000000002", "--gamma-max", "1.4200000000000002",
+                 "--gamma-count", "1", "--beta-min", "0.795", "--beta-max", "0.8",
+                 "--beta-count", "1", "--k-max", "13", "--out", "m.csv"],
+                # A period with no cycle, as lp-check prints it.
+                ["lp-check", "--gamma", "1.2", "--beta", "0.3", "--mu", "0.01", "--L", "1",
+                 "--K", "5"],
                 # The SVG of every tagging mode.  sls-overlay at C 1 has all
                 # four of its tags, whose code order is not their name order;
                 # at mu 1e-3 and C 5 it has no sls-only cell.
