@@ -3,7 +3,9 @@
 Subcommands: rate, sweep, cycle-demo, lp-check, robustness, table4.
 All data outputs are deterministic: CSV with 17 significant digits and UNIX
 newlines, JSON metadata sidecars with sorted keys and a full parameter
-echo, and SVG renderings that are pure functions of the CSV.
+echo, and SVG renderings that are pure functions of the CSV.  A sweep
+computes and writes one block of whole gamma rows at a time, so its memory
+is set by the block size, not by its grid.
 Exit codes: 0 success, 2 usage error (an output path that cannot be
 written included), 3 numerical failure or not enough memory.
 """
@@ -15,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -88,33 +91,28 @@ def _emit_json(obj) -> None:
     print(json.dumps(_jsonable(obj), indent=2, sort_keys=True))
 
 
-# Cells joined into one string at a time by the CSV and SVG writers.
+# Whole gamma rows of about this many cells are computed, formatted and
+# written at a time, so a sweep's memory is set by this, not by its grid.
 _BLOCK_CELLS = 1 << 16
 
 
-def _write_csv(path, gammas, betas, value, names, codes) -> None:
-    """Rows gamma-major: ``value`` and ``codes`` are (len(gammas), len(betas)),
-    and a cell's tag is ``names[code]``.
-
-    Each distinct float is formatted once.  A block of whole gamma rows, about
-    ``_BLOCK_CELLS`` cells, is interleaved from those pieces and written as
-    one string, so memory stays bounded on large grids."""
-    g_text = format_floats(gammas) + ","
-    b_text = format_floats(betas) + ","
-    v_text = format_floats(value)
-    tails = np.array([f",{name}\n" for name in names], dtype=object)
+def _row_blocks(gammas, betas) -> list[slice]:
+    """Slices of whole gamma rows, about ``_BLOCK_CELLS`` cells each."""
     rows = max(1, _BLOCK_CELLS // len(betas))
-    pieces = np.empty((min(rows, len(gammas)), len(betas), 4), dtype=object)
-    with open(path, "w", newline="") as fh:
-        fh.write("gamma,beta,value,tag\n")
-        for start in range(0, len(gammas), rows):
-            block = slice(start, start + rows)
-            out = pieces[:len(g_text[block])]
-            out[..., 0] = g_text[block, None]
-            out[..., 1] = b_text
-            out[..., 2] = v_text[block]
-            out[..., 3] = tails.take(codes[block])
-            fh.write("".join(out.ravel().tolist()))
+    return [slice(start, start + rows) for start in range(0, len(gammas), rows)]
+
+
+def _write_rows(fh, gammas, betas, value, names, codes) -> None:
+    """The sweep CSV's rows of a block of whole gamma rows: ``value`` and
+    ``codes`` are (len(gammas), len(betas)), and a cell's tag is
+    ``names[code]``.  Each distinct float of the block is formatted once,
+    and the rows are interleaved from those pieces and written as one string."""
+    out = np.empty((len(gammas), len(betas), 4), dtype=object)
+    out[..., 0] = (format_floats(gammas) + ",")[:, None]
+    out[..., 1] = format_floats(betas) + ","
+    out[..., 2] = format_floats(value)
+    out[..., 3] = np.array([f",{name}\n" for name in names], dtype=object).take(codes)
+    fh.write("".join(out.ravel().tolist()))
 
 
 def _write_metadata(args, extra: dict) -> None:
@@ -145,32 +143,19 @@ _TAG_COLORS = {
 }
 
 
-def render_svg(csv_path, svg_path, cells=None) -> None:
-    """Filled-region raster of a sweep CSV; a pure function of the file.
+def render_svg(svg_path, gammas, betas, names, codes) -> None:
+    """Filled-region raster of a sweep: the cell of ``gammas[i]`` and
+    ``betas[j]`` gets the color of its tag ``names[codes[i, j]]``, rects in
+    the CSV's row order, so the file is a pure function of the sweep's CSV.
 
-    ``cells`` skips reading the file: ``(gammas, betas, names, codes)``, where
-    the gamma, beta and code arrays broadcast together to the file's rows in
-    order, and a row's tag is ``names[code]``.  The file's tags are read as
-    the names and codes of ``np.unique``, so both ways draw alike.  Each rect
-    is joined from prebuilt pieces, ``_BLOCK_CELLS`` at a time.  The legend
-    lists the tags that some row has, sorted by name."""
-    if cells is None:
-        with open(csv_path) as fh:
-            if fh.readline().strip() != "gamma,beta,value,tag":
-                raise ValueError(f"unexpected CSV header in {csv_path}")
-            rows = [line.rstrip("\n").split(",") for line in fh]
-        cols = np.array(rows, str).reshape(len(rows), 4)
-        cells = (cols[:, 0].astype(float), cols[:, 1].astype(float),
-                 *np.unique(cols[:, 3], return_inverse=True))
-    gammas, betas, names, codes = cells
+    Rects are joined from prebuilt pieces one block of whole gamma rows at a
+    time.  The legend lists the tags that some cell has, sorted by name."""
     # Each axis's sorted distinct values; -0.0 and 0.0 share a cell.
     (xs, xi), (ys, yi) = (np.unique(axis, return_inverse=True) for axis in (gammas, betas))
-    xi, yi, codes = (a.ravel() for a in np.broadcast_arrays(
-        xi.reshape(np.shape(gammas)), yi.reshape(np.shape(betas)), codes))
     cell_w, cell_h, legend_h = 4, 4, 18
     width, height = cell_w * len(xs), cell_h * len(ys)
     colors = [_TAG_COLORS.get(name, "#999999") for name in names]
-    heads = np.array([f'<rect x="{i * cell_w}" y="' for i in range(len(xs))], dtype=object)
+    heads = np.array([f'<rect x="{i * cell_w}" y="' for i in xi.tolist()], dtype=object)
     # One tail per (beta row, tag): the rest of the rect and its line break.
     tails = np.array([f'{height - (j + 1) * cell_h}" width="{cell_w}" height="{cell_h}" '
                       f'fill="{color}"/>\n' for j in range(len(ys)) for color in colors],
@@ -182,15 +167,13 @@ def render_svg(csv_path, svg_path, cells=None) -> None:
                       f'fill="{_TAG_COLORS.get(name, "#999999")}"/>')
         legend.append(f'<text x="{x + 14}" y="{height + 13}" font-size="10" '
                       f'font-family="monospace">{name}</text>')
-    pieces = np.empty((min(_BLOCK_CELLS, len(codes)), 2), dtype=object)
     with open(svg_path, "w", newline="") as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                  f'height="{height + legend_h}" shape-rendering="crispEdges">\n')
-        for start in range(0, len(codes), _BLOCK_CELLS):
-            block = slice(start, start + _BLOCK_CELLS)
-            out = pieces[:len(codes[block])]
-            out[:, 0] = heads.take(xi[block])
-            out[:, 1] = tails.take(yi[block] * len(names) + codes[block])
+        for block in _row_blocks(gammas, betas):
+            out = np.empty(codes[block].shape + (2,), dtype=object)
+            out[..., 0] = heads[block, None]
+            out[..., 1] = tails.take(yi * len(names) + codes[block])
             fh.write("".join(out.ravel().tolist()))
         fh.write("\n".join([*legend, "</svg>"]))
         fh.write("\n")
@@ -324,55 +307,70 @@ def _cmd_sweep(args) -> int:
     if args.mode != "rate" and args.beta_min < 0:
         raise argparse.ArgumentTypeError("region sweeps are defined for beta >= 0")
     gammas, betas = _sweep_grid(args, c)
-    g, b = np.meshgrid(gammas, betas, indexing="ij")
+    # What the kernels would reject in the first block that reaches it is
+    # rejected here, before the CSV is opened.
+    if args.mode in ("rou-region", "sls-overlay") and (betas < 0.0).any():
+        raise ValueError("cycling membership is only defined for beta >= 0")
+    if (args.mode == "lp-region" and c.mu >= c.ell
+            and in_cv_closure(gammas[:, None], betas, c).any()):
+        raise ValueError("cycle feasibility needs mu < ell")
 
     extra = {"grid": {"gamma": [float(gammas[0]), float(gammas[-1]), len(gammas)],
                       "beta": [float(betas[0]), float(betas[-1]), len(betas)]},
              "label": args.label}
+    counts = Counter()
+    kept = np.empty((len(gammas), len(betas)), dtype=np.int8) if args.svg else None
+    with open(args.out, "w", newline="") as fh:
+        fh.write("gamma,beta,value,tag\n")
+        # Each mode tags a cell with names[code].
+        for block in _row_blocks(gammas, betas):
+            g, b = np.meshgrid(gammas[block], betas, indexing="ij")
+            if args.mode == "rate":
+                value, codes = rate_grid(g, b, c)
+                names = tuple(region.value for region in _REGION_BY_CODE)
+            elif args.mode == "rou-region":
+                member = member_any_grid(g, b, c, k_max=args.k_max)
+                value = np.where(member > 0, member, math.nan)
+                names, codes = ("none", "member"), member > 0
+            elif args.mode == "ghadimi":
+                value = np.broadcast_to(ghadimi_beta_bound(c, gammas[block])[:, None], g.shape)
+                names, codes = ("outside", "inside"), (0.0 <= b) & (b < value)
+            elif args.mode == "lp-region":
+                period, unsure, pairs = _lp_region_chunk(g.ravel(), b.ravel(), c, args.k_max)
+                counts.update(pairs)
+                value = np.where(period > 0, period, math.nan).reshape(g.shape)
+                names = ("none", "member", "indeterminate")
+                codes = np.where(period > 0, 1, 2 * unsure).reshape(g.shape)
+            else:  # sls-overlay
+                value, codes = rate_grid(g, b, c)
+                rho_target, in_sls = sublevel_set(value, codes, c, args.C)
+                member = member_any_grid(g, b, c, k_max=args.k_max) > 0
+                names, codes = ("neither", "cycle-only", "sls-only", "both"), 2 * in_sls + member
+                counts.update(sls_cells=int(np.sum(in_sls)), overlap=int(np.sum(in_sls & ~member)))
+            _write_rows(fh, gammas[block], betas, value, names, codes)
+            if kept is not None:
+                kept[block] = codes
 
-    # Each mode tags a cell with names[code].
-    if args.mode == "rate":
-        value, codes = rate_grid(g, b, c)
-        names = tuple(region.value for region in _REGION_BY_CODE)
-    elif args.mode == "rou-region":
-        member = member_any_grid(g, b, c, k_max=args.k_max)
-        value = np.where(member > 0, member, math.nan)
-        names, codes = ("none", "member"), member > 0
-    elif args.mode == "ghadimi":
-        value = np.broadcast_to(ghadimi_beta_bound(c, gammas)[:, None], g.shape)
-        names, codes = ("outside", "inside"), (0.0 <= b) & (b < value)
-    elif args.mode == "lp-region":
-        period, unsure, extra["lp_pairs"] = _lp_region_chunk(g.ravel(), b.ravel(), c,
-                                                             args.k_max)
-        value = np.where(period > 0, period, math.nan).reshape(g.shape)
-        names = ("none", "member", "indeterminate")
-        codes = np.where(period > 0, 1, 2 * unsure).reshape(g.shape)
-    else:  # sls-overlay
-        value, codes = rate_grid(g, b, c)
-        rho_target, in_sls = sublevel_set(value, codes, c, args.C)
-        member = member_any_grid(g, b, c, k_max=args.k_max) > 0
-        names, codes = ("neither", "cycle-only", "sls-only", "both"), 2 * in_sls + member
-        overlap = int(np.sum(in_sls & ~member))
+    if args.mode == "lp-region":
+        extra["lp_pairs"] = dict(counts)
+    elif args.mode == "sls-overlay":
         extra["verdict"] = {
             "rho_target": rho_target,
-            "sls_cells": int(np.sum(in_sls)),
-            "sls_outside_cycling_cells": overlap,
-            "empty_intersection": overlap == 0,
+            "sls_cells": counts["sls_cells"],
+            "sls_outside_cycling_cells": counts["overlap"],
+            "empty_intersection": counts["overlap"] == 0,
         }
-
-    _write_csv(args.out, gammas, betas, value, names, codes)
     _write_metadata(args, extra)
-    if args.svg:
-        render_svg(args.out, str(args.out) + ".svg",
-                   (gammas[:, None], betas[None, :], names, codes))
-    print(f"wrote {g.size} rows to {args.out}")
+    if kept is not None:
+        render_svg(str(args.out) + ".svg", gammas, betas, names, kept)
+    print(f"wrote {len(gammas) * len(betas)} rows to {args.out}")
     return 0
 
 
 def _lp_region_chunk(gammas, betas, c, k_max):
-    """Per cell of the lp-region sweep, given as flat arrays, the first
-    member period (0 for none) and whether a period was in doubt; and the
-    sweep's per-pair counters.  The sweep runs in this process.
+    """Per cell of a block of the lp-region sweep, given as flat arrays, the
+    first member period (0 for none) and whether a period was in doubt; and
+    the block's per-pair counters.  The sweep runs in this process.
 
     Period by period over the cells still open: ``screen_periods`` proves a
     member or rules the period out where one entry of P decides, and
@@ -380,8 +378,8 @@ def _lp_region_chunk(gammas, betas, c, k_max):
     period is the smallest.  A period whose LP solve fails proves nothing
     either way: the cell is "indeterminate" unless a later period proves
     "member"; so is a cell with a margin too close to call.  One prior dual
-    serves the whole sweep; it is created here, so nothing carries over
-    between sweeps.
+    serves the block; it is created here, so nothing carries over between
+    blocks, and a cell's tag does not depend on the blocks.
     """
     period = np.zeros(len(gammas), dtype=int)
     unsure = np.zeros(len(gammas), dtype=bool)

@@ -15,7 +15,7 @@ import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
 import hbcycles.hb_engine as hb_engine
 import hbcycles.smoothing as smoothing
-from hbcycles.cli import SWEEP_MODES, _lp_region_chunk, _write_csv, main, render_svg
+from hbcycles.cli import SWEEP_MODES, _lp_region_chunk, _write_rows, main, render_svg
 from hbcycles.hb_engine import NoiseSpec, noise_budget, write_trace_csv
 from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams, in_cv_closure
 from hbcycles.rou_region import _counterexample_batch, build_counterexample
@@ -149,10 +149,10 @@ class TestSweep:
         run_cli(capsys, "sweep", "--mode", "rou-region", "--mu", "0.01",
                 "--L", "1", "--gamma-count", "10", "--beta-count", "8",
                 "--out", str(out), "--svg")
-        svg1 = (tmp_path / "region.csv.svg").read_bytes()
-        render_svg(out, tmp_path / "again.svg")
-        assert (tmp_path / "again.svg").read_bytes() == svg1
-        assert svg1.startswith(b"<svg")
+        svg = (tmp_path / "region.csv.svg").read_bytes()
+        parsed_render_svg(out, tmp_path / "again.svg")
+        assert (tmp_path / "again.svg").read_bytes() == svg
+        assert svg.startswith(b"<svg")
 
     @pytest.mark.parametrize("argv", [
         ("--beta-count", "0"), ("--gamma-count", "0"), ("--gamma-count", "-3"),
@@ -495,24 +495,48 @@ _MODE_NAMES = {
 }
 
 
+def _block_write_csv(path, gammas, betas, value, names, codes):
+    """The sweep CSV written as the sweep writes it, block by block."""
+    with open(path, "w", newline="") as fh:
+        fh.write("gamma,beta,value,tag\n")
+        for block in cli._row_blocks(gammas, betas):
+            _write_rows(fh, gammas[block], betas, value[block], names, codes[block])
+
+
 def _assert_writers_match_oracles(path, gammas, betas, value, names, codes):
-    """The CSV and the three ways to draw its SVG against the conftest oracles."""
+    """The CSV and its SVG, drawn from the code grid, against the conftest oracles."""
     gammas, betas = np.array(gammas), np.array(betas)
     g, b = np.meshgrid(gammas, betas, indexing="ij")
     tag = np.array(names, dtype=object)[codes]
-    _write_csv(path / "new.csv", gammas, betas, value, names, codes)
+    _block_write_csv(path / "new.csv", gammas, betas, value, names, codes)
     rowwise_write_csv(path / "old.csv", zip(g.ravel(), b.ravel(), value.ravel(), tag.ravel()))
     assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
     parsed_render_svg(path / "old.csv", path / "oracle.svg")
-    oracle = (path / "oracle.svg").read_bytes()
-    for cells in ((gammas[:, None], betas[None, :], names, codes),
-                  (g.ravel(), b.ravel(), names, codes.ravel()), None):
-        render_svg(path / "new.csv", path / "new.svg", cells)
-        assert (path / "new.svg").read_bytes() == oracle
+    render_svg(path / "new.svg", gammas, betas, names, codes)
+    assert (path / "new.svg").read_bytes() == (path / "oracle.svg").read_bytes()
+
+
+def _sweep_outputs(tmp_path, name, argv):
+    """The CSV, sidecar (without its echoed --out) and SVG bytes of a sweep."""
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep", *argv, "--out", str(out), "--svg"]) == 0
+    meta = json.loads(Path(f"{out}.meta.json").read_text())
+    meta["parameters"].pop("out")
+    return out.read_bytes(), meta, Path(f"{out}.svg").read_bytes()
+
+
+# The sweeps of the block tests: sls-overlay has cells in the sublevel set
+# off the cycling region, and lp-region has cells that only a solve decides.
+_BLOCK_SWEEPS = [
+    *(["--mode", mode, "--mu", "0.01", "--L", "1", "--gamma-count", "23",
+       "--beta-count", "17", "--k-max", "12", "--C", "1"] for mode in SWEEP_MODES),
+    ["--mode", "lp-region", "--mu", "0.01", "--L", "1", "--gamma-count", "60",
+     "--beta-count", "60", "--k-max", "25"],
+]
 
 
 class TestSweepOutput:
-    """The array writers against the row-at-a-time oracles in conftest."""
+    """The block writers against the row-at-a-time oracles in conftest."""
 
     @settings(max_examples=300, deadline=None)
     @given(gammas=_axes(), betas=_axes(), data=st.data())
@@ -521,8 +545,8 @@ class TestSweepOutput:
         names, codes = np.unique(tag, return_inverse=True)
         g, b = np.meshgrid(gammas, betas, indexing="ij")
         path = tmp_path_factory.mktemp("csv")
-        _write_csv(path / "new.csv", np.array(gammas), np.array(betas), value, names,
-                   codes.reshape(tag.shape))
+        _block_write_csv(path / "new.csv", np.array(gammas), np.array(betas), value, names,
+                         codes.reshape(tag.shape))
         rowwise_write_csv(path / "old.csv", zip(g.ravel(), b.ravel(), value.ravel(), tag.ravel()))
         assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
@@ -534,17 +558,13 @@ class TestSweepOutput:
     def test_svg_matches_parsing_renderer(self, tmp_path_factory, gammas, betas, data):
         value, tag = _grid(data, gammas, betas)
         names, codes = np.unique(tag, return_inverse=True)
-        g, b = np.meshgrid(gammas, betas, indexing="ij")
         path = tmp_path_factory.mktemp("svg")
-        _write_csv(path / "s.csv", np.array(gammas), np.array(betas), value, names,
+        _block_write_csv(path / "s.csv", np.array(gammas), np.array(betas), value, names,
+                         codes.reshape(tag.shape))
+        render_svg(path / "codes.svg", np.array(gammas), np.array(betas), names,
                    codes.reshape(tag.shape))
-        render_svg(path / "s.csv", path / "arrays.svg",
-                   (g.ravel(), b.ravel(), names, codes.ravel()))
-        render_svg(path / "s.csv", path / "parsed.svg")
         parsed_render_svg(path / "s.csv", path / "oracle.svg")
-        oracle = (path / "oracle.svg").read_bytes()
-        assert (path / "arrays.svg").read_bytes() == oracle
-        assert (path / "parsed.svg").read_bytes() == oracle
+        assert (path / "codes.svg").read_bytes() == (path / "oracle.svg").read_bytes()
 
     # Names in any order, some of them on no cell: the legend still lists
     # only the tags present, sorted by name.
@@ -595,12 +615,54 @@ class TestSweepOutput:
         value = np.sin(np.arange(77.0)).reshape(11, 7)
         _assert_writers_match_oracles(tmp_path, gammas, betas, value, names, codes)
 
-    def test_svg_rejects_malformed_rows(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        # Four rows of five fields: as many fields as five rows of four.
-        path.write_text("gamma,beta,value,tag\n" + "1,2,3,none,x\n" * 4)
-        with pytest.raises(ValueError):
-            render_svg(path, tmp_path / "bad.svg")
+    # One gamma row per block, blocks of 7 rows (dividing neither 23 nor 60
+    # rows), and one block holding the whole grid.
+    @pytest.mark.parametrize("argv", _BLOCK_SWEEPS, ids=lambda argv: f"{argv[1]}-{argv[7]}")
+    def test_sweep_moves_no_byte_with_block_size(self, capsys, tmp_path, monkeypatch, argv):
+        default = _sweep_outputs(tmp_path, "default", argv)
+        if argv[1] == "sls-overlay":
+            assert default[1]["verdict"]["sls_outside_cycling_cells"] > 0
+        if argv[1] == "lp-region":
+            assert default[1]["lp_pairs"]["lp_margin_calls"] > 0
+        for block in (1, 7 * int(argv[9]), 10**6):
+            monkeypatch.setattr(cli, "_BLOCK_CELLS", block)
+            assert _sweep_outputs(tmp_path, f"b{block}", argv) == default
+
+    # ghadimi calls none of these kernels.
+    @pytest.mark.parametrize("mode", ["rate", "rou-region", "lp-region", "sls-overlay"])
+    def test_no_kernel_sees_more_than_one_block(self, capsys, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 40)
+        sizes = []
+        for name in ("rate_grid", "member_any_grid", "screen_periods"):
+            def counted(gammas, betas, *args, kernel=getattr(cli, name), **kwargs):
+                sizes.append(np.broadcast(gammas, betas).size)
+                return kernel(gammas, betas, *args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        code, _, _ = run_cli(capsys, "sweep", *_BLOCK_SWEEPS[SWEEP_MODES.index(mode)],
+                             "--out", str(tmp_path / "s.csv"), "--svg")
+        assert code == 0
+        # Two rows of 17 betas a block: the 23 gamma rows take 12 blocks.
+        assert len(sizes) >= 12
+        assert max(sizes) <= max(1, cli._BLOCK_CELLS // 17) * 17
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--mode", "lp-region", "--mu", "1", "--L", "1"), "cycle feasibility needs mu < ell"),
+        *((("--mode", mode, "--mu", "0.01", "--L", "1", "--beta-min", "0.5", "--beta-max",
+            "-1"), "cycling membership is only defined for beta >= 0")
+          for mode in ("rou-region", "sls-overlay"))])
+    def test_rejected_sweep_writes_no_file(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "x.csv"
+        code, text, err = run_cli(capsys, "sweep", *argv, "--gamma-count", "3",
+                                  "--beta-count", "3", "--out", str(out), "--svg")
+        assert code == 3 and text == ""
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_computes_no_cell(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "rate_grid", None)
+        code, _, err = run_cli(capsys, "sweep", "--mode", "rate", "--mu", "0.01", "--L", "1",
+                               "--out", str(tmp_path / "nodir" / "x.csv"))
+        assert code == 2 and "nodir" in err
 
 
 class TestCycleDemo:

@@ -110,6 +110,9 @@ def _error_commands():
         *(["sweep", "--mode", "rate", "--mu", "0.01", "--L", "1", "--gamma-count", "3",
            "--beta-count", "3", "--out", out] for out in ("nodir/x.csv", ".")),
         ["cycle-demo", *_POINT, "--steps", "50", "--out", "nodir/t.csv"],
+        # A class the cycle LP rejects writes no file.
+        ["sweep", "--mode", "lp-region", "--mu", "1", "--L", "1", "--gamma-count", "3",
+         "--beta-count", "3", "--out", "p.csv"],
         # A negative seed and malformed noise levels name their flag.
         *(["robustness", *_POINT, "--runs", "2", "--steps", "10", *argv] for argv in (
             ("--seed", "-1"), ("--noise-init", "-0.5"), ("--noise-grad", "nan"),
