@@ -1,25 +1,26 @@
-"""Heavy-ball iteration on arbitrary gradient oracles, plus robustness tools.
+"""Heavy-ball iteration on 2-D gradient oracles, plus robustness tools.
 
-Simulation of the recursion, K-periodicity detection, empirical rate
-estimation, and the perturbation harness: around a cycling counterexample
-the residual obeys the linear dynamics of heavy ball on an isotropic
-quadratic, so a companion-matrix decomposition P D P^{-1} with ||D|| < 1
-yields explicit noise budgets under which perturbed runs provably stay in a
-tube around the cycle.  ``perturbed_runs`` advances many seeded perturbed
-runs as one (R, 2) state with one batched gradient call per step; each
-seed's noise is drawn in its sequential order, so a run in a batch is the
-run made alone, and a caller can put runs of any noise in one batch.  Its
-steps go in chunks: the noise and step sizes of a chunk are made at once,
-each step is a few in-place array operations on one contiguous (2, R)
-block per quantity, and the deviations from the cycle are maxed once per
-chunk.  ``perturbed_run`` is its single-run form with the full
-trace; a noise-free run there (seeded start only) is plain heavy ball,
-stepped by ``run`` in Python floats through the counterexample's
-``grad_xy``, with no array per step, and once the state (x_{t-1}, x_t)
-repeats bit for bit, as it does on a cycle in floats, the period is
-copied instead of stepped again.  Both draw the seeded starts and
-apply the run guards through ``_start_batch``.  Each runs at the (gamma,
-beta), class and period its counterexample was built for.
+Simulation of the recursion (``run``, one loop in Python floats for a
+``grad_xy`` object and a callable on arrays alike), K-periodicity
+detection, empirical rate estimation, and the perturbation harness: around
+a cycling counterexample the residual obeys the linear dynamics of heavy
+ball on an isotropic quadratic, so a companion-matrix decomposition
+P D P^{-1} with ||D|| < 1 yields explicit noise budgets under which
+perturbed runs provably stay in a tube around the cycle.
+``perturbed_runs`` advances many seeded perturbed runs as one (R, 2) state
+with one batched gradient call per step; each seed's noise is drawn in its
+sequential order, so a run in a batch is the run made alone, and a caller
+can put runs of any noise in one batch.  Its steps go in chunks: the noise
+and step sizes of a chunk are made at once, each step is a few in-place
+array operations on one contiguous (2, R) block per quantity, and the
+deviations from the cycle are maxed once per chunk.  ``perturbed_run`` is
+its single-run form with the full trace; a noise-free run there (seeded
+start only) is plain heavy ball, stepped by ``run`` in Python floats
+through the counterexample's ``grad_xy``, with no array per step, and once
+the state (x_{t-1}, x_t) repeats bit for bit, as it does on a cycle in
+floats, the period is copied instead of stepped again.  Both draw the
+seeded starts and apply the run guards through ``_start_batch``.  Each runs
+at the (gamma, beta), class and period its counterexample was built for.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .rou_region import (
 # rounding.
 _TUBE_SLACK = 1.0 + 1e-12
 
-# Most states ``_run_xy`` remembers to find a repeat.  From the cycle at
+# Most states ``run`` remembers to find a repeat.  From the cycle at
 # (3.3, 0.75), mu 0.005, K 7 the state repeats at step 56 (period 49), and
 # at step 352 (period 273) dilated by 10; at the README's (3.5, 0.75) at
 # step 398 (period 364); the benchmark's decay runs from noisy starts by
@@ -56,14 +57,14 @@ _STATE = struct.Struct("4d")
 
 @dataclass
 class SimTrace:
-    """Iterates of one run: two initial points plus one row per step.
+    """Iterates of one 2-D run: two initial points plus one row per step.
 
     ``grad_calls`` is the number of steps the trace holds, the step whose
     oracle value truncated it included: a step ``run`` replayed from an
     earlier period counts, though the oracle was not called for it.
     """
 
-    iterates: np.ndarray     # (steps + 2, d), shorter if truncated
+    iterates: np.ndarray     # (steps + 2, 2), shorter if truncated
     grad_calls: int
     params_used: np.ndarray  # (steps, 2): (gamma_t, beta_t) per update
     truncated: bool = False
@@ -72,15 +73,13 @@ class SimTrace:
 def run(oracle, p: HbParams, x0, x1, steps: int) -> SimTrace:
     """Iterate x_{t+1} = x_t - gamma*oracle(x_t) + beta*(x_t - x_{t-1}).
 
-    Deterministic given its inputs.  The oracle is a callable or an object
-    with a method ``grad_xy(x0, x1) -> (g0, g1)``, the gradient at a 2-D
-    point as a pair of floats (``CounterexampleFunction``,
-    ``SmoothedCounterExample`` and the dilation of either have one).  A
-    callable gets the row ``iterates[t]`` and returns the gradient as an
-    array, sequence or scalar with as many entries as the iterate; any
-    other size raises ValueError.  A ``grad_xy`` object is stepped in
-    Python floats throughout, with no array per step; its starts must be
-    2-D points (ValueError otherwise).  Either way the step runs per
+    Deterministic given its inputs.  The starts must be 2-D points
+    (ValueError otherwise).  The oracle is an object with a method
+    ``grad_xy(x0, x1) -> (g0, g1)``, the gradient at a 2-D point as a pair
+    of floats (``CounterexampleFunction``, ``SmoothedCounterExample`` and
+    the dilation of either have one), or a callable that gets the point as
+    an array and returns the gradient as an array or sequence of 2 entries
+    in any shape; any other size raises ValueError.  The step runs per
     coordinate in Python floats, in the order of the expression above, so
     it has the bits of the same step on numpy arrays; for each of those
     objects fn, ``run(fn, ...)`` is ``run(fn.grad, ...)`` bit for bit.  A
@@ -92,48 +91,22 @@ def run(oracle, p: HbParams, x0, x1, steps: int) -> SimTrace:
     calls.  Then each step is a function of the state (x_{t-1}, x_t), and
     once a state repeats bit for bit (a cycle in floats), the rest of the
     trace is the period between the two, copied by index without further
-    calls; ``grad_calls`` still counts every step.  A callable is called
-    at every step.
+    calls; ``grad_calls`` still counts every step.  States are keyed by
+    their packed bits, never by float equality (-0.0 == 0.0, NaN != NaN),
+    in a table of at most ``_REPLAY_STATES`` entries, cleared when full.
+    A callable is called at every step.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
+    x1 = np.asarray(x1, dtype=float)
+    if x0.shape != (2,) or x1.shape != (2,):
+        raise ValueError(f"run needs 2-D starting points, got shapes {x0.shape} and {x1.shape}")
     params = np.tile([p.gamma, p.beta], (steps, 1))
     grad_xy = getattr(oracle, "grad_xy", None)
-    if grad_xy is not None:
-        return _run_xy(grad_xy, p, x0, x1, steps, params)
-    zs = np.empty((steps + 2, x0.shape[0]))
-    zs[0], zs[1] = x0, x1
-    gamma, beta = p.gamma, p.beta
-    shape = x0.shape
-    x_prev, x = zs[0].tolist(), zs[1].tolist()
-    for t in range(1, steps + 1):
-        g = np.asarray(oracle(zs[t]), dtype=float)
-        if g.shape != shape:
-            if g.size != shape[0]:
-                raise ValueError(f"oracle returned a gradient of shape {g.shape} "
-                                 f"for an iterate of length {shape[0]}")
-            g = g.ravel()
-        g = g.tolist()
-        if not all(map(math.isfinite, g)):
-            return SimTrace(zs[:t + 1].copy(), t, params[:t - 1], truncated=True)
-        x_prev, x = x, [xi - gamma * gi + beta * (xi - pi)
-                        for xi, gi, pi in zip(x, g, x_prev)]
-        zs[t + 1] = x
-    return SimTrace(zs, steps, params)
-
-
-def _run_xy(grad_xy, p: HbParams, x0: np.ndarray, x1: np.ndarray, steps: int,
-            params: np.ndarray) -> SimTrace:
-    """``run`` on a ``grad_xy`` oracle: the same step and truncation, with
-    the iterates kept as Python floats until the trace is built, and the
-    replay.  States are keyed by their packed bits, never by float
-    equality (-0.0 == 0.0, NaN != NaN), in a table of at most
-    ``_REPLAY_STATES`` entries, cleared when full."""
-    if x0.shape != (2,) or x1.shape != (2,):
-        raise ValueError("a grad_xy oracle needs 2-D starting points, got shapes "
-                         f"{x0.shape} and {x1.shape}")
+    replay = grad_xy is not None
+    if not replay:
+        grad_xy = _grad_xy_of(oracle)
     gamma, beta = p.gamma, p.beta
     a0, a1 = x0.tolist()
     b0, b1 = x1.tolist()
@@ -142,19 +115,20 @@ def _run_xy(grad_xy, p: HbParams, x0: np.ndarray, x1: np.ndarray, steps: int,
     pack = _STATE.pack
     seen = {}
     for t in range(1, steps + 1):
-        key = pack(a0, a1, b0, b1)
-        first = seen.get(key)
-        if first is not None:
-            # Rows first-1, first repeat as rows t-1, t: row i > t is row
-            # first + (i - first) mod (t - first).
-            zs = np.empty((steps + 2, 2))
-            zs[:t + 1] = np.array(flat).reshape(t + 1, 2)
-            zs[t + 1:] = zs[first + (np.arange(t + 1 - first, steps + 2 - first)
-                                     % (t - first))]
-            return SimTrace(zs, steps, params)
-        if len(seen) == _REPLAY_STATES:
-            seen.clear()
-        seen[key] = t
+        if replay:
+            key = pack(a0, a1, b0, b1)
+            first = seen.get(key)
+            if first is not None:
+                # Rows first-1, first repeat as rows t-1, t: row i > t is
+                # row first + (i - first) mod (t - first).
+                zs = np.empty((steps + 2, 2))
+                zs[:t + 1] = np.array(flat).reshape(t + 1, 2)
+                zs[t + 1:] = zs[first + (np.arange(t + 1 - first, steps + 2 - first)
+                                         % (t - first))]
+                return SimTrace(zs, steps, params)
+            if len(seen) == _REPLAY_STATES:
+                seen.clear()
+            seen[key] = t
         g0, g1 = grad_xy(b0, b1)
         if not (isfinite(g0) and isfinite(g1)):
             return SimTrace(np.array(flat).reshape(t + 1, 2), t, params[:t - 1],
@@ -165,15 +139,30 @@ def _run_xy(grad_xy, p: HbParams, x0: np.ndarray, x1: np.ndarray, steps: int,
     return SimTrace(np.array(flat).reshape(steps + 2, 2), steps, params)
 
 
+def _grad_xy_of(oracle):
+    """A callable oracle as a ``grad_xy``: it gets the point as an array,
+    and its gradient, of 2 entries in any shape, comes back as a list."""
+    def grad_xy(x0, x1):
+        g = np.asarray(oracle(np.array([x0, x1])), dtype=float)
+        if g.size != 2:
+            raise ValueError(f"oracle returned a gradient of shape {g.shape} "
+                             "for an iterate of length 2")
+        return g.ravel().tolist()
+    return grad_xy
+
+
 def detect_cycle(trace: SimTrace, k: int, tol: float) -> tuple[bool, float]:
     """K-lag periodicity of the trace tail, guarded against converged runs.
 
     Compares the iterates of the trace's second half with their K-lagged
     predecessors and additionally requires that tail's bounding-box
     diagonal to reach ``tol``: a converged sequence is K-periodic for every
-    K, so near-constant tails report False.
+    K, so near-constant tails report False.  K must be at least 1 and the
+    trace at least 2K + 2 iterates long (ValueError otherwise).
     Returns (is_cycle, max K-lag deviation).
     """
+    if k < 1:
+        raise ValueError(f"period must be >= 1, got {k}")
     zs = trace.iterates
     if len(zs) < 2 * k + 2:
         raise ValueError("trace too short for the requested period")
@@ -641,7 +630,7 @@ def write_trace_csv(trace: SimTrace, path, cycle: np.ndarray) -> None:
     """Trace export: t, coordinates, distance to the cycle, per-step params.
 
     The distance column holds ||z_t - cycle[t mod K]|| for the cycle
-    points ``cycle`` (K, d).  The two initial rows, and the rows of a
+    points ``cycle`` (K, 2).  The two initial rows, and the rows of a
     truncated trace past its last step, carry no step parameters.
     """
     zs = trace.iterates

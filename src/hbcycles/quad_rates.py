@@ -113,8 +113,6 @@ def rate_grid(gammas, betas, c: FunctionClass):
     mu, L = c.mu, c.ell
     g, b = np.broadcast_arrays(np.asarray(gammas, dtype=float),
                                np.asarray(betas, dtype=float))
-    g = np.array(g, dtype=float)
-    b = np.array(b, dtype=float)
 
     codes = np.full(g.shape, NO_CONVERGENCE, dtype=np.int8)
     rho = np.full(g.shape, np.nan)
@@ -226,11 +224,11 @@ def level_set(c: FunctionClass, rho: float) -> LevelSetTriangle:
     * robust: beta = rho^2, gamma in [(1-rho)^2/mu, (1+rho)^2/L],
     * knife:  gamma = (1+rho)(1+beta/rho)/L.
 
-    Raises ValueError when rho exceeds 1 (domain) or undershoots the optimal
-    rate (empty set).  At rho = rho* the triangle degenerates to the single
+    Raises ValueError when rho exceeds 1 or is NaN (domain) or undershoots
+    the optimal rate (empty set).  At rho = rho* the triangle degenerates to the single
     optimal-tuning point.
     """
-    if rho > 1.0 + BOUNDARY_TOL:
+    if not rho <= 1.0 + BOUNDARY_TOL:  # NaN included
         raise ValueError(f"rho={rho} is outside [rho*, 1]")
     _, rho_star = optimal_tuning(c)
     if rho < rho_star - BOUNDARY_TOL:

@@ -564,14 +564,17 @@ def incompatibility_scan(c: FunctionClass, big_c: float,
     Scans a (gamma, beta) grid covering the sublevel set of rate
     (1 - C*kappa)/(1 + C*kappa) and reports True iff every grid point of that
     sublevel set belongs to some period's cycling region, i.e. the sublevel
-    set does not intersect the region's complement.  Requires C > 50/3.
+    set does not intersect the region's complement.  Requires C > 50/3 and
+    at least one grid point along each axis.
     """
-    if big_c <= 50.0 / 3.0:
+    if not big_c > 50.0 / 3.0:
         raise ValueError(f"constant must exceed 50/3, got {big_c}")
+    n_gamma, n_beta = resolution
+    if n_gamma < 1 or n_beta < 1:
+        raise ValueError(f"resolution needs at least 1 point per axis, got {resolution}")
     if big_c * c.kappa >= 1.0:
         return True  # the target rate is <= 0: the sublevel set is empty
 
-    n_gamma, n_beta = resolution
     gammas = np.linspace(4.0 / c.ell / n_gamma, 4.0 / c.ell, n_gamma)
     betas = np.linspace(0.0, 1.0, n_beta, endpoint=False)
     g, b = np.meshgrid(gammas, betas, indexing="ij")

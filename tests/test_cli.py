@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
-import hbcycles.hb_engine as hb_engine
 import hbcycles.smoothing as smoothing
 from hbcycles.cli import SWEEP_MODES, _lp_region_chunk, _write_rows, main, render_svg
 from hbcycles.hb_engine import NoiseSpec, noise_budget, write_trace_csv
@@ -868,16 +867,16 @@ class TestCycleDemo:
     def test_every_exact_run_steps_in_floats(self, capsys, monkeypatch, flags):
         # The plain, smoothed, dilated and smoothed-dilated oracles all go
         # to ``run`` whole, which steps their grad_xy.
-        calls = []
-        inner = hb_engine._run_xy
+        oracles = []
+        inner = cli.run
 
-        def spy(grad_xy, *args):
-            calls.append(grad_xy)
-            return inner(grad_xy, *args)
-        monkeypatch.setattr(hb_engine, "_run_xy", spy)
+        def spy(oracle, *args):
+            oracles.append(oracle)
+            return inner(oracle, *args)
+        monkeypatch.setattr(cli, "run", spy)
         code, out, _ = run_cli(capsys, "cycle-demo", *_TUBE_POINT, "--steps", "50", *flags)
         assert code == 0 and json.loads(out)["verdict"] == "cycles"
-        assert len(calls) == 1
+        assert len(oracles) == 1 and callable(getattr(oracles[0], "grad_xy", None))
 
 
 class TestOthers:

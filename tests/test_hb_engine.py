@@ -98,8 +98,8 @@ class TestRun:
         assert np.allclose(trace.iterates[2], 0.0, atol=1e-15)
 
     def test_trace_length_and_calls(self):
-        trace = run(lambda z: 0.1 * z, HbParams(0.5, 0.2), [1.0], [0.9], 25)
-        assert trace.iterates.shape == (27, 1)
+        trace = run(lambda z: 0.1 * z, HbParams(0.5, 0.2), [1.0, -2.0], [0.9, -1.8], 25)
+        assert trace.iterates.shape == (27, 2)
         assert trace.grad_calls == 25
         assert trace.params_used.shape == (25, 2)
         assert not trace.truncated
@@ -107,7 +107,7 @@ class TestRun:
     def test_nonfinite_oracle_truncates(self):
         def oracle(z):
             return z * np.inf if z[0] < 0.5 else 0.1 * z
-        trace = run(oracle, HbParams(1.5, 0.0), [1.0], [1.0], 50)
+        trace = run(oracle, HbParams(1.5, 0.0), [1.0, 1.0], [1.0, 1.0], 50)
         assert trace.truncated
         assert len(trace.iterates) < 52
         assert np.all(np.isfinite(trace.iterates))
@@ -134,19 +134,17 @@ class TestRun:
 
     def test_gradient_of_another_length_raises(self):
         # numpy would broadcast a length-1 gradient over the iterate.
-        for grad, x in ((np.ones(1), [1.0, 2.0]), (np.ones(3), [1.0, 2.0]),
-                        (1.0, [1.0, 2.0]), (np.ones((1, 1)), [1.0, 2.0]),
-                        (np.ones(2), [1.0])):
+        for grad in (np.ones(1), np.ones(3), 1.0, np.ones((1, 1)), np.ones((2, 2))):
             shape = re.escape(str(np.shape(grad)))
-            with pytest.raises(ValueError, match=rf"shape {shape} for an iterate of length {len(x)}"):
-                run(lambda z: grad, HbParams(0.5, 0.2), x, x, 3)
+            with pytest.raises(ValueError, match=rf"shape {shape} for an iterate of length 2"):
+                run(lambda z: grad, HbParams(0.5, 0.2), [1.0, 2.0], [1.0, 2.0], 3)
 
     @pytest.mark.parametrize("gradient,x0,x1", [
-        (lambda z: float(0.3 * z[0]), [1.0], [0.5]),
-        (lambda z: 0.3 * z[None, :], [1.0], [-0.0]),
-        (lambda z: 0.3 * z[None, :], [1.0, -0.0], [0.5, 2.0])])
+        (lambda z: 0.3 * z[None, :], [1.0, -0.0], [0.5, 2.0]),
+        (lambda z: 0.3 * z[None, None, :], [-0.0, 1.0], [5e-324, -0.5]),
+        (lambda z: [0.3 * z[0], 0.3 * z[1]], [1.0, -0.0], [-0.0, 2.0])])
     def test_gradient_with_as_many_entries_is_flattened(self, gradient, x0, x1):
-        # A scalar, (1, 1) or (1, d) gradient has the iterate's entries:
+        # A (1, 2), (1, 1, 2) or list gradient has the iterate's entries:
         # numpy broadcast it exactly, and the float step gives those bits.
         p = HbParams(0.9, 0.5)
         assert _trace_bits(run(gradient, p, x0, x1, 30)) == _reference_bits(
@@ -181,11 +179,16 @@ class TestRunOnGradXy:
 
     @pytest.mark.parametrize("x0,x1", [
         (1.0, 1.0), ([1.0], [1.0]), ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
-        ([1.0, 0.0], [[1.0, 0.0]]), ([[1.0, 0.0]], [1.0, 0.0])])
+        ([1.0, 0.0], [[1.0, 0.0]]), ([[1.0, 0.0]], [1.0, 0.0]), ([1.0, 2.0], [5.0])])
     def test_start_of_another_shape_raises(self, interior_setup, x0, x1):
+        # Every oracle alike: for a callable, numpy would broadcast the
+        # start [5.0] to [5.0, 5.0].
         p, c, ce = interior_setup
-        with pytest.raises(ValueError, match="a grad_xy oracle needs 2-D starting points"):
-            run(CounterexampleFunction(ce), p, x0, x1, 3)
+        fn = CounterexampleFunction(ce)
+        shapes = re.escape(f"got shapes {np.shape(x0)} and {np.shape(x1)}")
+        for oracle in (fn, fn.grad, lambda z: 0.1 * z):
+            with pytest.raises(ValueError, match=f"run needs 2-D starting points, {shapes}"):
+                run(oracle, p, x0, x1, 3)
 
 
 def _trace_bits(trace):
@@ -275,7 +278,7 @@ class TestRunMatchesNumpyLoop:
         assert _trace_bits(new) == _trace_bits(old)
 
     def test_dilation_without_grad_xy_steps_on_arrays(self):
-        a = np.array([[0.9, -0.3, 0.0], [0.2, 1.1, 0.4], [0.0, -0.5, 0.7]])
+        a = np.array([[0.9, -0.3], [0.2, 1.1]])
 
         class Linear:
             def value(self, x):
@@ -286,7 +289,7 @@ class TestRunMatchesNumpyLoop:
 
         fn = dilate(Linear(), 7.5)
         assert getattr(fn, "grad_xy", None) is None
-        p, x0, x1 = HbParams(0.9, 0.5), [1.0, -0.0, 2.5], [0.5, 1e-310, -3.0]
+        p, x0, x1 = HbParams(0.9, 0.5), [1.0, -0.0], [0.5, 1e-310]
         assert _trace_bits(run(fn.grad, p, x0, x1, 40)) == _reference_bits(
             fn.grad, p, x0, x1, 40)
 
@@ -303,23 +306,23 @@ class TestRunMatchesNumpyLoop:
             numpy_counterexample_grad(ce, c), p, zs[0], zs[1], 2500)
 
     @pytest.mark.parametrize("x0,x1", [
-        ([-0.0], [-0.0]), ([-0.0], [5e-324]), ([1e-310], [-0.0]),
-        ([1.0, -0.0, 2.5], [0.5, 1e-310, -3.0]), ([-0.0, -0.0, 5e-324], [-0.0, 0.0, -5e-324])])
+        ([-0.0, -0.0], [-0.0, -0.0]), ([-0.0, 0.0], [5e-324, -0.0]),
+        ([1e-310, -0.0], [-0.0, 1e-310]), ([1.0, -0.0], [0.5, 1e-310]),
+        ([2.5, -0.0], [-3.0, 5e-324]), ([-0.0, 5e-324], [0.0, -5e-324])])
     def test_linear_oracles_from_signed_zeros_and_subnormals(self, x0, x1):
-        a = np.array([[0.9, -0.3, 0.0], [0.2, 1.1, 0.4], [0.0, -0.5, 0.7]])[:len(x0), :len(x0)]
+        a = np.array([[0.9, -0.3], [0.2, 1.1]])
         for oracle in (lambda z: a @ z, lambda z: -0.0 * z, lambda z: 1e-300 * z):
             for p in (HbParams(0.9, 0.5), HbParams(1.7, 0.0)):
                 assert _trace_bits(run(oracle, p, x0, x1, 40)) == _reference_bits(
                     oracle, p, x0, x1, 40)
 
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("x0,x1", [([1.0, -0.0], [0.5, 1e-310]), ([2.5, 1.0], [-3.0, -0.0])])
     @pytest.mark.parametrize("blow_up_at", range(1, 9))
-    def test_truncation_at_each_step(self, d, blow_up_at):
-        x0, x1 = [1.0, -0.0, 2.5][:d], [0.5, 1e-310, -3.0][:d]
+    def test_truncation_at_each_step(self, x0, x1, blow_up_at):
         p = HbParams(0.9, 0.5)
-        new = run(_blowing_up(blow_up_at, d), p, x0, x1, 8)
+        new = run(_blowing_up(blow_up_at, 2), p, x0, x1, 8)
         assert new.truncated and new.grad_calls == blow_up_at
-        assert _trace_bits(new) == _reference_bits(_blowing_up(blow_up_at, d), p, x0, x1, 8)
+        assert _trace_bits(new) == _reference_bits(_blowing_up(blow_up_at, 2), p, x0, x1, 8)
 
 
 class _QuarterTurn:
@@ -339,7 +342,7 @@ class _QuarterTurn:
 
 class _Watched:
     """A ``grad_xy`` oracle that records, at each call, the size of the
-    replay table of the ``_run_xy`` calling it (its local ``seen``)."""
+    replay table of the ``run`` calling it (its local ``seen``)."""
 
     def __init__(self, fn):
         self.inner = fn.grad_xy
@@ -373,12 +376,15 @@ class TestReplay:
     @pytest.mark.parametrize("x0,x1", [
         ((1.0, 0.0), (0.0, 1.0)), ((0.0, -1.0), (-1.0, 0.0)), ((0.0, 2.0), (-4.0, 0.0))])
     def test_exact_repeat(self, x0, x1):
+        # A plain callable may not be a function of its point alone, so it
+        # is called at every step of the same repeating run.
         p = HbParams(1.0, 0.0)
-        oracle = _QuarterTurn()
+        oracle, plain = _QuarterTurn(), _QuarterTurn()
         new = run(oracle, p, x0, x1, 1000)
         assert oracle.calls <= 5
         assert new.grad_calls == 1000 and not new.truncated
-        assert _trace_bits(new) == _trace_bits(run(_QuarterTurn().grad, p, x0, x1, 1000))
+        assert _trace_bits(new) == _trace_bits(run(plain.grad, p, x0, x1, 1000))
+        assert plain.calls == 1000
         assert _trace_bits(new) == _reference_bits(_QuarterTurn().grad, p, x0, x1, 1000)
 
     def test_a_zero_of_the_other_sign_is_another_state(self):
@@ -456,9 +462,17 @@ class TestDetectCycle:
         assert not is_cycle or dev <= 1e-8
 
     def test_short_trace_rejected(self):
-        trace = run(lambda z: z, HbParams(0.1, 0.0), [1.0], [1.0], 5)
+        trace = run(lambda z: z, HbParams(0.1, 0.0), [1.0, 1.0], [1.0, 1.0], 5)
         with pytest.raises(ValueError):
             detect_cycle(trace, 7, tol=1e-8)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_period_below_one_rejected(self, k):
+        # k = -1 compared the tail with itself shifted the other way, and
+        # k = 0 raised numpy's broadcast error.
+        trace = run(lambda z: z, HbParams(0.1, 0.0), [1.0, 1.0], [1.0, 1.0], 50)
+        with pytest.raises(ValueError, match=f"period must be >= 1, got {k}"):
+            detect_cycle(trace, k, tol=1e-8)
 
 
 class TestEstimateRate:
@@ -858,11 +872,11 @@ class TestTraceCsv:
 
         def oracle(x):
             calls.append(1)
-            return np.full(3, np.inf) if len(calls) == blow_up_at else 0.1 * x
+            return np.full(2, np.inf) if len(calls) == blow_up_at else 0.1 * x
 
-        trace = run(oracle, HbParams(0.9, 0.5), [1.0, -0.0, 2.5], [0.5, 1e-310, -3.0], 8)
+        trace = run(oracle, HbParams(0.9, 0.5), [1.0, -0.0], [0.5, 1e-310], 8)
         assert trace.truncated == (blow_up_at is not None)
-        cycle = np.array([[0.5, -1.0, 2.0], [1e-300, 0.0, -0.5], [-2.0, 3.0, 0.25]])
+        cycle = np.array([[0.5, -1.0], [1e-300, 0.0], [-2.0, 3.0]])
         write_trace_csv(trace, tmp_path / "new.csv", cycle=cycle)
         rowwise_write_trace_csv(trace, tmp_path / "old.csv", cycle=cycle)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

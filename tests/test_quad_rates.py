@@ -168,6 +168,11 @@ class TestLevelSet:
         with pytest.raises(ValueError):
             level_set(c, 1.5)
 
+    def test_nan_rate_raises(self):
+        # NaN passed both range checks and gave a triangle of NaN points.
+        with pytest.raises(ValueError, match=r"rho=nan is outside \[rho\*, 1\]"):
+            level_set(FunctionClass(1, 25), float("nan"))
+
 
 class TestSublevel:
     def test_optimal_point_at_optimal_level(self):

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -660,6 +661,20 @@ class TestIncompatibilityScan:
     def test_requires_large_constant(self):
         with pytest.raises(ValueError):
             incompatibility_scan(FunctionClass(0.01, 1.0), 16.0)
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.1])
+    def test_nan_constant_and_empty_grids_raise(self, kappa):
+        # A NaN constant and an empty grid once returned True, and no
+        # gamma point raised ZeroDivisionError; kappa 0.1 has an empty
+        # sublevel set, which must not answer first.
+        c = FunctionClass(kappa, 1.0)
+        with pytest.raises(ValueError, match="constant must exceed 50/3, got nan"):
+            incompatibility_scan(c, float("nan"))
+        for resolution in ((300, 0), (0, 300), (0, 0), (-1, 5)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"resolution needs at least 1 point per axis, got {resolution}")):
+                incompatibility_scan(c, 50 / 3 + 0.01, resolution=resolution)
+        assert isinstance(incompatibility_scan(c, 50 / 3 + 0.01, resolution=(1, 1)), bool)
 
     def test_empty_intersection_at_moderate_kappa(self):
         assert incompatibility_scan(FunctionClass(0.01, 1.0), 50 / 3 + 0.01,
