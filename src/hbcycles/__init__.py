@@ -19,6 +19,7 @@ from .quad_rates import (
     level_set,
     optimal_tuning,
     rate_on_quadratics,
+    stability_constants,
     sublevel_contains,
 )
 from .rou_region import (
@@ -51,7 +52,6 @@ from .hb_engine import (
     perturbed_run,
     perturbed_runs,
     run,
-    stability_constants,
 )
 from .smoothing import (
     DilatedFunction,

@@ -42,7 +42,6 @@ from .hb_engine import (
     perturbed_run,
     perturbed_runs,
     run,
-    stability_constants,
     write_trace_csv,
 )
 from .quad_rates import (
@@ -60,7 +59,6 @@ from .rou_region import (
     CounterexampleFunction,
     build_counterexample,
     member_any_grid,
-    rou_cycle,
 )
 from .smoothing import (
     dilate,
@@ -179,33 +177,23 @@ def render_svg(svg_path, gammas, betas, names, codes) -> None:
         fh.write("\n")
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+def _int_at_least(least: int, what: str):
+    """The argparse type of an integer flag of at least ``least`` (``what``)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
-    return value
-
-
-def _period(text: str) -> int:
-    """A cycle period: the cycle LP and the K-gon counterexample need K >= 3."""
-    value = _integer(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 3, got {value}")
-    return value
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a nonnegative integer")
+# A cycle period: the cycle LP and the K-gon counterexample need K >= 3.
+_period = _int_at_least(3, "an integer of at least 3")
 
 
 def _finite_float(text: str) -> float:
@@ -410,9 +398,10 @@ def _lp_region_chunk(gammas, betas, c, k_max):
 def _cmd_cycle_demo(args) -> int:
     ce = build_counterexample(HbParams(args.gamma, args.beta),
                               FunctionClass(args.mu, args.L), args.K)
-    p, k = ce.p, ce.k
+    p, k, sc = ce.p, ce.k, ce.stability
     scale = args.scale
-    out: dict = {"r_max": ce.r_max, "K": k}
+    out: dict = {"r_max": ce.r_max, "K": k, "kappa_p": sc.kappa_p, "rho_d": sc.rho_d,
+                 "stability_region": sc.region_used}
 
     # The levels the run uses, once each keyword is resolved and shared; a
     # level of zero, given or resolved, is no noise.
@@ -432,12 +421,6 @@ def _cmd_cycle_demo(args) -> int:
         raise argparse.ArgumentTypeError(
             f"--steps must be at least 2K = {2 * k} for a noise-free run, got {args.steps}")
 
-    # Member points only (build_counterexample): there the matrix contracts.
-    sc = stability_constants(p, ce.c.mu)
-    out["kappa_p"] = sc.kappa_p
-    out["rho_d"] = sc.rho_d
-    out["stability_region"] = sc.region_used
-
     if noisy:
         result = perturbed_run(ce, spec, args.steps)
         trace = result.trace
@@ -445,7 +428,7 @@ def _cmd_cycle_demo(args) -> int:
         out["residual_decay_rate"] = result.residual_decay_rate
         out["guaranteed_bounds"] = budget
         out["noise_levels"] = levels
-        cycle_pts = rou_cycle(k).points
+        cycle_pts = ce.cycle
     else:
         if args.smooth:
             eps = ce.r_max / 2.0 if args.smooth == "auto" else args.smooth
@@ -460,7 +443,7 @@ def _cmd_cycle_demo(args) -> int:
             oracle = CounterexampleFunction(ce)
             if scale != 1.0:
                 oracle = dilate(oracle, scale)
-        cycle_pts = scale * rou_cycle(k).points
+        cycle_pts = scale * ce.cycle
         # Every oracle goes in whole: ``run`` steps its grad_xy in floats.
         trace = run(oracle, p, cycle_pts[0], cycle_pts[1], args.steps)
         # Dilation scales the cycle, its deviations and its diameter alike.

@@ -65,6 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quad_rates import _UNIT_ROUNDOFF, FunctionClass, HbParams
+from .rou_region import _check_period
 from .simplex import solve_canonical
 
 FEASIBILITY_TOL = 1e-9
@@ -142,8 +143,7 @@ def interpolation_residuals(points, grads, values, c: FunctionClass) -> np.ndarr
 
 def _check_cycle_lp(gamma, c: FunctionClass, k: int) -> None:
     """Every cycle-LP entry point's checks; ``gamma`` is one step size or an array."""
-    if k < 3:
-        raise ValueError(f"period must be >= 3, got {k}")
+    _check_period(k, 3)
     if c.mu >= c.ell:
         raise ValueError("cycle feasibility needs mu < ell")
     if (np.asarray(gamma) == 0.0).any():
@@ -180,8 +180,7 @@ def lift_matrices(p: HbParams, c: FunctionClass, k: int) -> np.ndarray:
         raise ZeroDivisionError("gamma must be nonzero")
     if c.mu >= c.ell:
         raise ValueError("lift matrices need mu < ell")
-    if k < 2:
-        raise ValueError(f"period must be >= 2, got {k}")
+    _check_period(k, 2)
     # With u_i the stencil of g_i, v = e_i - e_0, w = u_i - u_0 and
     # z = v - w/L, the residual of the pair (i, 0) is
     # <u_0, v>_G + ||w||_G^2 / 2L + mu ||z||_G^2 / (2(1-kappa)) = <G, Y^T C Y>
@@ -231,6 +230,7 @@ def harmonic_gram(k: int, ell: int) -> HarmonicGram:
     At ell = k/2 (k even) it degenerates to the rank-1 checkerboard
     (-1)^|i-j|.
     """
+    _check_period(k, 2)
     if not 1 <= ell <= k // 2:
         raise ValueError(f"need 1 <= ell <= k//2, got ell={ell}, k={k}")
     table, lags = _lag_table(k)
@@ -273,6 +273,7 @@ def reconstruct_symmetric_cycle(nu: np.ndarray, k: int) -> np.ndarray:
     Block ell traces the ell-th harmonic circle with radius sqrt(nu_ell);
     for even K the last weight contributes a one-dimensional (+-1)^t block.
     """
+    _check_period(k, 2)
     nu = np.asarray(nu, dtype=float)
     m = k // 2
     if nu.shape != (m,):
@@ -301,6 +302,7 @@ def _lag_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Entry (ell, d) cos(2 pi ell d / K), the value of H_ell at lag d, and
     the lag |a-b| of every entry (a, b) of a K x K matrix; read-only, as the
     cache hands them to every caller (about 12 K^2 bytes per period)."""
+    _check_period(k, 2)  # before caching: a float K shares np.int64 K's key
     idx = np.arange(k)
     lags = np.abs(idx[:, None] - idx[None, :]).ravel()
     table = np.cos(2.0 * np.pi * np.arange(1, k // 2 + 1)[:, None] * idx / k)
@@ -405,6 +407,7 @@ def screen_periods(gammas, betas, c: FunctionClass, k: int) -> tuple[np.ndarray,
     """
     gammas = np.asarray(gammas, dtype=float)
     betas = np.asarray(betas, dtype=float)
+    _check_period(k, 3)  # the block sizes need an integer K
     member = np.zeros(len(gammas), dtype=bool)
     ruled_out = np.zeros(len(gammas), dtype=bool)
     size = _cells_per_block(k // 2)

@@ -4,9 +4,9 @@ Simulation of the recursion (``run``, one loop in Python floats for a
 ``grad_xy`` object and a callable on arrays alike), K-periodicity
 detection, empirical rate estimation, and the perturbation harness: around
 a cycling counterexample the residual obeys the linear dynamics of heavy
-ball on an isotropic quadratic, so a companion-matrix decomposition
-P D P^{-1} with ||D|| < 1 yields explicit noise budgets under which
-perturbed runs provably stay in a tube around the cycle.
+ball on an isotropic quadratic, so the counterexample's ``stability``,
+its companion matrix as P D P^{-1} with ||D|| < 1, yields explicit noise
+budgets under which perturbed runs provably stay in a tube around the cycle.
 ``perturbed_runs`` advances many seeded perturbed runs as one (R, 2) state
 with one batched gradient call per step; each seed's noise is drawn in its
 sequential order, so a run in a batch is the run made alone, and a caller
@@ -20,24 +20,24 @@ through the counterexample's ``grad_xy``, with no array per step, and once
 the state (x_{t-1}, x_t) repeats bit for bit, as it does on a cycle in
 floats, the period is copied instead of stepped again.  Both draw the
 seeded starts and apply the run guards through ``_start_batch``.  Each runs
-at the (gamma, beta), class and period its counterexample was built for.
+at the (gamma, beta), class, period and cycle of its counterexample.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quad_rates import BOUNDARY_TOL, HbParams
+from .quad_rates import HbParams
 from .rou_region import (
     CounterExample,
     CounterexampleFunction,
     _BatchWork,
+    _check_period,
     _counterexample_batch,
-    rou_cycle,
 )
 
 # Relative slack of every tube check, so a bound met in full is not lost to
@@ -157,12 +157,13 @@ def detect_cycle(trace: SimTrace, k: int, tol: float) -> tuple[bool, float]:
     Compares the iterates of the trace's second half with their K-lagged
     predecessors and additionally requires that tail's bounding-box
     diagonal to reach ``tol``: a converged sequence is K-periodic for every
-    K, so near-constant tails report False.  K must be at least 1 and the
-    trace at least 2K + 2 iterates long (ValueError otherwise).
-    Returns (is_cycle, max K-lag deviation).
+    K, so near-constant tails report False.  K must be an integer of at
+    least 1, ``tol`` at least 0 and the trace at least 2K + 2 iterates long
+    (ValueError otherwise).  Returns (is_cycle, max K-lag deviation).
     """
-    if k < 1:
-        raise ValueError(f"period must be >= 1, got {k}")
+    _check_period(k, 1)
+    if not tol >= 0:  # NaN included
+        raise ValueError(f"tol must be >= 0, got {tol}")
     zs = trace.iterates
     if len(zs) < 2 * k + 2:
         raise ValueError("trace too short for the requested period")
@@ -209,75 +210,6 @@ def _fitted_rate(dist: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class StabilityConstants:
-    """Companion-matrix decomposition constants for the residual dynamics.
-
-    ``kappa_p`` is 1/(||P|| * ||P^-1||) in (0, 1]; ``rho_d`` = ||D|| < 1.
-    ``region_used`` records which decomposition applied: "Lazy" (real
-    eigenvalues), "Robust" (complex pair), or "Boundary" (Jordan block with
-    the epsilon trick).
-    """
-
-    kappa_p: float
-    rho_d: float
-    region_used: str
-    p_matrix: np.ndarray = field(repr=False)
-    d_matrix: np.ndarray = field(repr=False)
-
-
-def _condition_constants(p_mat: np.ndarray) -> float:
-    """kappa_P from the closed form tau - sqrt(tau^2 - 1), tau = tr(P^H P)/(2|det P|)."""
-    h = p_mat.conj().T @ p_mat
-    tau = float(np.trace(h).real) / (2.0 * abs(np.linalg.det(p_mat)))
-    if tau <= 1.0:
-        return 1.0
-    return tau - math.sqrt(tau * tau - 1.0)
-
-
-def stability_constants(p: HbParams, mu: float) -> StabilityConstants:
-    """Decompose [[1+beta-mu*gamma, -beta], [1, 0]] as P D P^{-1}, ||D|| < 1.
-
-    Real-diagonalizable, complex-conjugate, and defective (boundary) cases
-    are handled separately; in the boundary case gamma = (1-sqrt(beta))^2/mu
-    the Jordan block needs an epsilon in (0, (1-beta)/sqrt(beta)), and takes
-    the midpoint (1-beta)/(2 sqrt(beta)).  Raises when the matrix does not
-    contract.
-    """
-    gamma, beta = p.gamma, p.beta
-    half_trace = (1.0 + beta - mu * gamma) / 2.0
-    disc = half_trace * half_trace - beta
-
-    if abs(disc) <= BOUNDARY_TOL:
-        # Defective double eigenvalue +-sqrt(beta).
-        if beta <= 0.0:
-            raise ValueError("boundary decomposition needs beta > 0")
-        sb = math.sqrt(beta)
-        epsilon = (1.0 - beta) / sb / 2.0
-        rho_d = sb * (epsilon / 2.0 + math.sqrt(1.0 + epsilon * epsilon / 4.0))
-        if rho_d >= 1.0:
-            raise ValueError(f"no contraction: rho_d = {rho_d} >= 1")
-        p_mat = np.array([[sb, epsilon * sb / (1.0 + beta)],
-                          [1.0, -beta * epsilon / (1.0 + beta)]])
-        d_mat = sb * np.array([[1.0, epsilon], [0.0, 1.0]])
-        return StabilityConstants(_condition_constants(p_mat), rho_d, "Boundary",
-                                  p_mat, d_mat)
-
-    # A real pair (Lazy, real matrices) or a complex-conjugate pair
-    # (Robust, of modulus sqrt(beta)); P's columns are the eigenvectors.
-    root = math.sqrt(abs(disc))
-    if disc > 0.0:
-        lam, region = (half_trace + root, half_trace - root), "Lazy"
-    else:
-        lam, region = (complex(half_trace, root), complex(half_trace, -root)), "Robust"
-    rho_d = max(abs(lam[0]), abs(lam[1]))
-    if rho_d >= 1.0:
-        raise ValueError(f"no contraction: spectral radius = {rho_d} >= 1")
-    p_mat = np.array([lam, (1.0, 1.0)])
-    return StabilityConstants(_condition_constants(p_mat), rho_d, region,
-                              p_mat, np.diag(lam))
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Perturbation magnitudes for a run around a cycling counterexample.
 
@@ -303,8 +235,9 @@ class NoiseSpec:
             raise ValueError(f"unknown noise mode {self.mode!r}")
 
 
-def _tube_coefficients(ce: CounterExample, kappa_p: float) -> tuple[float, float]:
+def _tube_coefficients(ce: CounterExample) -> tuple[float, float]:
     """Weights of |dgamma| and |dbeta| in tube condition 2 around ``ce``."""
+    kappa_p = ce.stability.kappa_p
     return (4.0 / ce.p.gamma + ce.c.mu * kappa_p * ce.r_max,
             2.0 + 2.0 * kappa_p * ce.r_max)
 
@@ -321,9 +254,9 @@ def noise_budget(ce: CounterExample) -> dict:
     Returns the per-channel budgets (each assumes the shared budget of its
     condition is spent on that channel alone).
     """
-    sc = stability_constants(ce.p, ce.c.mu)
+    sc = ce.stability
     slack = 0.5 * (1.0 - sc.rho_d) * sc.kappa_p * ce.r_max
-    gamma_coeff, beta_coeff = _tube_coefficients(ce, sc.kappa_p)
+    gamma_coeff, beta_coeff = _tube_coefficients(ce)
     return {
         "kappa_p": sc.kappa_p,
         "rho_d": sc.rho_d,
@@ -403,7 +336,7 @@ def _check_runs(ce: CounterExample, budget: dict, noises: list[NoiseSpec],
         raise ValueError(
             "condition 1 violated: initial offset "
             f"{float(init[bad[0]])} * kappa_P * r_max exceeds kappa_P * r_max")
-    gamma_coeff, beta_coeff = _tube_coefficients(ce, budget["kappa_p"])
+    gamma_coeff, beta_coeff = _tube_coefficients(ce)
     spend = gamma_coeff * gamma_jitter + beta_coeff * beta_jitter
     bad = np.flatnonzero(spend > budget["param_budget"] * _TUBE_SLACK)
     if bad.size:
@@ -431,14 +364,13 @@ def _start_batch(ce: CounterExample, noises: list[NoiseSpec], steps: int, strict
         raise ValueError("a batch needs at least one noise spec")
     budget = noise_budget(ce)
     _check_runs(ce, budget, noises, strict)
-    cyc = rou_cycle(ce.k).points
     starts = np.empty((2, len(noises), 2))
     rngs = [np.random.default_rng(n.seed) for n in noises]
     for i, (rng, noise) in enumerate(zip(rngs, noises)):
         offset = rng.normal(size=4)
         offset *= noise.init_radius * budget["init_norm"] / np.linalg.norm(offset)
-        starts[0, i] = cyc[0] + offset[:2]
-        starts[1, i] = cyc[1] + offset[2:]
+        starts[0, i] = ce.cycle[0] + offset[:2]
+        starts[1, i] = ce.cycle[1] + offset[2:]
     return rngs, starts
 
 
@@ -504,8 +436,7 @@ def perturbed_runs(ce: CounterExample, noises: list[NoiseSpec], steps: int,
     gamma_jitter, beta_jitter, grad_noise = np.array(
         [(n.gamma_jitter, n.beta_jitter, n.grad_noise) for n in noises]).T
 
-    p, k = ce.p, ce.k
-    cyc = rou_cycle(k).points
+    p, k, cyc = ce.p, ce.k, ce.cycle
     r = len(noises)
     chunk = min(_DRAW_CHUNK, steps)
     # The state is coordinate-major: z[0] holds the runs' first coordinates
@@ -611,7 +542,7 @@ def perturbed_run(ce: CounterExample, noise: NoiseSpec, steps: int) -> Perturbed
         return PerturbedRun(trace, bool(runs.stayed_in_tube[0]), None)
     _, starts = _start_batch(ce, [noise], steps, strict=True)
     trace = run(CounterexampleFunction(ce), ce.p, starts[0, 0], starts[1, 0], steps)
-    dev = cycle_distances(trace.iterates, rou_cycle(ce.k).points)
+    dev = cycle_distances(trace.iterates, ce.cycle)
     joint = np.sqrt(dev[1:] ** 2 + dev[:-1] ** 2)
     return PerturbedRun(trace, bool(dev.max() <= ce.r_max * _TUBE_SLACK),
                         _fit_decay(joint))

@@ -15,14 +15,15 @@ splits into three convergence regions (plus a divergent remainder):
 Level sets of the rate over the plane are closed triangles whose common
 corner pattern pins down the optimal tuning.  ``reference_rates`` tables
 the known worst-case rates of standard tunings beside heavy ball's.
-Everything here is a pure function; the grid variant broadcasts over numpy
-arrays.
+``stability_constants`` decomposes heavy ball's companion matrix on the
+mu-quadratic, for the noise budgets around a cycle.  Everything here is a
+pure function; the grid variant broadcasts over numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -161,6 +162,77 @@ def rate_on_quadratics(p: HbParams, c: FunctionClass) -> RateReport:
     """
     rho, codes = rate_grid(p.gamma, p.beta, c)
     return RateReport(float(rho), _REGION_BY_CODE[int(codes)])
+
+
+@dataclass(frozen=True)
+class StabilityConstants:
+    """Companion-matrix decomposition constants for the residual dynamics.
+
+    ``kappa_p`` is 1/(||P|| * ||P^-1||) in (0, 1]; ``rho_d`` = ||D|| < 1.
+    ``region_used`` records which decomposition applied: "Lazy" (real
+    eigenvalues), "Robust" (complex pair), or "Boundary" (Jordan block with
+    the epsilon trick).
+    """
+
+    kappa_p: float
+    rho_d: float
+    region_used: str
+    p_matrix: np.ndarray = field(repr=False)
+    d_matrix: np.ndarray = field(repr=False)
+
+
+def _condition_constants(p_mat: np.ndarray) -> float:
+    """kappa_P from the closed form tau - sqrt(tau^2 - 1), tau = tr(P^H P)/(2|det P|)."""
+    h = p_mat.conj().T @ p_mat
+    tau = float(np.trace(h).real) / (2.0 * abs(np.linalg.det(p_mat)))
+    if tau <= 1.0:
+        return 1.0
+    return tau - math.sqrt(tau * tau - 1.0)
+
+
+def stability_constants(p: HbParams, mu: float) -> StabilityConstants:
+    """Decompose [[1+beta-mu*gamma, -beta], [1, 0]] as P D P^{-1}, ||D|| < 1.
+
+    Real-diagonalizable, complex-conjugate, and defective (boundary) cases
+    are handled separately; in the boundary case gamma = (1-sqrt(beta))^2/mu
+    the Jordan block needs an epsilon in (0, (1-beta)/sqrt(beta)), and takes
+    the midpoint (1-beta)/(2 sqrt(beta)).  Raises when mu is not finite and
+    positive or the matrix does not contract.
+    """
+    if not 0.0 < mu < math.inf:  # NaN included
+        raise ValueError(f"mu must be finite and positive, got {mu}")
+    gamma, beta = p.gamma, p.beta
+    half_trace = (1.0 + beta - mu * gamma) / 2.0
+    disc = half_trace * half_trace - beta
+
+    if abs(disc) <= BOUNDARY_TOL:
+        # Defective double eigenvalue +-sqrt(beta).
+        if beta <= 0.0:
+            raise ValueError("boundary decomposition needs beta > 0")
+        sb = math.sqrt(beta)
+        epsilon = (1.0 - beta) / sb / 2.0
+        rho_d = sb * (epsilon / 2.0 + math.sqrt(1.0 + epsilon * epsilon / 4.0))
+        if rho_d >= 1.0:
+            raise ValueError(f"no contraction: rho_d = {rho_d} >= 1")
+        p_mat = np.array([[sb, epsilon * sb / (1.0 + beta)],
+                          [1.0, -beta * epsilon / (1.0 + beta)]])
+        d_mat = sb * np.array([[1.0, epsilon], [0.0, 1.0]])
+        return StabilityConstants(_condition_constants(p_mat), rho_d, "Boundary",
+                                  p_mat, d_mat)
+
+    # A real pair (Lazy, real matrices) or a complex-conjugate pair
+    # (Robust, of modulus sqrt(beta)); P's columns are the eigenvectors.
+    root = math.sqrt(abs(disc))
+    if disc > 0.0:
+        lam, region = (half_trace + root, half_trace - root), "Lazy"
+    else:
+        lam, region = (complex(half_trace, root), complex(half_trace, -root)), "Robust"
+    rho_d = max(abs(lam[0]), abs(lam[1]))
+    if rho_d >= 1.0:
+        raise ValueError(f"no contraction: spectral radius = {rho_d} >= 1")
+    p_mat = np.array([lam, (1.0, 1.0)])
+    return StabilityConstants(_condition_constants(p_mat), rho_d, region,
+                              p_mat, np.diag(lam))
 
 
 def optimal_tuning(c: FunctionClass) -> tuple[HbParams, float]:

@@ -13,7 +13,8 @@ its exact gradient via closest-point projection onto the polygon, the
 safety radius r_max of the locally quadratic neighborhoods around the cycle
 points, and the grid scan showing the region's complement misses every
 sublevel-set triangle of rate 1 - O(kappa).  A counterexample keeps the
-(gamma, beta), class and period it was built for.
+(gamma, beta), class and period it was built for, its cycle and its
+``stability_constants``, each worked out once.  Periods are integers.
 
 The smallest member period is found in closed form.  In x = cos(2*pi/K)
 the membership quadratic is A x^2 + B x + C with A = 4 kappa beta >= 0, so
@@ -38,8 +39,10 @@ from .quad_rates import (
     _UNIT_ROUNDOFF,
     FunctionClass,
     HbParams,
+    StabilityConstants,
     in_cv_closure,
     rate_grid,
+    stability_constants,
     sublevel_set,
 )
 
@@ -73,9 +76,16 @@ class RouCycle:
     rotation: np.ndarray  # (2, 2), maps point t to point t+1 mod k
 
 
+def _check_period(k, least: int) -> None:
+    """Raise ValueError unless ``k`` is an integer period of at least ``least``."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"period must be an integer, got {k!r}")
+    if k < least:
+        raise ValueError(f"period must be >= {least}, got {k}")
+
+
 def rou_cycle(k: int) -> RouCycle:
-    if k < 2:
-        raise ValueError(f"period must be >= 2, got {k}")
+    _check_period(k, 2)
     theta = 2.0 * math.pi / k
     t = np.arange(k)
     points = np.stack([np.cos(t * theta), np.sin(t * theta)], axis=1)
@@ -86,6 +96,7 @@ def rou_cycle(k: int) -> RouCycle:
 
 def _cos_period(k: int) -> float:
     """cos(2*pi/K), the float every membership evaluation at period K uses."""
+    _check_period(k, 2)
     return math.cos(2.0 * math.pi / k)
 
 
@@ -139,8 +150,6 @@ class CycleQuadratic:
 
 def membership_polynomial(beta: float, k: int, c: FunctionClass) -> CycleQuadratic:
     """Quadratic whose nonpositivity characterizes period-K cycling at ``beta``."""
-    if k < 2:
-        raise ValueError(f"period must be >= 2, got {k}")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     _, a, c0 = _membership_quadratic(0.0, beta, _cos_period(k), c.kappa)
@@ -160,8 +169,7 @@ def rou_member(p: HbParams, c: FunctionClass, k: int) -> bool:
     Negative momentum is rejected: the region is characterized for beta >= 0
     only.
     """
-    if k < 2:
-        raise ValueError(f"period must be >= 2, got {k}")
+    _check_period(k, 2)
     if p.beta < 0.0:
         raise ValueError("cycling membership is only defined for beta >= 0")
     return in_cv_closure(p.gamma, p.beta, c) and polynomial_value(p.gamma, p.beta, k, c) <= 0.0
@@ -293,17 +301,18 @@ def member_any_grid(gammas, betas, c: FunctionClass,
 class CounterExample:
     """Counterexample geometry at a cycling parameter point.
 
-    ``p``, ``c`` and ``k`` are the parameters, class and period it was
-    built for.  ``m`` is the linear operator whose images of the cycle points form the
-    polygon, a scaled rotation a*I + b*J; so ``hull``, the K vertices in
-    counter-clockwise (cycle) order, is a regular K-gon centred at the
-    origin with vertex t at angle ``phi`` + 2*pi*t/K.  ``r_max`` is the
-    Euclidean radius of the guaranteed locally quadratic ball around each
-    cycle point (0 on the region's boundary, positive inside);
-    ``hull_radius`` is the largest vertex norm.  ``_edge_floats`` holds, per
-    edge t, the floats (h0, h1, e0, e1, edge_sq, length) of vertex t, edge
-    t, its squared length and length, for the one-point loops;
-    ``_edge_table`` holds the first five as (5, K) rows, for the batch.
+    ``p``, ``c`` and ``k`` are the parameters, class and period it was built
+    for, ``cycle`` the points of ``rou_cycle(k)`` and ``stability`` its
+    ``stability_constants(p, c.mu)``.  ``m`` is the linear operator whose
+    images of the cycle points form the polygon, a scaled rotation
+    a*I + b*J; so ``hull``, the K vertices in counter-clockwise (cycle)
+    order, is a regular K-gon centred at the origin with vertex t at angle
+    ``phi`` + 2*pi*t/K.  ``r_max`` is the Euclidean radius of the guaranteed
+    locally quadratic ball around each cycle point (0 on the region's
+    boundary, positive inside); ``hull_radius`` is the largest vertex norm.
+    ``_edge_floats`` holds, per edge t, the floats (h0, h1, e0, e1,
+    edge_sq, length) of vertex t, edge t, its squared length and length,
+    for the one-point loops; ``_edge_table`` the first five, (5, K), for batches.
     """
 
     p: HbParams
@@ -312,6 +321,8 @@ class CounterExample:
     m: np.ndarray
     hull: np.ndarray
     r_max: float
+    cycle: np.ndarray = field(repr=False)
+    stability: StabilityConstants = field(repr=False)
     edges: np.ndarray = field(repr=False)
     hull_radius: float = field(repr=False)
     _edge_floats: tuple = field(repr=False)
@@ -353,7 +364,8 @@ def build_counterexample(p: HbParams, c: FunctionClass, k: int) -> CounterExampl
     edge_sq = np.einsum("ij,ij->i", edges, edges)
     table = np.vstack([hull.T, edges.T, edge_sq])
     edge_floats = tuple(zip(*table.tolist(), np.sqrt(edge_sq).tolist()))
-    return CounterExample(p=p, c=c, k=k, m=m, hull=hull, r_max=r_max, edges=edges,
+    return CounterExample(p=p, c=c, k=k, m=m, hull=hull, r_max=r_max, cycle=cyc.points,
+                          stability=stability_constants(p, c.mu), edges=edges,
                           hull_radius=float(np.linalg.norm(hull, axis=1).max()),
                           _edge_floats=edge_floats, phi=math.atan2(b, a), _edge_table=table)
 

@@ -39,7 +39,6 @@ from .rou_region import (
     _counterexample_batch,
     _grad_one,
     _sector,
-    rou_cycle,
 )
 
 # Directions, over a half turn, of ``third_derivative_estimate``'s stencils.
@@ -252,9 +251,9 @@ def cycle_check_smoothed(sce: SmoothedCounterExample, steps: int) -> float:
     """
     if sce.base.r_max <= 0.0:
         raise ValueError("smoothed cycle check needs an interior member point")
-    cyc = rou_cycle(sce.base.k)
-    trace = run(sce, sce.base.p, cyc.points[0], cyc.points[1], steps)
-    return float(np.max(cycle_distances(trace.iterates, cyc.points)))
+    cyc = sce.base.cycle
+    trace = run(sce, sce.base.p, cyc[0], cyc[1], steps)
+    return float(np.max(cycle_distances(trace.iterates, cyc)))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 import hbcycles.cli as cli
 import hbcycles.cycle_lp as cycle_lp
+import hbcycles.hb_engine as hb_engine
+import hbcycles.rou_region as rou_region
 import hbcycles.smoothing as smoothing
 from hbcycles.cli import SWEEP_MODES, _lp_region_chunk, _write_rows, main, render_svg
 from hbcycles.hb_engine import NoiseSpec, noise_budget, write_trace_csv
@@ -686,6 +689,25 @@ class TestCycleDemo:
                                "--K", "7")
         assert code == 3
         assert "membership polynomial" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cycle-demo", "--steps", "50"),
+        ("cycle-demo", "--steps", "50", "--noise-grad", "within-thm53"),
+        ("cycle-demo", "--steps", "50", "--noise-init", "0.5"),
+        ("cycle-demo", "--steps", "50", "--smooth", "auto"),
+        ("robustness", "--runs", "3", "--steps", "50")])
+    def test_cycle_and_decomposition_are_worked_out_once(self, capsys, argv):
+        # The counterexample carries both; no other module holds either name.
+        for module in (cli, hb_engine, smoothing):
+            assert not hasattr(module, "rou_cycle")
+        assert not hasattr(cli, "stability_constants")
+        with mock.patch("hbcycles.rou_region.rou_cycle",
+                        wraps=rou_region.rou_cycle) as cycle, \
+                mock.patch("hbcycles.rou_region.stability_constants",
+                           wraps=rou_region.stability_constants) as decompose:
+            code, _, _ = run_cli(capsys, argv[0], *_TUBE_POINT, *argv[1:])
+        assert code == 0
+        assert (cycle.call_count, decompose.call_count) == (1, 1)
 
     def test_noise_run_reports_tube(self, capsys):
         code, out, _ = run_cli(capsys, "cycle-demo", "--gamma", "3.3",

@@ -16,6 +16,7 @@ from hbcycles.cycle_lp import (
     harmonic_gram,
     interpolation_residuals,
     lift_matrices,
+    lp_check,
     lp_feasible,
     lp_margin,
     lp_matrices,
@@ -383,6 +384,30 @@ class TestLpFeasible:
             lp = any(lp_margin(p, c, k) <= 1e-9 for k in range(3, 26))
             assert lp == analytic, (gamma, beta)
             checked += 1
+
+    # A float period used to end in numpy's TypeError or an IndexError.
+    @pytest.mark.parametrize("call", [
+        lambda k: lift_matrices(HbParams(3.5, 0.75), FunctionClass(0.005, 1.0), k),
+        lambda k: harmonic_gram(k, 1),
+        lambda k: reconstruct_symmetric_cycle(np.full(3, 1.0 / 3.0), k),
+        lambda k: build_lp_matrix(HbParams(3.5, 0.75), FunctionClass(0.005, 1.0), k),
+        lambda k: lp_matrices([3.5], [0.75], FunctionClass(0.005, 1.0), k),
+        lambda k: screen_periods([3.5], [0.75], FunctionClass(0.005, 1.0), k),
+        lambda k: lp_margin(HbParams(3.5, 0.75), FunctionClass(0.005, 1.0), k),
+        lambda k: lp_check(HbParams(3.5, 0.75), FunctionClass(0.005, 1.0), k),
+        lambda k: lp_feasible(HbParams(3.5, 0.75), FunctionClass(0.005, 1.0), k)])
+    @pytest.mark.parametrize("k", [7.5, 7.0, np.float64(7.0)])
+    def test_rejects_non_integer_periods(self, call, k):
+        with pytest.raises(ValueError, match="period must be an integer"):
+            call(k)
+
+    def test_accepts_numpy_integer_periods(self):
+        p, c = HbParams(3.5, 0.75), FunctionClass(0.005, 1.0)
+        # A rejected 7.0 caches no table: np.int64(7) shares its cache key.
+        with pytest.raises(ValueError):
+            build_lp_matrix(p, c, 7.0)
+        assert lp_check(p, c, np.int64(7))[0] == lp_check(p, c, 7)[0]
+        assert harmonic_gram(np.int64(7), 2).h.tobytes() == harmonic_gram(7, 2).h.tobytes()
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):

@@ -21,10 +21,9 @@ from hbcycles.hb_engine import (
     perturbed_run,
     perturbed_runs,
     run,
-    stability_constants,
     write_trace_csv,
 )
-from hbcycles.quad_rates import FunctionClass, HbParams, rate_on_quadratics
+from hbcycles.quad_rates import FunctionClass, HbParams, rate_on_quadratics, stability_constants
 from hbcycles.rou_region import (
     CounterexampleFunction,
     _counterexample_batch,
@@ -474,6 +473,20 @@ class TestDetectCycle:
         with pytest.raises(ValueError, match=f"period must be >= 1, got {k}"):
             detect_cycle(trace, k, tol=1e-8)
 
+    def test_non_integer_period_rejected(self):
+        trace = run(lambda z: z, HbParams(0.1, 0.0), [1.0, 1.0], [1.0, 1.0], 50)
+        with pytest.raises(ValueError, match="period must be an integer, got 7.5"):
+            detect_cycle(trace, 7.5, tol=1e-8)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_tol_rejected(self, fig4_setup, tol):
+        # Both used to return (False, dev), a silent "no cycle".
+        p, _, ce = fig4_setup
+        trace = run(CounterexampleFunction(ce), p, ce.cycle[0], ce.cycle[1], 100)
+        assert detect_cycle(trace, 7, 0.0)[1] <= 1e-12
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            detect_cycle(trace, 7, tol)
+
 
 class TestEstimateRate:
     def test_gd_two_over_l_plus_mu(self):
@@ -548,6 +561,12 @@ class TestStabilityConstants:
     def test_no_contraction_rejected(self):
         with pytest.raises(ValueError):
             stability_constants(HbParams(3.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -0.005])
+    def test_mu_must_be_finite_and_positive(self, mu):
+        # NaN gave kappa_p = rho_d = NaN, tagged "Robust".
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            stability_constants(HbParams(3.5, 0.75), mu)
 
     @pytest.mark.parametrize("gamma,beta,mu", [(3.5, 0.75, 0.005),
                                                (3.5, 0.9, 0.005),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams
+from hbcycles.quad_rates import BOUNDARY_TOL, FunctionClass, HbParams, stability_constants
 from hbcycles.rou_region import (
     MEMBERSHIP_ROUNDING,
     CounterexampleFunction,
@@ -63,6 +64,35 @@ class TestRouCycle:
     def test_rejects_degenerate_period(self):
         with pytest.raises(ValueError):
             rou_cycle(1)
+
+
+_PERIOD_CLASS = FunctionClass(0.005, 1.0)
+_PERIOD_POINT = HbParams(3.5, 0.75)
+
+
+class TestIntegerPeriods:
+    # A float period used to pass: at 7.5, build_counterexample made an
+    # 8-point hull and rou_member answered True.
+    @pytest.mark.parametrize("call", [
+        rou_cycle,
+        lambda k: polynomial_value(3.5, 0.75, k, _PERIOD_CLASS),
+        lambda k: beta_minus(k, _PERIOD_CLASS),
+        lambda k: membership_polynomial(0.75, k, _PERIOD_CLASS),
+        lambda k: rou_member(_PERIOD_POINT, _PERIOD_CLASS, k),
+        lambda k: rou_member(HbParams(9.0, 0.75), _PERIOD_CLASS, k),  # outside the closure
+        lambda k: build_counterexample(_PERIOD_POINT, _PERIOD_CLASS, k)])
+    @pytest.mark.parametrize("k", [7.5, 7.0, np.float64(7.0), math.nan])
+    def test_non_integer_period_raises(self, call, k):
+        with pytest.raises(ValueError, match="period must be an integer"):
+            call(k)
+
+    def test_numpy_integer_period_is_accepted(self):
+        ce = build_counterexample(_PERIOD_POINT, _PERIOD_CLASS, np.int64(7))
+        want = build_counterexample(_PERIOD_POINT, _PERIOD_CLASS, 7)
+        assert ce.hull.tobytes() == want.hull.tobytes() and ce.r_max == want.r_max
+        assert rou_member(_PERIOD_POINT, _PERIOD_CLASS, np.int32(7))
+        assert membership_polynomial(0.75, np.int64(7), _PERIOD_CLASS) \
+            == membership_polynomial(0.75, 7, _PERIOD_CLASS)
 
 
 class TestMembershipPolynomial:
@@ -366,6 +396,17 @@ class TestCounterexample:
             radii.append(ce.r_max)
         assert radii == sorted(radii, reverse=True)
         assert abs(radii[-1]) <= 1e-8
+
+    @pytest.mark.parametrize("member", _SECTOR_MEMBERS)
+    def test_carries_its_cycle_and_decomposition(self, member):
+        ce = _member_ce(member)
+        assert ce.cycle.tobytes() == rou_cycle(ce.k).points.tobytes()
+        want = stability_constants(ce.p, ce.c.mu)
+        for f in dataclasses.fields(want):
+            got, expected = getattr(ce.stability, f.name), getattr(want, f.name)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), f.name
+        flat = dataclasses.replace(ce, r_max=0.0)
+        assert flat.cycle is ce.cycle and flat.stability is ce.stability
 
     def test_cached_floats_match_the_arrays(self, fig4_setup):
         _, _, ce = fig4_setup
